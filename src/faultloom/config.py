@@ -120,9 +120,12 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
     sampling = None
     if raw.get("sampling"):
         s = raw["sampling"]
-        sampling = SamplingConfig(
-            n_pos=int(s["n_pos"]), n_neg=int(s["n_neg"]), seed=int(s.get("seed", raw.get("seed", 0)))
-        )
+        # An explicit seed override replaces sampling.seed; a top-level YAML
+        # seed only fills a missing one.
+        seed = (overrides or {}).get("seed")
+        if seed is None:
+            seed = s.get("seed", raw.get("seed", 0))
+        sampling = SamplingConfig(n_pos=int(s["n_pos"]), n_neg=int(s["n_neg"]), seed=int(seed))
 
     theme = raw.get("theme") or {}
     config = PipelineConfig(

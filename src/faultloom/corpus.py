@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import random
 from dataclasses import dataclass, field
@@ -196,10 +197,21 @@ def import_dump(path: str | Path) -> Corpus:
     return Corpus(records=records, source="dump")
 
 
-def export_dump(corpus: Corpus, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in corpus:
-            fh.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
+def write_jsonl(path: str | Path, rows: Iterable[dict]) -> str:
+    """Write one sorted-key JSON object per line; return the sha256 of the
+    bytes written, hashed as they are written."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for row in rows:
+            line = (json.dumps(row, sort_keys=True) + "\n").encode("utf-8")
+            digest.update(line)
+            fh.write(line)
+    return digest.hexdigest()
+
+
+def export_dump(corpus: Corpus, path: str | Path) -> str:
+    """Write `corpus` as a line-delimited JSON dump; return its sha256."""
+    return write_jsonl(path, (record.to_dict() for record in corpus))
 
 
 def load_gold(path: str | Path) -> dict[IssueKey, GoldLabel]:

@@ -49,6 +49,10 @@ class ConfusionMatrix:
     def to_dict(self) -> dict:
         return {"classes": self.classes, "counts": self.counts}
 
+    @classmethod
+    def from_dict(cls, raw: dict) -> "ConfusionMatrix":
+        return cls(classes=list(raw["classes"]), counts=[list(row) for row in raw["counts"]])
+
 
 @dataclass
 class Stage2Scores:
@@ -76,6 +80,16 @@ class Stage2Scores:
             "tn": self.tn,
             "confusion": self.confusion.to_dict(),
         }
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "Stage2Scores":
+        return cls(
+            accuracy=raw["accuracy"],
+            precision=raw["precision"],
+            recall=raw["recall"],
+            tp=raw["tp"], fp=raw["fp"], fn=raw["fn"], tn=raw["tn"],
+            confusion=ConfusionMatrix.from_dict(raw["confusion"]),
+        )
 
 
 def score_stage2(
@@ -153,6 +167,17 @@ class Stage3Scores:
             "per_level_accuracy": {str(k): v for k, v in self.per_level_accuracy.items()},
             "confusion": self.confusion.to_dict(),
         }
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "Stage3Scores":
+        return cls(
+            accuracy=raw["accuracy"],
+            correct=raw["correct"],
+            total=raw["total"],
+            invalid=raw["invalid"],
+            per_level_accuracy={int(k): v for k, v in raw["per_level_accuracy"].items()},
+            confusion=ConfusionMatrix.from_dict(raw["confusion"]),
+        )
 
 
 def hierarchical_accuracy(
@@ -247,6 +272,10 @@ class RunMeta:
             "unscored": self.unscored,
         }
 
+    @classmethod
+    def from_dict(cls, raw: dict) -> "RunMeta":
+        return cls(**raw)
+
 
 @dataclass
 class EvalReport:
@@ -266,3 +295,18 @@ class EvalReport:
             "run_meta": self.run_meta.to_dict(),
             "notes": self.notes,
         }
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "EvalReport":
+        """Inverse of `to_dict`, for a report read back from report.json."""
+
+        def scores(kind, key):
+            return kind.from_dict(raw[key]) if raw[key] is not None else None
+
+        return cls(
+            stage2=scores(Stage2Scores, "stage2"),
+            stage3_symptom=scores(Stage3Scores, "stage3_symptom"),
+            stage3_rootcause=scores(Stage3Scores, "stage3_rootcause"),
+            run_meta=RunMeta.from_dict(raw["run_meta"]),
+            notes=list(raw["notes"]),
+        )

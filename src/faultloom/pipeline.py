@@ -4,7 +4,12 @@ content-hash resumability, and report emission.
 Each stage writes a line-delimited artifact into the run directory before the
 next stage starts. A stage is skipped on rerun when its recorded input hash
 (config section + upstream artifact bytes) is unchanged, so a finished run
-directory is stable and fully determines its report.
+directory is stable and fully determines its report: a no-op rerun hashes its
+inputs and reads report.json back.
+
+Within one Runner, a stage hands the objects it wrote to the stages after it,
+tagged with the sha256 of the written bytes; a later stage uses them only
+while the file on disk still has that hash, and parses the file otherwise.
 """
 
 from __future__ import annotations
@@ -22,7 +27,15 @@ import yaml
 
 from . import stage1, stage2, stage3
 from .config import PipelineConfig
-from .corpus import Corpus, export_dump, import_dump, load_gold, merge_corpora, sample_balanced
+from .corpus import (
+    Corpus,
+    export_dump,
+    import_dump,
+    load_gold,
+    merge_corpora,
+    sample_balanced,
+    write_jsonl,
+)
 from .errors import FaultloomError, MissingArtifactError, StageError
 from .evaluation import (
     EvalReport,
@@ -30,7 +43,7 @@ from .evaluation import (
     score_stage2,
     score_stage3,
 )
-from .gateway import Gateway, Provider, Transcript
+from .gateway import Gateway, Provider, RateLimiter, Transcript
 from .ingest import IssueFetcher, PageCache
 from .taxonomy import Taxonomy, load_taxonomy
 
@@ -46,16 +59,31 @@ ARTIFACTS = {
 }
 
 
-def _hash_bytes(*parts: bytes) -> str:
-    digest = hashlib.sha256()
-    for part in parts:
-        digest.update(part)
-        digest.update(b"\x00")
-    return digest.hexdigest()
+_CHUNK = 1 << 20
+
+
+def _feed(hasher, path: Path):
+    """`hasher` updated with the bytes of `path`, read in chunks into one
+    reused buffer."""
+    buffer = bytearray(_CHUNK)
+    view = memoryview(buffer)
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(buffer):
+            hasher.update(view[:size])
+    return hasher
 
 
 def _hash_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    return _feed(hashlib.sha256(), path).hexdigest()
+
+
+def _input_hash(head: bytes, paths=()) -> str:
+    """A stage's input hash: sha256 over `head` and the bytes of each file in
+    `paths`, each part followed by a NUL."""
+    combined = hashlib.sha256(head + b"\x00")
+    for path in paths:
+        _feed(combined, path).update(b"\x00")
+    return combined.hexdigest()
 
 
 def _canonical(obj) -> bytes:
@@ -84,18 +112,36 @@ class Manifest:
         self.save()
 
 
+# Stages whose manifest entries feed the report's run figures.
+_REPORTED_STAGES = ("corpus", "sample", "filter", "classify")
+
+
+def _read_decisions(path: Path) -> list[stage2.FilterDecision]:
+    with open(path, "r", encoding="utf-8") as fh:
+        return [stage2.FilterDecision.from_dict(json.loads(line)) for line in fh if line.strip()]
+
+
+def _read_labels(path: Path) -> list[stage3.FaultLabel]:
+    with open(path, "r", encoding="utf-8") as fh:
+        return [stage3.FaultLabel.from_dict(json.loads(line)) for line in fh if line.strip()]
+
+
 @dataclass
 class Runner:
     config: PipelineConfig
     provider: Provider | None = None  # injected fake for tests; live resolves by model id
     gateway: Gateway | None = field(default=None, init=False)
     manifest: Manifest = field(init=False)
+    report: EvalReport | None = field(default=None, init=False)  # as run_evaluate last wrote it
 
     def __post_init__(self) -> None:
         self.out = Path(self.config.out_dir)
         self.out.mkdir(parents=True, exist_ok=True)
         self.manifest = Manifest(self.out / "manifest.json")
         self.provider_calls = 0
+        # Parsed artifacts and inputs of this run by name, each with the
+        # sha256 of the bytes it was written as or parsed from.
+        self._held: dict[str, tuple[str, object]] = {}
 
     # --- shared plumbing ---------------------------------------------------
 
@@ -107,6 +153,25 @@ class Runner:
         if not path.exists():
             raise MissingArtifactError(str(path), needed_by)
         return path
+
+    def _parsed(self, name: str, path: Path, parse):
+        """`parse(path)`, or the object held under `name` when it came from
+        bytes with the same sha256 as the file now on disk. Holds what it
+        returns."""
+        digest = _hash_file(path)
+        held = self._held.get(name)
+        if held is None or held[0] != digest:
+            held = self._held[name] = (digest, parse(path))
+        return held[1]
+
+    def _gold(self) -> dict:
+        return self._parsed("gold", self.config.gold_file, load_gold)
+
+    def _taxonomies(self) -> tuple[Taxonomy, Taxonomy]:
+        return (
+            self._parsed("symptom_taxonomy", self.config.symptom_taxonomy_file, load_taxonomy),
+            self._parsed("root_cause_taxonomy", self.config.root_cause_taxonomy_file, load_taxonomy),
+        )
 
     def _get_gateway(self) -> Gateway:
         if self.gateway is None:
@@ -120,6 +185,7 @@ class Runner:
                 mode=self.config.mode,
                 transcript=transcript,
                 provider=provider,
+                limiter=RateLimiter(max_concurrent=self.config.parallelism),
             )
         return self.gateway
 
@@ -130,14 +196,26 @@ class Runner:
             and self.artifact(stage).exists()
         )
 
-    def _finish(self, stage: str, input_hash: str, started: float, extra: dict | None = None) -> None:
+    def _usage(self) -> dict[str, dict]:
         gateway = self.gateway
+        return {m: t.to_dict() for m, t in gateway.usage.items()} if gateway else {}
+
+    def _begin(self) -> tuple[float, dict]:
+        """Start time and gateway usage so far, for `_finish`."""
+        return time.monotonic(), self._usage()
+
+    def _finish(self, stage: str, input_hash: str, begun: tuple[float, dict], extra: dict | None = None) -> None:
+        started, before = begun
+        per_model = {}
+        for model, tally in self._usage().items():
+            prior = before.get(model, {})
+            used = {key: count - prior.get(key, 0) for key, count in tally.items()}
+            if used["requests"]:
+                per_model[model] = used
         meta = {
             "duration_seconds": round(time.monotonic() - started, 3),
-            "tokens": gateway.total_tokens() if gateway else 0,
-            "per_model": (
-                {m: t.to_dict() for m, t in gateway.usage.items()} if gateway else {}
-            ),
+            "tokens": sum(t["input_tokens"] + t["output_tokens"] for t in per_model.values()),
+            "per_model": per_model,
         }
         if extra:
             meta.update(extra)
@@ -166,16 +244,21 @@ class Runner:
         snapshot.write_text(yaml.safe_dump(payload, sort_keys=True), encoding="utf-8")
 
     # --- stages ------------------------------------------------------------
+    #
+    # Each stage hashes its inputs and decides whether to skip before it
+    # parses anything. Upstream artifacts come from `_parsed`, so within one
+    # run each is parsed at most once, and not at all when the stage that
+    # wrote it handed over the parsed object.
 
     def run_corpus(self) -> Path:
-        input_hash = _hash_bytes(
+        input_hash = _input_hash(
             _canonical({"dumps": [str(p) for p in self.config.dumps], "repos": self.config.repos}),
-            *[Path(p).read_bytes() for p in self.config.dumps],
+            self.config.dumps,
         )
         if self._should_skip("corpus", input_hash):
             logger.info("corpus: unchanged, skipping")
             return self.artifact("corpus")
-        started = time.monotonic()
+        begun = self._begin()
         parts = [import_dump(p) for p in self.config.dumps]
         if self.config.repos:
             cache = (
@@ -184,8 +267,8 @@ class Runner:
             fetcher = IssueFetcher(cache=cache)
             parts.extend(fetcher.fetch_issues(repo) for repo in self.config.repos)
         corpus = merge_corpora(parts, source="dump" if not self.config.repos else "live")
-        export_dump(corpus, self.artifact("corpus"))
-        self._finish("corpus", input_hash, started, {"records": len(corpus)})
+        self._held["corpus"] = (export_dump(corpus, self.artifact("corpus")), corpus)
+        self._finish("corpus", input_hash, begun, {"records": len(corpus)})
         return self.artifact("corpus")
 
     def run_sample(self) -> Path:
@@ -196,19 +279,17 @@ class Runner:
             if sampling
             else None
         )
-        input_hash = _hash_bytes(_canonical(section), upstream.read_bytes())
+        input_hash = _input_hash(_canonical(section), [upstream])
         if self._should_skip("sample", input_hash):
             logger.info("sample: unchanged, skipping")
             return self.artifact("sample")
-        started = time.monotonic()
-        corpus = import_dump(upstream)
-        if sampling is None:
-            export_dump(corpus, self.artifact("sample"))
-        else:
-            gold = load_gold(self.config.gold_file)
-            sample = sample_balanced(corpus, gold, sampling.n_pos, sampling.n_neg, sampling.seed)
-            export_dump(sample, self.artifact("sample"))
-        self._finish("sample", input_hash, started)
+        begun = self._begin()
+        sample = self._parsed("corpus", upstream, import_dump)
+        del self._held["corpus"]  # no later stage reads the full corpus
+        if sampling is not None:
+            sample = sample_balanced(sample, self._gold(), sampling.n_pos, sampling.n_neg, sampling.seed)
+        self._held["sample"] = (export_dump(sample, self.artifact("sample")), sample)
+        self._finish("sample", input_hash, begun)
         return self.artifact("sample")
 
     def run_define(self) -> Path:
@@ -216,13 +297,13 @@ class Runner:
             description=self.config.theme_description,
             constraints=self.config.theme_constraints,
         )
-        input_hash = _hash_bytes(
+        input_hash = _input_hash(
             _canonical({"theme": theme.description, "constraints": theme.constraints,
                         "model": self.config.model_id})
         )
         if self._should_skip("define", input_hash):
             return self.artifact("define")
-        started = time.monotonic()
+        begun = self._begin()
         gateway = self._get_gateway()
         plan = stage1.propose_study(theme, gateway, self.config.model_id)
         payload = {"plan": plan.to_dict()}
@@ -232,13 +313,13 @@ class Runner:
         self.artifact("define").write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
-        self._finish("define", input_hash, started)
+        self._finish("define", input_hash, begun)
         return self.artifact("define")
 
     def run_filter(self) -> Path:
         upstream = self.require_artifact("sample", "filter")
         criteria = self.config.load_criteria()
-        input_hash = _hash_bytes(
+        input_hash = _input_hash(
             _canonical(
                 {
                     "vocabulary": criteria.vocabulary,
@@ -248,106 +329,83 @@ class Runner:
                     "model": self.config.model_id,
                 }
             ),
-            upstream.read_bytes(),
+            [upstream],
         )
         if self._should_skip("filter", input_hash):
             logger.info("filter: unchanged, skipping")
             return self.artifact("filter")
-        started = time.monotonic()
-        corpus = import_dump(upstream)
+        begun = self._begin()
+        sample = self._parsed("sample", upstream, import_dump)
         gateway = self._get_gateway()
         decisions = stage2.run_stage2(
-            corpus, criteria, gateway, self.config.model_id,
+            sample, criteria, gateway, self.config.model_id,
             parallelism=self.config.parallelism,
         )
-        with open(self.artifact("filter"), "w", encoding="utf-8") as fh:
-            for decision in decisions:
-                fh.write(json.dumps(decision.to_dict(), sort_keys=True) + "\n")
+        digest = write_jsonl(self.artifact("filter"), (d.to_dict() for d in decisions))
+        self._held["filter"] = (digest, decisions)
         positives = sum(1 for d in decisions if d.final)
-        self._finish("filter", input_hash, started, {"decisions": len(decisions), "positives": positives})
+        self._finish("filter", input_hash, begun, {"decisions": len(decisions), "positives": positives})
         return self.artifact("filter")
 
-    def _classification_input(self) -> Corpus:
-        sample = import_dump(self.require_artifact("sample", "classify"))
-        if self.config.stage3_input == "gold":
-            gold = load_gold(self.config.gold_file)
-            keep = {
-                k for k, g in gold.items()
-                if g.symptom_leaf is not None or g.root_cause is not None
-            }
-            return Corpus(records=[r for r in sample if r.key in keep], source=sample.source)
-        decisions_path = self.require_artifact("filter", "classify")
-        positives = set()
-        with open(decisions_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                raw = json.loads(line)
-                if raw["final"]:
-                    positives.add((raw["repo"], int(raw["number"])))
-        return Corpus(records=[r for r in sample if r.key in positives], source=sample.source)
-
     def run_classify(self) -> Path:
-        issues = self._classification_input()
-        upstream_hashes = [self.artifact("sample").read_bytes()]
+        upstream = [self.require_artifact("sample", "classify")]
         if self.config.stage3_input == "filtered":
-            upstream_hashes.append(self.artifact("filter").read_bytes())
-        input_hash = _hash_bytes(
+            upstream.append(self.require_artifact("filter", "classify"))
+        input_hash = _input_hash(
             _canonical(
                 {
                     "model": self.config.model_id,
                     "stage3_input": self.config.stage3_input,
-                    "symptom_taxonomy": _hash_file(Path(self.config.symptom_taxonomy_file)),
-                    "root_cause_taxonomy": _hash_file(Path(self.config.root_cause_taxonomy_file)),
+                    "symptom_taxonomy": _hash_file(self.config.symptom_taxonomy_file),
+                    "root_cause_taxonomy": _hash_file(self.config.root_cause_taxonomy_file),
                 }
             ),
-            *upstream_hashes,
+            upstream,
         )
         if self._should_skip("classify", input_hash):
             logger.info("classify: unchanged, skipping")
             return self.artifact("classify")
-        started = time.monotonic()
-        symptoms = load_taxonomy(self.config.symptom_taxonomy_file)
-        root_causes = load_taxonomy(self.config.root_cause_taxonomy_file)
+        begun = self._begin()
+        sample = self._parsed("sample", upstream[0], import_dump)
+        if self.config.stage3_input == "gold":
+            keep = {
+                k for k, g in self._gold().items()
+                if g.symptom_leaf is not None or g.root_cause is not None
+            }
+        else:
+            decisions = self._parsed("filter", upstream[1], _read_decisions)
+            keep = {d.key for d in decisions if d.final}
+        issues = Corpus(records=[r for r in sample if r.key in keep], source=sample.source)
+        symptoms, root_causes = self._taxonomies()
         gateway = self._get_gateway()
         labels = stage3.run_stage3(
             issues, symptoms, root_causes, gateway, self.config.model_id,
             parallelism=self.config.parallelism,
         )
-        with open(self.artifact("classify"), "w", encoding="utf-8") as fh:
-            for label in labels:
-                fh.write(json.dumps(label.to_dict(), sort_keys=True) + "\n")
+        digest = write_jsonl(self.artifact("classify"), (l.to_dict() for l in labels))
+        self._held["classify"] = (digest, labels)
         self._finish(
-            "classify", input_hash, started,
+            "classify", input_hash, begun,
             {"labels": len(labels), "invalid": sum(1 for l in labels if not l.valid)},
         )
         return self.artifact("classify")
 
     # --- evaluation and report ---------------------------------------------
 
-    def _load_decisions(self) -> list[stage2.FilterDecision]:
-        path = self.require_artifact("filter", "evaluate")
-        with open(path, "r", encoding="utf-8") as fh:
-            return [stage2.FilterDecision.from_dict(json.loads(line)) for line in fh if line.strip()]
-
-    def _load_labels(self) -> list[stage3.FaultLabel]:
-        path = self.require_artifact("classify", "evaluate")
-        with open(path, "r", encoding="utf-8") as fh:
-            return [stage3.FaultLabel.from_dict(json.loads(line)) for line in fh if line.strip()]
-
     def build_report(self) -> EvalReport:
-        gold = load_gold(self.config.gold_file)
-        symptoms = load_taxonomy(self.config.symptom_taxonomy_file)
-        root_causes = load_taxonomy(self.config.root_cause_taxonomy_file)
+        gold = self._gold()
+        symptoms, root_causes = self._taxonomies()
         notes: list[str] = []
         meta = RunMeta()
 
-        decisions = self._load_decisions()
+        decisions = self._parsed("filter", self.require_artifact("filter", "evaluate"), _read_decisions)
         scorable = [d for d in decisions if (g := gold.get(d.key)) and g.fault_related is not None]
         meta.unscored += len(decisions) - len(scorable)
         stage2_scores = score_stage2(scorable, gold) if scorable else None
         if stage2_scores is None:
             notes.append("stage2: no gold-covered decisions to score")
 
-        labels = self._load_labels()
+        labels = self._parsed("classify", self.require_artifact("classify", "evaluate"), _read_labels)
         symptom_labels = [
             l for l in labels if (g := gold.get(l.key)) and g.symptom_leaf is not None
         ]
@@ -361,19 +419,20 @@ class Runner:
         stage3_symptom = score_stage3(symptom_labels, gold, symptoms) if symptom_labels else None
         stage3_rootcause = score_stage3(rootcause_labels, gold, root_causes) if rootcause_labels else None
 
+        # Each stage's manifest entry holds what that stage itself used.
         durations = 0.0
         tokens = 0
         per_model: dict = {}
-        for name in ("corpus", "sample", "filter", "classify"):
+        for name in _REPORTED_STAGES:
             stage_meta = self.manifest.stage(name).get("meta", {})
             durations += stage_meta.get("duration_seconds", 0.0)
-            tokens = max(tokens, stage_meta.get("tokens", 0))
+            tokens += stage_meta.get("tokens", 0)
             for model, tally in stage_meta.get("per_model", {}).items():
                 agg = per_model.setdefault(
                     model, {"requests": 0, "input_tokens": 0, "output_tokens": 0}
                 )
                 for key in agg:
-                    agg[key] = max(agg[key], tally.get(key, 0))
+                    agg[key] += tally.get(key, 0)
         meta.wall_time_seconds = round(durations, 3)
         meta.total_tokens = tokens
         meta.per_model = per_model
@@ -387,18 +446,26 @@ class Runner:
         )
 
     def run_evaluate(self) -> Path:
-        for needed in ("filter", "classify"):
-            self.require_artifact(needed, "evaluate")
-        input_hash = _hash_bytes(
-            _canonical({"gold": _hash_file(Path(self.config.gold_file))}),
-            self.artifact("filter").read_bytes(),
-            self.artifact("classify").read_bytes(),
+        self.report = None
+        upstream = [self.require_artifact(needed, "evaluate") for needed in ("filter", "classify")]
+        # The report reads gold, both taxonomies, the two artifacts and the
+        # upstream manifest entries, so a skip means report.json is current.
+        input_hash = _input_hash(
+            _canonical(
+                {
+                    "gold": _hash_file(self.config.gold_file),
+                    "symptom_taxonomy": _hash_file(self.config.symptom_taxonomy_file),
+                    "root_cause_taxonomy": _hash_file(self.config.root_cause_taxonomy_file),
+                    "stages": {name: self.manifest.stage(name) for name in _REPORTED_STAGES},
+                }
+            ),
+            upstream,
         )
         if self._should_skip("evaluate", input_hash):
             logger.info("evaluate: unchanged, skipping")
             return self.artifact("evaluate")
-        report = self.build_report()
-        self.write_report(report)
+        self.report = self.build_report()
+        self.write_report(self.report)
         self.manifest.set_stage("evaluate", input_hash, {})
         return self.artifact("evaluate")
 
@@ -489,7 +556,10 @@ class Runner:
             raise StageError(f"stage {current!r} failed ({exc}); last artifact: {last}") from exc
         finally:
             lock.unlink(missing_ok=True)
-        return self.build_report()
+        if self.report is None:  # evaluate skipped, so report.json is current
+            raw = json.loads(self.artifact("evaluate").read_text(encoding="utf-8"))
+            self.report = EvalReport.from_dict(raw)
+        return self.report
 
 
 class _CountingProvider:

@@ -31,16 +31,23 @@ PARSE_FAILURE_MARKER = "structured-output-parse-failure"
 
 @dataclass
 class FilterCriteria:
+    """The deterministic criteria; term patterns and the exclusion-label set
+    are built once, at construction."""
+
     vocabulary: list[str]
     exclusion_labels: list[str] = field(default_factory=list)
     cutoff_date: date = date(2020, 1, 1)
     require_answered: bool = True
     comment_budget: int = DEFAULT_COMMENT_BUDGET
     char_budget: int = DEFAULT_CHAR_BUDGET
+    term_patterns: list[tuple[str, re.Pattern]] = field(init=False, repr=False, compare=False)
+    excluded: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.vocabulary:
             raise ValueError("vocabulary must be non-empty")
+        self.term_patterns = [(term, _term_pattern(term)) for term in self.vocabulary]
+        self.excluded = frozenset(self.exclusion_labels)
 
 
 def load_vocabulary(path: str | Path) -> list[str]:
@@ -126,8 +133,7 @@ def apply_deterministic(issue: IssueRecord, criteria: FilterCriteria) -> list[Cr
 
     matched = ""
     text_parts = _issue_text_parts(issue)
-    for term in criteria.vocabulary:
-        pattern = _term_pattern(term)
+    for term, pattern in criteria.term_patterns:
         if any(pattern.search(part) for part in text_parts):
             matched = term
             break
@@ -139,7 +145,7 @@ def apply_deterministic(issue: IssueRecord, criteria: FilterCriteria) -> list[Cr
         )
     )
 
-    excluded = [l for l in issue.labels if l in set(criteria.exclusion_labels)]
+    excluded = [l for l in issue.labels if l in criteria.excluded]
     trace.append(
         CriterionResult(
             CRITERION_EXCLUSION_LABEL,

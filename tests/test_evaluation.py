@@ -7,6 +7,8 @@ from faultloom.corpus import GoldLabel
 from faultloom.errors import EvaluationError, MissingGoldError
 from faultloom.evaluation import (
     ConfusionMatrix,
+    EvalReport,
+    RunMeta,
     hierarchical_accuracy,
     score_stage2,
     score_stage3,
@@ -231,3 +233,21 @@ def test_confusion_matrix_invariants():
     assert matrix.total == 3
     assert matrix.row_sums() == {"a": 2, "b": 1, "invalid": 0}
     assert matrix.diagonal() == 1
+
+
+def test_eval_report_from_dict_round_trips_through_json(symptoms):
+    import json
+
+    labels = [_label(1, symptom=LEAF_MEM), _label(2, symptom=LEAF_OOM)]
+    gold = {(REPO, 1): _gold(1, symptom=LEAF_MEM), (REPO, 2): _gold(2, symptom=LEAF_MEM)}
+    report = EvalReport(
+        stage2=score_stage2([_decision(1, True)], {(REPO, 1): _gold(1, fault_related=True)}),
+        stage3_symptom=score_stage3(labels, gold, symptoms),
+        stage3_rootcause=None,
+        run_meta=RunMeta(wall_time_seconds=0.5, total_tokens=12, per_model={"m": {"requests": 1}}),
+        notes=["stage3: no root-cause gold"],
+    )
+    raw = json.loads(json.dumps(report.to_dict()))
+    again = EvalReport.from_dict(raw)
+    assert again.to_dict() == raw
+    assert again.stage3_symptom.per_level_accuracy == report.stage3_symptom.per_level_accuracy

@@ -1,15 +1,20 @@
 import json
+import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from faultloom import pipeline
 from faultloom.cli import main
 from faultloom.config import load_config
+from faultloom.corpus import Corpus, export_dump
 from faultloom.errors import ConfigError, MissingArtifactError
-from faultloom.pipeline import ARTIFACTS, Runner
+from faultloom.pipeline import ARTIFACTS, Manifest, Runner
 
-from fakes import ScriptedProvider, CountingProvider
+from fakes import ScriptedProvider, CountingProvider, make_response
+from gen import make_issue
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden"
 
@@ -66,7 +71,6 @@ def test_changed_seed_invalidates_downstream(tmp_path):
         GOLDEN / "config.yaml",
         overrides={"out": str(tmp_path / "run"), "seed": 8},
     )
-    changed.sampling.seed = 8
     runner2 = Runner(changed)
     runner2.run_corpus()
     runner2.run_sample()
@@ -186,3 +190,126 @@ def test_empty_stage3_branch_notes_zero_count(tmp_path):
     report = runner.build_report()
     assert report.stage3_symptom is None
     assert any("zero issues" in note for note in report.notes)
+
+
+def test_seed_override_replaces_sampling_seed_and_yaml_seed_only_fills(tmp_path):
+    assert _config(tmp_path).sampling.seed == 7
+    assert _config(tmp_path, seed=8).sampling.seed == 8
+    config = tmp_path / "config.yaml"
+    config.write_text(
+        "dumps: [corpus.jsonl]\nmode: record\nseed: 3\nsampling: {n_pos: 1, n_neg: 1, seed: 5}\n"
+    )
+    (tmp_path / "corpus.jsonl").touch()
+    assert load_config(config).sampling.seed == 5
+    config.write_text("dumps: [corpus.jsonl]\nmode: record\nseed: 3\nsampling: {n_pos: 1, n_neg: 1}\n")
+    assert load_config(config).sampling.seed == 3
+
+
+def test_cli_seed_option_changes_the_sample(tmp_path):
+    out = tmp_path / "run"
+    cli = CliRunner()
+    args = ["--config", str(GOLDEN / "config.yaml"), "--out", str(out)]
+    assert cli.invoke(main, ["import", *args]).exit_code == 0
+    result = cli.invoke(main, ["sample", *args])
+    assert result.exit_code == 0, result.output
+    default_sample = (out / "sample.jsonl").read_bytes()
+    result = cli.invoke(main, ["sample", *args, "--seed", "8"])
+    assert result.exit_code == 0, result.output
+    assert (out / "sample.jsonl").read_bytes() != default_sample
+
+
+def _count_calls(monkeypatch) -> Counter:
+    """Count calls to the loaders and scorers `faultloom.pipeline` looks up,
+    to Runner.build_report and to Manifest.set_stage."""
+    counts: Counter = Counter()
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("import_dump", "load_gold", "load_taxonomy", "score_stage2", "score_stage3"):
+        counted(pipeline, name)
+    counted(Runner, "build_report")
+    counted(Manifest, "set_stage")
+    return counts
+
+
+def test_cold_run_parses_each_input_once_and_noop_rerun_only_reads_report(tmp_path, monkeypatch):
+    counts = _count_calls(monkeypatch)
+    config = _config(tmp_path)
+    Runner(config).run_pipeline()
+    assert counts["import_dump"] == len(config.dumps)
+    assert counts["load_gold"] == 1
+    assert counts["load_taxonomy"] == 2
+    assert counts["build_report"] == 1
+
+    counts.clear()
+    report = Runner(_config(tmp_path)).run_pipeline()
+    assert not counts  # no parse, load, score, report build or manifest write
+    assert report.to_dict() == json.loads((Path(config.out_dir) / "report.json").read_text())
+
+
+def test_artifact_edited_between_stages_is_parsed_from_disk(tmp_path, monkeypatch):
+    counts = _count_calls(monkeypatch)
+    runner = Runner(_config(tmp_path))
+    runner.run_corpus()
+    runner.run_sample()
+    sample_path = Path(runner.out) / "sample.jsonl"
+    kept = sample_path.read_text().splitlines()[:-1]
+    sample_path.write_text("\n".join(kept) + "\n")
+    parsed_before = counts["import_dump"]
+    runner.run_filter()
+    assert counts["import_dump"] == parsed_before + 1
+    decisions = (Path(runner.out) / "decisions.jsonl").read_text().splitlines()
+    assert len(decisions) == len(kept)
+
+
+def test_split_run_reports_the_tokens_of_every_stage(tmp_path):
+    whole = Runner(_config(tmp_path, out=str(tmp_path / "whole"))).run_pipeline()
+
+    first = Runner(_config(tmp_path))
+    first.run_corpus()
+    first.run_sample()
+    first.run_filter()
+    second = Runner(_config(tmp_path))
+    second.run_classify()
+    second.run_evaluate()
+    stages = second.manifest.data["stages"]
+    assert stages["filter"]["meta"]["tokens"] > 0
+    assert stages["classify"]["meta"]["tokens"] > 0
+    assert second.report.run_meta.total_tokens == whole.run_meta.total_tokens
+    assert second.report.run_meta.per_model == whole.run_meta.per_model
+
+
+class _BarrierProvider:
+    """Answers only once `parties` requests are in flight at the same time."""
+
+    def __init__(self, parties: int):
+        self.barrier = threading.Barrier(parties, timeout=5)
+
+    def send(self, request):
+        self.barrier.wait()
+        return make_response('{"fault_related": true, "rationale": "crash"}')
+
+
+def test_parallelism_above_four_reaches_the_provider(tmp_path):
+    dump = tmp_path / "dump.jsonl"
+    export_dump(Corpus(records=[make_issue(number=n) for n in range(1, 7)]), dump)
+    (tmp_path / "vocab.txt").write_text("predict\n")
+    config_path = tmp_path / "config.yaml"
+    config_path.write_text(
+        "dumps: [dump.jsonl]\nvocabulary: vocab.txt\nmode: record\n"
+        "transcript: transcript.jsonl\nparallelism: 6\nout: run\n"
+    )
+    runner = Runner(load_config(config_path), provider=_BarrierProvider(6))
+    runner.run_corpus()
+    runner.run_sample()
+    runner.run_filter()
+    decisions = [json.loads(line) for line in (tmp_path / "run" / "decisions.jsonl").read_text().splitlines()]
+    assert len(decisions) == 6
+    assert all(d["error"] is None and d["llm_verdict"] is True for d in decisions)
