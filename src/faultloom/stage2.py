@@ -40,13 +40,20 @@ class FilterCriteria:
     require_answered: bool = True
     comment_budget: int = DEFAULT_COMMENT_BUDGET
     char_budget: int = DEFAULT_CHAR_BUDGET
-    term_patterns: list[tuple[str, re.Pattern]] = field(init=False, repr=False, compare=False)
+    term_patterns: list[tuple[str, str | None, re.Pattern]] = field(init=False, repr=False, compare=False)
     excluded: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.vocabulary:
             raise ValueError("vocabulary must be non-empty")
-        self.term_patterns = [(term, _term_pattern(term)) for term in self.vocabulary]
+        if any("\n" in term for term in self.vocabulary):
+            raise ValueError("vocabulary terms must not contain a newline")
+        # The needle screens a term against the folded issue text; a
+        # non-ASCII term has none, so its pattern always decides.
+        self.term_patterns = [
+            (term, term.lower() if term.isascii() else None, _term_pattern(term))
+            for term in self.vocabulary
+        ]
         self.excluded = frozenset(self.exclusion_labels)
 
 
@@ -123,18 +130,23 @@ def _term_pattern(term: str) -> re.Pattern:
     )
 
 
-def _issue_text_parts(issue: IssueRecord) -> list[str]:
-    return [issue.title, issue.body] + [c.body for c in issue.comments]
+# The non-ASCII code points that re.IGNORECASE matches to an ASCII letter
+# (İ ı ſ K); str.lower() alone would miss them or, for İ, add a character.
+_FOLD = str.maketrans({"\u0130": "i", "\u0131": "i", "\u017f": "s", "\u212a": "k"})
 
 
 def apply_deterministic(issue: IssueRecord, criteria: FilterCriteria) -> list[CriterionResult]:
     """Evaluate the four deterministic criteria; total, never raises."""
     trace: list[CriterionResult] = []
 
+    # No term spans a newline and the lookarounds treat one like the edge of
+    # a part, so one search of the joined text equals a search of each part.
+    # A term whose needle is absent from the folded text cannot match there.
     matched = ""
-    text_parts = _issue_text_parts(issue)
-    for term, pattern in criteria.term_patterns:
-        if any(pattern.search(part) for part in text_parts):
+    text = "\n".join([issue.title, issue.body] + [c.body for c in issue.comments])
+    folded = text.translate(_FOLD).lower()
+    for term, needle, pattern in criteria.term_patterns:
+        if (needle is None or needle in folded) and pattern.search(text):
             matched = term
             break
     trace.append(

@@ -79,22 +79,30 @@ def _issue_block(issue: IssueRecord) -> str:
     return "\n".join(lines)
 
 
+def _outlines(symptoms: Taxonomy, root_causes: Taxonomy) -> tuple[str, str]:
+    return render_prompt_section(symptoms), render_prompt_section(root_causes)
+
+
 def build_classification_prompt(
     issue: IssueRecord,
     symptoms: Taxonomy,
     root_causes: Taxonomy,
     model_id: str,
+    outlines: tuple[str, str] | None = None,
 ) -> ChatRequest:
     """Deterministic prompt: both taxonomy outlines, exact-name selection
-    instructions, the issue content, and the structured output contract."""
+    instructions, the issue content, and the structured output contract.
+    `outlines` is the pair of rendered taxonomy sections, when the caller
+    has them already."""
+    symptom_outline, root_cause_outline = outlines or _outlines(symptoms, root_causes)
     user_text = (
         "Classify the software fault described by the issue below.\n\n"
         "Symptom taxonomy (choose exactly one leaf-level specific type, by "
         "exact name):\n"
-        + render_prompt_section(symptoms)
+        + symptom_outline
         + "\nRoot-cause taxonomy (choose exactly one subcategory, by exact "
         "name; use \"Unknown\" only when the report gives no usable signal):\n"
-        + render_prompt_section(root_causes)
+        + root_cause_outline
         + "\n"
         + _issue_block(issue)
         + "\n\nRespond with a single JSON object: "
@@ -128,10 +136,11 @@ def classify(
     root_causes: Taxonomy,
     gateway: Gateway,
     model_id: str,
+    outlines: tuple[str, str] | None = None,
 ) -> FaultLabel:
     """Single-issue classification: 1 provider call plus up to 2 repair
     retries; on exhaustion the label is marked invalid, never coerced."""
-    request = build_classification_prompt(issue, symptoms, root_causes, model_id)
+    request = build_classification_prompt(issue, symptoms, root_causes, model_id, outlines)
     last_raw: str | None = None
     last_error: Exception | None = None
     for attempt in range(1, 2 + REPAIR_RETRIES):
@@ -184,10 +193,11 @@ def run_stage3(
     """One label per issue, in input order, with per-issue fault isolation."""
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
+    outlines = _outlines(symptoms, root_causes)
 
     def _one(issue: IssueRecord) -> FaultLabel:
         try:
-            return classify(issue, symptoms, root_causes, gateway, model_id)
+            return classify(issue, symptoms, root_causes, gateway, model_id, outlines)
         except Exception as exc:
             return FaultLabel(
                 repo=issue.repo, number=issue.number,

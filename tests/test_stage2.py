@@ -1,10 +1,15 @@
+import itertools
 import json
+import re
 from datetime import date, datetime, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faultloom.gateway import Gateway, Transcript, request_digest
 from faultloom.stage2 import (
+    _FOLD,
     CRITERION_ANSWERED,
     CRITERION_CUTOFF_DATE,
     CRITERION_EXCLUSION_LABEL,
@@ -141,6 +146,63 @@ def test_deterministic_agrees_with_naive_oracle_500_issues():
             trace[CRITERION_ANSWERED].passed,
         )
         assert got == _naive_criteria(issue, CRITERIA), f"disagreement on #{issue.number}"
+
+
+# --- the substring screen against the per-part regex loop it replaced -------
+
+def _per_part_vocabulary(issue, criteria):
+    parts = [issue.title, issue.body] + [c.body for c in issue.comments]
+    for term in criteria.vocabulary:
+        pattern = re.compile(
+            r"(?<![0-9A-Za-z])" + re.escape(term) + r"(?![0-9A-Za-z])", re.IGNORECASE
+        )
+        if any(pattern.search(part) for part in parts):
+            return {"criterion": CRITERION_VOCABULARY, "passed": True, "evidence": term}
+    return {"criterion": CRITERION_VOCABULARY, "passed": False,
+            "evidence": "no vocabulary term matched"}
+
+
+# ASCII letters next to the code points that re.IGNORECASE equates with them,
+# characters whose lower() grows or depends on context, a combining dot,
+# an emoji, and the separators around whole-word matches.
+_TEXT = st.text(alphabet="aiksAIKS1 .-\n\u0130\u0131\u017f\u212a\u00df\u0307\U0001f41b\ufb01\u00e9\u03a3\u03c2",
+                max_size=24)
+_ASCII_TERM = st.text(alphabet="aiksAIKS1 .-", min_size=1, max_size=3)
+_OTHER_TERM = st.text(alphabet="aik\u0130\u0131\u017f\u212a\u00df\u0307\U0001f41b\u00e9\u03c2",
+                      min_size=1, max_size=3)
+
+
+@st.composite
+def _vocabularies(draw):
+    terms = draw(st.lists(st.one_of(_ASCII_TERM, _OTHER_TERM), min_size=1, max_size=6))
+    # overlapping terms, as "memory leak" and "leak"
+    terms += [t[draw(st.integers(0, len(t) - 1)):] for t in terms if len(t) > 1]
+    return draw(st.permutations(terms))
+
+
+@settings(max_examples=400, deadline=None)
+@given(title=_TEXT, body=_TEXT, comments=st.lists(_TEXT, max_size=3), vocabulary=_vocabularies())
+def test_screened_vocabulary_matches_per_part_regex(title, body, comments, vocabulary):
+    criteria = FilterCriteria(vocabulary=vocabulary)
+    issue = make_issue(title=title, body=body, comment_bodies=comments)
+    trace = apply_deterministic(issue, criteria)
+    assert trace[0].to_dict() == _per_part_vocabulary(issue, criteria)
+
+
+def test_fold_table_covers_every_code_point_equated_with_an_ascii_letter():
+    every = "".join(map(chr, itertools.chain(range(0xD800), range(0xE000, 0x110000))))
+    letters = re.compile("[a-z]", re.IGNORECASE).findall(every)
+    non_ascii = [ch for ch in letters if not ch.isascii()]
+    assert non_ascii
+    for ch in non_ascii:
+        folded = _FOLD.get(ord(ch))
+        assert folded is not None and re.fullmatch("[a-z]", folded), ch
+        assert re.fullmatch(folded, ch, re.IGNORECASE), ch
+
+
+def test_vocabulary_term_with_newline_is_rejected():
+    with pytest.raises(ValueError, match="newline"):
+        FilterCriteria(vocabulary=["out of\nmemory"])
 
 
 # --- prompt construction -----------------------------------------------------

@@ -131,6 +131,25 @@ def test_run_stage3_order_and_isolation(symptoms, root_causes, tmp_path):
     assert sum(l.valid for l in labels) == 4
 
 
+def test_run_stage3_renders_each_taxonomy_once(symptoms, root_causes, monkeypatch):
+    import faultloom.stage3 as stage3
+
+    issues = [make_issue(number=i) for i in range(1, 6)]
+    expected = [build_classification_prompt(i, symptoms, root_causes, MODEL) for i in issues]
+    rendered, prompts = [], []
+    render, build = stage3.render_prompt_section, stage3.build_classification_prompt
+    monkeypatch.setattr(stage3, "render_prompt_section", lambda t: rendered.append(t) or render(t))
+    monkeypatch.setattr(
+        stage3, "build_classification_prompt",
+        lambda *args: prompts.append(build(*args)) or prompts[-1],
+    )
+    gateway, _ = _gateway([VALID_ANSWER] * 5)
+    labels = run_stage3(Corpus(records=issues), symptoms, root_causes, gateway, MODEL)
+    assert all(l.valid for l in labels)
+    assert rendered == [symptoms, root_causes]
+    assert prompts == expected
+
+
 def test_run_stage3_empty_input(symptoms, root_causes):
     gateway, _ = _gateway([])
     assert run_stage3(Corpus(records=[]), symptoms, root_causes, gateway, MODEL) == []
