@@ -83,13 +83,26 @@ class PipelineConfig:
             if not os.environ.get(env_var):
                 raise ConfigError(f"mode=live requires {env_var} to be set")
 
+    def _criteria_yaml(self) -> dict:
+        if self.criteria_file is None:
+            return {}
+        return yaml.safe_load(Path(self.criteria_file).read_text(encoding="utf-8")) or {}
+
+    def prompt_budgets(self, raw: dict | None = None) -> dict:
+        """`comment_budget` and `char_budget` from the criteria file (or from
+        `raw`, its parsed text): they bound the issue text of the filter and
+        the classification prompts."""
+        raw = self._criteria_yaml() if raw is None else raw
+        return {
+            "comment_budget": int(raw.get("comment_budget", DEFAULT_COMMENT_BUDGET)),
+            "char_budget": int(raw.get("char_budget", DEFAULT_CHAR_BUDGET)),
+        }
+
     def load_criteria(self) -> FilterCriteria:
         if self.vocabulary_file is None:
             raise ConfigError("no vocabulary file configured")
         vocabulary = load_vocabulary(self.vocabulary_file)
-        raw: dict = {}
-        if self.criteria_file is not None:
-            raw = yaml.safe_load(Path(self.criteria_file).read_text(encoding="utf-8")) or {}
+        raw = self._criteria_yaml()
         cutoff = raw.get("cutoff_date", "2020-01-01")
         if isinstance(cutoff, str):
             cutoff = date.fromisoformat(cutoff)
@@ -98,8 +111,7 @@ class PipelineConfig:
             exclusion_labels=[str(x) for x in raw.get("exclusion_labels", [])],
             cutoff_date=cutoff,
             require_answered=bool(raw.get("require_answered", True)),
-            comment_budget=int(raw.get("comment_budget", DEFAULT_COMMENT_BUDGET)),
-            char_budget=int(raw.get("char_budget", DEFAULT_CHAR_BUDGET)),
+            **self.prompt_budgets(raw),
         )
 
 

@@ -6,10 +6,11 @@ import csv
 import hashlib
 import json
 import random
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import (
     DumpFormatError,
@@ -153,6 +154,56 @@ class Corpus:
 
     def keys(self) -> list[IssueKey]:
         return [r.key for r in self.records]
+
+
+def render_issue(issue: IssueRecord, comment_budget: int, char_budget: int) -> str:
+    """The issue as prompt text: its first `comment_budget` comments, cut
+    off once `char_budget` characters of comment text are shown, with a
+    line counting the comments left out."""
+    lines = [
+        f"Issue: {issue.repo}#{issue.number}",
+        f"Title: {issue.title}",
+        f"State: {issue.state}",
+        f"Labels: {', '.join(issue.labels) if issue.labels else '(none)'}",
+        "Body:",
+        issue.body if issue.body.strip() else "(empty body)",
+        "Comments:",
+    ]
+    budget_chars = char_budget
+    shown = 0
+    for comment in issue.comments[:comment_budget]:
+        body = comment.body
+        if len(body) > budget_chars:
+            body = body[:budget_chars] + " [truncated]"
+        budget_chars -= min(len(comment.body), budget_chars)
+        lines.append(f"- [{comment.author_role}] {body}")
+        shown += 1
+        if budget_chars <= 0:
+            break
+    if shown < len(issue.comments):
+        lines.append(f"[{len(issue.comments) - shown} more comment(s) truncated]")
+    elif not issue.comments:
+        lines.append("(no comments)")
+    return "\n".join(lines)
+
+
+def map_issues(issues: Iterable[IssueRecord], one: Callable, parallelism: int, failed: Callable) -> list:
+    """`one(issue)` for each issue, in input order, on `parallelism` threads
+    (inline when 1). An exception from `one` becomes `failed(issue, exc)`
+    rather than aborting the batch."""
+    if parallelism < 1:
+        raise ValueError("parallelism must be >= 1")
+
+    def isolated(issue: IssueRecord):
+        try:
+            return one(issue)
+        except Exception as exc:
+            return failed(issue, exc)
+
+    if parallelism == 1:
+        return [isolated(issue) for issue in issues]
+    with ThreadPoolExecutor(max_workers=parallelism) as pool:
+        return list(pool.map(isolated, issues))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Protocol
 
@@ -23,6 +23,8 @@ from .errors import (
     NoStructuredObjectError,
     ReplayMissError,
     RetriesExhaustedError,
+    StructuredOutputError,
+    TaxonomyError,
     TransientProviderError,
     UnknownModelError,
 )
@@ -32,6 +34,7 @@ logger = logging.getLogger(__name__)
 API_KEY_ENV_PREFIX = "FAULTLOOM_API_KEY_"
 MAX_ATTEMPTS = 4
 DEFAULT_MAX_OUTPUT_TOKENS = 2048
+REPAIR_RETRIES = 2
 
 
 @dataclass(frozen=True)
@@ -353,3 +356,36 @@ def extract_structured(text: str, expected_fields: set[str] | None = None) -> di
         if missing:
             raise MissingFieldsError(missing)
     return obj
+
+
+@dataclass(frozen=True)
+class StructuredAnswer:
+    """The parsed answer, or, once every attempt was rejected, None with the
+    last raw answer and the error that rejected it."""
+
+    value: object
+    attempts: int
+    text: str
+    error: StructuredOutputError | TaxonomyError | None = None
+
+
+def ask_structured(
+    gateway: Gateway,
+    request: ChatRequest,
+    parse: Callable[[str], object],
+    repair_note: Callable[[Exception], str],
+) -> StructuredAnswer:
+    """Ask until `parse` accepts an answer, at most 1 + REPAIR_RETRIES calls.
+
+    An answer that `parse` rejects with a StructuredOutputError or a
+    TaxonomyError is asked again with `repair_note(error)` appended to the
+    user text. Errors from `gateway.complete` propagate.
+    """
+    for attempt in range(1, 2 + REPAIR_RETRIES):
+        text = gateway.complete(request).text
+        try:
+            return StructuredAnswer(parse(text), attempt, text)
+        except (StructuredOutputError, TaxonomyError) as exc:
+            error = exc
+            request = replace(request, user_text=request.user_text + repair_note(exc))
+    return StructuredAnswer(None, attempt, text, error)

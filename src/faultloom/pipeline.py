@@ -73,8 +73,9 @@ def _feed(hasher, path: Path):
     return hasher
 
 
-def _hash_file(path: Path) -> str:
-    return _feed(hashlib.sha256(), path).hexdigest()
+def _hash_file(path: Path | None) -> str | None:
+    """sha256 of the file at `path`; None when no file is configured."""
+    return None if path is None else _feed(hashlib.sha256(), path).hexdigest()
 
 
 def _input_hash(head: bytes, paths=()) -> str:
@@ -138,7 +139,6 @@ class Runner:
         self.out = Path(self.config.out_dir)
         self.out.mkdir(parents=True, exist_ok=True)
         self.manifest = Manifest(self.out / "manifest.json")
-        self.provider_calls = 0
         # Parsed artifacts and inputs of this run by name, each with the
         # sha256 of the bytes it was written as or parsed from.
         self._held: dict[str, tuple[str, object]] = {}
@@ -178,13 +178,10 @@ class Runner:
             transcript = None
             if self.config.transcript_path is not None:
                 transcript = Transcript(self.config.transcript_path)
-            provider = self.provider
-            if provider is not None:
-                provider = _CountingProvider(provider, self)
             self.gateway = Gateway(
                 mode=self.config.mode,
                 transcript=transcript,
-                provider=provider,
+                provider=self.provider,
                 limiter=RateLimiter(max_concurrent=self.config.parallelism),
             )
         return self.gateway
@@ -318,14 +315,11 @@ class Runner:
 
     def run_filter(self) -> Path:
         upstream = self.require_artifact("sample", "filter")
-        criteria = self.config.load_criteria()
         input_hash = _input_hash(
             _canonical(
                 {
-                    "vocabulary": criteria.vocabulary,
-                    "exclusion_labels": criteria.exclusion_labels,
-                    "cutoff_date": criteria.cutoff_date.isoformat(),
-                    "require_answered": criteria.require_answered,
+                    "vocabulary": _hash_file(self.config.vocabulary_file),
+                    "criteria": _hash_file(self.config.criteria_file),
                     "model": self.config.model_id,
                 }
             ),
@@ -335,6 +329,7 @@ class Runner:
             logger.info("filter: unchanged, skipping")
             return self.artifact("filter")
         begun = self._begin()
+        criteria = self.config.load_criteria()
         sample = self._parsed("sample", upstream, import_dump)
         gateway = self._get_gateway()
         decisions = stage2.run_stage2(
@@ -356,6 +351,7 @@ class Runner:
                 {
                     "model": self.config.model_id,
                     "stage3_input": self.config.stage3_input,
+                    "criteria": _hash_file(self.config.criteria_file),
                     "symptom_taxonomy": _hash_file(self.config.symptom_taxonomy_file),
                     "root_cause_taxonomy": _hash_file(self.config.root_cause_taxonomy_file),
                 }
@@ -381,6 +377,7 @@ class Runner:
         labels = stage3.run_stage3(
             issues, symptoms, root_causes, gateway, self.config.model_id,
             parallelism=self.config.parallelism,
+            **self.config.prompt_budgets(),
         )
         digest = write_jsonl(self.artifact("classify"), (l.to_dict() for l in labels))
         self._held["classify"] = (digest, labels)
@@ -560,16 +557,6 @@ class Runner:
             raw = json.loads(self.artifact("evaluate").read_text(encoding="utf-8"))
             self.report = EvalReport.from_dict(raw)
         return self.report
-
-
-class _CountingProvider:
-    def __init__(self, inner: Provider, runner: Runner):
-        self.inner = inner
-        self.runner = runner
-
-    def send(self, request):
-        self.runner.provider_calls += 1
-        return self.inner.send(request)
 
 
 def _last_artifact(out: Path) -> str:

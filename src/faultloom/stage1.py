@@ -7,10 +7,8 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import EmptyPlanError, EmptyReferenceError, StructuredOutputError
-from .gateway import ChatRequest, Gateway, extract_structured
-
-REPAIR_RETRIES = 2
+from .errors import EmptyPlanError, EmptyReferenceError
+from .gateway import ChatRequest, Gateway, ask_structured, extract_structured
 
 _SUFFIXES = ("js",)  # ".js" reduces to "js" once punctuation is stripped
 
@@ -99,30 +97,17 @@ def build_study_prompt(theme: StudyTheme, model_id: str) -> ChatRequest:
 def propose_study(theme: StudyTheme, gateway: Gateway, model_id: str) -> StudyPlan:
     """Ask the model for a study plan, with up to two structured-output repair
     retries; duplicate projects (after name normalization) are merged."""
-    request = build_study_prompt(theme, model_id)
-    last_error: StructuredOutputError | None = None
-    for _ in range(1 + REPAIR_RETRIES):
-        response = gateway.complete(request)
-        try:
-            fields = extract_structured(
-                response.text, {"projects", "research_questions"}
-            )
-            break
-        except StructuredOutputError as exc:
-            last_error = exc
-            request = ChatRequest(
-                model_id=request.model_id,
-                system_text=request.system_text,
-                user_text=(
-                    request.user_text
-                    + f"\n\nYour previous answer could not be parsed ({exc}). "
-                    "Return only the JSON object described above."
-                ),
-            )
-    else:
-        raise last_error
+    answer = ask_structured(
+        gateway,
+        build_study_prompt(theme, model_id),
+        lambda text: extract_structured(text, {"projects", "research_questions"}),
+        lambda exc: f"\n\nYour previous answer could not be parsed ({exc}). "
+        "Return only the JSON object described above.",
+    )
+    if answer.error is not None:
+        raise answer.error
 
-    plan = StudyPlan.from_dict(fields)
+    plan = StudyPlan.from_dict(answer.value)
     merged: dict[str, ProjectCandidate] = {}
     for project in plan.projects:
         key = normalize_project_name(project.name)

@@ -8,16 +8,13 @@ reporting, technical clarity) are judged by the model.
 from __future__ import annotations
 
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from pathlib import Path
 
-from .corpus import Corpus, IssueRecord
-from .errors import StructuredOutputError
-from .gateway import ChatRequest, Gateway, extract_structured
+from .corpus import Corpus, IssueRecord, map_issues, render_issue
+from .gateway import ChatRequest, Gateway, ask_structured, extract_structured
 
-REPAIR_RETRIES = 2
 DEFAULT_COMMENT_BUDGET = 20
 DEFAULT_CHAR_BUDGET = 8000
 
@@ -188,34 +185,6 @@ def apply_deterministic(issue: IssueRecord, criteria: FilterCriteria) -> list[Cr
     return trace
 
 
-def _render_issue_block(issue: IssueRecord, criteria: FilterCriteria) -> str:
-    lines = [
-        f"Issue: {issue.repo}#{issue.number}",
-        f"Title: {issue.title}",
-        f"State: {issue.state}",
-        f"Labels: {', '.join(issue.labels) if issue.labels else '(none)'}",
-        "Body:",
-        issue.body if issue.body.strip() else "(empty body)",
-        "Comments:",
-    ]
-    budget_chars = criteria.char_budget
-    shown = 0
-    for comment in issue.comments[: criteria.comment_budget]:
-        body = comment.body
-        if len(body) > budget_chars:
-            body = body[:budget_chars] + " [truncated]"
-        budget_chars -= min(len(comment.body), budget_chars)
-        lines.append(f"- [{comment.author_role}] {body}")
-        shown += 1
-        if budget_chars <= 0:
-            break
-    if shown < len(issue.comments):
-        lines.append(f"[{len(issue.comments) - shown} more comment(s) truncated]")
-    elif not issue.comments:
-        lines.append("(no comments)")
-    return "\n".join(lines)
-
-
 def build_filter_prompt(
     issue: IssueRecord, criteria: FilterCriteria, model_id: str
 ) -> ChatRequest:
@@ -229,7 +198,7 @@ def build_filter_prompt(
         "2. Technical Clarity: it must provide sufficient technical detail "
         "and clear problem descriptions that enable fault analysis and "
         "understanding.\n\n"
-        + _render_issue_block(issue, criteria)
+        + render_issue(issue, criteria.comment_budget, criteria.char_budget)
         + "\n\nRespond with a single JSON object: "
         '{"fault_related": true or false, "rationale": "..."}\n'
         "Return only the JSON object."
@@ -244,6 +213,13 @@ def build_filter_prompt(
     )
 
 
+def _undecided(issue: IssueRecord, trace: list[CriterionResult], error: str | None = None) -> FilterDecision:
+    return FilterDecision(
+        repo=issue.repo, number=issue.number, trace=trace,
+        llm_verdict=None, llm_rationale=None, final=False, error=error,
+    )
+
+
 def judge(
     issue: IssueRecord,
     criteria: FilterCriteria,
@@ -253,40 +229,23 @@ def judge(
     """Full per-issue verdict: deterministic short-circuit, then LLM."""
     trace = apply_deterministic(issue, criteria)
     if not all(c.passed for c in trace):
-        return FilterDecision(
-            repo=issue.repo, number=issue.number, trace=trace,
-            llm_verdict=None, llm_rationale=None, final=False,
-        )
+        return _undecided(issue, trace)
 
-    request = build_filter_prompt(issue, criteria, model_id)
-    last_error: StructuredOutputError | None = None
-    for _ in range(1 + REPAIR_RETRIES):
-        response = gateway.complete(request)
-        try:
-            fields = extract_structured(response.text, {"fault_related"})
-        except StructuredOutputError as exc:
-            last_error = exc
-            request = ChatRequest(
-                model_id=request.model_id,
-                system_text=request.system_text,
-                user_text=(
-                    request.user_text
-                    + f"\n\nYour previous answer could not be parsed ({exc}). "
-                    "Return only the JSON object."
-                ),
-            )
-            continue
-        verdict = bool(fields["fault_related"])
-        return FilterDecision(
-            repo=issue.repo, number=issue.number, trace=trace,
-            llm_verdict=verdict,
-            llm_rationale=str(fields.get("rationale", "")),
-            final=verdict,
-        )
+    answer = ask_structured(
+        gateway,
+        build_filter_prompt(issue, criteria, model_id),
+        lambda text: extract_structured(text, {"fault_related"}),
+        lambda exc: f"\n\nYour previous answer could not be parsed ({exc}). "
+        "Return only the JSON object.",
+    )
+    if answer.error is not None:
+        return _undecided(issue, trace, f"{PARSE_FAILURE_MARKER}: {answer.error}")
+    verdict = bool(answer.value["fault_related"])
     return FilterDecision(
         repo=issue.repo, number=issue.number, trace=trace,
-        llm_verdict=None, llm_rationale=None, final=False,
-        error=f"{PARSE_FAILURE_MARKER}: {last_error}",
+        llm_verdict=verdict,
+        llm_rationale=str(answer.value.get("rationale", "")),
+        final=verdict,
     )
 
 
@@ -299,21 +258,10 @@ def run_stage2(
 ) -> list[FilterDecision]:
     """One decision per record, in corpus order; per-issue failures are
     recorded in the decision rather than aborting the batch."""
-    if parallelism < 1:
-        raise ValueError("parallelism must be >= 1")
 
-    def _one(issue: IssueRecord) -> FilterDecision:
-        try:
-            return judge(issue, criteria, gateway, model_id)
-        except Exception as exc:
-            return FilterDecision(
-                repo=issue.repo, number=issue.number,
-                trace=apply_deterministic(issue, criteria),
-                llm_verdict=None, llm_rationale=None, final=False,
-                error=f"{type(exc).__name__}: {exc}",
-            )
+    def failed(issue: IssueRecord, exc: Exception) -> FilterDecision:
+        return _undecided(issue, apply_deterministic(issue, criteria), f"{type(exc).__name__}: {exc}")
 
-    if parallelism == 1:
-        return [_one(issue) for issue in corpus]
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(_one, corpus.records))
+    return map_issues(
+        corpus, lambda issue: judge(issue, criteria, gateway, model_id), parallelism, failed
+    )

@@ -3,16 +3,13 @@ symptom leaf and a root-cause subcategory, with validation and repair."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .corpus import Corpus, IssueRecord
-from .errors import StructuredOutputError, TaxonomyError
-from .gateway import ChatRequest, Gateway, extract_structured
+from .corpus import Corpus, IssueRecord, map_issues, render_issue
+from .errors import TaxonomyError
+from .gateway import ChatRequest, Gateway, ask_structured, extract_structured
 from .stage2 import DEFAULT_CHAR_BUDGET, DEFAULT_COMMENT_BUDGET
 from .taxonomy import Taxonomy, TaxonomyNode, render_prompt_section, resolve_label
-
-REPAIR_RETRIES = 2
 
 
 @dataclass
@@ -59,26 +56,6 @@ class FaultLabel:
         )
 
 
-def _issue_block(issue: IssueRecord) -> str:
-    lines = [
-        f"Issue: {issue.repo}#{issue.number}",
-        f"Title: {issue.title}",
-        "Body:",
-        issue.body if issue.body.strip() else "(empty body)",
-    ]
-    if issue.comments:
-        lines.append("Comments:")
-        budget = DEFAULT_CHAR_BUDGET
-        for comment in issue.comments[:DEFAULT_COMMENT_BUDGET]:
-            body = comment.body[:budget]
-            budget -= len(body)
-            lines.append(f"- [{comment.author_role}] {body}")
-            if budget <= 0:
-                lines.append("[remaining comments truncated]")
-                break
-    return "\n".join(lines)
-
-
 def _outlines(symptoms: Taxonomy, root_causes: Taxonomy) -> tuple[str, str]:
     return render_prompt_section(symptoms), render_prompt_section(root_causes)
 
@@ -89,11 +66,13 @@ def build_classification_prompt(
     root_causes: Taxonomy,
     model_id: str,
     outlines: tuple[str, str] | None = None,
+    comment_budget: int = DEFAULT_COMMENT_BUDGET,
+    char_budget: int = DEFAULT_CHAR_BUDGET,
 ) -> ChatRequest:
     """Deterministic prompt: both taxonomy outlines, exact-name selection
-    instructions, the issue content, and the structured output contract.
-    `outlines` is the pair of rendered taxonomy sections, when the caller
-    has them already."""
+    instructions, the issue content within the two budgets, and the
+    structured output contract. `outlines` is the pair of rendered taxonomy
+    sections, when the caller has them already."""
     symptom_outline, root_cause_outline = outlines or _outlines(symptoms, root_causes)
     user_text = (
         "Classify the software fault described by the issue below.\n\n"
@@ -104,7 +83,7 @@ def build_classification_prompt(
         "name; use \"Unknown\" only when the report gives no usable signal):\n"
         + root_cause_outline
         + "\n"
-        + _issue_block(issue)
+        + render_issue(issue, comment_budget, char_budget)
         + "\n\nRespond with a single JSON object: "
         '{"symptom": "<exact leaf name>", "root_cause": "<exact subcategory name>", '
         '"rationale": "..."}\n'
@@ -130,6 +109,13 @@ def _resolve_leaf(taxonomy: Taxonomy, label: str, what: str) -> TaxonomyNode:
     return node
 
 
+def _invalid(issue: IssueRecord, attempts: int, error: str, raw_output: str | None = None) -> FaultLabel:
+    return FaultLabel(
+        repo=issue.repo, number=issue.number, symptom_leaf=None, root_cause=None,
+        rationale="", attempts=attempts, valid=False, raw_output=raw_output, error=error,
+    )
+
+
 def classify(
     issue: IssueRecord,
     symptoms: Taxonomy,
@@ -137,48 +123,40 @@ def classify(
     gateway: Gateway,
     model_id: str,
     outlines: tuple[str, str] | None = None,
+    comment_budget: int = DEFAULT_COMMENT_BUDGET,
+    char_budget: int = DEFAULT_CHAR_BUDGET,
 ) -> FaultLabel:
     """Single-issue classification: 1 provider call plus up to 2 repair
     retries; on exhaustion the label is marked invalid, never coerced."""
-    request = build_classification_prompt(issue, symptoms, root_causes, model_id, outlines)
-    last_raw: str | None = None
-    last_error: Exception | None = None
-    for attempt in range(1, 2 + REPAIR_RETRIES):
-        response = gateway.complete(request)
-        last_raw = response.text
-        try:
-            fields = extract_structured(response.text, {"symptom", "root_cause"})
-            symptom_node = _resolve_leaf(symptoms, str(fields["symptom"]), "symptom")
-            root_cause_node = _resolve_leaf(root_causes, str(fields["root_cause"]), "root cause")
-        except (StructuredOutputError, TaxonomyError) as exc:
-            last_error = exc
-            request = ChatRequest(
-                model_id=request.model_id,
-                system_text=request.system_text,
-                user_text=(
-                    request.user_text
-                    + f"\n\nYour previous answer was rejected: {exc}. "
-                    "Answer again with exact names from the taxonomies, as a "
-                    "single JSON object."
-                ),
-            )
-            continue
-        return FaultLabel(
-            repo=issue.repo, number=issue.number,
-            symptom_leaf=symptom_node.id,
-            root_cause=root_cause_node.id,
-            rationale=str(fields.get("rationale", "")),
-            attempts=attempt,
-            valid=True,
+
+    def parse(text: str) -> tuple[dict, TaxonomyNode, TaxonomyNode]:
+        fields = extract_structured(text, {"symptom", "root_cause"})
+        return (
+            fields,
+            _resolve_leaf(symptoms, str(fields["symptom"]), "symptom"),
+            _resolve_leaf(root_causes, str(fields["root_cause"]), "root cause"),
         )
+
+    # Positional only, so a wrapper of the builder taking *args sees them all.
+    request = build_classification_prompt(
+        issue, symptoms, root_causes, model_id, outlines, comment_budget, char_budget
+    )
+    answer = ask_structured(
+        gateway, request, parse,
+        lambda exc: f"\n\nYour previous answer was rejected: {exc}. "
+        "Answer again with exact names from the taxonomies, as a "
+        "single JSON object.",
+    )
+    if answer.error is not None:
+        return _invalid(issue, answer.attempts, str(answer.error), answer.text)
+    fields, symptom_node, root_cause_node = answer.value
     return FaultLabel(
         repo=issue.repo, number=issue.number,
-        symptom_leaf=None, root_cause=None,
-        rationale="",
-        attempts=1 + REPAIR_RETRIES,
-        valid=False,
-        raw_output=last_raw,
-        error=str(last_error),
+        symptom_leaf=symptom_node.id,
+        root_cause=root_cause_node.id,
+        rationale=str(fields.get("rationale", "")),
+        attempts=answer.attempts,
+        valid=True,
     )
 
 
@@ -189,24 +167,21 @@ def run_stage3(
     gateway: Gateway,
     model_id: str,
     parallelism: int = 1,
+    comment_budget: int = DEFAULT_COMMENT_BUDGET,
+    char_budget: int = DEFAULT_CHAR_BUDGET,
 ) -> list[FaultLabel]:
-    """One label per issue, in input order, with per-issue fault isolation."""
-    if parallelism < 1:
-        raise ValueError("parallelism must be >= 1")
+    """One label per issue, in input order, with per-issue fault isolation.
+    The budgets bound the issue text of each prompt."""
     outlines = _outlines(symptoms, root_causes)
 
-    def _one(issue: IssueRecord) -> FaultLabel:
-        try:
-            return classify(issue, symptoms, root_causes, gateway, model_id, outlines)
-        except Exception as exc:
-            return FaultLabel(
-                repo=issue.repo, number=issue.number,
-                symptom_leaf=None, root_cause=None, rationale="",
-                attempts=1, valid=False,
-                error=f"{type(exc).__name__}: {exc}",
-            )
+    def failed(issue: IssueRecord, exc: Exception) -> FaultLabel:
+        return _invalid(issue, 1, f"{type(exc).__name__}: {exc}")
 
-    if parallelism == 1:
-        return [_one(issue) for issue in issues]
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(_one, issues.records))
+    return map_issues(
+        issues,
+        lambda issue: classify(
+            issue, symptoms, root_causes, gateway, model_id, outlines, comment_budget, char_budget
+        ),
+        parallelism,
+        failed,
+    )

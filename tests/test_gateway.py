@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -14,6 +15,7 @@ from faultloom.gateway import (
     ChatResponse,
     Gateway,
     Transcript,
+    ask_structured,
     extract_structured,
     provider_for_model,
     request_digest,
@@ -147,6 +149,43 @@ def test_extract_structured_missing_field():
     with pytest.raises(MissingFieldsError) as exc:
         extract_structured('{"rationale": "x"}', {"fault_related"})
     assert exc.value.missing == ["fault_related"]
+
+
+def _ask(gateway, request=REQ):
+    return ask_structured(
+        gateway, request,
+        lambda text: extract_structured(text, {"ok"}),
+        lambda exc: f" [rejected: {exc}]",
+    )
+
+
+@pytest.mark.parametrize(
+    "texts, attempts",
+    [(['{"ok": 1}'], 1), (["junk", '{"ok": 1}'], 2), (["junk", "{}", '{"ok": 1}'], 3)],
+)
+def test_ask_structured_repairs_until_parsed(texts, attempts):
+    provider = ScriptedProvider(texts)
+    answer = _ask(Gateway(mode="live", provider=provider), replace(REQ, max_output_tokens=64))
+    assert (answer.value, answer.attempts, answer.error) == ({"ok": 1}, attempts, None)
+    assert provider.calls == attempts
+    for notes, request in enumerate(provider.requests):
+        assert request.user_text.count(" [rejected: ") == notes
+        assert request.max_output_tokens == 64
+
+
+def test_ask_structured_exhausted_returns_last_answer_and_error():
+    provider = ScriptedProvider(["junk", "{}", '{"nope": 2}'])
+    answer = _ask(Gateway(mode="live", provider=provider))
+    assert (answer.value, answer.attempts, answer.text) == (None, 3, '{"nope": 2}')
+    assert isinstance(answer.error, MissingFieldsError)
+    assert provider.calls == 3
+
+
+def test_ask_structured_lets_gateway_errors_through(tmp_path):
+    with pytest.raises(ReplayMissError):
+        _ask(Gateway(mode="replay", transcript=Transcript(tmp_path / "t.jsonl")))
+    with pytest.raises(RetriesExhaustedError):
+        _ask(Gateway(mode="live", provider=FlakyProvider(failures=10), sleep=lambda s: None))
 
 
 def test_response_serialization_round_trip():

@@ -1,19 +1,22 @@
 import json
+import logging
+import shutil
 import threading
 from collections import Counter
 from pathlib import Path
 
 import pytest
+import yaml
 from click.testing import CliRunner
 
 from faultloom import pipeline
 from faultloom.cli import main
 from faultloom.config import load_config
-from faultloom.corpus import Corpus, export_dump
+from faultloom.corpus import Corpus, export_dump, load_gold
 from faultloom.errors import ConfigError, MissingArtifactError
 from faultloom.pipeline import ARTIFACTS, Manifest, Runner
 
-from fakes import ScriptedProvider, CountingProvider, make_response
+from fakes import CountingProvider, OracleProvider, ScriptedProvider, make_response
 from gen import make_issue
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden"
@@ -220,7 +223,7 @@ def test_cli_seed_option_changes_the_sample(tmp_path):
 
 def _count_calls(monkeypatch) -> Counter:
     """Count calls to the loaders and scorers `faultloom.pipeline` looks up,
-    to Runner.build_report and to Manifest.set_stage."""
+    to Runner.build_report, to Manifest.set_stage and to yaml.safe_load."""
     counts: Counter = Counter()
 
     def counted(owner, name):
@@ -236,6 +239,7 @@ def _count_calls(monkeypatch) -> Counter:
         counted(pipeline, name)
     counted(Runner, "build_report")
     counted(Manifest, "set_stage")
+    counted(yaml, "safe_load")
     return counts
 
 
@@ -248,10 +252,49 @@ def test_cold_run_parses_each_input_once_and_noop_rerun_only_reads_report(tmp_pa
     assert counts["load_taxonomy"] == 2
     assert counts["build_report"] == 1
 
+    rerun = Runner(_config(tmp_path))
     counts.clear()
-    report = Runner(_config(tmp_path)).run_pipeline()
-    assert not counts  # no parse, load, score, report build or manifest write
+    report = rerun.run_pipeline()
+    assert not counts  # no parse (YAML included), load, score, report build or manifest write
     assert report.to_dict() == json.loads((Path(config.out_dir) / "report.json").read_text())
+
+
+class _PromptRecorder:
+    def __init__(self, inner):
+        self.inner = inner
+        self.prompts: list[str] = []
+
+    def send(self, request):
+        self.prompts.append(request.user_text)
+        return self.inner.send(request)
+
+
+@pytest.mark.parametrize(
+    "edited, line, reran",
+    [
+        ("criteria.yaml", "comment_budget: 0\n", ["filter", "classify"]),
+        ("vocab.txt", "# reviewed\n", ["filter"]),
+    ],
+)
+def test_edited_criteria_or_vocabulary_reruns_the_stages_that_read_it(
+    tmp_path, caplog, symptoms, root_causes, edited, line, reran
+):
+    golden = shutil.copytree(GOLDEN, tmp_path / "golden")
+    overrides = {"mode": "record", "transcript": str(tmp_path / "t.jsonl")}
+    provider = _PromptRecorder(OracleProvider(load_gold(golden / "gold.csv"), symptoms, root_causes))
+    Runner(load_config(golden / "config.yaml", overrides), provider=provider).run_pipeline()
+
+    with open(golden / edited, "a", encoding="utf-8") as fh:
+        fh.write(line)
+    provider.prompts.clear()
+    with caplog.at_level(logging.INFO, logger="faultloom.pipeline"):
+        Runner(load_config(golden / "config.yaml", overrides), provider=provider).run_pipeline()
+    stages = ("corpus", "sample", "filter", "classify")
+    assert [s for s in stages if f"{s}: unchanged, skipping" not in caplog.text] == reran
+    if "classify" in reran:  # the new budget reaches both kinds of prompt
+        truncated = [p for p in provider.prompts if "more comment(s) truncated]" in p]
+        assert any('"fault_related"' in p for p in truncated)
+        assert any('"symptom"' in p for p in truncated)
 
 
 def test_artifact_edited_between_stages_is_parsed_from_disk(tmp_path, monkeypatch):

@@ -46,6 +46,20 @@ def test_prompt_offers_unknown_root_cause(symptoms, root_causes):
     assert "- Unknown:" in prompt.user_text
 
 
+@pytest.mark.parametrize(
+    "bodies, budgets, shown",
+    [
+        ([f"comment {i}" for i in range(30)], {"comment_budget": 12}, 12),
+        (["x" * 500] * 30, {"comment_budget": 12, "char_budget": 4000}, 8),
+    ],
+)
+def test_prompt_honours_comment_and_char_budgets(symptoms, root_causes, bodies, budgets, shown):
+    issue = make_issue(comment_bodies=bodies)
+    prompt = build_classification_prompt(issue, symptoms, root_causes, MODEL, **budgets)
+    assert prompt.user_text.count("- [MEMBER] ") == shown
+    assert f"[{30 - shown} more comment(s) truncated]" in prompt.user_text
+
+
 def test_classify_valid_label(symptoms, root_causes):
     gateway, provider = _gateway([VALID_ANSWER])
     label = classify(make_issue(), symptoms, root_causes, gateway, MODEL)
