@@ -1,5 +1,5 @@
-"""Command-line surface: one subcommand per stage plus `run` for the whole
-pipeline."""
+"""Command-line surface: one subcommand per stage, `report` to rewrite the
+report files, and `run` for the whole pipeline."""
 
 from __future__ import annotations
 
@@ -10,24 +10,11 @@ import click
 
 from .config import load_config
 from .errors import FaultloomError
-from .pipeline import Runner
+from .pipeline import ARTIFACTS, Runner
 
 logger = logging.getLogger(__name__)
 
-
-def _runner(config_path: str, **overrides) -> Runner:
-    mapped = {
-        "mode": overrides.get("mode"),
-        "model": overrides.get("model"),
-        "seed": overrides.get("seed"),
-        "parallelism": overrides.get("parallelism"),
-        "out": overrides.get("out"),
-    }
-    config = load_config(config_path, overrides=mapped)
-    return Runner(config)
-
-
-common_options = [
+_OPTIONS = [
     click.option("--config", "config_path", required=True, type=click.Path(exists=True)),
     click.option("--mode", type=click.Choice(["live", "record", "replay"]), default=None),
     click.option("--model", default=None),
@@ -35,12 +22,6 @@ common_options = [
     click.option("--parallelism", type=int, default=None),
     click.option("--out", default=None),
 ]
-
-
-def with_common_options(fn):
-    for option in reversed(common_options):
-        fn = option(fn)
-    return fn
 
 
 @click.group()
@@ -53,77 +34,60 @@ def main(verbose: bool) -> None:
     )
 
 
-def _invoke(step_name: str, config_path: str, **overrides) -> None:
-    try:
-        runner = _runner(config_path, **overrides)
-        step = {
-            "ingest": runner.run_corpus,
-            "import": runner.run_corpus,
-            "sample": runner.run_sample,
-            "define": runner.run_define,
-            "filter": runner.run_filter,
-            "classify": runner.run_classify,
-            "evaluate": runner.run_evaluate,
-        }[step_name]
-        artifact = step()
-        click.echo(f"{step_name}: wrote {artifact}")
-    except FaultloomError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+def _command(name: str, help_text: str):
+    """Register `work(runner)` as the subcommand `name`: it takes the common
+    options, and a `FaultloomError` from loading the config or from `work`
+    exits 1."""
+
+    def register(work):
+        def command(config_path, **overrides):
+            try:
+                work(Runner(load_config(config_path, overrides=overrides)))
+            except FaultloomError as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(1)
+
+        for option in reversed(_OPTIONS):
+            command = option(command)
+        main.command(name=name, help=help_text)(command)
+        return work
+
+    return register
 
 
-for _name, _help in (
-    ("ingest", "Fetch issues from the configured repos into the corpus artifact."),
-    ("import", "Import configured offline dumps into the corpus artifact."),
-    ("sample", "Draw the balanced evaluation sample from the corpus."),
-    ("define", "Run research definition: elicit and score a study plan."),
-    ("filter", "Run fault-related issue filtering over the sample."),
-    ("classify", "Run taxonomy-anchored symptom/root-cause classification."),
-    ("evaluate", "Score stage outputs against gold labels and write the report."),
-):
-    def _make(name: str, help_text: str):
-        @main.command(name=name, help=help_text)
-        @with_common_options
-        def _cmd(config_path, mode, model, seed, parallelism, out, _name=name):
-            _invoke(_name, config_path, mode=mode, model=model, seed=seed,
-                    parallelism=parallelism, out=out)
-        return _cmd
+def _stage_command(stage: str) -> None:
+    name = "import" if stage == "corpus" else stage
 
-    _make(_name, _help)
+    @_command(name, getattr(Runner, f"run_{stage}").__doc__)
+    def work(runner: Runner) -> None:
+        with runner.locked():
+            artifact = getattr(runner, f"run_{stage}")()
+        click.echo(f"{name}: wrote {artifact}")
 
 
-@main.command(help="Regenerate report files from a finished run directory.")
-@with_common_options
-def report(config_path, mode, model, seed, parallelism, out):
-    try:
-        runner = _runner(config_path, mode=mode, model=model, seed=seed,
-                         parallelism=parallelism, out=out)
+for _stage in ARTIFACTS:
+    _stage_command(_stage)
+
+
+@_command("report", "Regenerate report files from a finished run directory.")
+def report(runner: Runner) -> None:
+    with runner.locked():
         for needed in ("filter", "classify"):
             runner.require_artifact(needed, "report")
         runner.write_report(runner.build_report())
-        click.echo(f"report: wrote {runner.artifact('evaluate')}")
-    except FaultloomError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    click.echo(f"report: wrote {runner.artifact('evaluate')}")
 
 
-@main.command(help="Run the full pipeline end to end.")
-@with_common_options
-def run(config_path, mode, model, seed, parallelism, out):
-    try:
-        runner = _runner(config_path, mode=mode, model=model, seed=seed,
-                         parallelism=parallelism, out=out)
-        report_obj = runner.run_pipeline()
-        click.echo(f"run: report at {runner.artifact('evaluate')}")
-        if report_obj.stage2:
-            click.echo(f"stage2 accuracy: {report_obj.stage2.accuracy:.4f}")
-        if report_obj.stage3_symptom:
-            click.echo(f"stage3 symptom accuracy: {report_obj.stage3_symptom.accuracy:.4f}")
-        if report_obj.stage3_rootcause:
-            click.echo(f"stage3 root-cause accuracy: {report_obj.stage3_rootcause.accuracy:.4f}")
-    except FaultloomError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+@_command("run", "Run the full pipeline end to end.")
+def run(runner: Runner) -> None:
+    report_obj = runner.run_pipeline()
+    click.echo(f"run: report at {runner.artifact('evaluate')}")
+    if report_obj.stage2:
+        click.echo(f"stage2 accuracy: {report_obj.stage2.accuracy:.4f}")
+    if report_obj.stage3_symptom:
+        click.echo(f"stage3 symptom accuracy: {report_obj.stage3_symptom.accuracy:.4f}")
+    if report_obj.stage3_rootcause:
+        click.echo(f"stage3 root-cause accuracy: {report_obj.stage3_rootcause.accuracy:.4f}")
 
 
 if __name__ == "__main__":

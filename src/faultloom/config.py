@@ -50,7 +50,6 @@ class PipelineConfig:
     sampling: SamplingConfig | None = None
     parallelism: int = 1
     stage3_input: str = "filtered"  # or "gold": classify every gold-annotated issue
-    seed: int = 0
     cache_dir: Path | None = None
 
     def validate(self) -> None:
@@ -160,7 +159,6 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
         sampling=sampling,
         parallelism=int(raw.get("parallelism", 1)),
         stage3_input=str(raw.get("stage3_input", "filtered")),
-        seed=int(raw.get("seed", 0)),
         cache_dir=_resolve(raw.get("cache_dir")),
     )
     config.validate()

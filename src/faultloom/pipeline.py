@@ -14,13 +14,14 @@ while the file on disk still has that hash, and parses the file otherwise.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
 import logging
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import yaml
@@ -113,18 +114,19 @@ class Manifest:
         self.save()
 
 
-# Stages whose manifest entries feed the report's run figures.
-_REPORTED_STAGES = ("corpus", "sample", "filter", "classify")
+# The stages `run_pipeline` runs, in order. The report's run figures come
+# from the manifest entries of all but the last.
+RUN_ORDER = ("corpus", "sample", "filter", "classify", "evaluate")
 
 
-def _read_decisions(path: Path) -> list[stage2.FilterDecision]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return [stage2.FilterDecision.from_dict(json.loads(line)) for line in fh if line.strip()]
+def _reader(kind):
+    """A parser of a line-delimited artifact into a list of `kind` records."""
 
+    def read(path: Path) -> list:
+        with open(path, "r", encoding="utf-8") as fh:
+            return [kind.from_dict(json.loads(line)) for line in fh if line.strip()]
 
-def _read_labels(path: Path) -> list[stage3.FaultLabel]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return [stage3.FaultLabel.from_dict(json.loads(line)) for line in fh if line.strip()]
+    return read
 
 
 @dataclass
@@ -142,6 +144,7 @@ class Runner:
         # Parsed artifacts and inputs of this run by name, each with the
         # sha256 of the bytes it was written as or parsed from.
         self._held: dict[str, tuple[str, object]] = {}
+        self._snapshotted = False
 
     # --- shared plumbing ---------------------------------------------------
 
@@ -186,206 +189,189 @@ class Runner:
             )
         return self.gateway
 
-    def _should_skip(self, stage: str, input_hash: str) -> bool:
-        recorded = self.manifest.stage(stage)
-        return (
-            recorded.get("input_hash") == input_hash
-            and self.artifact(stage).exists()
-        )
-
     def _usage(self) -> dict[str, dict]:
         gateway = self.gateway
         return {m: t.to_dict() for m, t in gateway.usage.items()} if gateway else {}
 
-    def _begin(self) -> tuple[float, dict]:
-        """Start time and gateway usage so far, for `_finish`."""
-        return time.monotonic(), self._usage()
+    @contextlib.contextmanager
+    def locked(self):
+        """Hold `run.lock` in the run directory while the block runs, so that
+        no two commands write the run directory at once."""
+        lock = self.out / "run.lock"
+        try:
+            os.close(os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            raise StageError(f"run directory is locked by another command: {lock}") from None
+        try:
+            yield
+        finally:
+            lock.unlink(missing_ok=True)
 
-    def _finish(self, stage: str, input_hash: str, begun: tuple[float, dict], extra: dict | None = None) -> None:
-        started, before = begun
+    def snapshot_config(self) -> None:
+        """Write `config_snapshot.yaml`, once per Runner."""
+        if self._snapshotted:
+            return
+        self._snapshotted = True
+        payload = {
+            "mode": self.config.mode,
+            "model": self.config.model_id,
+            "dumps": [str(p) for p in self.config.dumps],
+            "repos": self.config.repos,
+            "sampling": asdict(self.config.sampling) if self.config.sampling else None,
+            "parallelism": self.config.parallelism,
+            "stage3_input": self.config.stage3_input,
+        }
+        (self.out / "config_snapshot.yaml").write_text(
+            yaml.safe_dump(payload, sort_keys=True), encoding="utf-8"
+        )
+
+    def _stage(self, name: str, key, upstream, body) -> Path:
+        """Run one stage and return its artifact path.
+
+        The stage's input hash covers `key` and the bytes of the `upstream`
+        files. When the manifest records that hash and the artifact exists,
+        the stage is skipped. Otherwise `body()` writes the artifact and may
+        return extra manifest meta, and the manifest records the hash, the
+        time and the model calls of the stage."""
+        input_hash = _input_hash(_canonical(key), upstream)
+        path = self.artifact(name)
+        if self.manifest.stage(name).get("input_hash") == input_hash and path.exists():
+            logger.info("%s: unchanged, skipping", name)
+            return path
+        self.snapshot_config()
+        started, before = time.monotonic(), self._usage()
+        extra = body()
         per_model = {}
         for model, tally in self._usage().items():
             prior = before.get(model, {})
-            used = {key: count - prior.get(key, 0) for key, count in tally.items()}
+            used = {k: count - prior.get(k, 0) for k, count in tally.items()}
             if used["requests"]:
                 per_model[model] = used
         meta = {
             "duration_seconds": round(time.monotonic() - started, 3),
             "tokens": sum(t["input_tokens"] + t["output_tokens"] for t in per_model.values()),
             "per_model": per_model,
+            **(extra or {}),
         }
-        if extra:
-            meta.update(extra)
-        self.manifest.set_stage(stage, input_hash, meta)
-
-    def snapshot_config(self) -> None:
-        snapshot = self.out / "config_snapshot.yaml"
-        payload = {
-            "mode": self.config.mode,
-            "model": self.config.model_id,
-            "dumps": [str(p) for p in self.config.dumps],
-            "repos": self.config.repos,
-            "sampling": (
-                {
-                    "n_pos": self.config.sampling.n_pos,
-                    "n_neg": self.config.sampling.n_neg,
-                    "seed": self.config.sampling.seed,
-                }
-                if self.config.sampling
-                else None
-            ),
-            "parallelism": self.config.parallelism,
-            "stage3_input": self.config.stage3_input,
-            "seed": self.config.seed,
-        }
-        snapshot.write_text(yaml.safe_dump(payload, sort_keys=True), encoding="utf-8")
+        self.manifest.set_stage(name, input_hash, meta)
+        return path
 
     # --- stages ------------------------------------------------------------
     #
-    # Each stage hashes its inputs and decides whether to skip before it
-    # parses anything. Upstream artifacts come from `_parsed`, so within one
-    # run each is parsed at most once, and not at all when the stage that
-    # wrote it handed over the parsed object.
+    # Each stage names its key, its upstream files and its body; `_stage`
+    # decides whether to skip before the body parses anything. Upstream
+    # artifacts come from `_parsed`, so within one run each is parsed at most
+    # once, and not at all when the stage that wrote it handed over the
+    # parsed object. The docstrings are the CLI's help texts.
 
     def run_corpus(self) -> Path:
-        input_hash = _input_hash(
-            _canonical({"dumps": [str(p) for p in self.config.dumps], "repos": self.config.repos}),
-            self.config.dumps,
-        )
-        if self._should_skip("corpus", input_hash):
-            logger.info("corpus: unchanged, skipping")
-            return self.artifact("corpus")
-        begun = self._begin()
-        parts = [import_dump(p) for p in self.config.dumps]
-        if self.config.repos:
-            cache = (
-                PageCache(self.config.cache_dir) if self.config.cache_dir else None
-            )
-            fetcher = IssueFetcher(cache=cache)
-            parts.extend(fetcher.fetch_issues(repo) for repo in self.config.repos)
-        corpus = merge_corpora(parts, source="dump" if not self.config.repos else "live")
-        self._held["corpus"] = (export_dump(corpus, self.artifact("corpus")), corpus)
-        self._finish("corpus", input_hash, begun, {"records": len(corpus)})
-        return self.artifact("corpus")
+        """Import the dumps and fetch the repos into the corpus artifact."""
+        config = self.config
+
+        def body():
+            parts = [import_dump(p) for p in config.dumps]
+            if config.repos:
+                cache = PageCache(config.cache_dir) if config.cache_dir else None
+                fetcher = IssueFetcher(cache=cache)
+                parts.extend(fetcher.fetch_issues(repo) for repo in config.repos)
+            corpus = merge_corpora(parts, source="dump" if not config.repos else "live")
+            self._held["corpus"] = (export_dump(corpus, self.artifact("corpus")), corpus)
+            return {"records": len(corpus)}
+
+        key = {"dumps": [str(p) for p in config.dumps], "repos": config.repos}
+        return self._stage("corpus", key, config.dumps, body)
 
     def run_sample(self) -> Path:
+        """Draw the balanced evaluation sample from the corpus."""
         upstream = self.require_artifact("corpus", "sample")
         sampling = self.config.sampling
-        section = (
-            {"n_pos": sampling.n_pos, "n_neg": sampling.n_neg, "seed": sampling.seed}
-            if sampling
-            else None
-        )
-        input_hash = _input_hash(_canonical(section), [upstream])
-        if self._should_skip("sample", input_hash):
-            logger.info("sample: unchanged, skipping")
-            return self.artifact("sample")
-        begun = self._begin()
-        sample = self._parsed("corpus", upstream, import_dump)
-        del self._held["corpus"]  # no later stage reads the full corpus
-        if sampling is not None:
-            sample = sample_balanced(sample, self._gold(), sampling.n_pos, sampling.n_neg, sampling.seed)
-        self._held["sample"] = (export_dump(sample, self.artifact("sample")), sample)
-        self._finish("sample", input_hash, begun)
-        return self.artifact("sample")
+
+        def body():
+            sample = self._parsed("corpus", upstream, import_dump)
+            del self._held["corpus"]  # no later stage reads the full corpus
+            if sampling is not None:
+                sample = sample_balanced(sample, self._gold(), sampling.n_pos, sampling.n_neg, sampling.seed)
+            self._held["sample"] = (export_dump(sample, self.artifact("sample")), sample)
+
+        return self._stage("sample", asdict(sampling) if sampling else None, [upstream], body)
 
     def run_define(self) -> Path:
+        """Run research definition: elicit and score a study plan."""
         theme = stage1.StudyTheme(
             description=self.config.theme_description,
             constraints=self.config.theme_constraints,
         )
-        input_hash = _input_hash(
-            _canonical({"theme": theme.description, "constraints": theme.constraints,
-                        "model": self.config.model_id})
-        )
-        if self._should_skip("define", input_hash):
-            return self.artifact("define")
-        begun = self._begin()
-        gateway = self._get_gateway()
-        plan = stage1.propose_study(theme, gateway, self.config.model_id)
-        payload = {"plan": plan.to_dict()}
-        if self.config.reference_projects_file is not None:
-            reference = stage1.load_reference_projects(self.config.reference_projects_file)
-            payload["score"] = stage1.score_plan(plan, reference).to_dict()
-        self.artifact("define").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        self._finish("define", input_hash, begun)
-        return self.artifact("define")
+
+        def body():
+            plan = stage1.propose_study(theme, self._get_gateway(), self.config.model_id)
+            payload = {"plan": plan.to_dict()}
+            if self.config.reference_projects_file is not None:
+                reference = stage1.load_reference_projects(self.config.reference_projects_file)
+                payload["score"] = stage1.score_plan(plan, reference).to_dict()
+            self.artifact("define").write_text(
+                json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+            )
+
+        key = {"theme": theme.description, "constraints": theme.constraints, "model": self.config.model_id}
+        return self._stage("define", key, [], body)
 
     def run_filter(self) -> Path:
+        """Run fault-related issue filtering over the sample."""
         upstream = self.require_artifact("sample", "filter")
-        input_hash = _input_hash(
-            _canonical(
-                {
-                    "vocabulary": _hash_file(self.config.vocabulary_file),
-                    "criteria": _hash_file(self.config.criteria_file),
-                    "model": self.config.model_id,
-                }
-            ),
-            [upstream],
-        )
-        if self._should_skip("filter", input_hash):
-            logger.info("filter: unchanged, skipping")
-            return self.artifact("filter")
-        begun = self._begin()
-        criteria = self.config.load_criteria()
-        sample = self._parsed("sample", upstream, import_dump)
-        gateway = self._get_gateway()
-        decisions = stage2.run_stage2(
-            sample, criteria, gateway, self.config.model_id,
-            parallelism=self.config.parallelism,
-        )
-        digest = write_jsonl(self.artifact("filter"), (d.to_dict() for d in decisions))
-        self._held["filter"] = (digest, decisions)
-        positives = sum(1 for d in decisions if d.final)
-        self._finish("filter", input_hash, begun, {"decisions": len(decisions), "positives": positives})
-        return self.artifact("filter")
+
+        def body():
+            criteria = self.config.load_criteria()
+            sample = self._parsed("sample", upstream, import_dump)
+            decisions = stage2.run_stage2(
+                sample, criteria, self._get_gateway(), self.config.model_id,
+                parallelism=self.config.parallelism,
+            )
+            digest = write_jsonl(self.artifact("filter"), (d.to_dict() for d in decisions))
+            self._held["filter"] = (digest, decisions)
+            return {"decisions": len(decisions), "positives": sum(1 for d in decisions if d.final)}
+
+        key = {
+            "vocabulary": _hash_file(self.config.vocabulary_file),
+            "criteria": _hash_file(self.config.criteria_file),
+            "model": self.config.model_id,
+        }
+        return self._stage("filter", key, [upstream], body)
 
     def run_classify(self) -> Path:
+        """Run taxonomy-anchored symptom/root-cause classification."""
         upstream = [self.require_artifact("sample", "classify")]
         if self.config.stage3_input == "filtered":
             upstream.append(self.require_artifact("filter", "classify"))
-        input_hash = _input_hash(
-            _canonical(
-                {
-                    "model": self.config.model_id,
-                    "stage3_input": self.config.stage3_input,
-                    "criteria": _hash_file(self.config.criteria_file),
-                    "symptom_taxonomy": _hash_file(self.config.symptom_taxonomy_file),
-                    "root_cause_taxonomy": _hash_file(self.config.root_cause_taxonomy_file),
+
+        def body():
+            sample = self._parsed("sample", upstream[0], import_dump)
+            if self.config.stage3_input == "gold":
+                keep = {
+                    k for k, g in self._gold().items()
+                    if g.symptom_leaf is not None or g.root_cause is not None
                 }
-            ),
-            upstream,
-        )
-        if self._should_skip("classify", input_hash):
-            logger.info("classify: unchanged, skipping")
-            return self.artifact("classify")
-        begun = self._begin()
-        sample = self._parsed("sample", upstream[0], import_dump)
-        if self.config.stage3_input == "gold":
-            keep = {
-                k for k, g in self._gold().items()
-                if g.symptom_leaf is not None or g.root_cause is not None
-            }
-        else:
-            decisions = self._parsed("filter", upstream[1], _read_decisions)
-            keep = {d.key for d in decisions if d.final}
-        issues = Corpus(records=[r for r in sample if r.key in keep], source=sample.source)
-        symptoms, root_causes = self._taxonomies()
-        gateway = self._get_gateway()
-        labels = stage3.run_stage3(
-            issues, symptoms, root_causes, gateway, self.config.model_id,
-            parallelism=self.config.parallelism,
-            **self.config.prompt_budgets(),
-        )
-        digest = write_jsonl(self.artifact("classify"), (l.to_dict() for l in labels))
-        self._held["classify"] = (digest, labels)
-        self._finish(
-            "classify", input_hash, begun,
-            {"labels": len(labels), "invalid": sum(1 for l in labels if not l.valid)},
-        )
-        return self.artifact("classify")
+            else:
+                decisions = self._parsed("filter", upstream[1], _reader(stage2.FilterDecision))
+                keep = {d.key for d in decisions if d.final}
+            issues = Corpus(records=[r for r in sample if r.key in keep], source=sample.source)
+            symptoms, root_causes = self._taxonomies()
+            labels = stage3.run_stage3(
+                issues, symptoms, root_causes, self._get_gateway(), self.config.model_id,
+                parallelism=self.config.parallelism,
+                **self.config.prompt_budgets(),
+            )
+            digest = write_jsonl(self.artifact("classify"), (l.to_dict() for l in labels))
+            self._held["classify"] = (digest, labels)
+            return {"labels": len(labels), "invalid": sum(1 for l in labels if not l.valid)}
+
+        key = {
+            "model": self.config.model_id,
+            "stage3_input": self.config.stage3_input,
+            "criteria": _hash_file(self.config.criteria_file),
+            "symptom_taxonomy": _hash_file(self.config.symptom_taxonomy_file),
+            "root_cause_taxonomy": _hash_file(self.config.root_cause_taxonomy_file),
+        }
+        return self._stage("classify", key, upstream, body)
 
     # --- evaluation and report ---------------------------------------------
 
@@ -395,14 +381,14 @@ class Runner:
         notes: list[str] = []
         meta = RunMeta()
 
-        decisions = self._parsed("filter", self.require_artifact("filter", "evaluate"), _read_decisions)
+        decisions = self._parsed("filter", self.require_artifact("filter", "evaluate"), _reader(stage2.FilterDecision))
         scorable = [d for d in decisions if (g := gold.get(d.key)) and g.fault_related is not None]
         meta.unscored += len(decisions) - len(scorable)
         stage2_scores = score_stage2(scorable, gold) if scorable else None
         if stage2_scores is None:
             notes.append("stage2: no gold-covered decisions to score")
 
-        labels = self._parsed("classify", self.require_artifact("classify", "evaluate"), _read_labels)
+        labels = self._parsed("classify", self.require_artifact("classify", "evaluate"), _reader(stage3.FaultLabel))
         symptom_labels = [
             l for l in labels if (g := gold.get(l.key)) and g.symptom_leaf is not None
         ]
@@ -420,7 +406,7 @@ class Runner:
         durations = 0.0
         tokens = 0
         per_model: dict = {}
-        for name in _REPORTED_STAGES:
+        for name in RUN_ORDER[:-1]:
             stage_meta = self.manifest.stage(name).get("meta", {})
             durations += stage_meta.get("duration_seconds", 0.0)
             tokens += stage_meta.get("tokens", 0)
@@ -443,28 +429,23 @@ class Runner:
         )
 
     def run_evaluate(self) -> Path:
+        """Score stage outputs against gold labels and write the report."""
         self.report = None
         upstream = [self.require_artifact(needed, "evaluate") for needed in ("filter", "classify")]
+
+        def body():
+            self.report = self.build_report()
+            self.write_report(self.report)
+
         # The report reads gold, both taxonomies, the two artifacts and the
         # upstream manifest entries, so a skip means report.json is current.
-        input_hash = _input_hash(
-            _canonical(
-                {
-                    "gold": _hash_file(self.config.gold_file),
-                    "symptom_taxonomy": _hash_file(self.config.symptom_taxonomy_file),
-                    "root_cause_taxonomy": _hash_file(self.config.root_cause_taxonomy_file),
-                    "stages": {name: self.manifest.stage(name) for name in _REPORTED_STAGES},
-                }
-            ),
-            upstream,
-        )
-        if self._should_skip("evaluate", input_hash):
-            logger.info("evaluate: unchanged, skipping")
-            return self.artifact("evaluate")
-        self.report = self.build_report()
-        self.write_report(self.report)
-        self.manifest.set_stage("evaluate", input_hash, {})
-        return self.artifact("evaluate")
+        key = {
+            "gold": _hash_file(self.config.gold_file),
+            "symptom_taxonomy": _hash_file(self.config.symptom_taxonomy_file),
+            "root_cause_taxonomy": _hash_file(self.config.root_cause_taxonomy_file),
+            "stages": {name: self.manifest.stage(name) for name in RUN_ORDER[:-1]},
+        }
+        return self._stage("evaluate", key, upstream, body)
 
     def write_report(self, report: EvalReport) -> None:
         self.artifact("evaluate").write_text(
@@ -531,28 +512,13 @@ class Runner:
 
     def run_pipeline(self) -> EvalReport:
         self.config.validate()
-        lock = self.out / "run.lock"
-        try:
-            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            os.close(fd)
-        except FileExistsError:
-            raise StageError(f"run directory is locked by another pipeline: {lock}")
-        current = "startup"
-        try:
-            self.snapshot_config()
-            for current, step in (
-                ("corpus", self.run_corpus),
-                ("sample", self.run_sample),
-                ("filter", self.run_filter),
-                ("classify", self.run_classify),
-                ("evaluate", self.run_evaluate),
-            ):
-                step()
-        except FaultloomError as exc:
-            last = _last_artifact(self.out)
-            raise StageError(f"stage {current!r} failed ({exc}); last artifact: {last}") from exc
-        finally:
-            lock.unlink(missing_ok=True)
+        with self.locked():
+            try:
+                for current in RUN_ORDER:
+                    getattr(self, f"run_{current}")()
+            except FaultloomError as exc:
+                last = _last_artifact(self.out)
+                raise StageError(f"stage {current!r} failed ({exc}); last artifact: {last}") from exc
         if self.report is None:  # evaluate skipped, so report.json is current
             raw = json.loads(self.artifact("evaluate").read_text(encoding="utf-8"))
             self.report = EvalReport.from_dict(raw)

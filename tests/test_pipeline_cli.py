@@ -14,7 +14,7 @@ from faultloom.cli import main
 from faultloom.config import load_config
 from faultloom.corpus import Corpus, export_dump, load_gold
 from faultloom.errors import ConfigError, MissingArtifactError
-from faultloom.pipeline import ARTIFACTS, Manifest, Runner
+from faultloom.pipeline import ARTIFACTS, RUN_ORDER, Manifest, Runner
 
 from fakes import CountingProvider, OracleProvider, ScriptedProvider, make_response
 from gen import make_issue
@@ -45,6 +45,9 @@ def test_run_pipeline_writes_all_artifacts(tmp_path):
     assert (out / "summary.md").exists()
     assert (out / "config_snapshot.yaml").exists()
     assert (out / "tables" / "stage2_confusion.csv").exists()
+    stages = json.loads((out / "manifest.json").read_text())["stages"]
+    for name in RUN_ORDER:
+        assert "duration_seconds" in stages[name]["meta"], name
 
 
 def test_second_run_skips_and_is_byte_identical(tmp_path):
@@ -177,6 +180,27 @@ def test_lock_file_prevents_concurrent_runs(tmp_path):
         Runner(config).run_pipeline()
 
 
+@pytest.mark.parametrize(
+    "command, ran",
+    [("import", ()), ("filter", ("corpus", "sample")), ("report", RUN_ORDER)],
+)
+def test_cli_command_refuses_a_locked_run_directory(tmp_path, command, ran):
+    runner = Runner(_config(tmp_path))
+    for stage in ran:
+        getattr(runner, f"run_{stage}")()
+    out = Path(runner.out)
+    (out / "run.lock").touch()
+
+    def written():
+        return {str(p): (p.read_bytes(), p.stat().st_mtime_ns) for p in out.rglob("*") if p.is_file()}
+
+    existing = written()
+    result = CliRunner().invoke(main, [command, "--config", str(GOLDEN / "config.yaml"), "--out", str(out)])
+    assert result.exit_code == 1
+    assert "locked" in result.stderr
+    assert written() == existing
+
+
 def test_empty_stage3_branch_notes_zero_count(tmp_path):
     runner = Runner(_config(tmp_path))
     runner.run_corpus()
@@ -223,7 +247,8 @@ def test_cli_seed_option_changes_the_sample(tmp_path):
 
 def _count_calls(monkeypatch) -> Counter:
     """Count calls to the loaders and scorers `faultloom.pipeline` looks up,
-    to Runner.build_report, to Manifest.set_stage and to yaml.safe_load."""
+    to Runner.build_report, to Manifest.set_stage and to yaml.safe_load and
+    yaml.safe_dump."""
     counts: Counter = Counter()
 
     def counted(owner, name):
@@ -240,6 +265,7 @@ def _count_calls(monkeypatch) -> Counter:
     counted(Runner, "build_report")
     counted(Manifest, "set_stage")
     counted(yaml, "safe_load")
+    counted(yaml, "safe_dump")
     return counts
 
 
