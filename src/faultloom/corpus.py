@@ -32,7 +32,10 @@ def parse_timestamp(value: str) -> datetime:
 
 
 def format_timestamp(ts: datetime) -> str:
-    return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    """`ts` in UTC to the second, as `YYYY-MM-DDTHH:MM:SSZ`."""
+    if ts.tzinfo is not timezone.utc:
+        ts = ts.astimezone(timezone.utc)
+    return ts.isoformat(timespec="seconds")[:-6] + "Z"  # "+00:00" -> "Z"
 
 
 @dataclass(frozen=True)
@@ -248,21 +251,40 @@ def import_dump(path: str | Path) -> Corpus:
     return Corpus(records=records, source="dump")
 
 
-def write_jsonl(path: str | Path, rows: Iterable[dict]) -> str:
+def write_jsonl(path: str | Path, rows: Iterable[dict], spans: list | None = None) -> str:
     """Write one sorted-key JSON object per line; return the sha256 of the
-    bytes written, hashed as they are written."""
+    bytes written, hashed as they are written. When `spans` is a list, the
+    (offset, length) of each line is appended to it."""
     digest = hashlib.sha256()
+    offset = 0
     with open(path, "wb") as fh:
         for row in rows:
             line = (json.dumps(row, sort_keys=True) + "\n").encode("utf-8")
             digest.update(line)
             fh.write(line)
+            if spans is not None:
+                spans.append((offset, len(line)))
+            offset += len(line)
     return digest.hexdigest()
 
 
-def export_dump(corpus: Corpus, path: str | Path) -> str:
-    """Write `corpus` as a line-delimited JSON dump; return its sha256."""
-    return write_jsonl(path, (record.to_dict() for record in corpus))
+def export_dump(corpus: Corpus, path: str | Path, spans: list | None = None) -> str:
+    """Write `corpus` as a line-delimited JSON dump; return its sha256. When
+    `spans` is a list, it receives each record's (offset, length) in the dump."""
+    return write_jsonl(path, (record.to_dict() for record in corpus), spans)
+
+
+def copy_spans(source: str | Path, path: str | Path, spans: Iterable[tuple[int, int]]) -> str:
+    """Write the (offset, length) byte ranges of `source` to `path`, in the
+    order given; return the sha256 of the bytes written."""
+    digest = hashlib.sha256()
+    with open(source, "rb") as src, open(path, "wb") as fh:
+        for offset, length in spans:
+            src.seek(offset)
+            chunk = src.read(length)
+            digest.update(chunk)
+            fh.write(chunk)
+    return digest.hexdigest()
 
 
 def load_gold(path: str | Path) -> dict[IssueKey, GoldLabel]:

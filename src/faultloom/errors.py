@@ -151,6 +151,12 @@ class ReplayMissError(GatewayError):
         self.digest = digest
 
 
+class TranscriptError(GatewayError):
+    def __init__(self, path: str, line_no: int, reason: str):
+        super().__init__(f"{path} line {line_no}: {reason}")
+        self.line_no = line_no
+
+
 class StructuredOutputError(GatewayError):
     pass
 

@@ -25,6 +25,7 @@ from .errors import (
     RetriesExhaustedError,
     StructuredOutputError,
     TaxonomyError,
+    TranscriptError,
     TransientProviderError,
     UnknownModelError,
 )
@@ -105,19 +106,42 @@ def request_digest(request: ChatRequest) -> str:
 
 
 class Transcript:
-    """Append-only record of (request digest -> response), one JSON per line."""
+    """Append-only record of (request digest -> response), one JSON per line.
+
+    The append handle opens on the first new entry and stays open until
+    `close()`; each entry is written under a lock and flushed, so a killed
+    process loses at most the entry it was writing. A torn final line (one
+    without its newline that does not parse) is dropped with a warning and
+    cut off before the next append; any other unreadable line is an error.
+    """
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
         self.entries: dict[str, ChatResponse] = {}
+        self._lock = threading.Lock()
+        self._fh = None
+        self._torn_at: int | None = None  # offset of a torn final line, cut before the next append
+        self._newline = False  # the last entry lacks its newline
         if self.path is not None and self.path.exists():
-            with open(self.path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    raw = json.loads(line)
-                    self.entries[raw["request_digest"]] = ChatResponse.from_dict(raw["response"])
+            self._load()
+
+    def _load(self) -> None:
+        offset = 0
+        with open(self.path, "rb") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                complete = line.endswith(b"\n")
+                if line.strip():
+                    try:
+                        raw = json.loads(line)
+                        self.entries[raw["request_digest"]] = ChatResponse.from_dict(raw["response"])
+                    except (ValueError, KeyError, TypeError) as exc:
+                        if complete:
+                            raise TranscriptError(str(self.path), line_no, f"unreadable entry: {exc}") from exc
+                        logger.warning("%s line %d: dropping torn final entry", self.path, line_no)
+                        self._torn_at = offset
+                        return
+                    self._newline = not complete
+                offset += len(line)
 
     def lookup(self, digest: str) -> ChatResponse:
         try:
@@ -126,19 +150,31 @@ class Transcript:
             raise ReplayMissError(digest) from None
 
     def record(self, digest: str, response: ChatResponse) -> None:
-        if digest in self.entries:
-            return
-        self.entries[digest] = response
-        if self.path is not None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(
-                    json.dumps(
-                        {"request_digest": digest, "response": response.to_dict()},
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+        line = json.dumps({"request_digest": digest, "response": response.to_dict()}, sort_keys=True)
+        with self._lock:
+            if digest in self.entries:
+                return
+            self.entries[digest] = response
+            if self.path is None:
+                return
+            if self._fh is None:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                self._fh = open(self.path, "ab")
+                if self._torn_at is not None:
+                    self._fh.truncate(self._torn_at)
+                    self._torn_at = None
+                if self._newline:
+                    line = "\n" + line
+                    self._newline = False
+            self._fh.write((line + "\n").encode("utf-8"))
+            self._fh.flush()
+
+    def close(self) -> None:
+        """Close the append handle; a later `record` opens it again."""
+        with self._lock:
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
 
 
 class Provider(Protocol):
@@ -255,7 +291,8 @@ class Gateway:
     """Chat-completion front door with three modes.
 
     live:   call the provider (with retries); nothing persisted.
-    record: call the provider and append each (digest, response) to the
+    record: serve a request already in the transcript from it; call the
+            provider for any other and append (digest, response) to the
             transcript.
     replay: serve responses from the transcript only; a missing digest is a
             ReplayMissError and no provider call is ever made.
@@ -302,6 +339,9 @@ class Gateway:
         digest = request_digest(request)
         if self.mode == "replay":
             response = self.transcript.lookup(digest)
+            self._account(request.model_id, response)
+            return response
+        if self.mode == "record" and (response := self.transcript.entries.get(digest)) is not None:
             self._account(request.model_id, response)
             return response
 

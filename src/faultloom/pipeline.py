@@ -10,6 +10,8 @@ inputs and reads report.json back.
 Within one Runner, a stage hands the objects it wrote to the stages after it,
 tagged with the sha256 of the written bytes; a later stage uses them only
 while the file on disk still has that hash, and parses the file otherwise.
+On the same terms the sample stage copies the chosen record lines out of
+corpus.jsonl rather than serializing them again.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from . import stage1, stage2, stage3
 from .config import PipelineConfig
 from .corpus import (
     Corpus,
+    copy_spans,
     export_dump,
     import_dump,
     load_gold,
@@ -193,10 +196,16 @@ class Runner:
         gateway = self.gateway
         return {m: t.to_dict() for m, t in gateway.usage.items()} if gateway else {}
 
+    def close(self) -> None:
+        """Close the transcript's append handle, if one is open."""
+        if self.gateway is not None and self.gateway.transcript is not None:
+            self.gateway.transcript.close()
+
     @contextlib.contextmanager
     def locked(self):
         """Hold `run.lock` in the run directory while the block runs, so that
-        no two commands write the run directory at once."""
+        no two commands write the run directory at once. The transcript is
+        closed before the lock is released."""
         lock = self.out / "run.lock"
         try:
             os.close(os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
@@ -205,6 +214,7 @@ class Runner:
         try:
             yield
         finally:
+            self.close()
             lock.unlink(missing_ok=True)
 
     def snapshot_config(self) -> None:
@@ -275,7 +285,10 @@ class Runner:
                 fetcher = IssueFetcher(cache=cache)
                 parts.extend(fetcher.fetch_issues(repo) for repo in config.repos)
             corpus = merge_corpora(parts, source="dump" if not config.repos else "live")
-            self._held["corpus"] = (export_dump(corpus, self.artifact("corpus")), corpus)
+            spans: list = []
+            digest = export_dump(corpus, self.artifact("corpus"), spans)
+            self._held["corpus"] = (digest, corpus)
+            self._held["corpus_spans"] = (digest, spans)  # each record's line
             return {"records": len(corpus)}
 
         key = {"dumps": [str(p) for p in config.dumps], "repos": config.repos}
@@ -287,11 +300,21 @@ class Runner:
         sampling = self.config.sampling
 
         def body():
-            sample = self._parsed("corpus", upstream, import_dump)
-            del self._held["corpus"]  # no later stage reads the full corpus
+            corpus = self._parsed("corpus", upstream, import_dump)
+            # No later stage reads the full corpus. The record spans kept by
+            # the corpus stage hold while the file is the one it wrote.
+            digest = self._held.pop("corpus")[0]
+            written, spans = self._held.pop("corpus_spans", (None, None))
+            sample = corpus
             if sampling is not None:
-                sample = sample_balanced(sample, self._gold(), sampling.n_pos, sampling.n_neg, sampling.seed)
-            self._held["sample"] = (export_dump(sample, self.artifact("sample")), sample)
+                sample = sample_balanced(corpus, self._gold(), sampling.n_pos, sampling.n_neg, sampling.seed)
+            path = self.artifact("sample")
+            if written == digest:
+                at = dict(zip(corpus.keys(), spans))
+                digest = copy_spans(upstream, path, (at[key] for key in sample.keys()))
+            else:
+                digest = export_dump(sample, path)
+            self._held["sample"] = (digest, sample)
 
         return self._stage("sample", asdict(sampling) if sampling else None, [upstream], body)
 
@@ -312,7 +335,12 @@ class Runner:
                 json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
             )
 
-        key = {"theme": theme.description, "constraints": theme.constraints, "model": self.config.model_id}
+        key = {
+            "theme": theme.description,
+            "constraints": theme.constraints,
+            "model": self.config.model_id,
+            "reference": _hash_file(self.config.reference_projects_file),
+        }
         return self._stage("define", key, [], body)
 
     def run_filter(self) -> Path:

@@ -225,9 +225,13 @@ def judge(
     criteria: FilterCriteria,
     gateway: Gateway,
     model_id: str,
+    trace: list[CriterionResult] | None = None,
 ) -> FilterDecision:
-    """Full per-issue verdict: deterministic short-circuit, then LLM."""
-    trace = apply_deterministic(issue, criteria)
+    """Full per-issue verdict: deterministic short-circuit, then LLM.
+    `trace` is the issue's `apply_deterministic` result, when the caller
+    has it already."""
+    if trace is None:
+        trace = apply_deterministic(issue, criteria)
     if not all(c.passed for c in trace):
         return _undecided(issue, trace)
 
@@ -257,11 +261,21 @@ def run_stage2(
     parallelism: int = 1,
 ) -> list[FilterDecision]:
     """One decision per record, in corpus order; per-issue failures are
-    recorded in the decision rather than aborting the batch."""
+    recorded in the decision rather than aborting the batch.
+
+    The deterministic check runs inline for every issue; only the issues
+    that pass it go to the `parallelism` threads that ask the model."""
+    traces = {issue.key: apply_deterministic(issue, criteria) for issue in corpus}
+    passed = [issue for issue in corpus if all(c.passed for c in traces[issue.key])]
 
     def failed(issue: IssueRecord, exc: Exception) -> FilterDecision:
-        return _undecided(issue, apply_deterministic(issue, criteria), f"{type(exc).__name__}: {exc}")
+        return _undecided(issue, traces[issue.key], f"{type(exc).__name__}: {exc}")
 
-    return map_issues(
-        corpus, lambda issue: judge(issue, criteria, gateway, model_id), parallelism, failed
+    judged = map_issues(
+        passed,
+        lambda issue: judge(issue, criteria, gateway, model_id, traces[issue.key]),
+        parallelism,
+        failed,
     )
+    by_key = {decision.key: decision for decision in judged}
+    return [by_key.get(issue.key) or _undecided(issue, traces[issue.key]) for issue in corpus]

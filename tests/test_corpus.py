@@ -1,12 +1,15 @@
 import json
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from faultloom.corpus import (
     Corpus,
     GoldLabel,
     export_dump,
+    format_timestamp,
     import_dump,
     load_gold,
     sample_balanced,
@@ -162,3 +165,18 @@ def test_timestamps_are_utc():
     assert issue.created_at.tzinfo == timezone.utc
     raw = issue.to_dict()
     assert raw["created_at"].endswith("Z")
+
+
+_OFFSETS = st.timedeltas(min_value=-timedelta(hours=23, minutes=59), max_value=timedelta(hours=23, minutes=59))
+
+
+# The bounds keep the UTC value inside years 1000-9999, where strftime's
+# year has four digits.
+@given(ts=st.datetimes(
+    min_value=datetime(1000, 1, 2), max_value=datetime(9999, 12, 30),
+    timezones=st.builds(timezone, _OFFSETS),
+))
+@example(ts=datetime(2020, 2, 29, 23, 59, 59, 999999, tzinfo=timezone.utc))
+@example(ts=datetime(2020, 1, 1, 0, 30, tzinfo=timezone(timedelta(hours=1))))
+def test_format_timestamp_matches_strftime(ts):
+    assert format_timestamp(ts) == ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")

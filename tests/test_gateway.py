@@ -1,9 +1,13 @@
 import json
+import logging
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
 
 from faultloom.errors import (
+    FaultloomError,
     MissingFieldsError,
     NoStructuredObjectError,
     ReplayMissError,
@@ -47,6 +51,7 @@ def test_replay_serves_stored_response(tmp_path):
     transcript = Transcript(tmp_path / "t.jsonl")
     stored = make_response('{"answer": 1}')
     transcript.record(request_digest(REQ), stored)
+    transcript.close()
     gateway = Gateway(mode="replay", transcript=Transcript(tmp_path / "t.jsonl"))
     response = gateway.complete(REQ)
     assert response.text == stored.text
@@ -85,6 +90,7 @@ def test_record_then_replay_round_trip(tmp_path):
     provider = ScriptedProvider(['{"x": 1}'])
     recorder = Gateway(mode="record", transcript=Transcript(path), provider=provider)
     recorded = recorder.complete(REQ)
+    recorder.transcript.close()
 
     replayer = Gateway(mode="replay", transcript=Transcript(path))
     replayed = replayer.complete(REQ)
@@ -117,9 +123,107 @@ def test_transcript_append_only(tmp_path):
     transcript.record("d1", make_response("one"))
     transcript.record("d2", make_response("two"))
     transcript.record("d1", make_response("one-again"))  # ignored duplicate
-    lines = path.read_text().strip().splitlines()
+    lines = path.read_text().strip().splitlines()  # flushed while still open
+    transcript.close()
     assert len(lines) == 2
     assert json.loads(lines[0])["request_digest"] == "d1"
+
+
+def _recorded(path, digests):
+    transcript = Transcript(path)
+    for digest in digests:
+        transcript.record(digest, make_response(digest))
+    transcript.close()
+
+
+def test_torn_final_line_is_dropped_and_cut_before_the_next_append(tmp_path, caplog):
+    path = tmp_path / "t.jsonl"
+    _recorded(path, ["d1", "d2", "d3"])
+    with open(path, "r+b") as fh:
+        fh.truncate(path.stat().st_size - 40)
+    with caplog.at_level(logging.WARNING, logger="faultloom.gateway"):
+        transcript = Transcript(path)
+    assert sorted(transcript.entries) == ["d1", "d2"]
+    assert "line 3" in caplog.text
+    transcript.record("d4", make_response("d4"))
+    transcript.close()
+    lines = path.read_text().splitlines()
+    assert [json.loads(line)["request_digest"] for line in lines] == ["d1", "d2", "d4"]
+
+
+def test_complete_final_line_without_newline_is_kept(tmp_path):
+    path = tmp_path / "t.jsonl"
+    _recorded(path, ["d1", "d2"])
+    with open(path, "r+b") as fh:
+        fh.truncate(path.stat().st_size - 1)
+    transcript = Transcript(path)
+    assert sorted(transcript.entries) == ["d1", "d2"]
+    transcript.record("d3", make_response("d3"))
+    transcript.close()
+    assert [json.loads(line)["request_digest"] for line in path.read_text().splitlines()] == ["d1", "d2", "d3"]
+
+
+@pytest.mark.parametrize("bad_line", [2, 3])
+def test_unreadable_transcript_line_names_its_line_number(tmp_path, bad_line):
+    path = tmp_path / "t.jsonl"
+    _recorded(path, ["d1", "d2", "d3"])
+    lines = path.read_text().splitlines(keepends=True)
+    lines[bad_line - 1] = lines[bad_line - 1][:30] + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(FaultloomError, match=f"line {bad_line}:"):
+        Transcript(path)
+
+
+def test_concurrent_records_are_flushed_whole_and_once(tmp_path):
+    path = tmp_path / "t.jsonl"
+    transcript = Transcript(path)
+    midway = threading.Barrier(5, timeout=10)
+
+    def worker(n):
+        for half in (0, 1):
+            for i in range(50):
+                transcript.record(f"t{n}-{half}-{i}", make_response("x" * i))
+                transcript.record(f"shared-{half}-{i}", make_response(f"from {n}"))  # once in all
+            if half == 0:
+                midway.wait()
+                midway.wait()
+
+    threads = [threading.Thread(target=worker, args=(n,)) for n in range(4)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        midway.wait()  # every thread has recorded its first half
+        reader = Transcript(path)
+        midway.wait()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    transcript.close()
+
+    assert len(reader.entries) == 250
+    assert all(digest.split("-")[1] == "0" for digest in reader.entries)
+    lines = path.read_text().splitlines()
+    digests = [json.loads(line)["request_digest"] for line in lines]
+    assert len(digests) == len(set(digests)) == 500
+    assert Transcript(path).entries == transcript.entries
+
+
+def test_record_mode_serves_recorded_requests_without_the_provider(tmp_path):
+    path = tmp_path / "t.jsonl"
+    _recorded(path, [request_digest(REQ)])
+    provider = ScriptedProvider(['{"fresh": 1}'])
+    gateway = Gateway(mode="record", transcript=Transcript(path), provider=provider)
+    assert gateway.complete(REQ).text == request_digest(REQ)
+    other = replace(REQ, user_text="other")
+    assert gateway.complete(other).text == '{"fresh": 1}'
+    assert provider.calls == 1
+    assert gateway.usage["openai/gpt-4o"].requests == 2
+    gateway.transcript.close()
+    assert len(path.read_text().splitlines()) == 2
 
 
 def test_extract_structured_from_code_fence():

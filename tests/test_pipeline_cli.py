@@ -1,6 +1,9 @@
 import json
 import logging
+import os
 import shutil
+import subprocess
+import sys
 import threading
 from collections import Counter
 from pathlib import Path
@@ -12,7 +15,7 @@ from click.testing import CliRunner
 from faultloom import pipeline
 from faultloom.cli import main
 from faultloom.config import load_config
-from faultloom.corpus import Corpus, export_dump, load_gold
+from faultloom.corpus import Corpus, IssueRecord, export_dump, import_dump, load_gold, sample_balanced
 from faultloom.errors import ConfigError, MissingArtifactError
 from faultloom.pipeline import ARTIFACTS, RUN_ORDER, Manifest, Runner
 
@@ -379,6 +382,98 @@ def test_parallelism_above_four_reaches_the_provider(tmp_path):
     runner.run_corpus()
     runner.run_sample()
     runner.run_filter()
+    runner.close()
     decisions = [json.loads(line) for line in (tmp_path / "run" / "decisions.jsonl").read_text().splitlines()]
     assert len(decisions) == 6
     assert all(d["error"] is None and d["llm_verdict"] is True for d in decisions)
+
+
+def test_sample_is_copied_from_the_corpus_bytes_and_equals_its_export(tmp_path):
+    expected = tmp_path / "expected.jsonl"
+    drawn = sample_balanced(import_dump(GOLDEN / "corpus.jsonl"), load_gold(GOLDEN / "gold.csv"), 4, 4, 7)
+    export_dump(drawn, expected)
+
+    whole = Runner(_config(tmp_path, out=str(tmp_path / "whole")))
+    whole.run_corpus()
+    whole.run_sample()
+    split = Runner(_config(tmp_path, out=str(tmp_path / "split")))
+    split.run_corpus()
+    Runner(_config(tmp_path, out=str(tmp_path / "split"))).run_sample()
+    for runner in (whole, split):
+        assert runner.artifact("sample").read_bytes() == expected.read_bytes()
+
+
+def test_cold_run_serializes_each_corpus_record_once(tmp_path, monkeypatch):
+    calls = Counter()
+    to_dict = IssueRecord.to_dict
+
+    def counted(record):
+        calls[record.key] += 1
+        return to_dict(record)
+
+    monkeypatch.setattr(IssueRecord, "to_dict", counted)
+    runner = Runner(_config(tmp_path))
+    runner.run_pipeline()
+    corpus = import_dump(runner.artifact("corpus"))
+    assert set(calls) == set(corpus.keys())
+    assert set(calls.values()) == {1}
+
+
+def test_run_pipeline_leaves_no_file_open(tmp_path):
+    script = f"""
+import gc
+from faultloom.config import load_config, packaged_data_path
+from faultloom.corpus import load_gold
+from faultloom.pipeline import Runner
+from faultloom.taxonomy import load_taxonomy
+from fakes import OracleProvider
+
+taxonomies = [load_taxonomy(packaged_data_path(f"{{n}}_taxonomy.yaml")) for n in ("symptom", "root_cause")]
+config = load_config({str(GOLDEN / "config.yaml")!r}, overrides={{
+    "out": {str(tmp_path / "run")!r}, "mode": "record", "transcript": {str(tmp_path / "t.jsonl")!r}}})
+runner = Runner(config, provider=OracleProvider(load_gold({str(GOLDEN / "gold.csv")!r}), *taxonomies))
+runner.run_pipeline()
+del runner
+gc.collect()
+"""
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")])
+    result = subprocess.run(
+        [sys.executable, "-W", "error::ResourceWarning", "-c", script],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "ResourceWarning" not in result.stderr, result.stderr
+    assert (tmp_path / "t.jsonl").stat().st_size > 0
+
+
+def test_killed_record_run_resumes_without_paying_again(tmp_path, symptoms, root_causes):
+    def record(name, transcript):
+        provider = CountingProvider(OracleProvider(load_gold(GOLDEN / "gold.csv"), symptoms, root_causes))
+        config = _config(tmp_path, out=str(tmp_path / name), mode="record", transcript=str(transcript))
+        Runner(config, provider=provider).run_pipeline()
+        return provider.calls
+
+    full = tmp_path / "full.jsonl"
+    paid = record("full", full)
+    lines = full.read_text().splitlines(keepends=True)
+    kept = len(lines) // 2
+    killed = tmp_path / "killed.jsonl"
+    killed.write_text("".join(lines[:kept]) + lines[kept][:40])  # the kill tore the next entry
+
+    assert record("resumed", killed) == paid - kept
+    for name in ("sample", "filter", "classify"):
+        artifact = ARTIFACTS[name]
+        assert (tmp_path / "resumed" / artifact).read_bytes() == (tmp_path / "full" / artifact).read_bytes()
+    assert sorted(killed.read_text().splitlines()) == sorted(line.rstrip("\n") for line in lines)
+
+
+def test_edited_reference_list_reruns_define(tmp_path):
+    golden = shutil.copytree(GOLDEN, tmp_path / "golden")
+    config = load_config(golden / "config.yaml", overrides={"out": str(tmp_path / "run")})
+    plan = Runner(config).run_define()
+    assert json.loads(plan.read_text())["score"]["recall"] == pytest.approx(1 / 3)
+
+    (golden / "reference_projects.txt").write_text("TensorFlow.js\n")
+    Runner(config).run_define()
+    assert json.loads(plan.read_text())["score"]["recall"] == 1.0

@@ -293,6 +293,7 @@ def _record_transcript_for(corpus, criteria, tmp_path):
     path = tmp_path / "t.jsonl"
     gateway = Gateway(mode="record", transcript=Transcript(path), provider=provider)
     run_stage2(corpus, criteria, gateway, MODEL)
+    gateway.transcript.close()
     return path
 
 

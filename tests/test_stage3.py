@@ -132,6 +132,7 @@ def test_run_stage3_order_and_isolation(symptoms, root_causes, tmp_path):
     path = tmp_path / "t.jsonl"
     recorder = Gateway(mode="record", transcript=Transcript(path), provider=provider)
     run_stage3(issues, symptoms, root_causes, recorder, MODEL)
+    recorder.transcript.close()
 
     # drop one entry: exactly one label errors, the others replay untouched
     lines = path.read_text().strip().splitlines()
