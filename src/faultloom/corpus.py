@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
+import functools
 import hashlib
 import json
 import random
+import types
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -25,6 +29,8 @@ IssueKey = tuple[str, int]
 
 def parse_timestamp(value: str) -> datetime:
     """Parse an RFC 3339 timestamp into an aware UTC datetime."""
+    if not isinstance(value, str):
+        raise TypeError(f"timestamp must be a string, not {type(value).__name__}")
     ts = datetime.fromisoformat(value.replace("Z", "+00:00"))
     if ts.tzinfo is None:
         raise ValueError(f"timestamp {value!r} has no timezone")
@@ -38,33 +44,127 @@ def format_timestamp(ts: datetime) -> str:
     return ts.isoformat(timespec="seconds")[:-6] + "Z"  # "+00:00" -> "Z"
 
 
-@dataclass(frozen=True)
-class Comment:
-    author_role: str
+def _expect(value, kind: type, what: str):
+    if not isinstance(value, kind):
+        raise TypeError(f"expected {what}, not {type(value).__name__}")
+    return value
+
+
+def _codec(tp) -> tuple[Callable | None, Callable]:
+    """(encode, decode) for values of field type `tp`. `encode` is None where
+    a value is already JSON-shaped; `decode` takes a value that is not None."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:  # X | None
+        (inner,) = [a for a in args if a is not type(None)]
+        encode, decode = _codec(inner)
+        return (encode and (lambda v: None if v is None else encode(v))), decode
+    if origin in (list, tuple):
+        item_encode, item_decode = _codec(args[0])
+        build = list if origin is list else tuple
+
+        def decode_array(value):
+            return build([item_decode(item) for item in _expect(value, list, "an array")])
+
+        if item_encode is not None:
+            return (lambda v: [item_encode(item) for item in v]), decode_array
+        return (None if origin is list else list), decode_array
+    if tp is dict:
+        return None, lambda v: dict(_expect(v, dict, "an object"))
+    if tp == dict[int, float]:  # JSON object keys are strings
+        return (lambda v: {str(k): x for k, x in v.items()}), (
+            lambda v: {int(k): float(x) for k, x in _expect(v, dict, "an object").items()}
+        )
+    if tp is datetime:
+        return format_timestamp, parse_timestamp
+    if isinstance(tp, type) and issubclass(tp, Record):
+        return _compiled(tp)
+    if tp in (str, int, float, bool):
+        return None, tp
+    raise TypeError(f"no codec for field type {tp!r}")
+
+
+def _missing(name: str):
+    raise KeyError(f"missing or null: {name}")
+
+
+@functools.cache
+def _compiled(cls) -> tuple[Callable, Callable]:
+    """The to_dict and from_dict functions of record class `cls`, compiled
+    once from its field types into one expression per field, the way
+    dataclasses compiles `__init__`. They run as fast as hand-written ones:
+    a loop over the fields decoded a dump about 45 % slower, and copying
+    `__dict__` to encode gave every record a dict object of its own."""
+    hints = typing.get_type_hints(cls)
+    env = {"cls": cls, "_expect": _expect, "_missing": _missing}
+    encoded, decoded = [], []
+    for f in dataclasses.fields(cls):
+        name = f.name
+        encode, env[f"_decode_{name}"] = _codec(hints[name])
+        env[f"_encode_{name}"] = encode
+        encoded.append(f"{name!r}: self.{name}" if encode is None else f"{name!r}: _encode_{name}(self.{name})")
+        if f.default is not dataclasses.MISSING:
+            env[f"_default_{name}"], fallback = f.default, f"_default_{name}"
+        elif f.default_factory is not dataclasses.MISSING:
+            env[f"_default_{name}"], fallback = f.default_factory, f"_default_{name}()"
+        else:
+            fallback = f"_missing({name!r})"
+        decoded.append(f"{name}=_decode_{name}(v) if (v := raw.get({name!r})) is not None else {fallback}")
+    exec(
+        f"def encode(self):\n    return {{{', '.join(encoded)}}}\n"
+        "def decode(raw):\n    if not isinstance(raw, dict):\n        _expect(raw, dict, 'an object')\n"
+        f"    return cls({', '.join(decoded)})\n",
+        env,
+    )
+    return env["encode"], env["decode"]
+
+
+class Record:
+    """Base of the dataclasses that are written as JSON.
+
+    `to_dict` gives the JSON-shaped dict: datetimes as `format_timestamp`
+    strings, tuples as lists, dict keys as strings, nested records alike.
+    `from_dict` reads one back by the field types. A key that is missing or
+    null takes the field's default; without one it is a KeyError, and a value
+    of the wrong shape is a TypeError or ValueError.
+    """
+
+    def to_dict(self) -> dict:
+        return _compiled(type(self))[0](self)
+
+    @classmethod
+    def from_dict(cls, raw: dict):
+        return _compiled(cls)[1](raw)
+
+
+@dataclass(frozen=True, kw_only=True)
+class Comment(Record):
+    author_role: str = ""
     created_at: datetime
-    body: str
+    body: str = ""
 
 
-@dataclass(frozen=True)
-class IssueRecord:
+@dataclass(frozen=True, kw_only=True)
+class IssueRecord(Record):
+    """One issue; its invariants are checked on construction."""
+
     repo: str
     number: int
-    title: str
+    title: str = ""
     state: str
     created_at: datetime
     updated_at: datetime
-    closed_at: datetime | None
-    body: str
-    labels: tuple[str, ...]
-    comments: tuple[Comment, ...]
-    is_pull_request: bool
-    url: str
+    closed_at: datetime | None = None
+    body: str = ""
+    labels: tuple[str, ...] = ()
+    comments: tuple[Comment, ...] = ()
+    is_pull_request: bool = False
+    url: str = ""
 
     @property
     def key(self) -> IssueKey:
         return (self.repo, self.number)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.number <= 0:
             raise RecordInvariantError(f"{self.repo}: non-positive issue number {self.number}")
         if self.state not in ("open", "closed"):
@@ -82,55 +182,6 @@ class IssueRecord:
                 raise RecordInvariantError(
                     f"{self.repo}#{self.number}: comments out of chronological order"
                 )
-
-    def to_dict(self) -> dict:
-        return {
-            "repo": self.repo,
-            "number": self.number,
-            "title": self.title,
-            "state": self.state,
-            "created_at": format_timestamp(self.created_at),
-            "updated_at": format_timestamp(self.updated_at),
-            "closed_at": format_timestamp(self.closed_at) if self.closed_at else None,
-            "body": self.body,
-            "labels": list(self.labels),
-            "comments": [
-                {
-                    "author_role": c.author_role,
-                    "created_at": format_timestamp(c.created_at),
-                    "body": c.body,
-                }
-                for c in self.comments
-            ],
-            "is_pull_request": self.is_pull_request,
-            "url": self.url,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "IssueRecord":
-        record = cls(
-            repo=str(raw["repo"]),
-            number=int(raw["number"]),
-            title=str(raw.get("title", "")),
-            state=str(raw["state"]),
-            created_at=parse_timestamp(raw["created_at"]),
-            updated_at=parse_timestamp(raw["updated_at"]),
-            closed_at=parse_timestamp(raw["closed_at"]) if raw.get("closed_at") else None,
-            body=str(raw.get("body") or ""),
-            labels=tuple(str(x) for x in raw.get("labels", [])),
-            comments=tuple(
-                Comment(
-                    author_role=str(c.get("author_role", "")),
-                    created_at=parse_timestamp(c["created_at"]),
-                    body=str(c.get("body") or ""),
-                )
-                for c in raw.get("comments", [])
-            ),
-            is_pull_request=bool(raw.get("is_pull_request", False)),
-            url=str(raw.get("url", "")),
-        )
-        record.validate()
-        return record
 
 
 @dataclass
@@ -240,7 +291,7 @@ def import_dump(path: str | Path) -> Corpus:
                 raise DumpFormatError(line_no, f"invalid JSON: {exc}") from exc
             try:
                 record = IssueRecord.from_dict(raw)
-            except (KeyError, ValueError, RecordInvariantError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError, RecordInvariantError) as exc:
                 raise DumpFormatError(line_no, str(exc)) from exc
             if record.key in seen:
                 raise DumpFormatError(

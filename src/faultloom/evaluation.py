@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .corpus import GoldLabel, IssueKey
+from .corpus import GoldLabel, IssueKey, Record
 from .errors import EvaluationError, MissingGoldError
 from .stage2 import FilterDecision
 from .stage3 import FaultLabel
@@ -19,7 +19,7 @@ INVALID_CLASS = "invalid"
 
 
 @dataclass
-class ConfusionMatrix:
+class ConfusionMatrix(Record):
     """Rows are gold classes, columns are predicted classes. The reserved
     "invalid" class collects predictions that never resolved."""
 
@@ -46,16 +46,9 @@ class ConfusionMatrix:
     def diagonal(self) -> int:
         return sum(self.counts[i][i] for i in range(len(self.classes)))
 
-    def to_dict(self) -> dict:
-        return {"classes": self.classes, "counts": self.counts}
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ConfusionMatrix":
-        return cls(classes=list(raw["classes"]), counts=[list(row) for row in raw["counts"]])
-
 
 @dataclass
-class Stage2Scores:
+class Stage2Scores(Record):
     accuracy: float
     precision: float
     recall: float
@@ -68,28 +61,6 @@ class Stage2Scores:
     @property
     def total(self) -> int:
         return self.tp + self.fp + self.fn + self.tn
-
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "tn": self.tn,
-            "confusion": self.confusion.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "Stage2Scores":
-        return cls(
-            accuracy=raw["accuracy"],
-            precision=raw["precision"],
-            recall=raw["recall"],
-            tp=raw["tp"], fp=raw["fp"], fn=raw["fn"], tn=raw["tn"],
-            confusion=ConfusionMatrix.from_dict(raw["confusion"]),
-        )
 
 
 def score_stage2(
@@ -150,34 +121,13 @@ def _predicted_node(label: FaultLabel, taxonomy: Taxonomy) -> TaxonomyNode | Non
 
 
 @dataclass
-class Stage3Scores:
+class Stage3Scores(Record):
     accuracy: float
     correct: int
     total: int
     invalid: int
     per_level_accuracy: dict[int, float]
     confusion: ConfusionMatrix
-
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "correct": self.correct,
-            "total": self.total,
-            "invalid": self.invalid,
-            "per_level_accuracy": {str(k): v for k, v in self.per_level_accuracy.items()},
-            "confusion": self.confusion.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "Stage3Scores":
-        return cls(
-            accuracy=raw["accuracy"],
-            correct=raw["correct"],
-            total=raw["total"],
-            invalid=raw["invalid"],
-            per_level_accuracy={int(k): v for k, v in raw["per_level_accuracy"].items()},
-            confusion=ConfusionMatrix.from_dict(raw["confusion"]),
-        )
 
 
 def hierarchical_accuracy(
@@ -256,57 +206,18 @@ def score_stage3(
 
 
 @dataclass
-class RunMeta:
+class RunMeta(Record):
     wall_time_seconds: float = 0.0
     total_tokens: int = 0
     per_model: dict = field(default_factory=dict)
     invalid_labels: int = 0
     unscored: int = 0  # items missing from gold, excluded but counted
 
-    def to_dict(self) -> dict:
-        return {
-            "wall_time_seconds": self.wall_time_seconds,
-            "total_tokens": self.total_tokens,
-            "per_model": self.per_model,
-            "invalid_labels": self.invalid_labels,
-            "unscored": self.unscored,
-        }
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "RunMeta":
-        return cls(**raw)
-
-
-@dataclass
-class EvalReport:
-    stage2: Stage2Scores | None
-    stage3_symptom: Stage3Scores | None
-    stage3_rootcause: Stage3Scores | None
+@dataclass(kw_only=True)
+class EvalReport(Record):
+    stage2: Stage2Scores | None = None
+    stage3_symptom: Stage3Scores | None = None
+    stage3_rootcause: Stage3Scores | None = None
     run_meta: RunMeta
     notes: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "stage2": self.stage2.to_dict() if self.stage2 else None,
-            "stage3_symptom": self.stage3_symptom.to_dict() if self.stage3_symptom else None,
-            "stage3_rootcause": (
-                self.stage3_rootcause.to_dict() if self.stage3_rootcause else None
-            ),
-            "run_meta": self.run_meta.to_dict(),
-            "notes": self.notes,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "EvalReport":
-        """Inverse of `to_dict`, for a report read back from report.json."""
-
-        def scores(kind, key):
-            return kind.from_dict(raw[key]) if raw[key] is not None else None
-
-        return cls(
-            stage2=scores(Stage2Scores, "stage2"),
-            stage3_symptom=scores(Stage3Scores, "stage3_symptom"),
-            stage3_rootcause=scores(Stage3Scores, "stage3_rootcause"),
-            run_meta=RunMeta.from_dict(raw["run_meta"]),
-            notes=list(raw["notes"]),
-        )

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Protocol
 
+from .corpus import Record
 from .errors import (
     MissingFieldsError,
     NoStructuredObjectError,
@@ -39,7 +40,7 @@ REPAIR_RETRIES = 2
 
 
 @dataclass(frozen=True)
-class ChatRequest:
+class ChatRequest(Record):
     model_id: str
     system_text: str
     user_text: str
@@ -56,31 +57,12 @@ class ChatRequest:
 
 
 @dataclass
-class ChatResponse:
+class ChatResponse(Record):
     text: str
     input_tokens: int = 0
     output_tokens: int = 0
     latency_ms: float = 0.0
     provider_meta: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "text": self.text,
-            "input_tokens": self.input_tokens,
-            "output_tokens": self.output_tokens,
-            "latency_ms": self.latency_ms,
-            "provider_meta": self.provider_meta,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ChatResponse":
-        return cls(
-            text=str(raw["text"]),
-            input_tokens=int(raw.get("input_tokens", 0)),
-            output_tokens=int(raw.get("output_tokens", 0)),
-            latency_ms=float(raw.get("latency_ms", 0.0)),
-            provider_meta=dict(raw.get("provider_meta", {})),
-        )
 
 
 def request_digest(request: ChatRequest) -> str:
@@ -90,18 +72,7 @@ def request_digest(request: ChatRequest) -> str:
     invariant under field ordering and serialization whitespace, while any
     semantic field change produces a new digest.
     """
-    canonical = json.dumps(
-        {
-            "model_id": request.model_id,
-            "system_text": request.system_text,
-            "user_text": request.user_text,
-            "temperature": request.temperature,
-            "max_output_tokens": request.max_output_tokens,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-        ensure_ascii=True,
-    )
+    canonical = json.dumps(request.to_dict(), sort_keys=True, separators=(",", ":"), ensure_ascii=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -274,17 +245,10 @@ class RateLimiter:
 
 
 @dataclass
-class UsageTally:
+class UsageTally(Record):
     requests: int = 0
     input_tokens: int = 0
     output_tokens: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "requests": self.requests,
-            "input_tokens": self.input_tokens,
-            "output_tokens": self.output_tokens,
-        }
 
 
 class Gateway:

@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
 
-from .corpus import Comment, Corpus, IssueRecord, parse_timestamp
+from .corpus import Corpus, IssueRecord, parse_timestamp
 from .errors import IngestError, RateLimitExhaustedError
 
 logger = logging.getLogger(__name__)
@@ -181,36 +181,16 @@ class IssueFetcher:
             created_at = parse_timestamp(raw["created_at"])
             if window is not None and not (window[0] <= created_at <= window[1]):
                 continue
-            comments: list[Comment] = []
+            comments = []
             if raw.get("comments", 0):
                 comments_url = f"{self.api_base}/repos/{repo}/issues/{raw['number']}/comments"
-                for c in self._paginate(comments_url, {"per_page": 100}):
-                    comments.append(
-                        Comment(
-                            author_role=str(c.get("author_association", "")),
-                            created_at=parse_timestamp(c["created_at"]),
-                            body=str(c.get("body") or ""),
-                        )
-                    )
-            comments.sort(key=lambda c: c.created_at)
-            state = str(raw["state"])
-            record = IssueRecord(
-                repo=repo,
-                number=int(raw["number"]),
-                title=str(raw.get("title", "")),
-                state=state,
-                created_at=created_at,
-                updated_at=parse_timestamp(raw["updated_at"]),
-                closed_at=parse_timestamp(raw["closed_at"]) if raw.get("closed_at") else None,
-                body=str(raw.get("body") or ""),
-                labels=tuple(
-                    str(l["name"]) if isinstance(l, dict) else str(l)
-                    for l in raw.get("labels", [])
-                ),
-                comments=tuple(comments),
-                is_pull_request=False,
-                url=str(raw.get("html_url", "")),
-            )
-            record.validate()
-            records.append(record)
+                comments = [
+                    {"author_role": c.get("author_association"), "created_at": c["created_at"], "body": c.get("body")}
+                    for c in self._paginate(comments_url, {"per_page": 100})
+                ]
+                comments.sort(key=lambda c: parse_timestamp(c["created_at"]))
+            labels = [l["name"] if isinstance(l, dict) else l for l in raw.get("labels", [])]
+            records.append(IssueRecord.from_dict(
+                {**raw, "repo": repo, "labels": labels, "comments": comments, "url": raw.get("html_url")}
+            ))
         return Corpus(records=records, source="live", fetched_at=datetime.now(timezone.utc))

@@ -24,6 +24,7 @@ import logging
 import os
 import time
 from dataclasses import asdict, dataclass, field
+from datetime import datetime, timezone
 from pathlib import Path
 
 import yaml
@@ -34,6 +35,7 @@ from .corpus import (
     Corpus,
     copy_spans,
     export_dump,
+    format_timestamp,
     import_dump,
     load_gold,
     merge_corpora,
@@ -204,14 +206,24 @@ class Runner:
     @contextlib.contextmanager
     def locked(self):
         """Hold `run.lock` in the run directory while the block runs, so that
-        no two commands write the run directory at once. The transcript is
-        closed before the lock is released."""
+        no two commands write the run directory at once. The lock names its
+        owner's pid, host and start time; a lock whose owner was on this host
+        and is gone is broken with a warning. The transcript is closed before
+        the lock is released."""
         lock = self.out / "run.lock"
+        if _orphaned(lock):
+            # Not atomic: two commands that find the same orphaned lock at
+            # once may both go on.
+            logger.warning("breaking the lock of a command that is gone: %s", lock)
+            lock.unlink(missing_ok=True)
         try:
-            os.close(os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
             raise StageError(f"run directory is locked by another command: {lock}") from None
         try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                started = format_timestamp(datetime.now(timezone.utc))
+                json.dump({"pid": os.getpid(), "host": os.uname().nodename, "started": started}, fh)
             yield
         finally:
             self.close()
@@ -551,6 +563,22 @@ class Runner:
             raw = json.loads(self.artifact("evaluate").read_text(encoding="utf-8"))
             self.report = EvalReport.from_dict(raw)
         return self.report
+
+
+def _orphaned(lock: Path) -> bool:
+    """Whether `lock` names a process of this host that no longer exists. An
+    empty or unreadable lock counts as held."""
+    try:
+        owner = json.loads(lock.read_text(encoding="utf-8"))
+        pid = int(owner["pid"])
+        if owner["host"] != os.uname().nodename or pid <= 0:
+            return False
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, ValueError, KeyError, TypeError):  # no lock, unreadable, or another user's process
+        return False
+    return False
 
 
 def _last_artifact(out: Path) -> str:

@@ -7,6 +7,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .corpus import Record
 from .errors import EmptyPlanError, EmptyReferenceError
 from .gateway import ChatRequest, Gateway, ask_structured, extract_structured
 
@@ -34,39 +35,19 @@ class StudyTheme:
 
 
 @dataclass
-class ProjectCandidate:
+class ProjectCandidate(Record):
     name: str
     url: str | None = None
     rationale: str = ""
 
+    def __post_init__(self) -> None:
+        self.url = self.url or None  # a model may answer "" for no url
+
 
 @dataclass
-class StudyPlan:
-    projects: list[ProjectCandidate]
-    research_questions: list[str]
-
-    def to_dict(self) -> dict:
-        return {
-            "projects": [
-                {"name": p.name, "url": p.url, "rationale": p.rationale}
-                for p in self.projects
-            ],
-            "research_questions": list(self.research_questions),
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "StudyPlan":
-        return cls(
-            projects=[
-                ProjectCandidate(
-                    name=str(p["name"]),
-                    url=p.get("url") or None,
-                    rationale=str(p.get("rationale", "")),
-                )
-                for p in raw.get("projects", [])
-            ],
-            research_questions=[str(q) for q in raw.get("research_questions", [])],
-        )
+class StudyPlan(Record):
+    projects: list[ProjectCandidate] = field(default_factory=list)
+    research_questions: list[str] = field(default_factory=list)
 
 
 def build_study_prompt(theme: StudyTheme, model_id: str) -> ChatRequest:
@@ -120,19 +101,11 @@ def propose_study(theme: StudyTheme, gateway: Gateway, model_id: str) -> StudyPl
 
 
 @dataclass
-class PlanScore:
+class PlanScore(Record):
     recall: float
     hits: list[str]
     misses: list[str]
     extras: list[str]
-
-    def to_dict(self) -> dict:
-        return {
-            "recall": self.recall,
-            "hits": self.hits,
-            "misses": self.misses,
-            "extras": self.extras,
-        }
 
 
 def load_reference_projects(path: str | Path) -> list[str]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from pathlib import Path
 
-from .corpus import Corpus, IssueRecord, map_issues, render_issue
+from .corpus import Corpus, IssueRecord, Record, map_issues, render_issue
 from .gateway import ChatRequest, Gateway, ask_structured, extract_structured
 
 DEFAULT_COMMENT_BUDGET = 20
@@ -64,58 +64,25 @@ def load_vocabulary(path: str | Path) -> list[str]:
 
 
 @dataclass
-class CriterionResult:
+class CriterionResult(Record):
     criterion: str
     passed: bool
-    evidence: str
-
-    def to_dict(self) -> dict:
-        return {"criterion": self.criterion, "passed": self.passed, "evidence": self.evidence}
+    evidence: str = ""
 
 
-@dataclass
-class FilterDecision:
+@dataclass(kw_only=True)
+class FilterDecision(Record):
     repo: str
     number: int
-    trace: list[CriterionResult]
-    llm_verdict: bool | None
-    llm_rationale: str | None
+    trace: list[CriterionResult] = field(default_factory=list)
+    llm_verdict: bool | None = None
+    llm_rationale: str | None = None
     final: bool
     error: str | None = None
 
     @property
     def key(self) -> tuple[str, int]:
         return (self.repo, self.number)
-
-    def to_dict(self) -> dict:
-        return {
-            "repo": self.repo,
-            "number": self.number,
-            "trace": [c.to_dict() for c in self.trace],
-            "llm_verdict": self.llm_verdict,
-            "llm_rationale": self.llm_rationale,
-            "final": self.final,
-            "error": self.error,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "FilterDecision":
-        return cls(
-            repo=str(raw["repo"]),
-            number=int(raw["number"]),
-            trace=[
-                CriterionResult(
-                    criterion=str(c["criterion"]),
-                    passed=bool(c["passed"]),
-                    evidence=str(c.get("evidence", "")),
-                )
-                for c in raw.get("trace", [])
-            ],
-            llm_verdict=raw.get("llm_verdict"),
-            llm_rationale=raw.get("llm_rationale"),
-            final=bool(raw["final"]),
-            error=raw.get("error"),
-        )
 
 
 def _term_pattern(term: str) -> re.Pattern:
@@ -214,10 +181,7 @@ def build_filter_prompt(
 
 
 def _undecided(issue: IssueRecord, trace: list[CriterionResult], error: str | None = None) -> FilterDecision:
-    return FilterDecision(
-        repo=issue.repo, number=issue.number, trace=trace,
-        llm_verdict=None, llm_rationale=None, final=False, error=error,
-    )
+    return FilterDecision(repo=issue.repo, number=issue.number, trace=trace, final=False, error=error)
 
 
 def judge(

@@ -5,21 +5,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import Corpus, IssueRecord, map_issues, render_issue
+from .corpus import Corpus, IssueRecord, Record, map_issues, render_issue
 from .errors import TaxonomyError
 from .gateway import ChatRequest, Gateway, ask_structured, extract_structured
 from .stage2 import DEFAULT_CHAR_BUDGET, DEFAULT_COMMENT_BUDGET
 from .taxonomy import Taxonomy, TaxonomyNode, render_prompt_section, resolve_label
 
 
-@dataclass
-class FaultLabel:
+@dataclass(kw_only=True)
+class FaultLabel(Record):
     repo: str
     number: int
-    symptom_leaf: str | None
-    root_cause: str | None
-    rationale: str
-    attempts: int
+    symptom_leaf: str | None = None
+    root_cause: str | None = None
+    rationale: str = ""
+    attempts: int = 1
     valid: bool
     raw_output: str | None = None  # final raw model text, kept when invalid
     error: str | None = None
@@ -27,33 +27,6 @@ class FaultLabel:
     @property
     def key(self) -> tuple[str, int]:
         return (self.repo, self.number)
-
-    def to_dict(self) -> dict:
-        return {
-            "repo": self.repo,
-            "number": self.number,
-            "symptom_leaf": self.symptom_leaf,
-            "root_cause": self.root_cause,
-            "rationale": self.rationale,
-            "attempts": self.attempts,
-            "valid": self.valid,
-            "raw_output": self.raw_output,
-            "error": self.error,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "FaultLabel":
-        return cls(
-            repo=str(raw["repo"]),
-            number=int(raw["number"]),
-            symptom_leaf=raw.get("symptom_leaf"),
-            root_cause=raw.get("root_cause"),
-            rationale=str(raw.get("rationale", "")),
-            attempts=int(raw.get("attempts", 1)),
-            valid=bool(raw["valid"]),
-            raw_output=raw.get("raw_output"),
-            error=raw.get("error"),
-        )
 
 
 def _outlines(symptoms: Taxonomy, root_causes: Taxonomy) -> tuple[str, str]:
@@ -111,8 +84,7 @@ def _resolve_leaf(taxonomy: Taxonomy, label: str, what: str) -> TaxonomyNode:
 
 def _invalid(issue: IssueRecord, attempts: int, error: str, raw_output: str | None = None) -> FaultLabel:
     return FaultLabel(
-        repo=issue.repo, number=issue.number, symptom_leaf=None, root_cause=None,
-        rationale="", attempts=attempts, valid=False, raw_output=raw_output, error=error,
+        repo=issue.repo, number=issue.number, attempts=attempts, valid=False, raw_output=raw_output, error=error
     )
 
 

@@ -73,6 +73,30 @@ def test_import_dump_rejects_timestamp_violation(tmp_path):
     assert exc.value.line_no == 1
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "[1, 2]",
+        "5",
+        {"comments": 5},
+        {"comments": ["x"]},
+        {"labels": 3},
+        {"created_at": 5},
+        {"number": float("inf")},
+        {"repo": None},
+    ],
+    ids=str,
+)
+def test_import_dump_names_the_line_of_a_wrongly_typed_record(tmp_path, line):
+    if isinstance(line, dict):
+        line = json.dumps({**make_issue(number=2).to_dict(), **line})
+    dump = tmp_path / "typed.jsonl"
+    dump.write_text(json.dumps(make_issue(number=1).to_dict()) + "\n" + line + "\n")
+    with pytest.raises(DumpFormatError) as exc:
+        import_dump(dump)
+    assert exc.value.line_no == 2
+
+
 def test_closed_state_requires_closed_at(tmp_path):
     raw = make_issue(number=4).to_dict()
     raw["closed_at"] = None
@@ -149,8 +173,7 @@ def test_corpus_rejects_duplicate_keys():
 
 
 def test_comment_ordering_enforced():
-    issue = make_issue(number=9, n_comments=3)
-    issue.validate()
+    issue = make_issue(number=9, n_comments=3)  # construction checks the order
     shuffled = issue.to_dict()
     shuffled["comments"] = list(reversed(shuffled["comments"]))
     from faultloom.corpus import IssueRecord

@@ -16,7 +16,6 @@ from faultloom.errors import (
 )
 from faultloom.gateway import (
     ChatRequest,
-    ChatResponse,
     Gateway,
     Transcript,
     ask_structured,
@@ -290,8 +289,3 @@ def test_ask_structured_lets_gateway_errors_through(tmp_path):
         _ask(Gateway(mode="replay", transcript=Transcript(tmp_path / "t.jsonl")))
     with pytest.raises(RetriesExhaustedError):
         _ask(Gateway(mode="live", provider=FlakyProvider(failures=10), sleep=lambda s: None))
-
-
-def test_response_serialization_round_trip():
-    response = make_response("hello")
-    assert ChatResponse.from_dict(response.to_dict()).to_dict() == response.to_dict()

@@ -183,6 +183,27 @@ def test_lock_file_prevents_concurrent_runs(tmp_path):
         Runner(config).run_pipeline()
 
 
+@pytest.mark.parametrize("owner, broken", [("gone", True), ("alive", False), ("elsewhere", False)])
+def test_lock_of_a_gone_command_on_this_host_is_broken(tmp_path, caplog, owner, broken):
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait(timeout=60)
+    pid = os.getpid() if owner == "alive" else child.pid
+    host = os.uname().nodename + (".elsewhere" if owner == "elsewhere" else "")
+    runner = Runner(_config(tmp_path))
+    lock = runner.out / "run.lock"
+    lock.write_text(json.dumps({"pid": pid, "host": host, "started": "2021-06-01T00:00:00Z"}))
+    if not broken:
+        with pytest.raises(Exception, match="locked"), runner.locked():
+            pass
+        assert json.loads(lock.read_text())["pid"] == pid
+        return
+    with caplog.at_level(logging.WARNING, logger="faultloom.pipeline"), runner.locked():
+        held = json.loads(lock.read_text())
+    assert "breaking the lock" in caplog.text
+    assert (held["pid"], held["host"]) == (os.getpid(), os.uname().nodename)
+    assert not lock.exists()
+
+
 @pytest.mark.parametrize(
     "command, ran",
     [("import", ()), ("filter", ("corpus", "sample")), ("report", RUN_ORDER)],

@@ -15,7 +15,6 @@ from faultloom.stage2 import (
     CRITERION_EXCLUSION_LABEL,
     CRITERION_VOCABULARY,
     FilterCriteria,
-    FilterDecision,
     apply_deterministic,
     build_filter_prompt,
     judge,
@@ -331,9 +330,3 @@ def test_run_stage2_isolates_per_issue_failure(tmp_path):
     errored = [d for d in decisions if d.error and "ReplayMiss" in d.error]
     assert len(errored) == 1
     assert errored[0].final is False
-
-
-def test_decision_serialization_round_trip():
-    gateway, _ = _gateway(['{"fault_related": true, "rationale": "r"}'])
-    decision = judge(make_issue(), CRITERIA, gateway, MODEL)
-    assert FilterDecision.from_dict(decision.to_dict()).to_dict() == decision.to_dict()

@@ -5,7 +5,6 @@ import pytest
 from faultloom.corpus import Corpus
 from faultloom.gateway import Gateway, Transcript, request_digest
 from faultloom.stage3 import (
-    FaultLabel,
     build_classification_prompt,
     classify,
     run_stage3,
@@ -168,9 +167,3 @@ def test_run_stage3_renders_each_taxonomy_once(symptoms, root_causes, monkeypatc
 def test_run_stage3_empty_input(symptoms, root_causes):
     gateway, _ = _gateway([])
     assert run_stage3(Corpus(records=[]), symptoms, root_causes, gateway, MODEL) == []
-
-
-def test_label_serialization_round_trip(symptoms, root_causes):
-    gateway, _ = _gateway([VALID_ANSWER])
-    label = classify(make_issue(), symptoms, root_causes, gateway, MODEL)
-    assert FaultLabel.from_dict(label.to_dict()).to_dict() == label.to_dict()
