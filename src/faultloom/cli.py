@@ -72,8 +72,6 @@ for _stage in ARTIFACTS:
 @_command("report", "Regenerate report files from a finished run directory.")
 def report(runner: Runner) -> None:
     with runner.locked():
-        for needed in ("filter", "classify"):
-            runner.require_artifact(needed, "report")
         runner.write_report(runner.build_report())
     click.echo(f"report: wrote {runner.artifact('evaluate')}")
 

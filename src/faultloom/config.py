@@ -16,7 +16,6 @@ from .stage2 import (
     DEFAULT_CHAR_BUDGET,
     DEFAULT_COMMENT_BUDGET,
     FilterCriteria,
-    load_vocabulary,
 )
 
 
@@ -82,36 +81,28 @@ class PipelineConfig:
             if not os.environ.get(env_var):
                 raise ConfigError(f"mode=live requires {env_var} to be set")
 
-    def _criteria_yaml(self) -> dict:
-        if self.criteria_file is None:
-            return {}
-        return yaml.safe_load(Path(self.criteria_file).read_text(encoding="utf-8")) or {}
 
-    def prompt_budgets(self, raw: dict | None = None) -> dict:
-        """`comment_budget` and `char_budget` from the criteria file (or from
-        `raw`, its parsed text): they bound the issue text of the filter and
-        the classification prompts."""
-        raw = self._criteria_yaml() if raw is None else raw
-        return {
-            "comment_budget": int(raw.get("comment_budget", DEFAULT_COMMENT_BUDGET)),
-            "char_budget": int(raw.get("char_budget", DEFAULT_CHAR_BUDGET)),
-        }
+def criteria_budgets(criteria: dict) -> dict:
+    """`comment_budget` and `char_budget` from the parsed criteria file: they
+    bound the issue text of the filter and the classification prompts."""
+    return {
+        "comment_budget": int(criteria.get("comment_budget", DEFAULT_COMMENT_BUDGET)),
+        "char_budget": int(criteria.get("char_budget", DEFAULT_CHAR_BUDGET)),
+    }
 
-    def load_criteria(self) -> FilterCriteria:
-        if self.vocabulary_file is None:
-            raise ConfigError("no vocabulary file configured")
-        vocabulary = load_vocabulary(self.vocabulary_file)
-        raw = self._criteria_yaml()
-        cutoff = raw.get("cutoff_date", "2020-01-01")
-        if isinstance(cutoff, str):
-            cutoff = date.fromisoformat(cutoff)
-        return FilterCriteria(
-            vocabulary=vocabulary,
-            exclusion_labels=[str(x) for x in raw.get("exclusion_labels", [])],
-            cutoff_date=cutoff,
-            require_answered=bool(raw.get("require_answered", True)),
-            **self.prompt_budgets(raw),
-        )
+
+def filter_criteria(criteria: dict, vocabulary: list[str]) -> FilterCriteria:
+    """The filter criteria from the parsed criteria file and vocabulary."""
+    cutoff = criteria.get("cutoff_date", "2020-01-01")
+    if isinstance(cutoff, str):
+        cutoff = date.fromisoformat(cutoff)
+    return FilterCriteria(
+        vocabulary=vocabulary,
+        exclusion_labels=[str(x) for x in criteria.get("exclusion_labels", [])],
+        cutoff_date=cutoff,
+        require_answered=bool(criteria.get("require_answered", True)),
+        **criteria_budgets(criteria),
+    )
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConfig:

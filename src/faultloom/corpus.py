@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     DumpFormatError,
@@ -78,7 +78,11 @@ def _codec(tp) -> tuple[Callable | None, Callable]:
         return format_timestamp, parse_timestamp
     if isinstance(tp, type) and issubclass(tp, Record):
         return _compiled(tp)
-    if tp in (str, int, float, bool):
+    if tp is str:  # a number reads as its text
+        return None, lambda v: _expect(v, str, "a string") if isinstance(v, (dict, list)) else str(v)
+    if tp is bool:
+        return None, lambda v: _expect(v, bool, "a boolean")
+    if tp in (int, float):
         return None, tp
     raise TypeError(f"no codec for field type {tp!r}")
 
@@ -108,7 +112,10 @@ def _compiled(cls) -> tuple[Callable, Callable]:
             env[f"_default_{name}"], fallback = f.default_factory, f"_default_{name}()"
         else:
             fallback = f"_missing({name!r})"
-        decoded.append(f"{name}=_decode_{name}(v) if (v := raw.get({name!r})) is not None else {fallback}")
+        value = f"_decode_{name}(v)"
+        if hints[name] is str:  # a string is taken as it is, without a call
+            value = f"(v if v.__class__ is str else {value})"
+        decoded.append(f"{name}={value} if (v := raw.get({name!r})) is not None else {fallback}")
     exec(
         f"def encode(self):\n    return {{{', '.join(encoded)}}}\n"
         "def decode(raw):\n    if not isinstance(raw, dict):\n        _expect(raw, dict, 'an object')\n"
@@ -273,6 +280,23 @@ class GoldLabel:
         return (self.repo, self.number)
 
 
+def read_lines(path: str | Path, kind: type) -> Iterator[tuple[int, Record]]:
+    """Each non-blank line of the line-delimited JSON file at `path` as a
+    `kind` record, with its 1-based line number. A line that does not read
+    as one raises a DumpFormatError naming the file and the line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = kind.from_dict(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise DumpFormatError(path, line_no, f"invalid JSON: {exc}") from exc
+            except (KeyError, TypeError, ValueError, OverflowError, RecordInvariantError) as exc:
+                raise DumpFormatError(path, line_no, str(exc)) from exc
+            yield line_no, record
+
+
 def import_dump(path: str | Path) -> Corpus:
     """Read a line-delimited JSON dump into a Corpus.
 
@@ -280,25 +304,11 @@ def import_dump(path: str | Path) -> Corpus:
     """
     records: list[IssueRecord] = []
     seen: set[IssueKey] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DumpFormatError(line_no, f"invalid JSON: {exc}") from exc
-            try:
-                record = IssueRecord.from_dict(raw)
-            except (KeyError, TypeError, ValueError, OverflowError, RecordInvariantError) as exc:
-                raise DumpFormatError(line_no, str(exc)) from exc
-            if record.key in seen:
-                raise DumpFormatError(
-                    line_no, f"duplicate record key {record.repo}#{record.number}"
-                )
-            seen.add(record.key)
-            records.append(record)
+    for line_no, record in read_lines(path, IssueRecord):
+        if record.key in seen:
+            raise DumpFormatError(path, line_no, f"duplicate record key {record.repo}#{record.number}")
+        seen.add(record.key)
+        records.append(record)
     return Corpus(records=records, source="dump")
 
 

@@ -81,8 +81,8 @@ class CorpusError(FaultloomError):
 
 
 class DumpFormatError(CorpusError):
-    def __init__(self, line_no: int, reason: str):
-        super().__init__(f"dump line {line_no}: {reason}")
+    def __init__(self, path: object, line_no: int, reason: str):
+        super().__init__(f"{path} line {line_no}: {reason}")
         self.line_no = line_no
         self.reason = reason
 

@@ -2,16 +2,17 @@
 content-hash resumability, and report emission.
 
 Each stage writes a line-delimited artifact into the run directory before the
-next stage starts. A stage is skipped on rerun when its recorded input hash
-(config section + upstream artifact bytes) is unchanged, so a finished run
-directory is stable and fully determines its report: a no-op rerun hashes its
-inputs and reads report.json back.
+next stage starts. Each stage declares the files it reads, config files and
+upstream artifacts alike, and is skipped on rerun when its recorded input hash
+(its config key + the sha256 of each declared file) is unchanged, so a
+finished run directory is stable and fully determines its report: a no-op
+rerun hashes its inputs and reads report.json back.
 
-Within one Runner, a stage hands the objects it wrote to the stages after it,
-tagged with the sha256 of the written bytes; a later stage uses them only
-while the file on disk still has that hash, and parses the file otherwise.
-On the same terms the sample stage copies the chosen record lines out of
-corpus.jsonl rather than serializing them again.
+Within one Runner, a stage hands the objects it wrote or parsed to the stages
+after it, tagged with the sha256 of their bytes; a later stage uses them only
+while that is the sha256 it just took of the file, and parses the file
+otherwise. On the same terms the sample stage copies the chosen record lines
+out of corpus.jsonl rather than serializing them again.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from pathlib import Path
 import yaml
 
 from . import stage1, stage2, stage3
-from .config import PipelineConfig
+from .config import PipelineConfig, criteria_budgets, filter_criteria
 from .corpus import (
     Corpus,
     copy_spans,
@@ -39,10 +40,11 @@ from .corpus import (
     import_dump,
     load_gold,
     merge_corpora,
+    read_lines,
     sample_balanced,
     write_jsonl,
 )
-from .errors import FaultloomError, MissingArtifactError, StageError
+from .errors import ConfigError, FaultloomError, MissingArtifactError, StageError
 from .evaluation import (
     EvalReport,
     RunMeta,
@@ -51,7 +53,7 @@ from .evaluation import (
 )
 from .gateway import Gateway, Provider, RateLimiter, Transcript
 from .ingest import IssueFetcher, PageCache
-from .taxonomy import Taxonomy, load_taxonomy
+from .taxonomy import load_taxonomy
 
 logger = logging.getLogger(__name__)
 
@@ -68,29 +70,17 @@ ARTIFACTS = {
 _CHUNK = 1 << 20
 
 
-def _feed(hasher, path: Path):
-    """`hasher` updated with the bytes of `path`, read in chunks into one
-    reused buffer."""
-    buffer = bytearray(_CHUNK)
+def _hash_file(path: Path | None) -> str | None:
+    """sha256 of the file at `path`, read in chunks into one reused buffer;
+    None when no file is configured."""
+    if path is None:
+        return None
+    hasher, buffer = hashlib.sha256(), bytearray(_CHUNK)
     view = memoryview(buffer)
     with open(path, "rb", buffering=0) as fh:
         while size := fh.readinto(buffer):
             hasher.update(view[:size])
-    return hasher
-
-
-def _hash_file(path: Path | None) -> str | None:
-    """sha256 of the file at `path`; None when no file is configured."""
-    return None if path is None else _feed(hashlib.sha256(), path).hexdigest()
-
-
-def _input_hash(head: bytes, paths=()) -> str:
-    """A stage's input hash: sha256 over `head` and the bytes of each file in
-    `paths`, each part followed by a NUL."""
-    combined = hashlib.sha256(head + b"\x00")
-    for path in paths:
-        _feed(combined, path).update(b"\x00")
-    return combined.hexdigest()
+    return hasher.hexdigest()
 
 
 def _canonical(obj) -> bytes:
@@ -123,15 +113,26 @@ class Manifest:
 # from the manifest entries of all but the last.
 RUN_ORDER = ("corpus", "sample", "filter", "classify", "evaluate")
 
+# The inputs of the evaluate stage, which the report reads.
+REPORT_INPUTS = ("gold", "symptom_taxonomy", "root_cause_taxonomy", "filter", "classify")
 
-def _reader(kind):
-    """A parser of a line-delimited artifact into a list of `kind` records."""
 
-    def read(path: Path) -> list:
-        with open(path, "r", encoding="utf-8") as fh:
-            return [kind.from_dict(json.loads(line)) for line in fh if line.strip()]
-
-    return read
+# The parser of each input a stage may declare, by name; a dump is named
+# "dump" and its index. Each looks its loader up as a global at call time,
+# so that a loader patched on this module is the one called.
+_PARSERS = {
+    "dump": lambda path: import_dump(path),
+    "corpus": lambda path: import_dump(path),
+    "sample": lambda path: import_dump(path),
+    "filter": lambda path: [d for _, d in read_lines(path, stage2.FilterDecision)],
+    "classify": lambda path: [l for _, l in read_lines(path, stage3.FaultLabel)],
+    "gold": lambda path: load_gold(path),
+    "symptom_taxonomy": lambda path: load_taxonomy(path),
+    "root_cause_taxonomy": lambda path: load_taxonomy(path),
+    "criteria": lambda path: yaml.safe_load(path.read_text(encoding="utf-8")) or {},
+    "vocabulary": lambda path: stage2.load_vocabulary(path),
+    "reference_projects": lambda path: stage1.load_reference_projects(path),
+}
 
 
 @dataclass
@@ -148,7 +149,9 @@ class Runner:
         self.manifest = Manifest(self.out / "manifest.json")
         # Parsed artifacts and inputs of this run by name, each with the
         # sha256 of the bytes it was written as or parsed from.
-        self._held: dict[str, tuple[str, object]] = {}
+        self._held: dict[str, tuple[str | None, object]] = {}
+        # The inputs of the running stage: name -> (path, sha256).
+        self._inputs: dict[str, tuple[Path | None, str | None]] | None = None
         self._snapshotted = False
 
     # --- shared plumbing ---------------------------------------------------
@@ -156,30 +159,44 @@ class Runner:
     def artifact(self, stage: str) -> Path:
         return self.out / ARTIFACTS[stage]
 
-    def require_artifact(self, stage: str, needed_by: str) -> Path:
-        path = self.artifact(stage)
-        if not path.exists():
-            raise MissingArtifactError(str(path), needed_by)
-        return path
+    def _files(self, *names: str) -> dict:
+        """Input name -> file: a stage's artifact, else the configured `<name>_file`."""
+        return {n: self.artifact(n) if n in ARTIFACTS else getattr(self.config, f"{n}_file") for n in names}
 
-    def _parsed(self, name: str, path: Path, parse):
-        """`parse(path)`, or the object held under `name` when it came from
-        bytes with the same sha256 as the file now on disk. Holds what it
-        returns."""
-        digest = _hash_file(path)
+    @contextlib.contextmanager
+    def _declared(self, inputs: dict, needed_by: str):
+        """Hash each file of `inputs` (name -> path, None when not
+        configured) once, and let `_read` parse them while the block runs.
+        Yields the sha256 of each by name."""
+        digests = {}
+        for name, path in inputs.items():
+            try:
+                digests[name] = _hash_file(path)
+            except FileNotFoundError:
+                if name in ARTIFACTS:
+                    raise MissingArtifactError(str(path), needed_by) from None
+                raise ConfigError(f"referenced file does not exist: {path}") from None
+        self._inputs = {name: (path, digests[name]) for name, path in inputs.items()}
+        try:
+            yield digests
+        finally:
+            self._inputs = None
+
+    def _read(self, name: str):
+        """The declared input `name` of the running stage, parsed: the object
+        held under `name` while its sha256 is the one the stage took, else
+        parsed from the file and held. An unconfigured criteria file reads as
+        no settings."""
+        if self._inputs is None or name not in self._inputs:
+            raise KeyError(f"{name!r} is not an input the running stage declared")
+        path, digest = self._inputs[name]
         held = self._held.get(name)
         if held is None or held[0] != digest:
-            held = self._held[name] = (digest, parse(path))
+            if path is None and name != "criteria":
+                raise ConfigError(f"no {name} file configured")
+            parsed = _PARSERS[name.rstrip("0123456789")](path) if path else {}
+            held = self._held[name] = (digest, parsed)
         return held[1]
-
-    def _gold(self) -> dict:
-        return self._parsed("gold", self.config.gold_file, load_gold)
-
-    def _taxonomies(self) -> tuple[Taxonomy, Taxonomy]:
-        return (
-            self._parsed("symptom_taxonomy", self.config.symptom_taxonomy_file, load_taxonomy),
-            self._parsed("root_cause_taxonomy", self.config.root_cause_taxonomy_file, load_taxonomy),
-        )
 
     def _get_gateway(self) -> Gateway:
         if self.gateway is None:
@@ -208,8 +225,7 @@ class Runner:
         """Hold `run.lock` in the run directory while the block runs, so that
         no two commands write the run directory at once. The lock names its
         owner's pid, host and start time; a lock whose owner was on this host
-        and is gone is broken with a warning. The transcript is closed before
-        the lock is released."""
+        and is gone is broken with a warning."""
         lock = self.out / "run.lock"
         if _orphaned(lock):
             # Not atomic: two commands that find the same orphaned lock at
@@ -226,7 +242,6 @@ class Runner:
                 json.dump({"pid": os.getpid(), "host": os.uname().nodename, "started": started}, fh)
             yield
         finally:
-            self.close()
             lock.unlink(missing_ok=True)
 
     def snapshot_config(self) -> None:
@@ -247,22 +262,29 @@ class Runner:
             yaml.safe_dump(payload, sort_keys=True), encoding="utf-8"
         )
 
-    def _stage(self, name: str, key, upstream, body) -> Path:
+    def _stage(self, name: str, key, inputs: dict, body) -> Path:
         """Run one stage and return its artifact path.
 
-        The stage's input hash covers `key` and the bytes of the `upstream`
-        files. When the manifest records that hash and the artifact exists,
-        the stage is skipped. Otherwise `body()` writes the artifact and may
-        return extra manifest meta, and the manifest records the hash, the
-        time and the model calls of the stage."""
-        input_hash = _input_hash(_canonical(key), upstream)
+        `inputs` names every file the body reads (name -> path, None when not
+        configured); the body reads them only through `_read`. The stage's
+        input hash covers `key` and the sha256 of each input. When the
+        manifest records that hash and the artifact exists, the stage is
+        skipped. Otherwise `body()` writes the artifact and may return extra
+        manifest meta, and the manifest records the hash, the time and the
+        model calls of the stage. The transcript is closed when the body
+        ends."""
         path = self.artifact(name)
-        if self.manifest.stage(name).get("input_hash") == input_hash and path.exists():
-            logger.info("%s: unchanged, skipping", name)
-            return path
-        self.snapshot_config()
-        started, before = time.monotonic(), self._usage()
-        extra = body()
+        with self._declared(inputs, name) as digests:
+            input_hash = hashlib.sha256(_canonical({"key": key, "inputs": digests})).hexdigest()
+            if self.manifest.stage(name).get("input_hash") == input_hash and path.exists():
+                logger.info("%s: unchanged, skipping", name)
+                return path
+            self.snapshot_config()
+            started, before = time.monotonic(), self._usage()
+            try:
+                extra = body()
+            finally:
+                self.close()
         per_model = {}
         for model, tally in self._usage().items():
             prior = before.get(model, {})
@@ -280,18 +302,21 @@ class Runner:
 
     # --- stages ------------------------------------------------------------
     #
-    # Each stage names its key, its upstream files and its body; `_stage`
-    # decides whether to skip before the body parses anything. Upstream
-    # artifacts come from `_parsed`, so within one run each is parsed at most
-    # once, and not at all when the stage that wrote it handed over the
+    # Each stage names its key, its input files and its body; `_stage`
+    # decides whether to skip before the body parses anything. Inputs come
+    # from `_read`, so within one run each is parsed at most once, and an
+    # artifact not at all when the stage that wrote it handed over the
     # parsed object. The docstrings are the CLI's help texts.
 
     def run_corpus(self) -> Path:
         """Import the dumps and fetch the repos into the corpus artifact."""
         config = self.config
+        dumps = {f"dump{i}": path for i, path in enumerate(config.dumps)}
 
         def body():
-            parts = [import_dump(p) for p in config.dumps]
+            parts = [self._read(name) for name in dumps]
+            for name in dumps:  # no later stage reads a dump
+                del self._held[name]
             if config.repos:
                 cache = PageCache(config.cache_dir) if config.cache_dir else None
                 fetcher = IssueFetcher(cache=cache)
@@ -304,31 +329,31 @@ class Runner:
             return {"records": len(corpus)}
 
         key = {"dumps": [str(p) for p in config.dumps], "repos": config.repos}
-        return self._stage("corpus", key, config.dumps, body)
+        return self._stage("corpus", key, dumps, body)
 
     def run_sample(self) -> Path:
         """Draw the balanced evaluation sample from the corpus."""
-        upstream = self.require_artifact("corpus", "sample")
         sampling = self.config.sampling
+        inputs = self._files("corpus", *(["gold"] if sampling else []))
 
         def body():
-            corpus = self._parsed("corpus", upstream, import_dump)
+            corpus = self._read("corpus")
             # No later stage reads the full corpus. The record spans kept by
             # the corpus stage hold while the file is the one it wrote.
             digest = self._held.pop("corpus")[0]
             written, spans = self._held.pop("corpus_spans", (None, None))
             sample = corpus
             if sampling is not None:
-                sample = sample_balanced(corpus, self._gold(), sampling.n_pos, sampling.n_neg, sampling.seed)
+                sample = sample_balanced(corpus, self._read("gold"), sampling.n_pos, sampling.n_neg, sampling.seed)
             path = self.artifact("sample")
             if written == digest:
                 at = dict(zip(corpus.keys(), spans))
-                digest = copy_spans(upstream, path, (at[key] for key in sample.keys()))
+                digest = copy_spans(inputs["corpus"], path, (at[key] for key in sample.keys()))
             else:
                 digest = export_dump(sample, path)
             self._held["sample"] = (digest, sample)
 
-        return self._stage("sample", asdict(sampling) if sampling else None, [upstream], body)
+        return self._stage("sample", asdict(sampling) if sampling else None, inputs, body)
 
     def run_define(self) -> Path:
         """Run research definition: elicit and score a study plan."""
@@ -341,94 +366,76 @@ class Runner:
             plan = stage1.propose_study(theme, self._get_gateway(), self.config.model_id)
             payload = {"plan": plan.to_dict()}
             if self.config.reference_projects_file is not None:
-                reference = stage1.load_reference_projects(self.config.reference_projects_file)
-                payload["score"] = stage1.score_plan(plan, reference).to_dict()
+                payload["score"] = stage1.score_plan(plan, self._read("reference_projects")).to_dict()
             self.artifact("define").write_text(
                 json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
             )
 
-        key = {
-            "theme": theme.description,
-            "constraints": theme.constraints,
-            "model": self.config.model_id,
-            "reference": _hash_file(self.config.reference_projects_file),
-        }
-        return self._stage("define", key, [], body)
+        key = {"theme": theme.description, "constraints": theme.constraints, "model": self.config.model_id}
+        return self._stage("define", key, self._files("reference_projects"), body)
 
     def run_filter(self) -> Path:
         """Run fault-related issue filtering over the sample."""
-        upstream = self.require_artifact("sample", "filter")
+        inputs = self._files("sample", "criteria", "vocabulary")
 
         def body():
-            criteria = self.config.load_criteria()
-            sample = self._parsed("sample", upstream, import_dump)
+            criteria = filter_criteria(self._read("criteria"), self._read("vocabulary"))
             decisions = stage2.run_stage2(
-                sample, criteria, self._get_gateway(), self.config.model_id,
+                self._read("sample"), criteria, self._get_gateway(), self.config.model_id,
                 parallelism=self.config.parallelism,
             )
             digest = write_jsonl(self.artifact("filter"), (d.to_dict() for d in decisions))
             self._held["filter"] = (digest, decisions)
             return {"decisions": len(decisions), "positives": sum(1 for d in decisions if d.final)}
 
-        key = {
-            "vocabulary": _hash_file(self.config.vocabulary_file),
-            "criteria": _hash_file(self.config.criteria_file),
-            "model": self.config.model_id,
-        }
-        return self._stage("filter", key, [upstream], body)
+        return self._stage("filter", {"model": self.config.model_id}, inputs, body)
 
     def run_classify(self) -> Path:
         """Run taxonomy-anchored symptom/root-cause classification."""
-        upstream = [self.require_artifact("sample", "classify")]
-        if self.config.stage3_input == "filtered":
-            upstream.append(self.require_artifact("filter", "classify"))
+        config = self.config
+        # Gold picks the issues in gold mode, the filter's decisions otherwise.
+        picks = "gold" if config.stage3_input == "gold" else "filter"
+        inputs = self._files("sample", "criteria", "symptom_taxonomy", "root_cause_taxonomy", picks)
 
         def body():
-            sample = self._parsed("sample", upstream[0], import_dump)
-            if self.config.stage3_input == "gold":
+            sample = self._read("sample")
+            if picks == "gold":
                 keep = {
-                    k for k, g in self._gold().items()
+                    k for k, g in self._read("gold").items()
                     if g.symptom_leaf is not None or g.root_cause is not None
                 }
             else:
-                decisions = self._parsed("filter", upstream[1], _reader(stage2.FilterDecision))
-                keep = {d.key for d in decisions if d.final}
+                keep = {d.key for d in self._read("filter") if d.final}
             issues = Corpus(records=[r for r in sample if r.key in keep], source=sample.source)
-            symptoms, root_causes = self._taxonomies()
             labels = stage3.run_stage3(
-                issues, symptoms, root_causes, self._get_gateway(), self.config.model_id,
-                parallelism=self.config.parallelism,
-                **self.config.prompt_budgets(),
+                issues, self._read("symptom_taxonomy"), self._read("root_cause_taxonomy"),
+                self._get_gateway(), config.model_id, parallelism=config.parallelism,
+                **criteria_budgets(self._read("criteria")),
             )
             digest = write_jsonl(self.artifact("classify"), (l.to_dict() for l in labels))
             self._held["classify"] = (digest, labels)
             return {"labels": len(labels), "invalid": sum(1 for l in labels if not l.valid)}
 
-        key = {
-            "model": self.config.model_id,
-            "stage3_input": self.config.stage3_input,
-            "criteria": _hash_file(self.config.criteria_file),
-            "symptom_taxonomy": _hash_file(self.config.symptom_taxonomy_file),
-            "root_cause_taxonomy": _hash_file(self.config.root_cause_taxonomy_file),
-        }
-        return self._stage("classify", key, upstream, body)
+        key = {"model": config.model_id, "stage3_input": config.stage3_input}
+        return self._stage("classify", key, inputs, body)
 
     # --- evaluation and report ---------------------------------------------
 
     def build_report(self) -> EvalReport:
-        gold = self._gold()
-        symptoms, root_causes = self._taxonomies()
+        """Score the decisions and labels against gold. Outside the evaluate
+        stage it declares the evaluate stage's inputs itself."""
+        with contextlib.nullcontext() if self._inputs else self._declared(self._files(*REPORT_INPUTS), "report"):
+            gold, decisions, labels = self._read("gold"), self._read("filter"), self._read("classify")
+            symptoms, root_causes = self._read("symptom_taxonomy"), self._read("root_cause_taxonomy")
         notes: list[str] = []
         meta = RunMeta()
 
-        decisions = self._parsed("filter", self.require_artifact("filter", "evaluate"), _reader(stage2.FilterDecision))
         scorable = [d for d in decisions if (g := gold.get(d.key)) and g.fault_related is not None]
         meta.unscored += len(decisions) - len(scorable)
         stage2_scores = score_stage2(scorable, gold) if scorable else None
         if stage2_scores is None:
             notes.append("stage2: no gold-covered decisions to score")
 
-        labels = self._parsed("classify", self.require_artifact("classify", "evaluate"), _reader(stage3.FaultLabel))
         symptom_labels = [
             l for l in labels if (g := gold.get(l.key)) and g.symptom_leaf is not None
         ]
@@ -471,21 +478,15 @@ class Runner:
     def run_evaluate(self) -> Path:
         """Score stage outputs against gold labels and write the report."""
         self.report = None
-        upstream = [self.require_artifact(needed, "evaluate") for needed in ("filter", "classify")]
 
         def body():
             self.report = self.build_report()
             self.write_report(self.report)
 
-        # The report reads gold, both taxonomies, the two artifacts and the
-        # upstream manifest entries, so a skip means report.json is current.
-        key = {
-            "gold": _hash_file(self.config.gold_file),
-            "symptom_taxonomy": _hash_file(self.config.symptom_taxonomy_file),
-            "root_cause_taxonomy": _hash_file(self.config.root_cause_taxonomy_file),
-            "stages": {name: self.manifest.stage(name) for name in RUN_ORDER[:-1]},
-        }
-        return self._stage("evaluate", key, upstream, body)
+        # The report also reads the upstream manifest entries, so a skip
+        # means report.json is current.
+        key = {"stages": {name: self.manifest.stage(name) for name in RUN_ORDER[:-1]}}
+        return self._stage("evaluate", key, self._files(*REPORT_INPUTS), body)
 
     def write_report(self, report: EvalReport) -> None:
         self.artifact("evaluate").write_text(

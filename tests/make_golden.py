@@ -159,9 +159,11 @@ def record_transcript() -> None:
     oracle = OracleProvider(gold, symptoms, root_causes, plan=PLAN)
 
     with tempfile.TemporaryDirectory() as tmp:
+        # One call at a time, so that the transcript lines come in the same
+        # order on every regeneration.
         config = load_config(
             GOLDEN / "config.yaml",
-            overrides={"mode": "record", "out": tmp},
+            overrides={"mode": "record", "out": tmp, "parallelism": 1},
         )
         runner = Runner(config, provider=oracle)
         runner.run_pipeline()

@@ -84,6 +84,8 @@ def test_import_dump_rejects_timestamp_violation(tmp_path):
         {"created_at": 5},
         {"number": float("inf")},
         {"repo": None},
+        {"is_pull_request": "false"},
+        {"labels": [{"name": "bug"}]},
     ],
     ids=str,
 )

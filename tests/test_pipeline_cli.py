@@ -14,7 +14,7 @@ from click.testing import CliRunner
 
 from faultloom import pipeline
 from faultloom.cli import main
-from faultloom.config import load_config
+from faultloom.config import load_config, packaged_data_path
 from faultloom.corpus import Corpus, IssueRecord, export_dump, import_dump, load_gold, sample_balanced
 from faultloom.errors import ConfigError, MissingArtifactError
 from faultloom.pipeline import ARTIFACTS, RUN_ORDER, Manifest, Runner
@@ -300,6 +300,7 @@ def test_cold_run_parses_each_input_once_and_noop_rerun_only_reads_report(tmp_pa
     assert counts["import_dump"] == len(config.dumps)
     assert counts["load_gold"] == 1
     assert counts["load_taxonomy"] == 2
+    assert counts["safe_load"] == 4  # the config, the criteria and both taxonomies
     assert counts["build_report"] == 1
 
     rerun = Runner(_config(tmp_path))
@@ -319,6 +320,24 @@ class _PromptRecorder:
         return self.inner.send(request)
 
 
+def _rerun_after_edit(tmp_path, caplog, provider, edited, line, overrides=None):
+    """Run the pipeline on a copy of the golden fixtures (with a copy of the
+    packaged symptom taxonomy beside them), append `line` to the file
+    `edited` of the copy and run again; return the stages that ran again."""
+    golden = shutil.copytree(GOLDEN, tmp_path / "golden")
+    shutil.copy(packaged_data_path("symptom_taxonomy.yaml"), golden)
+    overrides = {"mode": "record", "transcript": str(tmp_path / "t.jsonl"), **(overrides or {})}
+    Runner(load_config(golden / "config.yaml", overrides), provider=provider).run_pipeline()
+
+    with open(golden / edited, "a", encoding="utf-8") as fh:
+        fh.write(line)
+    provider.prompts.clear()
+    with caplog.at_level(logging.INFO, logger="faultloom.pipeline"):
+        Runner(load_config(golden / "config.yaml", overrides), provider=provider).run_pipeline()
+    stages = ("corpus", "sample", "filter", "classify")
+    return [s for s in stages if f"{s}: unchanged, skipping" not in caplog.text]
+
+
 @pytest.mark.parametrize(
     "edited, line, reran",
     [
@@ -329,22 +348,77 @@ class _PromptRecorder:
 def test_edited_criteria_or_vocabulary_reruns_the_stages_that_read_it(
     tmp_path, caplog, symptoms, root_causes, edited, line, reran
 ):
-    golden = shutil.copytree(GOLDEN, tmp_path / "golden")
-    overrides = {"mode": "record", "transcript": str(tmp_path / "t.jsonl")}
-    provider = _PromptRecorder(OracleProvider(load_gold(golden / "gold.csv"), symptoms, root_causes))
-    Runner(load_config(golden / "config.yaml", overrides), provider=provider).run_pipeline()
-
-    with open(golden / edited, "a", encoding="utf-8") as fh:
-        fh.write(line)
-    provider.prompts.clear()
-    with caplog.at_level(logging.INFO, logger="faultloom.pipeline"):
-        Runner(load_config(golden / "config.yaml", overrides), provider=provider).run_pipeline()
-    stages = ("corpus", "sample", "filter", "classify")
-    assert [s for s in stages if f"{s}: unchanged, skipping" not in caplog.text] == reran
+    provider = _PromptRecorder(OracleProvider(load_gold(GOLDEN / "gold.csv"), symptoms, root_causes))
+    assert _rerun_after_edit(tmp_path, caplog, provider, edited, line) == reran
     if "classify" in reran:  # the new budget reaches both kinds of prompt
         truncated = [p for p in provider.prompts if "more comment(s) truncated]" in p]
         assert any('"fault_related"' in p for p in truncated)
         assert any('"symptom"' in p for p in truncated)
+
+
+@pytest.mark.parametrize(
+    "edited, overrides, line, reran",
+    [
+        ("corpus.jsonl", {}, "\n", ["corpus"]),
+        ("gold.csv", {}, "\n", ["sample"]),
+        ("gold.csv", {"stage3_input": "gold"}, "\n", ["sample", "classify"]),
+        ("symptom_taxonomy.yaml", {"symptom_taxonomy": "symptom_taxonomy.yaml"}, "# reviewed\n", ["classify"]),
+    ],
+    ids=["dump", "gold", "gold-in-gold-mode", "symptom-taxonomy"],
+)
+def test_edited_dump_gold_or_taxonomy_reruns_the_stages_that_read_it(
+    tmp_path, caplog, symptoms, root_causes, edited, overrides, line, reran
+):
+    provider = _PromptRecorder(OracleProvider(load_gold(GOLDEN / "gold.csv"), symptoms, root_causes))
+    assert _rerun_after_edit(tmp_path, caplog, provider, edited, line, overrides) == reran
+
+
+def test_cold_run_hashes_each_file_once_per_stage_that_reads_it(tmp_path, monkeypatch):
+    hashed: Counter = Counter()
+    hash_file = pipeline._hash_file
+
+    def counted(path):
+        hashed[path] += 1
+        return hash_file(path)
+
+    monkeypatch.setattr(pipeline, "_hash_file", counted)
+    config = _config(tmp_path)
+    runner = Runner(config)
+    runner.run_pipeline()
+    artifacts = {name: runner.artifact(name) for name in ("corpus", "sample", "filter", "classify")}
+    assert hashed == {
+        config.dumps[0]: 1,  # corpus
+        artifacts["corpus"]: 1,  # sample
+        config.gold_file: 2,  # sample, evaluate
+        artifacts["sample"]: 2,  # filter, classify
+        config.criteria_file: 2,  # filter, classify
+        config.vocabulary_file: 1,  # filter
+        artifacts["filter"]: 2,  # classify, evaluate
+        config.symptom_taxonomy_file: 2,  # classify, evaluate
+        config.root_cause_taxonomy_file: 2,  # classify, evaluate
+        artifacts["classify"]: 1,  # evaluate
+    }
+
+
+def test_a_stage_body_cannot_read_an_input_it_did_not_declare(tmp_path):
+    runner = Runner(_config(tmp_path))
+    with pytest.raises(KeyError, match="gold"):
+        runner._stage("define", {}, runner._files("reference_projects"), lambda: runner._read("gold"))
+    assert not runner.artifact("define").exists()
+    assert runner.manifest.stage("define") == {}
+
+
+def test_report_names_the_line_of_an_unreadable_artifact(tmp_path):
+    out = tmp_path / "run"
+    args = ["--config", str(GOLDEN / "config.yaml"), "--out", str(out)]
+    assert CliRunner().invoke(main, ["run", *args]).exit_code == 0
+    decisions = out / "decisions.jsonl"
+    lines = decisions.read_text().splitlines(keepends=True)
+    lines[1] = json.dumps({**json.loads(lines[1]), "trace": 5}) + "\n"
+    decisions.write_text("".join(lines))
+    result = CliRunner().invoke(main, ["report", *args])
+    assert result.exit_code == 1
+    assert f"{decisions} line 2: expected an array, not int" in result.stderr
 
 
 def test_artifact_edited_between_stages_is_parsed_from_disk(tmp_path, monkeypatch):
@@ -440,7 +514,9 @@ def test_cold_run_serializes_each_corpus_record_once(tmp_path, monkeypatch):
     assert set(calls.values()) == {1}
 
 
-def test_run_pipeline_leaves_no_file_open(tmp_path):
+def _leaves_no_file_open(tmp_path, calls: str):
+    """Run `calls` on a record-mode Runner of the golden config, in a Python
+    that turns a ResourceWarning into an error, then collect the Runner."""
     script = f"""
 import gc
 from faultloom.config import load_config, packaged_data_path
@@ -453,7 +529,7 @@ taxonomies = [load_taxonomy(packaged_data_path(f"{{n}}_taxonomy.yaml")) for n in
 config = load_config({str(GOLDEN / "config.yaml")!r}, overrides={{
     "out": {str(tmp_path / "run")!r}, "mode": "record", "transcript": {str(tmp_path / "t.jsonl")!r}}})
 runner = Runner(config, provider=OracleProvider(load_gold({str(GOLDEN / "gold.csv")!r}), *taxonomies))
-runner.run_pipeline()
+{calls}
 del runner
 gc.collect()
 """
@@ -466,6 +542,14 @@ gc.collect()
     assert result.returncode == 0, result.stderr
     assert "ResourceWarning" not in result.stderr, result.stderr
     assert (tmp_path / "t.jsonl").stat().st_size > 0
+
+
+def test_run_pipeline_leaves_no_file_open(tmp_path):
+    _leaves_no_file_open(tmp_path, "runner.run_pipeline()")
+
+
+def test_direct_stage_calls_leave_no_file_open(tmp_path):
+    _leaves_no_file_open(tmp_path, "runner.run_corpus(); runner.run_sample(); runner.run_filter()")
 
 
 def test_killed_record_run_resumes_without_paying_again(tmp_path, symptoms, root_causes):
