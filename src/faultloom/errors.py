@@ -200,6 +200,10 @@ class ConfigError(FaultloomError):
     pass
 
 
+class ManifestError(FaultloomError):
+    pass
+
+
 class MissingArtifactError(FaultloomError):
     def __init__(self, path: str, needed_by: str):
         super().__init__(

@@ -284,7 +284,7 @@ class Gateway:
         self.max_attempts = max_attempts
         self.limiter = limiter or RateLimiter()
         self.sleep = sleep
-        self.rng = rng or random.Random()
+        self.rng = rng  # None: each backoff's jitter is seeded by the request and the attempt
         self._usage_lock = threading.Lock()
         self.usage: dict[str, UsageTally] = {}
 
@@ -328,7 +328,8 @@ class Gateway:
                 last_error = exc
                 logger.warning("transient provider failure (attempt %d): %s", attempt, exc)
                 if attempt < self.max_attempts:
-                    self.sleep(delay + self.rng.uniform(0, delay / 2))
+                    rng = self.rng or random.Random(f"{digest}/{attempt}")
+                    self.sleep(delay + rng.uniform(0, delay / 2))
                     delay *= 2
         raise RetriesExhaustedError(self.max_attempts, last_error)
 

@@ -3,10 +3,16 @@ content-hash resumability, and report emission.
 
 Each stage writes a line-delimited artifact into the run directory before the
 next stage starts. Each stage declares the files it reads, config files and
-upstream artifacts alike, and is skipped on rerun when its recorded input hash
-(its config key + the sha256 of each declared file) is unchanged, so a
-finished run directory is stable and fully determines its report: a no-op
-rerun hashes its inputs and reads report.json back.
+upstream artifacts alike, and records in the manifest its input hash (its
+config key + the sha256 of each declared file) and the sha256 its artifact was
+written with. On rerun it is skipped when the input hash is unchanged and the
+artifact still has that sha256, so a finished run directory is stable and
+fully determines its report: a no-op rerun hashes its inputs and artifacts and
+reads report.json back.
+
+Within one command (a `Runner.locked()` block) each file is hashed at most
+once: a stage takes the sha256 of the artifact it writes from the writer, and
+the sha256 taken to check an artifact serves the stages that read it.
 
 Within one Runner, a stage hands the objects it wrote or parsed to the stages
 after it, tagged with the sha256 of their bytes; a later stage uses them only
@@ -44,7 +50,7 @@ from .corpus import (
     sample_balanced,
     write_jsonl,
 )
-from .errors import ConfigError, FaultloomError, MissingArtifactError, StageError
+from .errors import ConfigError, FaultloomError, ManifestError, MissingArtifactError, StageError
 from .evaluation import (
     EvalReport,
     RunMeta,
@@ -94,18 +100,25 @@ class Manifest:
         self.path = path
         self.data: dict = {"stages": {}}
         if path.exists():
-            self.data = json.loads(path.read_text(encoding="utf-8"))
+            try:
+                self.data = json.loads(path.read_text(encoding="utf-8"))
+            except ValueError as exc:
+                raise ManifestError(f"unreadable manifest {path}: {exc}") from exc
+            if not isinstance(self.data, dict) or not isinstance(self.data.get("stages"), dict):
+                raise ManifestError(f"unreadable manifest {path}: no stages object")
 
     def save(self) -> None:
-        self.path.write_text(
-            json.dumps(self.data, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        """Write the manifest through a temp file in the same directory, so a
+        killed write leaves the previous manifest in place."""
+        tmp = self.path.with_name(self.path.name + ".tmp")
+        tmp.write_text(json.dumps(self.data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        os.replace(tmp, self.path)
 
     def stage(self, name: str) -> dict:
         return self.data["stages"].get(name, {})
 
-    def set_stage(self, name: str, input_hash: str, meta: dict) -> None:
-        self.data["stages"][name] = {"input_hash": input_hash, "meta": meta}
+    def set_stage(self, name: str, input_hash: str, output: str, meta: dict) -> None:
+        self.data["stages"][name] = {"input_hash": input_hash, "output": output, "meta": meta}
         self.save()
 
 
@@ -152,6 +165,9 @@ class Runner:
         self._held: dict[str, tuple[str | None, object]] = {}
         # The inputs of the running stage: name -> (path, sha256).
         self._inputs: dict[str, tuple[Path | None, str | None]] | None = None
+        # The sha256 of each file hashed or written by the running command;
+        # None outside `locked()`, where every declared file is hashed anew.
+        self._digests: dict[Path, str] | None = None
         self._snapshotted = False
 
     # --- shared plumbing ---------------------------------------------------
@@ -163,6 +179,14 @@ class Runner:
         """Input name -> file: a stage's artifact, else the configured `<name>_file`."""
         return {n: self.artifact(n) if n in ARTIFACTS else getattr(self.config, f"{n}_file") for n in names}
 
+    def _digest(self, path: Path | None) -> str | None:
+        """sha256 of the file at `path`, taken at most once per command."""
+        if self._digests is None or path is None:
+            return _hash_file(path)
+        if path not in self._digests:
+            self._digests[path] = _hash_file(path)
+        return self._digests[path]
+
     @contextlib.contextmanager
     def _declared(self, inputs: dict, needed_by: str):
         """Hash each file of `inputs` (name -> path, None when not
@@ -171,7 +195,7 @@ class Runner:
         digests = {}
         for name, path in inputs.items():
             try:
-                digests[name] = _hash_file(path)
+                digests[name] = self._digest(path)
             except FileNotFoundError:
                 if name in ARTIFACTS:
                     raise MissingArtifactError(str(path), needed_by) from None
@@ -240,8 +264,10 @@ class Runner:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 started = format_timestamp(datetime.now(timezone.utc))
                 json.dump({"pid": os.getpid(), "host": os.uname().nodename, "started": started}, fh)
+            self._digests = {}
             yield
         finally:
+            self._digests = None
             lock.unlink(missing_ok=True)
 
     def snapshot_config(self) -> None:
@@ -268,23 +294,30 @@ class Runner:
         `inputs` names every file the body reads (name -> path, None when not
         configured); the body reads them only through `_read`. The stage's
         input hash covers `key` and the sha256 of each input. When the
-        manifest records that hash and the artifact exists, the stage is
-        skipped. Otherwise `body()` writes the artifact and may return extra
-        manifest meta, and the manifest records the hash, the time and the
+        manifest records that hash and the artifact still has the sha256
+        recorded as its output, the stage is skipped. Otherwise `body()`
+        writes the artifact and returns its sha256 and any extra manifest
+        meta, and the manifest records the hash, the output, the time and the
         model calls of the stage. The transcript is closed when the body
         ends."""
         path = self.artifact(name)
         with self._declared(inputs, name) as digests:
             input_hash = hashlib.sha256(_canonical({"key": key, "inputs": digests})).hexdigest()
-            if self.manifest.stage(name).get("input_hash") == input_hash and path.exists():
+            recorded = self.manifest.stage(name)
+            unchanged = recorded.get("input_hash") == input_hash and path.exists()
+            if unchanged and self._digest(path) == recorded.get("output"):
                 logger.info("%s: unchanged, skipping", name)
                 return path
+            if self._digests is not None:  # no digest of the artifact holds until the body returns
+                self._digests.pop(path, None)
             self.snapshot_config()
             started, before = time.monotonic(), self._usage()
             try:
-                extra = body()
+                output, extra = body()
             finally:
                 self.close()
+            if self._digests is not None:
+                self._digests[path] = output
         per_model = {}
         for model, tally in self._usage().items():
             prior = before.get(model, {})
@@ -295,9 +328,9 @@ class Runner:
             "duration_seconds": round(time.monotonic() - started, 3),
             "tokens": sum(t["input_tokens"] + t["output_tokens"] for t in per_model.values()),
             "per_model": per_model,
-            **(extra or {}),
+            **extra,
         }
-        self.manifest.set_stage(name, input_hash, meta)
+        self.manifest.set_stage(name, input_hash, output, meta)
         return path
 
     # --- stages ------------------------------------------------------------
@@ -306,7 +339,8 @@ class Runner:
     # decides whether to skip before the body parses anything. Inputs come
     # from `_read`, so within one run each is parsed at most once, and an
     # artifact not at all when the stage that wrote it handed over the
-    # parsed object. The docstrings are the CLI's help texts.
+    # parsed object. A body returns the sha256 of the artifact it wrote and
+    # its extra manifest meta. The docstrings are the CLI's help texts.
 
     def run_corpus(self) -> Path:
         """Import the dumps and fetch the repos into the corpus artifact."""
@@ -326,7 +360,7 @@ class Runner:
             digest = export_dump(corpus, self.artifact("corpus"), spans)
             self._held["corpus"] = (digest, corpus)
             self._held["corpus_spans"] = (digest, spans)  # each record's line
-            return {"records": len(corpus)}
+            return digest, {"records": len(corpus)}
 
         key = {"dumps": [str(p) for p in config.dumps], "repos": config.repos}
         return self._stage("corpus", key, dumps, body)
@@ -352,6 +386,7 @@ class Runner:
             else:
                 digest = export_dump(sample, path)
             self._held["sample"] = (digest, sample)
+            return digest, {}
 
         return self._stage("sample", asdict(sampling) if sampling else None, inputs, body)
 
@@ -367,9 +402,7 @@ class Runner:
             payload = {"plan": plan.to_dict()}
             if self.config.reference_projects_file is not None:
                 payload["score"] = stage1.score_plan(plan, self._read("reference_projects")).to_dict()
-            self.artifact("define").write_text(
-                json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-            )
+            return _write_json(self.artifact("define"), payload), {}
 
         key = {"theme": theme.description, "constraints": theme.constraints, "model": self.config.model_id}
         return self._stage("define", key, self._files("reference_projects"), body)
@@ -386,7 +419,7 @@ class Runner:
             )
             digest = write_jsonl(self.artifact("filter"), (d.to_dict() for d in decisions))
             self._held["filter"] = (digest, decisions)
-            return {"decisions": len(decisions), "positives": sum(1 for d in decisions if d.final)}
+            return digest, {"decisions": len(decisions), "positives": sum(1 for d in decisions if d.final)}
 
         return self._stage("filter", {"model": self.config.model_id}, inputs, body)
 
@@ -414,7 +447,7 @@ class Runner:
             )
             digest = write_jsonl(self.artifact("classify"), (l.to_dict() for l in labels))
             self._held["classify"] = (digest, labels)
-            return {"labels": len(labels), "invalid": sum(1 for l in labels if not l.valid)}
+            return digest, {"labels": len(labels), "invalid": sum(1 for l in labels if not l.valid)}
 
         key = {"model": config.model_id, "stage3_input": config.stage3_input}
         return self._stage("classify", key, inputs, body)
@@ -423,8 +456,11 @@ class Runner:
 
     def build_report(self) -> EvalReport:
         """Score the decisions and labels against gold. Outside the evaluate
-        stage it declares the evaluate stage's inputs itself."""
-        with contextlib.nullcontext() if self._inputs else self._declared(self._files(*REPORT_INPUTS), "report"):
+        stage it declares the evaluate stage's inputs itself, and the run's
+        wall time counts the evaluate stage's time up to its report as that
+        stage recorded it; the running evaluate stage adds its own."""
+        inside = self._inputs is not None
+        with contextlib.nullcontext() if inside else self._declared(self._files(*REPORT_INPUTS), "report"):
             gold, decisions, labels = self._read("gold"), self._read("filter"), self._read("classify")
             symptoms, root_causes = self._read("symptom_taxonomy"), self._read("root_cause_taxonomy")
         notes: list[str] = []
@@ -464,6 +500,9 @@ class Runner:
                 for key in agg:
                     agg[key] += tally.get(key, 0)
         meta.wall_time_seconds = round(durations, 3)
+        if not inside:
+            evaluate = self.manifest.stage("evaluate").get("meta", {})
+            meta.wall_time_seconds = round(meta.wall_time_seconds + evaluate.get("report_seconds", 0.0), 3)
         meta.total_tokens = tokens
         meta.per_model = per_model
 
@@ -480,19 +519,24 @@ class Runner:
         self.report = None
 
         def body():
-            self.report = self.build_report()
-            self.write_report(self.report)
+            started = time.monotonic()
+            report = self.build_report()
+            # The report counts this stage's time up to here; `report_seconds`
+            # lets a later `report` command count the same.
+            seconds = round(time.monotonic() - started, 3)
+            report.run_meta.wall_time_seconds = round(report.run_meta.wall_time_seconds + seconds, 3)
+            self.report = report
+            return self.write_report(report), {"report_seconds": seconds}
 
         # The report also reads the upstream manifest entries, so a skip
         # means report.json is current.
         key = {"stages": {name: self.manifest.stage(name) for name in RUN_ORDER[:-1]}}
         return self._stage("evaluate", key, self._files(*REPORT_INPUTS), body)
 
-    def write_report(self, report: EvalReport) -> None:
-        self.artifact("evaluate").write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+    def write_report(self, report: EvalReport) -> str:
+        """Write report.json, the tables and summary.md; return the sha256 of
+        report.json."""
+        digest = _write_json(self.artifact("evaluate"), report.to_dict())
         tables = self.out / "tables"
         tables.mkdir(exist_ok=True)
         for name, scores in (
@@ -511,6 +555,7 @@ class Runner:
                 for cls, row in zip(matrix.classes, matrix.counts):
                     writer.writerow([cls] + row)
         self._write_summary(report)
+        return digest
 
     def _write_summary(self, report: EvalReport) -> None:
         lines = ["# Run summary", ""]
@@ -564,6 +609,13 @@ class Runner:
             raw = json.loads(self.artifact("evaluate").read_text(encoding="utf-8"))
             self.report = EvalReport.from_dict(raw)
         return self.report
+
+
+def _write_json(path: Path, payload) -> str:
+    """Write `payload` as indented JSON; return the sha256 of the bytes written."""
+    data = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def _orphaned(lock: Path) -> bool:

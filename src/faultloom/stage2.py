@@ -105,12 +105,16 @@ def apply_deterministic(issue: IssueRecord, criteria: FilterCriteria) -> list[Cr
 
     # No term spans a newline and the lookarounds treat one like the edge of
     # a part, so one search of the joined text equals a search of each part.
-    # A term whose needle is absent from the folded text cannot match there.
+    # A term whose needle is absent from the folded text cannot match there,
+    # and none matches before the needle's first index: folding keeps every
+    # index (only U+0130 grows under lower(), and _FOLD maps it first), and
+    # the lookbehind still sees the characters before the search start.
     matched = ""
     text = "\n".join([issue.title, issue.body] + [c.body for c in issue.comments])
     folded = text.translate(_FOLD).lower()
     for term, needle, pattern in criteria.term_patterns:
-        if (needle is None or needle in folded) and pattern.search(text):
+        start = 0 if needle is None else folded.find(needle)
+        if start >= 0 and pattern.search(text, start):
             matched = term
             break
     trace.append(

@@ -75,6 +75,17 @@ def test_live_retries_then_succeeds():
     assert len(sleeps) == 2
 
 
+def test_backoff_jitter_is_the_same_for_the_same_request():
+    runs = []
+    for _ in range(2):
+        sleeps = []
+        Gateway(mode="live", provider=FlakyProvider(failures=3), sleep=sleeps.append).complete(REQ)
+        runs.append(sleeps)
+    assert runs[0] == runs[1]
+    for sleep, delay in zip(runs[0], (0.5, 1.0, 2.0), strict=True):
+        assert delay <= sleep <= 1.5 * delay
+
+
 def test_live_retries_exhausted():
     provider = FlakyProvider(failures=10)
     gateway = Gateway(mode="live", provider=provider, sleep=lambda s: None)

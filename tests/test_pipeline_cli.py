@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -373,7 +374,8 @@ def test_edited_dump_gold_or_taxonomy_reruns_the_stages_that_read_it(
     assert _rerun_after_edit(tmp_path, caplog, provider, edited, line, overrides) == reran
 
 
-def test_cold_run_hashes_each_file_once_per_stage_that_reads_it(tmp_path, monkeypatch):
+def _count_hashes(monkeypatch) -> Counter:
+    """Count the files `faultloom.pipeline` hashes, by path."""
     hashed: Counter = Counter()
     hash_file = pipeline._hash_file
 
@@ -382,22 +384,133 @@ def test_cold_run_hashes_each_file_once_per_stage_that_reads_it(tmp_path, monkey
         return hash_file(path)
 
     monkeypatch.setattr(pipeline, "_hash_file", counted)
+    return hashed
+
+
+def test_cold_run_hashes_only_the_dump_and_config_files_once_each(tmp_path, monkeypatch):
+    hashed = _count_hashes(monkeypatch)
+    config = _config(tmp_path)
+    Runner(config).run_pipeline()
+    # Each artifact's sha256 comes from its writer, so no artifact is read back.
+    assert hashed == {
+        path: 1 for path in (
+            config.dumps[0], config.gold_file, config.criteria_file, config.vocabulary_file,
+            config.symptom_taxonomy_file, config.root_cause_taxonomy_file,
+        )
+    }
+
+
+def test_noop_rerun_hashes_each_input_and_artifact_once(tmp_path, monkeypatch):
     config = _config(tmp_path)
     runner = Runner(config)
     runner.run_pipeline()
-    artifacts = {name: runner.artifact(name) for name in ("corpus", "sample", "filter", "classify")}
+    manifest = (runner.out / "manifest.json").read_bytes()
+    hashed = _count_hashes(monkeypatch)
+    Runner(_config(tmp_path)).run_pipeline()
     assert hashed == {
-        config.dumps[0]: 1,  # corpus
-        artifacts["corpus"]: 1,  # sample
-        config.gold_file: 2,  # sample, evaluate
-        artifacts["sample"]: 2,  # filter, classify
-        config.criteria_file: 2,  # filter, classify
-        config.vocabulary_file: 1,  # filter
-        artifacts["filter"]: 2,  # classify, evaluate
-        config.symptom_taxonomy_file: 2,  # classify, evaluate
-        config.root_cause_taxonomy_file: 2,  # classify, evaluate
-        artifacts["classify"]: 1,  # evaluate
+        path: 1 for path in (
+            config.dumps[0], config.gold_file, config.criteria_file, config.vocabulary_file,
+            config.symptom_taxonomy_file, config.root_cause_taxonomy_file,
+            *(runner.artifact(name) for name in RUN_ORDER),
+        )
     }
+    assert (runner.out / "manifest.json").read_bytes() == manifest
+
+
+def test_truncated_artifact_reruns_its_stage_from_the_transcript(tmp_path, monkeypatch):
+    guard = CountingProvider(ScriptedProvider([]))
+    runner = Runner(_config(tmp_path), provider=guard)
+    first = runner.run_pipeline()
+    labels = runner.artifact("classify")
+    whole = labels.read_bytes()
+    labels.write_bytes(b"".join(whole.splitlines(keepends=True)[:-1]))
+
+    ran = []
+    set_stage = Manifest.set_stage
+
+    def recorded(manifest, name, *rest):
+        ran.append(name)
+        return set_stage(manifest, name, *rest)
+
+    monkeypatch.setattr(Manifest, "set_stage", recorded)
+    again = Runner(_config(tmp_path), provider=guard).run_pipeline()
+    # Evaluate reruns too unless classify's manifest entry came out the same.
+    assert ran in (["classify"], ["classify", "evaluate"])
+    assert guard.calls == 0
+    assert labels.read_bytes() == whole
+    assert again.stage3_symptom.total == first.stage3_symptom.total
+    assert again.stage3_rootcause.total == first.stage3_rootcause.total
+
+
+def test_manifest_written_before_output_digests_reruns_each_stage_once(tmp_path, monkeypatch):
+    counts = _count_calls(monkeypatch)
+    guard = CountingProvider(ScriptedProvider([]))
+    runner = Runner(_config(tmp_path), provider=guard)
+    runner.run_pipeline()
+    artifacts = _snapshot(runner.out)
+    path = runner.out / "manifest.json"
+    manifest = json.loads(path.read_text())
+    for entry in manifest["stages"].values():
+        del entry["output"]
+    path.write_text(json.dumps(manifest))
+
+    counts.clear()
+    Runner(_config(tmp_path), provider=guard).run_pipeline()
+    assert counts["set_stage"] == len(RUN_ORDER)
+    counts.clear()
+    Runner(_config(tmp_path), provider=guard).run_pipeline()
+    assert counts["set_stage"] == 0
+    assert guard.calls == 0
+    rerun = _snapshot(runner.out)
+    for name in ("report.json", "summary.md"):  # they carry the wall time
+        del artifacts[name], rerun[name]
+    assert rerun == artifacts
+
+
+def test_unreadable_manifest_stops_the_run_and_names_the_file(tmp_path):
+    out = tmp_path / "run"
+    args = ["run", "--config", str(GOLDEN / "config.yaml"), "--out", str(out)]
+    assert CliRunner().invoke(main, args).exit_code == 0
+    manifest = out / "manifest.json"
+    manifest.write_bytes(manifest.read_bytes()[:-40])
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 1
+    assert f"unreadable manifest {manifest}" in result.stderr
+
+
+def test_manifest_is_replaced_whole(tmp_path, monkeypatch):
+    runner = Runner(_config(tmp_path))
+    runner.run_corpus()
+    path = runner.out / "manifest.json"
+    before = path.read_bytes()
+
+    def killed(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(pipeline.os, "replace", killed)
+    with pytest.raises(KeyboardInterrupt):
+        runner.run_sample()
+    assert path.read_bytes() == before
+    monkeypatch.undo()
+    Runner(_config(tmp_path)).run_sample()
+    assert "sample" in json.loads(path.read_text())["stages"]
+    assert [p.name for p in runner.out.glob("manifest*")] == ["manifest.json"]
+
+
+def test_reported_wall_time_counts_the_evaluate_stage(tmp_path, monkeypatch):
+    score_stage2 = pipeline.score_stage2
+
+    def slowed(*args, **kwargs):
+        time.sleep(0.3)
+        return score_stage2(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "score_stage2", slowed)
+    runner = Runner(_config(tmp_path))
+    assert runner.run_pipeline().run_meta.wall_time_seconds >= 0.3
+    # `report` counts the evaluate stage's time as that stage recorded it.
+    report = (runner.out / "report.json").read_bytes()
+    runner.write_report(runner.build_report())
+    assert (runner.out / "report.json").read_bytes() == report
 
 
 def test_a_stage_body_cannot_read_an_input_it_did_not_declare(tmp_path):

@@ -85,6 +85,23 @@ def test_vocabulary_punctuated_term_matches_bounded():
     assert not _trace_map(apply_deterministic(miss, criteria))[CRITERION_VOCABULARY].passed
 
 
+@pytest.mark.parametrize("title, body, passed", [
+    ("A memoryleak first", "then a memory leak", True),  # first hit inside a word
+    ("xmemory leak", "", False),  # the lookbehind sees the text before the hit
+    ("Memory\u0130 memory leak", "", True),  # İ before the hit, one character after folding
+])
+def test_vocabulary_match_after_a_first_hit_inside_a_word(title, body, passed):
+    criteria = FilterCriteria(vocabulary=["memory leak"], cutoff_date=date(2020, 1, 1))
+    issue = make_issue(title=title, body=body)
+    assert _trace_map(apply_deterministic(issue, criteria))[CRITERION_VOCABULARY].passed is passed
+    assert apply_deterministic(issue, criteria)[0].to_dict() == _per_part_vocabulary(issue, criteria)
+
+
+def test_lower_keeps_the_length_of_every_code_point_but_dotted_capital_i():
+    every = map(chr, itertools.chain(range(0xD800), range(0xE000, 0x110000)))
+    assert [ch for ch in every if len(ch.lower()) != 1] == ["\u0130"]
+
+
 def test_vocabulary_searches_comments():
     issue = make_issue(body="Something is off", comment_bodies=["try calling dispose()"])
     trace = _trace_map(apply_deterministic(issue, CRITERIA))
