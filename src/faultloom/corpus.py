@@ -41,7 +41,7 @@ def format_timestamp(ts: datetime) -> str:
     """`ts` in UTC to the second, as `YYYY-MM-DDTHH:MM:SSZ`."""
     if ts.tzinfo is not timezone.utc:
         ts = ts.astimezone(timezone.utc)
-    return ts.isoformat(timespec="seconds")[:-6] + "Z"  # "+00:00" -> "Z"
+    return "%04d-%02d-%02dT%02d:%02d:%02dZ" % (ts.year, ts.month, ts.day, ts.hour, ts.minute, ts.second)
 
 
 def _expect(value, kind: type, what: str):
@@ -312,6 +312,11 @@ def import_dump(path: str | Path) -> Corpus:
     return Corpus(records=records, source="dump")
 
 
+# `json.dumps(row, sort_keys=True)` without building an encoder per call. The
+# rows are fresh `to_dict` output, which holds no cycle to check for.
+_encode_row = json.JSONEncoder(sort_keys=True, check_circular=False).encode
+
+
 def write_jsonl(path: str | Path, rows: Iterable[dict], spans: list | None = None) -> str:
     """Write one sorted-key JSON object per line; return the sha256 of the
     bytes written, hashed as they are written. When `spans` is a list, the
@@ -320,7 +325,7 @@ def write_jsonl(path: str | Path, rows: Iterable[dict], spans: list | None = Non
     offset = 0
     with open(path, "wb") as fh:
         for row in rows:
-            line = (json.dumps(row, sort_keys=True) + "\n").encode("utf-8")
+            line = (_encode_row(row) + "\n").encode("utf-8")
             digest.update(line)
             fh.write(line)
             if spans is not None:

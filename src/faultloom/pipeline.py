@@ -37,7 +37,7 @@ from pathlib import Path
 import yaml
 
 from . import stage1, stage2, stage3
-from .config import PipelineConfig, criteria_budgets, filter_criteria
+from .config import PipelineConfig, criteria_budgets, filter_criteria, load_yaml
 from .corpus import (
     Corpus,
     copy_spans,
@@ -107,19 +107,21 @@ class Manifest:
             if not isinstance(self.data, dict) or not isinstance(self.data.get("stages"), dict):
                 raise ManifestError(f"unreadable manifest {path}: no stages object")
 
-    def save(self) -> None:
-        """Write the manifest through a temp file in the same directory, so a
-        killed write leaves the previous manifest in place."""
+    def save(self, data: dict) -> None:
+        """Write `data` as the manifest through a temp file in the same
+        directory, so a killed write leaves the previous manifest in place,
+        then hold it as `self.data`: a failed write changes neither."""
         tmp = self.path.with_name(self.path.name + ".tmp")
-        tmp.write_text(json.dumps(self.data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        tmp.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         os.replace(tmp, self.path)
+        self.data = data
 
     def stage(self, name: str) -> dict:
         return self.data["stages"].get(name, {})
 
     def set_stage(self, name: str, input_hash: str, output: str, meta: dict) -> None:
-        self.data["stages"][name] = {"input_hash": input_hash, "output": output, "meta": meta}
-        self.save()
+        entry = {"input_hash": input_hash, "output": output, "meta": meta}
+        self.save({**self.data, "stages": {**self.data["stages"], name: entry}})
 
 
 # The stages `run_pipeline` runs, in order. The report's run figures come
@@ -142,7 +144,7 @@ _PARSERS = {
     "gold": lambda path: load_gold(path),
     "symptom_taxonomy": lambda path: load_taxonomy(path),
     "root_cause_taxonomy": lambda path: load_taxonomy(path),
-    "criteria": lambda path: yaml.safe_load(path.read_text(encoding="utf-8")) or {},
+    "criteria": lambda path: load_yaml(path) or {},
     "vocabulary": lambda path: stage2.load_vocabulary(path),
     "reference_projects": lambda path: stage1.load_reference_projects(path),
 }
@@ -234,6 +236,12 @@ class Runner:
                 limiter=RateLimiter(max_concurrent=self.config.parallelism),
             )
         return self.gateway
+
+    def _issue_parallelism(self) -> int:
+        """The number of issues a stage handles at once. `parallelism` bounds
+        concurrent provider calls; replay makes none, and its transcript
+        lookups never wait, so it runs each issue inline."""
+        return 1 if self.config.mode == "replay" else self.config.parallelism
 
     def _usage(self) -> dict[str, dict]:
         gateway = self.gateway
@@ -415,7 +423,7 @@ class Runner:
             criteria = filter_criteria(self._read("criteria"), self._read("vocabulary"))
             decisions = stage2.run_stage2(
                 self._read("sample"), criteria, self._get_gateway(), self.config.model_id,
-                parallelism=self.config.parallelism,
+                parallelism=self._issue_parallelism(),
             )
             digest = write_jsonl(self.artifact("filter"), (d.to_dict() for d in decisions))
             self._held["filter"] = (digest, decisions)
@@ -442,7 +450,7 @@ class Runner:
             issues = Corpus(records=[r for r in sample if r.key in keep], source=sample.source)
             labels = stage3.run_stage3(
                 issues, self._read("symptom_taxonomy"), self._read("root_cause_taxonomy"),
-                self._get_gateway(), config.model_id, parallelism=config.parallelism,
+                self._get_gateway(), config.model_id, parallelism=self._issue_parallelism(),
                 **criteria_budgets(self._read("criteria")),
             )
             digest = write_jsonl(self.artifact("classify"), (l.to_dict() for l in labels))

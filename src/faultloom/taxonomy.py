@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator
 
-import yaml
-
+from .config import load_yaml
 from .errors import (
     AmbiguousLabelError,
     CyclicStructureError,
@@ -143,8 +142,7 @@ def load_taxonomy(document: str | Path | dict) -> Taxonomy:
     duplicate ids, missing definitions, level violations, and cycles.
     """
     if isinstance(document, (str, Path)):
-        with open(document, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+        raw = load_yaml(document)
     else:
         raw = document
     if not isinstance(raw, dict):

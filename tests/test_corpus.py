@@ -205,3 +205,13 @@ _OFFSETS = st.timedeltas(min_value=-timedelta(hours=23, minutes=59), max_value=t
 @example(ts=datetime(2020, 1, 1, 0, 30, tzinfo=timezone(timedelta(hours=1))))
 def test_format_timestamp_matches_strftime(ts):
     assert format_timestamp(ts) == ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+# Outside the range above, `isoformat` is the reference: it pads the year to
+# four digits as the format does.
+@pytest.mark.parametrize("ts, text", [
+    (datetime(999, 7, 4, 3, 2, 1, 500000, tzinfo=timezone.utc), "0999-07-04T03:02:01Z"),
+    (datetime(2020, 12, 31, 20, 15, 9, tzinfo=timezone(timedelta(hours=-5))), "2021-01-01T01:15:09Z"),
+], ids=["year-999", "offset-across-midnight"])
+def test_format_timestamp_pads_the_year_and_converts_to_utc(ts, text):
+    assert format_timestamp(ts) == text == ts.astimezone(timezone.utc).isoformat(timespec="seconds")[:-6] + "Z"

@@ -13,9 +13,10 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from faultloom import pipeline
+from faultloom import config as config_module
+from faultloom import pipeline, taxonomy
 from faultloom.cli import main
-from faultloom.config import load_config, packaged_data_path
+from faultloom.config import load_config, load_yaml, packaged_data_path
 from faultloom.corpus import Corpus, IssueRecord, export_dump, import_dump, load_gold, sample_balanced
 from faultloom.errors import ConfigError, MissingArtifactError
 from faultloom.pipeline import ARTIFACTS, RUN_ORDER, Manifest, Runner
@@ -270,10 +271,21 @@ def test_cli_seed_option_changes_the_sample(tmp_path):
     assert (out / "sample.jsonl").read_bytes() != default_sample
 
 
+_YAML_FILES = sorted([
+    *(Path(config_module.__file__).parent / "data").rglob("*.yaml"),
+    *(Path(__file__).parent / "fixtures").rglob("*.yaml"),
+])
+
+
+@pytest.mark.parametrize("path", _YAML_FILES, ids=lambda path: path.name)
+def test_load_yaml_reads_each_file_as_the_pure_python_loader_does(path):
+    assert load_yaml(path) == yaml.load(path.read_text(encoding="utf-8"), Loader=yaml.SafeLoader)
+
+
 def _count_calls(monkeypatch) -> Counter:
     """Count calls to the loaders and scorers `faultloom.pipeline` looks up,
-    to Runner.build_report, to Manifest.set_stage and to yaml.safe_load and
-    yaml.safe_dump."""
+    to Runner.build_report, to Manifest.set_stage, to `load_yaml` where the
+    config, criteria and taxonomy readers look it up, and to yaml.safe_dump."""
     counts: Counter = Counter()
 
     def counted(owner, name):
@@ -289,7 +301,8 @@ def _count_calls(monkeypatch) -> Counter:
         counted(pipeline, name)
     counted(Runner, "build_report")
     counted(Manifest, "set_stage")
-    counted(yaml, "safe_load")
+    for module in (config_module, pipeline, taxonomy):
+        counted(module, "load_yaml")
     counted(yaml, "safe_dump")
     return counts
 
@@ -301,7 +314,7 @@ def test_cold_run_parses_each_input_once_and_noop_rerun_only_reads_report(tmp_pa
     assert counts["import_dump"] == len(config.dumps)
     assert counts["load_gold"] == 1
     assert counts["load_taxonomy"] == 2
-    assert counts["safe_load"] == 4  # the config, the criteria and both taxonomies
+    assert counts["load_yaml"] == 4  # the config, the criteria and both taxonomies
     assert counts["build_report"] == 1
 
     rerun = Runner(_config(tmp_path))
@@ -491,8 +504,9 @@ def test_manifest_is_replaced_whole(tmp_path, monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         runner.run_sample()
     assert path.read_bytes() == before
+    assert "sample" not in runner.manifest.data["stages"]  # memory agrees with the file
     monkeypatch.undo()
-    Runner(_config(tmp_path)).run_sample()
+    runner.run_sample()
     assert "sample" in json.loads(path.read_text())["stages"]
     assert [p.name for p in runner.out.glob("manifest*")] == ["manifest.json"]
 
@@ -594,6 +608,28 @@ def test_parallelism_above_four_reaches_the_provider(tmp_path):
     decisions = [json.loads(line) for line in (tmp_path / "run" / "decisions.jsonl").read_text().splitlines()]
     assert len(decisions) == 6
     assert all(d["error"] is None and d["llm_verdict"] is True for d in decisions)
+
+
+def test_replay_runs_each_issue_inline(tmp_path, monkeypatch):
+    inline = Runner(_config(tmp_path, out=str(tmp_path / "inline"), parallelism=1))
+    inline.run_pipeline()
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("replay started a thread pool")
+
+    monkeypatch.setattr("faultloom.corpus.ThreadPoolExecutor", no_pool)
+    config = _config(tmp_path, out=str(tmp_path / "pooled"))
+    assert config.parallelism == 2
+    pooled = Runner(config)
+    pooled.run_pipeline()
+    for stage in ("corpus", "sample", "filter", "classify"):
+        assert pooled.artifact(stage).read_bytes() == inline.artifact(stage).read_bytes(), stage
+    for table in (tmp_path / "inline" / "tables").iterdir():
+        assert (tmp_path / "pooled" / "tables" / table.name).read_bytes() == table.read_bytes(), table.name
+    reports = [json.loads(runner.artifact("evaluate").read_text()) for runner in (inline, pooled)]
+    for report in reports:  # the one figure that differs between two runs
+        del report["run_meta"]["wall_time_seconds"]
+    assert reports[0] == reports[1]
 
 
 def test_sample_is_copied_from_the_corpus_bytes_and_equals_its_export(tmp_path):
