@@ -12,11 +12,7 @@ import yaml
 
 from .errors import ConfigError
 from .gateway import API_KEY_ENV_PREFIX, split_model_id
-from .stage2 import (
-    DEFAULT_CHAR_BUDGET,
-    DEFAULT_COMMENT_BUDGET,
-    FilterCriteria,
-)
+from .stage2 import DEFAULT_CHAR_BUDGET, DEFAULT_COMMENT_BUDGET
 
 
 def packaged_data_path(name: str) -> Path:
@@ -66,12 +62,12 @@ class PipelineConfig:
     def validate(self) -> None:
         if self.mode not in ("live", "record", "replay"):
             raise ConfigError(f"unknown mode: {self.mode!r}")
-        if self.mode == "replay" and self.transcript_path is None:
-            raise ConfigError("mode=replay requires a transcript path")
+        if self.mode != "live" and self.transcript_path is None:
+            raise ConfigError(f"mode={self.mode} requires a transcript path")
         if self.parallelism < 1:
             raise ConfigError("parallelism must be >= 1")
         if self.stage3_input not in ("filtered", "gold"):
-            raise ConfigError(f"stage3_input must be 'filtered' or 'gold'")
+            raise ConfigError(f"stage3_input must be 'filtered' or 'gold', not {self.stage3_input!r}")
         if not self.dumps and not self.repos:
             raise ConfigError("config needs at least one dump path or repo")
         for path in [
@@ -94,33 +90,32 @@ class PipelineConfig:
                 raise ConfigError(f"mode=live requires {env_var} to be set")
 
 
-def criteria_budgets(criteria: dict) -> dict:
-    """`comment_budget` and `char_budget` from the parsed criteria file: they
-    bound the issue text of the filter and the classification prompts."""
-    return {
-        "comment_budget": int(criteria.get("comment_budget", DEFAULT_COMMENT_BUDGET)),
-        "char_budget": int(criteria.get("char_budget", DEFAULT_CHAR_BUDGET)),
-    }
-
-
-def filter_criteria(criteria: dict, vocabulary: list[str]) -> FilterCriteria:
-    """The filter criteria from the parsed criteria file and vocabulary."""
-    cutoff = criteria.get("cutoff_date", "2020-01-01")
-    if isinstance(cutoff, str):
-        cutoff = date.fromisoformat(cutoff)
-    return FilterCriteria(
-        vocabulary=vocabulary,
-        exclusion_labels=[str(x) for x in criteria.get("exclusion_labels", [])],
-        cutoff_date=cutoff,
-        require_answered=bool(criteria.get("require_answered", True)),
-        **criteria_budgets(criteria),
-    )
+def load_criteria(path: Path | None) -> dict:
+    """The settings of the criteria file at `path`, each defaulted when
+    absent, as FilterCriteria arguments besides the vocabulary; without a
+    file, every default. The budgets bound the issue text of the filter and
+    the classification prompts."""
+    criteria = (load_yaml(path) if path else None) or {}
+    if not isinstance(criteria, dict):
+        raise ConfigError(f"criteria file {path} is not a mapping")
+    try:
+        return {
+            "exclusion_labels": [str(x) for x in criteria.get("exclusion_labels", [])],
+            "cutoff_date": date.fromisoformat(str(criteria.get("cutoff_date", "2020-01-01"))),
+            "require_answered": bool(criteria.get("require_answered", True)),
+            "comment_budget": int(criteria.get("comment_budget", DEFAULT_COMMENT_BUDGET)),
+            "char_budget": int(criteria.get("char_budget", DEFAULT_CHAR_BUDGET)),
+        }
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed criteria file {path}: {exc}") from exc
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConfig:
     """Read a config YAML; relative paths resolve against the config file."""
     path = Path(path)
     raw = load_yaml(path) or {}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config file {path} is not a mapping")
     if overrides:
         raw.update({k: v for k, v in overrides.items() if v is not None})
     base = path.parent
@@ -131,38 +126,41 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
         p = Path(value)
         return p if p.is_absolute() else (base / p)
 
-    sampling = None
-    if raw.get("sampling"):
-        s = raw["sampling"]
-        # An explicit seed override replaces sampling.seed; a top-level YAML
-        # seed only fills a missing one.
-        seed = (overrides or {}).get("seed")
-        if seed is None:
-            seed = s.get("seed", raw.get("seed", 0))
-        sampling = SamplingConfig(n_pos=int(s["n_pos"]), n_neg=int(s["n_neg"]), seed=int(seed))
+    try:
+        sampling = None
+        if raw.get("sampling"):
+            s = raw["sampling"]
+            # An explicit seed override replaces sampling.seed; a top-level YAML
+            # seed only fills a missing one.
+            seed = (overrides or {}).get("seed")
+            if seed is None:
+                seed = s.get("seed", raw.get("seed", 0))
+            sampling = SamplingConfig(n_pos=int(s["n_pos"]), n_neg=int(s["n_neg"]), seed=int(seed))
 
-    theme = raw.get("theme") or {}
-    config = PipelineConfig(
-        out_dir=_resolve(raw.get("out", "run")),
-        mode=str(raw.get("mode", "replay")),
-        model_id=str(raw.get("model", "openai/gpt-4o")),
-        dumps=[_resolve(p) for p in raw.get("dumps", [])],
-        repos=[str(r) for r in raw.get("repos", [])],
-        criteria_file=_resolve(raw.get("criteria")),
-        vocabulary_file=_resolve(raw.get("vocabulary")),
-        symptom_taxonomy_file=_resolve(raw.get("symptom_taxonomy"))
-        or packaged_data_path("symptom_taxonomy.yaml"),
-        root_cause_taxonomy_file=_resolve(raw.get("root_cause_taxonomy"))
-        or packaged_data_path("root_cause_taxonomy.yaml"),
-        gold_file=_resolve(raw.get("gold")),
-        reference_projects_file=_resolve(raw.get("reference_projects")),
-        theme_description=str(theme.get("description", "")),
-        theme_constraints=[str(c) for c in theme.get("constraints", [])],
-        transcript_path=_resolve(raw.get("transcript")),
-        sampling=sampling,
-        parallelism=int(raw.get("parallelism", 1)),
-        stage3_input=str(raw.get("stage3_input", "filtered")),
-        cache_dir=_resolve(raw.get("cache_dir")),
-    )
+        theme = raw.get("theme") or {}
+        config = PipelineConfig(
+            out_dir=_resolve(raw.get("out", "run")),
+            mode=str(raw.get("mode", "replay")),
+            model_id=str(raw.get("model", "openai/gpt-4o")),
+            dumps=[_resolve(p) for p in raw.get("dumps", [])],
+            repos=[str(r) for r in raw.get("repos", [])],
+            criteria_file=_resolve(raw.get("criteria")),
+            vocabulary_file=_resolve(raw.get("vocabulary")),
+            symptom_taxonomy_file=_resolve(raw.get("symptom_taxonomy"))
+            or packaged_data_path("symptom_taxonomy.yaml"),
+            root_cause_taxonomy_file=_resolve(raw.get("root_cause_taxonomy"))
+            or packaged_data_path("root_cause_taxonomy.yaml"),
+            gold_file=_resolve(raw.get("gold")),
+            reference_projects_file=_resolve(raw.get("reference_projects")),
+            theme_description=str(theme.get("description", "")),
+            theme_constraints=[str(c) for c in theme.get("constraints", [])],
+            transcript_path=_resolve(raw.get("transcript")),
+            sampling=sampling,
+            parallelism=int(raw.get("parallelism", 1)),
+            stage3_input=str(raw.get("stage3_input", "filtered")),
+            cache_dir=_resolve(raw.get("cache_dir")),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed config file {path}: {exc!r}") from exc
     config.validate()
     return config

@@ -11,7 +11,7 @@ import random
 import types
 import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -194,24 +194,19 @@ class IssueRecord(Record):
 @dataclass
 class Corpus:
     records: list[IssueRecord]
-    source: str = "dump"
-    fetched_at: datetime | None = None
-    _index: dict[IssueKey, IssueRecord] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
+        seen: set[IssueKey] = set()
         for record in self.records:
-            if record.key in self._index:
-                raise DuplicateRecordError(*record.key)
-            self._index[record.key] = record
+            if record.key in seen:
+                raise DuplicateRecordError(record.key)
+            seen.add(record.key)
 
     def __len__(self) -> int:
         return len(self.records)
 
     def __iter__(self):
         return iter(self.records)
-
-    def get(self, key: IssueKey) -> IssueRecord | None:
-        return self._index.get(key)
 
     def keys(self) -> list[IssueKey]:
         return [r.key for r in self.records]
@@ -309,7 +304,7 @@ def import_dump(path: str | Path) -> Corpus:
             raise DumpFormatError(path, line_no, f"duplicate record key {record.repo}#{record.number}")
         seen.add(record.key)
         records.append(record)
-    return Corpus(records=records, source="dump")
+    return Corpus(records=records)
 
 
 # `json.dumps(row, sort_keys=True)` without building an encoder per call. The
@@ -414,11 +409,11 @@ def sample_balanced(
     chosen = set(rng.sample(pos_keys, n_pos))
     chosen.update(rng.sample(neg_keys, n_neg))
     records = [r for r in corpus if r.key in chosen]
-    return Corpus(records=records, source=corpus.source, fetched_at=corpus.fetched_at)
+    return Corpus(records=records)
 
 
-def merge_corpora(parts: Iterable[Corpus], source: str) -> Corpus:
+def merge_corpora(parts: Iterable[Corpus]) -> Corpus:
     records: list[IssueRecord] = []
     for part in parts:
         records.extend(part.records)
-    return Corpus(records=records, source=source)
+    return Corpus(records=records)

@@ -4,7 +4,20 @@ from __future__ import annotations
 
 
 class FaultloomError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package. A class that sets
+    `message` takes one positional value per name in `fields`, sets each as
+    an attribute and formats `message` with them; any other takes its text."""
+
+    fields: tuple[str, ...] = ()
+    message: str | None = None
+
+    def __init__(self, *args):
+        if self.message is None:
+            super().__init__(*args)
+            return
+        values = dict(zip(self.fields, args))
+        self.__dict__.update(values)
+        super().__init__(self.message.format(**values))
 
 
 # --- taxonomy ---------------------------------------------------------------
@@ -14,64 +27,54 @@ class TaxonomyError(FaultloomError):
 
 
 class DuplicateIdError(TaxonomyError):
-    def __init__(self, node_id: str):
-        super().__init__(f"duplicate taxonomy node id: {node_id!r}")
-        self.node_id = node_id
+    fields = ("node_id",)
+    message = "duplicate taxonomy node id: {node_id!r}"
 
 
 class DuplicateNameError(TaxonomyError):
-    def __init__(self, name: str, parent_id: str | None):
-        where = f"under {parent_id!r}" if parent_id else "among roots"
-        super().__init__(f"duplicate sibling name {name!r} {where}")
-        self.name = name
+    fields = ("name", "where")
+    message = "duplicate sibling name {name!r} {where}"
 
 
 class MissingDefinitionError(TaxonomyError):
-    def __init__(self, node_id: str):
-        super().__init__(f"node {node_id!r} has an empty definition")
-        self.node_id = node_id
+    fields = ("node_id",)
+    message = "node {node_id!r} has an empty definition"
 
 
 class MissingFieldInNodeError(TaxonomyError):
-    def __init__(self, field: str, context: str):
-        super().__init__(f"node missing required field {field!r} ({context})")
-        self.field = field
+    fields = ("field", "context")
+    message = "node missing required field {field!r} ({context})"
 
 
 class LevelViolationError(TaxonomyError):
-    def __init__(self, node_id: str, level: int, max_level: int):
-        super().__init__(
-            f"node {node_id!r} sits at level {level}, deeper than the "
-            f"allowed maximum of {max_level}"
-        )
-        self.node_id = node_id
+    fields = ("node_id", "level", "max_level")
+    message = (
+        "node {node_id!r} sits at level {level}, deeper than the "
+        "allowed maximum of {max_level}"
+    )
 
 
 class CyclicStructureError(TaxonomyError):
-    def __init__(self, node_id: str):
-        super().__init__(f"cycle detected at node {node_id!r}")
-        self.node_id = node_id
+    fields = ("node_id",)
+    message = "cycle detected at node {node_id!r}"
 
 
 class LabelNotFoundError(TaxonomyError):
-    def __init__(self, label: str):
-        super().__init__(f"no taxonomy node named {label!r}")
-        self.label = label
+    fields = ("label",)
+    message = "no taxonomy node named {label!r}"
 
 
 class AmbiguousLabelError(TaxonomyError):
+    fields = ("label", "node_ids", "matches")
+    message = "label {label!r} matches multiple nodes: {matches}"
+
     def __init__(self, label: str, node_ids: list[str]):
-        super().__init__(
-            f"label {label!r} matches multiple nodes: {', '.join(node_ids)}"
-        )
-        self.label = label
-        self.node_ids = node_ids
+        super().__init__(label, node_ids, ", ".join(node_ids))
 
 
 class NodeMembershipError(TaxonomyError):
-    def __init__(self, node_id: str):
-        super().__init__(f"node {node_id!r} does not belong to this taxonomy")
-        self.node_id = node_id
+    fields = ("node_id",)
+    message = "node {node_id!r} does not belong to this taxonomy"
 
 
 # --- corpus -----------------------------------------------------------------
@@ -81,16 +84,13 @@ class CorpusError(FaultloomError):
 
 
 class DumpFormatError(CorpusError):
-    def __init__(self, path: object, line_no: int, reason: str):
-        super().__init__(f"{path} line {line_no}: {reason}")
-        self.line_no = line_no
-        self.reason = reason
+    fields = ("path", "line_no", "reason")
+    message = "{path} line {line_no}: {reason}"
 
 
 class DuplicateRecordError(CorpusError):
-    def __init__(self, repo: str, number: int):
-        super().__init__(f"duplicate record key {repo}#{number}")
-        self.key = (repo, number)
+    fields = ("key",)
+    message = "duplicate record key {key[0]}#{key[1]}"
 
 
 class RecordInvariantError(CorpusError):
@@ -98,14 +98,14 @@ class RecordInvariantError(CorpusError):
 
 
 class SamplingError(CorpusError):
+    fields = ("stratum", "requested", "available", "shortfall")
+    message = (
+        "stratum {stratum!r}: requested {requested} but only "
+        "{available} available (shortfall {shortfall})"
+    )
+
     def __init__(self, stratum: str, requested: int, available: int):
-        super().__init__(
-            f"stratum {stratum!r}: requested {requested} but only "
-            f"{available} available (shortfall {requested - available})"
-        )
-        self.stratum = stratum
-        self.requested = requested
-        self.available = available
+        super().__init__(stratum, requested, available, requested - available)
 
 
 class GoldFileError(CorpusError):
@@ -117,9 +117,8 @@ class IngestError(CorpusError):
 
 
 class RateLimitExhaustedError(IngestError):
-    def __init__(self, reset_at: str):
-        super().__init__(f"rate limit exhausted; resets at {reset_at}")
-        self.reset_at = reset_at
+    fields = ("reset_at",)
+    message = "rate limit exhausted; resets at {reset_at}"
 
 
 # --- llm gateway ------------------------------------------------------------
@@ -129,9 +128,8 @@ class GatewayError(FaultloomError):
 
 
 class UnknownModelError(GatewayError):
-    def __init__(self, model_id: str):
-        super().__init__(f"unknown model id: {model_id!r}")
-        self.model_id = model_id
+    fields = ("model_id",)
+    message = "unknown model id: {model_id!r}"
 
 
 class TransientProviderError(GatewayError):
@@ -139,22 +137,18 @@ class TransientProviderError(GatewayError):
 
 
 class RetriesExhaustedError(GatewayError):
-    def __init__(self, attempts: int, last_error: Exception):
-        super().__init__(f"provider failed after {attempts} attempts: {last_error}")
-        self.attempts = attempts
-        self.last_error = last_error
+    fields = ("attempts", "last_error")
+    message = "provider failed after {attempts} attempts: {last_error}"
 
 
 class ReplayMissError(GatewayError):
-    def __init__(self, digest: str):
-        super().__init__(f"transcript has no entry for request digest {digest}")
-        self.digest = digest
+    fields = ("digest",)
+    message = "transcript has no entry for request digest {digest}"
 
 
 class TranscriptError(GatewayError):
-    def __init__(self, path: str, line_no: int, reason: str):
-        super().__init__(f"{path} line {line_no}: {reason}")
-        self.line_no = line_no
+    fields = ("path", "line_no", "reason")
+    message = "{path} line {line_no}: {reason}"
 
 
 class StructuredOutputError(GatewayError):
@@ -162,14 +156,15 @@ class StructuredOutputError(GatewayError):
 
 
 class NoStructuredObjectError(StructuredOutputError):
-    def __init__(self) -> None:
-        super().__init__("no well-formed structured object found in output")
+    message = "no well-formed structured object found in output"
 
 
 class MissingFieldsError(StructuredOutputError):
+    fields = ("missing", "names")
+    message = "structured object missing fields: {names}"
+
     def __init__(self, missing: list[str]):
-        super().__init__(f"structured object missing fields: {', '.join(sorted(missing))}")
-        self.missing = sorted(missing)
+        super().__init__(sorted(missing), ", ".join(sorted(missing)))
 
 
 # --- stages / evaluation / orchestration ------------------------------------
@@ -191,9 +186,8 @@ class EvaluationError(FaultloomError):
 
 
 class MissingGoldError(EvaluationError):
-    def __init__(self, key: tuple[str, int], what: str):
-        super().__init__(f"no gold {what} for {key[0]}#{key[1]}")
-        self.key = key
+    fields = ("key", "what")
+    message = "no gold {what} for {key[0]}#{key[1]}"
 
 
 class ConfigError(FaultloomError):
@@ -205,10 +199,8 @@ class ManifestError(FaultloomError):
 
 
 class MissingArtifactError(FaultloomError):
-    def __init__(self, path: str, needed_by: str):
-        super().__init__(
-            f"missing upstream artifact {path} (needed by {needed_by}); "
-            f"run the producing stage first"
-        )
-        self.path = path
-        self.needed_by = needed_by
+    fields = ("path", "needed_by")
+    message = (
+        "missing upstream artifact {path} (needed by {needed_by}); "
+        "run the producing stage first"
+    )

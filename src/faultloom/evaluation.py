@@ -69,25 +69,16 @@ def score_stage2(
     """Accuracy / precision / recall with fault-related as the positive class."""
     if not decisions:
         raise EvaluationError("no decisions to score")
-    tp = fp = fn = tn = 0
     confusion = ConfusionMatrix.empty(["fault", "non-fault"])
     for decision in decisions:
         label = gold.get(decision.key)
         if label is None or label.fault_related is None:
             raise MissingGoldError(decision.key, "fault_related value")
-        predicted, actual = decision.final, label.fault_related
         confusion.add(
-            "fault" if actual else "non-fault",
-            "fault" if predicted else "non-fault",
+            "fault" if label.fault_related else "non-fault",
+            "fault" if decision.final else "non-fault",
         )
-        if predicted and actual:
-            tp += 1
-        elif predicted and not actual:
-            fp += 1
-        elif not predicted and actual:
-            fn += 1
-        else:
-            tn += 1
+    (tp, fn), (fp, tn) = confusion.counts
     total = tp + fp + fn + tn
     return Stage2Scores(
         accuracy=(tp + tn) / total,

@@ -267,24 +267,18 @@ class Gateway:
         mode: str = "replay",
         transcript: Transcript | None = None,
         provider: Provider | None = None,
-        max_attempts: int = MAX_ATTEMPTS,
         limiter: RateLimiter | None = None,
         sleep: Callable[[float], None] = time.sleep,
-        rng: random.Random | None = None,
     ):
         if mode not in ("live", "record", "replay"):
             raise ValueError(f"unknown gateway mode: {mode!r}")
-        if mode == "replay" and transcript is None:
-            raise ValueError("replay mode requires a transcript")
-        if mode == "record" and transcript is None:
-            raise ValueError("record mode requires a transcript")
+        if mode != "live" and transcript is None:
+            raise ValueError(f"{mode} mode requires a transcript")
         self.mode = mode
         self.transcript = transcript
         self._provider = provider
-        self.max_attempts = max_attempts
         self.limiter = limiter or RateLimiter()
         self.sleep = sleep
-        self.rng = rng  # None: each backoff's jitter is seeded by the request and the attempt
         self._usage_lock = threading.Lock()
         self.usage: dict[str, UsageTally] = {}
 
@@ -294,10 +288,6 @@ class Gateway:
             tally.requests += 1
             tally.input_tokens += response.input_tokens
             tally.output_tokens += response.output_tokens
-
-    def total_tokens(self) -> int:
-        with self._usage_lock:
-            return sum(t.input_tokens + t.output_tokens for t in self.usage.values())
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         digest = request_digest(request)
@@ -315,23 +305,23 @@ class Gateway:
 
         delay = 0.5
         last_error: Exception | None = None
-        for attempt in range(1, self.max_attempts + 1):
+        for attempt in range(1, MAX_ATTEMPTS + 1):
             try:
                 with self.limiter:
                     response = provider.send(request)
                 response.provider_meta.setdefault("attempts", attempt)
-                if self.mode == "record" and self.transcript is not None:
+                if self.mode == "record":
                     self.transcript.record(digest, response)
                 self._account(request.model_id, response)
                 return response
             except TransientProviderError as exc:
                 last_error = exc
                 logger.warning("transient provider failure (attempt %d): %s", attempt, exc)
-                if attempt < self.max_attempts:
-                    rng = self.rng or random.Random(f"{digest}/{attempt}")
+                if attempt < MAX_ATTEMPTS:
+                    rng = random.Random(f"{digest}/{attempt}")
                     self.sleep(delay + rng.uniform(0, delay / 2))
                     delay *= 2
-        raise RetriesExhaustedError(self.max_attempts, last_error)
+        raise RetriesExhaustedError(MAX_ATTEMPTS, last_error)
 
 
 def extract_structured(text: str, expected_fields: set[str] | None = None) -> dict:

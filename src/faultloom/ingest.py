@@ -13,7 +13,7 @@ import os
 import re
 import time
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime
 from pathlib import Path
 from typing import Callable
 
@@ -193,4 +193,4 @@ class IssueFetcher:
             records.append(IssueRecord.from_dict(
                 {**raw, "repo": repo, "labels": labels, "comments": comments, "url": raw.get("html_url")}
             ))
-        return Corpus(records=records, source="live", fetched_at=datetime.now(timezone.utc))
+        return Corpus(records=records)

@@ -25,24 +25,23 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import fcntl
 import hashlib
 import json
 import logging
 import os
 import time
 from dataclasses import asdict, dataclass, field
-from datetime import datetime, timezone
 from pathlib import Path
 
 import yaml
 
 from . import stage1, stage2, stage3
-from .config import PipelineConfig, criteria_budgets, filter_criteria, load_yaml
+from .config import PipelineConfig, load_criteria
 from .corpus import (
     Corpus,
     copy_spans,
     export_dump,
-    format_timestamp,
     import_dump,
     load_gold,
     merge_corpora,
@@ -144,7 +143,7 @@ _PARSERS = {
     "gold": lambda path: load_gold(path),
     "symptom_taxonomy": lambda path: load_taxonomy(path),
     "root_cause_taxonomy": lambda path: load_taxonomy(path),
-    "criteria": lambda path: load_yaml(path) or {},
+    "criteria": lambda path: load_criteria(path),
     "vocabulary": lambda path: stage2.load_vocabulary(path),
     "reference_projects": lambda path: stage1.load_reference_projects(path),
 }
@@ -220,7 +219,7 @@ class Runner:
         if held is None or held[0] != digest:
             if path is None and name != "criteria":
                 raise ConfigError(f"no {name} file configured")
-            parsed = _PARSERS[name.rstrip("0123456789")](path) if path else {}
+            parsed = _PARSERS[name.rstrip("0123456789")](path)
             held = self._held[name] = (digest, parsed)
         return held[1]
 
@@ -254,29 +253,21 @@ class Runner:
 
     @contextlib.contextmanager
     def locked(self):
-        """Hold `run.lock` in the run directory while the block runs, so that
-        no two commands write the run directory at once. The lock names its
-        owner's pid, host and start time; a lock whose owner was on this host
-        and is gone is broken with a warning."""
+        """Hold an exclusive `flock` on `run.lock` in the run directory while
+        the block runs, so that no two commands write the run directory at
+        once. The kernel frees it when its holder exits, killed or not; the
+        file stays, and what it holds means nothing."""
         lock = self.out / "run.lock"
-        if _orphaned(lock):
-            # Not atomic: two commands that find the same orphaned lock at
-            # once may both go on.
-            logger.warning("breaking the lock of a command that is gone: %s", lock)
-            lock.unlink(missing_ok=True)
-        try:
-            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise StageError(f"run directory is locked by another command: {lock}") from None
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                started = format_timestamp(datetime.now(timezone.utc))
-                json.dump({"pid": os.getpid(), "host": os.uname().nodename, "started": started}, fh)
+        with open(lock, "a", encoding="utf-8") as fh:
+            try:
+                fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                raise StageError(f"run directory is locked by another command: {lock}") from None
             self._digests = {}
-            yield
-        finally:
-            self._digests = None
-            lock.unlink(missing_ok=True)
+            try:
+                yield
+            finally:
+                self._digests = None
 
     def snapshot_config(self) -> None:
         """Write `config_snapshot.yaml`, once per Runner."""
@@ -363,7 +354,7 @@ class Runner:
                 cache = PageCache(config.cache_dir) if config.cache_dir else None
                 fetcher = IssueFetcher(cache=cache)
                 parts.extend(fetcher.fetch_issues(repo) for repo in config.repos)
-            corpus = merge_corpora(parts, source="dump" if not config.repos else "live")
+            corpus = merge_corpora(parts)
             spans: list = []
             digest = export_dump(corpus, self.artifact("corpus"), spans)
             self._held["corpus"] = (digest, corpus)
@@ -420,7 +411,7 @@ class Runner:
         inputs = self._files("sample", "criteria", "vocabulary")
 
         def body():
-            criteria = filter_criteria(self._read("criteria"), self._read("vocabulary"))
+            criteria = stage2.FilterCriteria(**self._read("criteria"), vocabulary=self._read("vocabulary"))
             decisions = stage2.run_stage2(
                 self._read("sample"), criteria, self._get_gateway(), self.config.model_id,
                 parallelism=self._issue_parallelism(),
@@ -447,11 +438,12 @@ class Runner:
                 }
             else:
                 keep = {d.key for d in self._read("filter") if d.final}
-            issues = Corpus(records=[r for r in sample if r.key in keep], source=sample.source)
+            issues = Corpus(records=[r for r in sample if r.key in keep])
+            criteria = self._read("criteria")
             labels = stage3.run_stage3(
                 issues, self._read("symptom_taxonomy"), self._read("root_cause_taxonomy"),
                 self._get_gateway(), config.model_id, parallelism=self._issue_parallelism(),
-                **criteria_budgets(self._read("criteria")),
+                comment_budget=criteria["comment_budget"], char_budget=criteria["char_budget"],
             )
             digest = write_jsonl(self.artifact("classify"), (l.to_dict() for l in labels))
             self._held["classify"] = (digest, labels)
@@ -624,22 +616,6 @@ def _write_json(path: Path, payload) -> str:
     data = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
     path.write_bytes(data)
     return hashlib.sha256(data).hexdigest()
-
-
-def _orphaned(lock: Path) -> bool:
-    """Whether `lock` names a process of this host that no longer exists. An
-    empty or unreadable lock counts as held."""
-    try:
-        owner = json.loads(lock.read_text(encoding="utf-8"))
-        pid = int(owner["pid"])
-        if owner["host"] != os.uname().nodename or pid <= 0:
-            return False
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return True
-    except (OSError, ValueError, KeyError, TypeError):  # no lock, unreadable, or another user's process
-        return False
-    return False
 
 
 def _last_artifact(out: Path) -> str:

@@ -125,7 +125,7 @@ def _build_node(
         child = _build_node(child_raw, level + 1, seen_ids, seen_objs, f"child of {node_id}")
         norm = normalize_label(child.name)
         if norm in child_names:
-            raise DuplicateNameError(child.name, node_id)
+            raise DuplicateNameError(child.name, f"under {node_id!r}")
         child_names.add(norm)
         children.append(child)
 
@@ -165,7 +165,7 @@ def load_taxonomy(document: str | Path | dict) -> Taxonomy:
         root = _build_node(raw_root, 1, seen_ids, seen_objs, "root")
         norm = normalize_label(root.name)
         if norm in root_names:
-            raise DuplicateNameError(root.name, None)
+            raise DuplicateNameError(root.name, "among roots")
         root_names.add(norm)
         roots.append(root)
 

@@ -116,8 +116,9 @@ def test_token_accounting_is_additive(tmp_path):
         ChatRequest(model_id="openai/gpt-4o", system_text="sys", user_text="again")
     )
     expected = r1.input_tokens + r1.output_tokens + r2.input_tokens + r2.output_tokens
-    assert gateway.total_tokens() == expected
-    assert gateway.usage["openai/gpt-4o"].requests == 2
+    tally = gateway.usage["openai/gpt-4o"]
+    assert tally.input_tokens + tally.output_tokens == expected
+    assert tally.requests == 2
 
 
 def test_unknown_model_id():

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import logging
 import os
@@ -18,7 +19,7 @@ from faultloom import pipeline, taxonomy
 from faultloom.cli import main
 from faultloom.config import load_config, load_yaml, packaged_data_path
 from faultloom.corpus import Corpus, IssueRecord, export_dump, import_dump, load_gold, sample_balanced
-from faultloom.errors import ConfigError, MissingArtifactError
+from faultloom.errors import ConfigError, MissingArtifactError, StageError
 from faultloom.pipeline import ARTIFACTS, RUN_ORDER, Manifest, Runner
 
 from fakes import CountingProvider, OracleProvider, ScriptedProvider, make_response
@@ -103,6 +104,11 @@ def test_replay_config_requires_existing_transcript(tmp_path):
         )
 
 
+def test_unknown_stage3_input_is_named_in_the_error(tmp_path):
+    with pytest.raises(ConfigError, match="stage3_input must be 'filtered' or 'gold', not 'everything'"):
+        _config(tmp_path, stage3_input="everything")
+
+
 def test_live_mode_requires_credentials(tmp_path, monkeypatch):
     monkeypatch.delenv("FAULTLOOM_API_KEY_OPENAI", raising=False)
     with pytest.raises(ConfigError) as exc:
@@ -166,6 +172,39 @@ def test_cli_run_and_report(tmp_path):
     assert (out / "report.json").read_bytes() == report_before
 
 
+def test_cli_record_mode_without_a_transcript_is_a_config_error(tmp_path):
+    config = tmp_path / "config.yaml"
+    config.write_text(f"dumps: [{GOLDEN / 'corpus.jsonl'}]\nvocabulary: {GOLDEN / 'vocab.txt'}\nmode: record\nout: run\n")
+    result = CliRunner().invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "error: mode=record requires a transcript path" in result.stderr
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "name, old, new",
+    [  # `old` None: `new` is the whole file
+        ("config.yaml", None, "- dumps\n- out\n"),
+        ("config.yaml", "parallelism: 2", "parallelism: many"),
+        ("criteria.yaml", None, "- exclusion_labels\n"),
+        ("criteria.yaml", "cutoff_date: 2020-01-01", "cutoff_date: yesterday"),
+        ("criteria.yaml", "require_answered: true", "require_answered: true\ncomment_budget: lots"),
+    ],
+)
+def test_cli_malformed_config_or_criteria_file_is_an_error_naming_it(tmp_path, name, old, new):
+    inputs = tmp_path / "inputs"
+    shutil.copytree(GOLDEN, inputs)
+    text = (inputs / name).read_text()
+    assert old is None or old in text
+    (inputs / name).write_text(new if old is None else text.replace(old, new))
+    result = CliRunner().invoke(main, ["run", "--config", str(inputs / "config.yaml"), "--out", str(tmp_path / "run")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error: ")
+    assert str(inputs / name) in result.stderr
+
+
 def test_cli_filter_before_sample_errors(tmp_path):
     cli = CliRunner()
     result = cli.invoke(
@@ -176,55 +215,79 @@ def test_cli_filter_before_sample_errors(tmp_path):
     assert "sample.jsonl" in result.stderr
 
 
+@contextlib.contextmanager
+def _lock_holder(out: Path):
+    """A child process that holds `flock` on `out/run.lock` while the block
+    runs, or until it is killed."""
+    holder = "import fcntl, sys; fh = open(sys.argv[1], 'a'); fcntl.flock(fh, fcntl.LOCK_EX); print(); sys.stdin.read()"
+    out.mkdir(parents=True, exist_ok=True)
+    with subprocess.Popen(
+        [sys.executable, "-u", "-c", holder, str(out / "run.lock")], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+    ) as child:
+        try:
+            assert child.stdout.readline() == b"\n"  # the lock is held
+            yield child
+        finally:
+            child.kill()
+            child.wait(timeout=60)
+
+
 def test_lock_file_prevents_concurrent_runs(tmp_path):
     config = _config(tmp_path)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "run.lock").touch()
-    with pytest.raises(Exception, match="locked"):
+    with _lock_holder(Path(config.out_dir)), pytest.raises(StageError, match="locked"):
         Runner(config).run_pipeline()
 
 
 @pytest.mark.parametrize("owner, broken", [("gone", True), ("alive", False), ("elsewhere", False)])
-def test_lock_of_a_gone_command_on_this_host_is_broken(tmp_path, caplog, owner, broken):
-    child = subprocess.Popen([sys.executable, "-c", "pass"])
-    child.wait(timeout=60)
-    pid = os.getpid() if owner == "alive" else child.pid
-    host = os.uname().nodename + (".elsewhere" if owner == "elsewhere" else "")
+def test_lock_of_a_gone_command_on_this_host_is_broken(tmp_path, owner, broken):
+    """`gone`: the child that held the lock was killed with SIGKILL; `alive`:
+    a child process holds it; `elsewhere`: another Runner of this process
+    holds it (`flock` is per open file, not per process)."""
     runner = Runner(_config(tmp_path))
     lock = runner.out / "run.lock"
-    lock.write_text(json.dumps({"pid": pid, "host": host, "started": "2021-06-01T00:00:00Z"}))
-    if not broken:
-        with pytest.raises(Exception, match="locked"), runner.locked():
+    with contextlib.ExitStack() as stack:
+        if owner == "elsewhere":
+            stack.enter_context(Runner(_config(tmp_path)).locked())
+        else:
+            holder = stack.enter_context(_lock_holder(runner.out))
+            if owner == "gone":
+                holder.kill()  # the holder gets no chance to let go itself
+                holder.wait(timeout=60)
+        if not broken:
+            with pytest.raises(StageError, match="locked"), runner.locked():
+                pass
+            assert lock.read_text() == ""  # the lock names no owner
+            return
+        with runner.locked():
             pass
-        assert json.loads(lock.read_text())["pid"] == pid
-        return
-    with caplog.at_level(logging.WARNING, logger="faultloom.pipeline"), runner.locked():
-        held = json.loads(lock.read_text())
-    assert "breaking the lock" in caplog.text
-    assert (held["pid"], held["host"]) == (os.getpid(), os.uname().nodename)
-    assert not lock.exists()
+        # A file naming a live owner, as an older version wrote it, is not read.
+        lock.write_text(json.dumps({"pid": os.getpid(), "host": os.uname().nodename, "started": "2021-06-01T00:00:00Z"}))
+        with runner.locked():
+            pass
+    with runner.locked():  # one command after another takes the lock again
+        pass
+    assert lock.exists()
 
 
 @pytest.mark.parametrize(
     "command, ran",
-    [("import", ()), ("filter", ("corpus", "sample")), ("report", RUN_ORDER)],
+    [("import", ()), ("filter", ("corpus", "sample")), ("report", RUN_ORDER), ("run", ())],
 )
 def test_cli_command_refuses_a_locked_run_directory(tmp_path, command, ran):
     runner = Runner(_config(tmp_path))
     for stage in ran:
         getattr(runner, f"run_{stage}")()
     out = Path(runner.out)
-    (out / "run.lock").touch()
 
     def written():
         return {str(p): (p.read_bytes(), p.stat().st_mtime_ns) for p in out.rglob("*") if p.is_file()}
 
-    existing = written()
-    result = CliRunner().invoke(main, [command, "--config", str(GOLDEN / "config.yaml"), "--out", str(out)])
-    assert result.exit_code == 1
-    assert "locked" in result.stderr
-    assert written() == existing
+    with _lock_holder(out):
+        existing = written()
+        result = CliRunner().invoke(main, [command, "--config", str(GOLDEN / "config.yaml"), "--out", str(out)])
+        assert result.exit_code == 1
+        assert "locked" in result.stderr
+        assert written() == existing
 
 
 def test_empty_stage3_branch_notes_zero_count(tmp_path):
@@ -250,11 +313,11 @@ def test_seed_override_replaces_sampling_seed_and_yaml_seed_only_fills(tmp_path)
     assert _config(tmp_path, seed=8).sampling.seed == 8
     config = tmp_path / "config.yaml"
     config.write_text(
-        "dumps: [corpus.jsonl]\nmode: record\nseed: 3\nsampling: {n_pos: 1, n_neg: 1, seed: 5}\n"
+        "dumps: [corpus.jsonl]\nmode: record\ntranscript: t.jsonl\nseed: 3\nsampling: {n_pos: 1, n_neg: 1, seed: 5}\n"
     )
     (tmp_path / "corpus.jsonl").touch()
     assert load_config(config).sampling.seed == 5
-    config.write_text("dumps: [corpus.jsonl]\nmode: record\nseed: 3\nsampling: {n_pos: 1, n_neg: 1}\n")
+    config.write_text("dumps: [corpus.jsonl]\nmode: record\ntranscript: t.jsonl\nseed: 3\nsampling: {n_pos: 1, n_neg: 1}\n")
     assert load_config(config).sampling.seed == 3
 
 
@@ -301,7 +364,7 @@ def _count_calls(monkeypatch) -> Counter:
         counted(pipeline, name)
     counted(Runner, "build_report")
     counted(Manifest, "set_stage")
-    for module in (config_module, pipeline, taxonomy):
+    for module in (config_module, taxonomy):
         counted(module, "load_yaml")
     counted(yaml, "safe_dump")
     return counts
