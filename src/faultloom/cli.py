@@ -60,8 +60,7 @@ def _stage_command(stage: str) -> None:
 
     @_command(name, getattr(Runner, f"run_{stage}").__doc__)
     def work(runner: Runner) -> None:
-        with runner.locked():
-            artifact = getattr(runner, f"run_{stage}")()
+        artifact = getattr(runner, f"run_{stage}")()  # a command of its own, under run.lock
         click.echo(f"{name}: wrote {artifact}")
 
 

@@ -90,6 +90,13 @@ class PipelineConfig:
                 raise ConfigError(f"mode=live requires {env_var} to be set")
 
 
+def _list(value, key: str, path) -> list:
+    """`value`, the `key` of the file at `path`: a non-list is a ConfigError naming both."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: {key} must be a list, not {type(value).__name__}")
+    return value
+
+
 def load_criteria(path: Path | None) -> dict:
     """The settings of the criteria file at `path`, each defaulted when
     absent, as FilterCriteria arguments besides the vocabulary; without a
@@ -100,7 +107,7 @@ def load_criteria(path: Path | None) -> dict:
         raise ConfigError(f"criteria file {path} is not a mapping")
     try:
         return {
-            "exclusion_labels": [str(x) for x in criteria.get("exclusion_labels", [])],
+            "exclusion_labels": [str(x) for x in _list(criteria.get("exclusion_labels", []), "exclusion_labels", path)],
             "cutoff_date": date.fromisoformat(str(criteria.get("cutoff_date", "2020-01-01"))),
             "require_answered": bool(criteria.get("require_answered", True)),
             "comment_budget": int(criteria.get("comment_budget", DEFAULT_COMMENT_BUDGET)),
@@ -142,8 +149,8 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
             out_dir=_resolve(raw.get("out", "run")),
             mode=str(raw.get("mode", "replay")),
             model_id=str(raw.get("model", "openai/gpt-4o")),
-            dumps=[_resolve(p) for p in raw.get("dumps", [])],
-            repos=[str(r) for r in raw.get("repos", [])],
+            dumps=[_resolve(p) for p in _list(raw.get("dumps", []), "dumps", path)],
+            repos=[str(r) for r in _list(raw.get("repos", []), "repos", path)],
             criteria_file=_resolve(raw.get("criteria")),
             vocabulary_file=_resolve(raw.get("vocabulary")),
             symptom_taxonomy_file=_resolve(raw.get("symptom_taxonomy"))
@@ -153,7 +160,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
             gold_file=_resolve(raw.get("gold")),
             reference_projects_file=_resolve(raw.get("reference_projects")),
             theme_description=str(theme.get("description", "")),
-            theme_constraints=[str(c) for c in theme.get("constraints", [])],
+            theme_constraints=[str(c) for c in _list(theme.get("constraints", []), "theme.constraints", path)],
             transcript_path=_resolve(raw.get("transcript")),
             sampling=sampling,
             parallelism=int(raw.get("parallelism", 1)),

@@ -10,15 +10,11 @@ artifact still has that sha256, so a finished run directory is stable and
 fully determines its report: a no-op rerun hashes its inputs and artifacts and
 reads report.json back.
 
-Within one command (a `Runner.locked()` block) each file is hashed at most
-once: a stage takes the sha256 of the artifact it writes from the writer, and
-the sha256 taken to check an artifact serves the stages that read it.
-
-Within one Runner, a stage hands the objects it wrote or parsed to the stages
-after it, tagged with the sha256 of their bytes; a later stage uses them only
-while that is the sha256 it just took of the file, and parses the file
-otherwise. On the same terms the sample stage copies the chosen record lines
-out of corpus.jsonl rather than serializing them again.
+A command (a `Runner.locked()` block) keeps one table of the files its
+stages read and write, and each file is hashed and parsed at most once in it:
+a stage puts the sha256 and the object of the artifact it writes there for
+the stages after it. A stage or report called outside a command is a command
+of its own. Nothing in the table outlives the command.
 """
 
 from __future__ import annotations
@@ -40,7 +36,7 @@ from . import stage1, stage2, stage3
 from .config import PipelineConfig, load_criteria
 from .corpus import (
     Corpus,
-    copy_spans,
+    copy_lines,
     export_dump,
     import_dump,
     load_gold,
@@ -161,14 +157,11 @@ class Runner:
         self.out = Path(self.config.out_dir)
         self.out.mkdir(parents=True, exist_ok=True)
         self.manifest = Manifest(self.out / "manifest.json")
-        # Parsed artifacts and inputs of this run by name, each with the
-        # sha256 of the bytes it was written as or parsed from.
-        self._held: dict[str, tuple[str | None, object]] = {}
-        # The inputs of the running stage: name -> (path, sha256).
-        self._inputs: dict[str, tuple[Path | None, str | None]] | None = None
-        # The sha256 of each file hashed or written by the running command;
-        # None outside `locked()`, where every declared file is hashed anew.
-        self._digests: dict[Path, str] | None = None
+        # The table of the running command: input name -> [sha256, parsed
+        # object or None]; None outside `locked()`.
+        self._table: dict[str, list] | None = None
+        # The inputs of the running stage: name -> path.
+        self._inputs: dict[str, Path | None] | None = None
         self._snapshotted = False
 
     # --- shared plumbing ---------------------------------------------------
@@ -180,48 +173,46 @@ class Runner:
         """Input name -> file: a stage's artifact, else the configured `<name>_file`."""
         return {n: self.artifact(n) if n in ARTIFACTS else getattr(self.config, f"{n}_file") for n in names}
 
-    def _digest(self, path: Path | None) -> str | None:
-        """sha256 of the file at `path`, taken at most once per command."""
-        if self._digests is None or path is None:
-            return _hash_file(path)
-        if path not in self._digests:
-            self._digests[path] = _hash_file(path)
-        return self._digests[path]
+    def _digest(self, name: str, path: Path | None) -> str | None:
+        """sha256 of the file at `path`, the input `name` of the running
+        command, taken at most once per command; None when not configured."""
+        if name not in self._table:
+            self._table[name] = [_hash_file(path), None]
+        return self._table[name][0]
 
     @contextlib.contextmanager
     def _declared(self, inputs: dict, needed_by: str):
         """Hash each file of `inputs` (name -> path, None when not
-        configured) once, and let `_read` parse them while the block runs.
-        Yields the sha256 of each by name."""
-        digests = {}
-        for name, path in inputs.items():
+        configured) into the command's table, and let `_read` parse them
+        while the block runs. Yields the sha256 of each by name. Outside a
+        command, the block takes `locked()` and is a command of its own."""
+        with self.locked() if self._table is None else contextlib.nullcontext():
+            digests = {}
+            for name, path in inputs.items():
+                try:
+                    digests[name] = self._digest(name, path)
+                except FileNotFoundError:
+                    if name in ARTIFACTS:
+                        raise MissingArtifactError(str(path), needed_by) from None
+                    raise ConfigError(f"referenced file does not exist: {path}") from None
+            self._inputs = inputs
             try:
-                digests[name] = self._digest(path)
-            except FileNotFoundError:
-                if name in ARTIFACTS:
-                    raise MissingArtifactError(str(path), needed_by) from None
-                raise ConfigError(f"referenced file does not exist: {path}") from None
-        self._inputs = {name: (path, digests[name]) for name, path in inputs.items()}
-        try:
-            yield digests
-        finally:
-            self._inputs = None
+                yield digests
+            finally:
+                self._inputs = None
 
     def _read(self, name: str):
-        """The declared input `name` of the running stage, parsed: the object
-        held under `name` while its sha256 is the one the stage took, else
-        parsed from the file and held. An unconfigured criteria file reads as
-        no settings."""
+        """The declared input `name` of the running stage, parsed at most once
+        per command. An unconfigured criteria file reads as no settings."""
         if self._inputs is None or name not in self._inputs:
             raise KeyError(f"{name!r} is not an input the running stage declared")
-        path, digest = self._inputs[name]
-        held = self._held.get(name)
-        if held is None or held[0] != digest:
+        entry = self._table[name]
+        if entry[1] is None:
+            path = self._inputs[name]
             if path is None and name != "criteria":
                 raise ConfigError(f"no {name} file configured")
-            parsed = _PARSERS[name.rstrip("0123456789")](path)
-            held = self._held[name] = (digest, parsed)
-        return held[1]
+            entry[1] = _PARSERS[name.rstrip("0123456789")](path)
+        return entry[1]
 
     def _get_gateway(self) -> Gateway:
         if self.gateway is None:
@@ -242,10 +233,6 @@ class Runner:
         lookups never wait, so it runs each issue inline."""
         return 1 if self.config.mode == "replay" else self.config.parallelism
 
-    def _usage(self) -> dict[str, dict]:
-        gateway = self.gateway
-        return {m: t.to_dict() for m, t in gateway.usage.items()} if gateway else {}
-
     def close(self) -> None:
         """Close the transcript's append handle, if one is open."""
         if self.gateway is not None and self.gateway.transcript is not None:
@@ -263,11 +250,11 @@ class Runner:
                 fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
             except BlockingIOError:
                 raise StageError(f"run directory is locked by another command: {lock}") from None
-            self._digests = {}
+            self._table = {}
             try:
                 yield
             finally:
-                self._digests = None
+                self._table = None
 
     def snapshot_config(self) -> None:
         """Write `config_snapshot.yaml`, once per Runner."""
@@ -295,51 +282,45 @@ class Runner:
         input hash covers `key` and the sha256 of each input. When the
         manifest records that hash and the artifact still has the sha256
         recorded as its output, the stage is skipped. Otherwise `body()`
-        writes the artifact and returns its sha256 and any extra manifest
-        meta, and the manifest records the hash, the output, the time and the
-        model calls of the stage. The transcript is closed when the body
-        ends."""
-        path = self.artifact(name)
+        writes the artifact and returns its sha256, the object written (None
+        when no stage reads it) and any extra manifest meta; the first two go
+        into the command's table, and the manifest records the hash, the
+        output, the time from the call on and the model calls of the stage.
+        The transcript is closed when the body ends."""
+        started, path = time.monotonic(), self.artifact(name)
         with self._declared(inputs, name) as digests:
             input_hash = hashlib.sha256(_canonical({"key": key, "inputs": digests})).hexdigest()
             recorded = self.manifest.stage(name)
             unchanged = recorded.get("input_hash") == input_hash and path.exists()
-            if unchanged and self._digest(path) == recorded.get("output"):
+            if unchanged and self._digest(name, path) == recorded.get("output"):
                 logger.info("%s: unchanged, skipping", name)
                 return path
-            if self._digests is not None:  # no digest of the artifact holds until the body returns
-                self._digests.pop(path, None)
+            self._table.pop(name, None)  # no digest of the artifact holds until the body returns
             self.snapshot_config()
-            started, before = time.monotonic(), self._usage()
+            if self.gateway is not None:
+                self.gateway.usage.clear()
             try:
-                output, extra = body()
+                output, written, extra = body()
             finally:
                 self.close()
-            if self._digests is not None:
-                self._digests[path] = output
-        per_model = {}
-        for model, tally in self._usage().items():
-            prior = before.get(model, {})
-            used = {k: count - prior.get(k, 0) for k, count in tally.items()}
-            if used["requests"]:
-                per_model[model] = used
-        meta = {
-            "duration_seconds": round(time.monotonic() - started, 3),
-            "tokens": sum(t["input_tokens"] + t["output_tokens"] for t in per_model.values()),
-            "per_model": per_model,
-            **extra,
-        }
-        self.manifest.set_stage(name, input_hash, output, meta)
+            self._table[name] = [output, written]
+            per_model = {m: t.to_dict() for m, t in self.gateway.usage.items()} if self.gateway else {}
+            meta = {
+                "duration_seconds": round(time.monotonic() - started, 3),
+                "tokens": sum(t["input_tokens"] + t["output_tokens"] for t in per_model.values()),
+                "per_model": per_model,
+                **extra,
+            }
+            self.manifest.set_stage(name, input_hash, output, meta)
         return path
 
     # --- stages ------------------------------------------------------------
     #
     # Each stage names its key, its input files and its body; `_stage`
     # decides whether to skip before the body parses anything. Inputs come
-    # from `_read`, so within one run each is parsed at most once, and an
-    # artifact not at all when the stage that wrote it handed over the
-    # parsed object. A body returns the sha256 of the artifact it wrote and
-    # its extra manifest meta. The docstrings are the CLI's help texts.
+    # from `_read`, so within one command each is parsed at most once, and an
+    # artifact not at all when the stage that wrote it ran in the command.
+    # The docstrings are the CLI's help texts.
 
     def run_corpus(self) -> Path:
         """Import the dumps and fetch the repos into the corpus artifact."""
@@ -349,17 +330,14 @@ class Runner:
         def body():
             parts = [self._read(name) for name in dumps]
             for name in dumps:  # no later stage reads a dump
-                del self._held[name]
+                self._table[name][1] = None
             if config.repos:
                 cache = PageCache(config.cache_dir) if config.cache_dir else None
                 fetcher = IssueFetcher(cache=cache)
                 parts.extend(fetcher.fetch_issues(repo) for repo in config.repos)
             corpus = merge_corpora(parts)
-            spans: list = []
-            digest = export_dump(corpus, self.artifact("corpus"), spans)
-            self._held["corpus"] = (digest, corpus)
-            self._held["corpus_spans"] = (digest, spans)  # each record's line
-            return digest, {"records": len(corpus)}
+            digest = export_dump(corpus, self.artifact("corpus"))
+            return digest, corpus, {"records": len(corpus)}
 
         key = {"dumps": [str(p) for p in config.dumps], "repos": config.repos}
         return self._stage("corpus", key, dumps, body)
@@ -371,21 +349,14 @@ class Runner:
 
         def body():
             corpus = self._read("corpus")
-            # No later stage reads the full corpus. The record spans kept by
-            # the corpus stage hold while the file is the one it wrote.
-            digest = self._held.pop("corpus")[0]
-            written, spans = self._held.pop("corpus_spans", (None, None))
+            self._table["corpus"][1] = None  # no later stage reads the full corpus
             sample = corpus
             if sampling is not None:
                 sample = sample_balanced(corpus, self._read("gold"), sampling.n_pos, sampling.n_neg, sampling.seed)
-            path = self.artifact("sample")
-            if written == digest:
-                at = dict(zip(corpus.keys(), spans))
-                digest = copy_spans(inputs["corpus"], path, (at[key] for key in sample.keys()))
-            else:
-                digest = export_dump(sample, path)
-            self._held["sample"] = (digest, sample)
-            return digest, {}
+            chosen = set(sample.keys())
+            keep = {i for i, key in enumerate(corpus.keys()) if key in chosen}
+            digest = copy_lines(inputs["corpus"], self.artifact("sample"), keep)
+            return digest, sample, {}
 
         return self._stage("sample", asdict(sampling) if sampling else None, inputs, body)
 
@@ -401,7 +372,7 @@ class Runner:
             payload = {"plan": plan.to_dict()}
             if self.config.reference_projects_file is not None:
                 payload["score"] = stage1.score_plan(plan, self._read("reference_projects")).to_dict()
-            return _write_json(self.artifact("define"), payload), {}
+            return _write_json(self.artifact("define"), payload), None, {}
 
         key = {"theme": theme.description, "constraints": theme.constraints, "model": self.config.model_id}
         return self._stage("define", key, self._files("reference_projects"), body)
@@ -417,8 +388,7 @@ class Runner:
                 parallelism=self._issue_parallelism(),
             )
             digest = write_jsonl(self.artifact("filter"), (d.to_dict() for d in decisions))
-            self._held["filter"] = (digest, decisions)
-            return digest, {"decisions": len(decisions), "positives": sum(1 for d in decisions if d.final)}
+            return digest, decisions, {"decisions": len(decisions), "positives": sum(1 for d in decisions if d.final)}
 
         return self._stage("filter", {"model": self.config.model_id}, inputs, body)
 
@@ -446,8 +416,7 @@ class Runner:
                 comment_budget=criteria["comment_budget"], char_budget=criteria["char_budget"],
             )
             digest = write_jsonl(self.artifact("classify"), (l.to_dict() for l in labels))
-            self._held["classify"] = (digest, labels)
-            return digest, {"labels": len(labels), "invalid": sum(1 for l in labels if not l.valid)}
+            return digest, labels, {"labels": len(labels), "invalid": sum(1 for l in labels if not l.valid)}
 
         key = {"model": config.model_id, "stage3_input": config.stage3_input}
         return self._stage("classify", key, inputs, body)
@@ -526,7 +495,7 @@ class Runner:
             seconds = round(time.monotonic() - started, 3)
             report.run_meta.wall_time_seconds = round(report.run_meta.wall_time_seconds + seconds, 3)
             self.report = report
-            return self.write_report(report), {"report_seconds": seconds}
+            return self.write_report(report), None, {"report_seconds": seconds}
 
         # The report also reads the upstream manifest entries, so a skip
         # means report.json is current.

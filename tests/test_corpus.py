@@ -215,3 +215,33 @@ def test_format_timestamp_matches_strftime(ts):
 ], ids=["year-999", "offset-across-midnight"])
 def test_format_timestamp_pads_the_year_and_converts_to_utc(ts, text):
     assert format_timestamp(ts) == text == ts.astimezone(timezone.utc).isoformat(timespec="seconds")[:-6] + "Z"
+
+
+def test_a_dump_line_that_is_not_utf8_names_the_file_and_line(tmp_path):
+    dump = tmp_path / "dump.jsonl"
+    good = json.dumps(make_issue(number=1).to_dict()).encode("utf-8")
+    bad = json.dumps(make_issue(number=2, title="café").to_dict(), ensure_ascii=False).encode("latin-1")
+    dump.write_bytes(good + b"\n" + bad + b"\n")
+    with pytest.raises(DumpFormatError, match=f"{dump} line 2: .*utf-8") as exc:
+        import_dump(dump)
+    assert exc.value.line_no == 2
+
+
+def test_a_gold_file_that_is_not_utf8_names_the_file(tmp_path):
+    gold_path = tmp_path / "gold.csv"
+    gold_path.write_bytes(
+        "repo,number,fault_related,symptom_leaf_id,root_cause_id\nacmé/dlpipe,1,true,,\n".encode("latin-1")
+    )
+    with pytest.raises(GoldFileError, match=f"gold file {gold_path} is not UTF-8"):
+        load_gold(gold_path)
+
+
+def test_lines_end_at_newline_only_so_a_lone_carriage_return_joins_two_records(tmp_path):
+    """JSON Lines separates lines with `\\n`: a `\\r\\n` ending reads, but a lone
+    `\\r` leaves two records on one line, which is an error naming it."""
+    first, second, third = (json.dumps(make_issue(number=n).to_dict()) for n in (1, 2, 3))
+    dump = tmp_path / "dump.jsonl"
+    dump.write_bytes(f"{first}\r\n \t\r\n{second}\r{third}\n".encode("utf-8"))
+    with pytest.raises(DumpFormatError, match=f"{dump} line 3: invalid JSON") as exc:
+        import_dump(dump)
+    assert exc.value.line_no == 3

@@ -15,7 +15,7 @@ import yaml
 from click.testing import CliRunner
 
 from faultloom import config as config_module
-from faultloom import pipeline, taxonomy
+from faultloom import ingest, pipeline, taxonomy
 from faultloom.cli import main
 from faultloom.config import load_config, load_yaml, packaged_data_path
 from faultloom.corpus import Corpus, IssueRecord, export_dump, import_dump, load_gold, sample_balanced
@@ -794,3 +794,84 @@ def test_edited_reference_list_reruns_define(tmp_path):
     (golden / "reference_projects.txt").write_text("TensorFlow.js\n")
     Runner(config).run_define()
     assert json.loads(plan.read_text())["score"]["recall"] == 1.0
+
+
+def test_stage_time_counts_hashing_its_inputs(tmp_path, monkeypatch):
+    hash_file = pipeline._hash_file
+
+    def slowed(path):
+        time.sleep(0.05)
+        return hash_file(path)
+
+    monkeypatch.setattr(pipeline, "_hash_file", slowed)
+    runner = Runner(_config(tmp_path))
+    runner.run_pipeline()
+    assert runner.manifest.stage("corpus")["meta"]["duration_seconds"] >= 0.05
+
+
+@pytest.mark.parametrize(
+    "name, old, new, key",
+    [
+        ("criteria.yaml", '  - "stat:awaiting response"', "  wontfix", "exclusion_labels"),
+        ("config.yaml", "dumps: [corpus.jsonl]", "dumps: corpus.jsonl", "dumps"),
+        ("config.yaml", "out: run", "out: run\nrepos: acme/dlpipe", "repos"),
+        ("config.yaml", "constraints: [open-source projects only]", "constraints: open-source projects only",
+         "theme.constraints"),
+    ],
+)
+def test_cli_a_string_where_a_list_belongs_is_an_error_naming_the_file_and_key(
+    tmp_path, monkeypatch, name, old, new, key
+):
+    def offline(url, headers, params):  # a repos list read as letters must not reach the network
+        raise AssertionError(f"fetched {url}")
+
+    monkeypatch.setattr(ingest, "requests_transport", offline)
+    inputs = tmp_path / "inputs"
+    shutil.copytree(GOLDEN, inputs)
+    text = (inputs / name).read_text()
+    assert old in text
+    (inputs / name).write_text(text.replace(old, new))
+    result = CliRunner().invoke(main, ["run", "--config", str(inputs / "config.yaml"), "--out", str(tmp_path / "run")])
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error: ")
+    assert f"{inputs / name}: {key} must be a list, not str" in result.stderr
+
+
+@pytest.mark.parametrize("call, ran", [("run_corpus", ()), ("build_report", RUN_ORDER)])
+def test_direct_call_refuses_a_locked_run_directory(tmp_path, call, ran):
+    runner = Runner(_config(tmp_path))
+    for stage in ran:
+        getattr(runner, f"run_{stage}")()
+
+    def written():
+        return {str(p): (p.read_bytes(), p.stat().st_mtime_ns) for p in runner.out.rglob("*") if p.is_file()}
+
+    with _lock_holder(runner.out):
+        existing = written()
+        with pytest.raises(StageError, match="locked"):
+            getattr(Runner(_config(tmp_path)), call)()
+        assert written() == existing
+
+
+def test_sample_command_copies_the_chosen_lines_of_a_hand_written_corpus(tmp_path):
+    """CRLF endings, blank and whitespace-only lines, keys out of canonical
+    order and no final newline: `sample.jsonl` holds the chosen lines as they
+    are, and reads as the sample of the corpus."""
+    records = [json.loads(line) for line in (GOLDEN / "corpus.jsonl").read_text().splitlines()]
+    records.append(records.pop(0))  # a chosen record last, on the line without a newline
+    lines = [json.dumps(dict(reversed(record.items()))).encode("utf-8") + b"\r\n" for record in records]
+    lines[-1] = lines[-1].rstrip(b"\r\n")
+    out = tmp_path / "run"
+    out.mkdir()
+    corpus_path = out / "corpus.jsonl"
+    corpus_path.write_bytes(b"\r\n" + b"".join(lines[:3]) + b" \t\r\n" + b"".join(lines[3:]))
+
+    result = CliRunner().invoke(main, ["sample", "--config", str(GOLDEN / "config.yaml"), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    corpus = import_dump(corpus_path)
+    drawn = sample_balanced(corpus, load_gold(GOLDEN / "gold.csv"), 4, 4, 7)
+    chosen = set(drawn.keys())
+    assert corpus.keys()[-1] in chosen
+    expected = b"".join(line for line, key in zip(lines, corpus.keys()) if key in chosen)
+    assert (out / "sample.jsonl").read_bytes() == expected
+    assert import_dump(out / "sample.jsonl") == drawn
