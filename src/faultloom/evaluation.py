@@ -40,9 +40,6 @@ class ConfusionMatrix(Record):
     def total(self) -> int:
         return sum(sum(row) for row in self.counts)
 
-    def row_sums(self) -> dict[str, int]:
-        return {c: sum(row) for c, row in zip(self.classes, self.counts)}
-
     def diagonal(self) -> int:
         return sum(self.counts[i][i] for i in range(len(self.classes)))
 

@@ -7,8 +7,14 @@ upstream artifacts alike, and records in the manifest its input hash (its
 config key + the sha256 of each declared file) and the sha256 its artifact was
 written with. On rerun it is skipped when the input hash is unchanged and the
 artifact still has that sha256, so a finished run directory is stable and
-fully determines its report: a no-op rerun hashes its inputs and artifacts and
-reads report.json back.
+fully determines its report: a no-op rerun reads report.json back.
+
+The manifest also keeps, for each file a command hashed or a stage wrote, its
+stat fingerprint (device, inode, size, mtime, ctime) and its sha256. A later
+command reuses that sha256 without reading the file while the fingerprint is
+unchanged and the file's ctime is older than the manifest's mtime (git's
+"racy git" rule); any other file is hashed. A stale fingerprint is refreshed
+when a stage next writes the manifest.
 
 A command (a `Runner.locked()` block) keeps one table of the files its
 stages read and write, and each file is hashed and parsed at most once in it:
@@ -71,11 +77,8 @@ ARTIFACTS = {
 _CHUNK = 1 << 20
 
 
-def _hash_file(path: Path | None) -> str | None:
-    """sha256 of the file at `path`, read in chunks into one reused buffer;
-    None when no file is configured."""
-    if path is None:
-        return None
+def _hash_file(path: Path) -> str:
+    """sha256 of the file at `path`, read in chunks into one reused buffer."""
     hasher, buffer = hashlib.sha256(), bytearray(_CHUNK)
     view = memoryview(buffer)
     with open(path, "rb", buffering=0) as fh:
@@ -84,16 +87,23 @@ def _hash_file(path: Path | None) -> str | None:
     return hasher.hexdigest()
 
 
+def _fingerprint(st: os.stat_result, sha256: str) -> dict:
+    """A "files" entry of the manifest: a file's stat fingerprint and its sha256."""
+    return {"stat": [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns], "sha256": sha256}
+
+
 def _canonical(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str).encode("utf-8")
 
 
 class Manifest:
-    """Per-run record of stage input hashes and stage metadata."""
+    """Per-run record of stage input hashes and stage metadata, and of the
+    fingerprint and sha256 of each file a command hashed or a stage wrote."""
 
     def __init__(self, path: Path):
         self.path = path
         self.data: dict = {"stages": {}}
+        self.files: dict = {}
         if path.exists():
             try:
                 self.data = json.loads(path.read_text(encoding="utf-8"))
@@ -101,6 +111,28 @@ class Manifest:
                 raise ManifestError(f"unreadable manifest {path}: {exc}") from exc
             if not isinstance(self.data, dict) or not isinstance(self.data.get("stages"), dict):
                 raise ManifestError(f"unreadable manifest {path}: no stages object")
+            self._trust()
+
+    def _trust(self) -> None:
+        """Hold as `self.files` the well-formed entries of the "files" map
+        whose file last changed before the manifest was written. An entry that
+        changed in the same clock tick is racy: a write later in that tick
+        would leave its fingerprint as it was."""
+        written = self.path.stat().st_mtime_ns
+        files = self.data.get("files")
+        self.files = {
+            path: entry for path, entry in (files.items() if isinstance(files, dict) else ())
+            if isinstance(entry, dict) and isinstance(entry.get("sha256"), str)
+            and isinstance(stat := entry.get("stat"), list) and len(stat) == 5
+            and all(type(v) is int for v in stat) and stat[4] < written
+        }
+
+    def known(self, path: Path, st: os.stat_result) -> str | None:
+        """The sha256 of the trusted entry for `path` if it holds `st`'s fingerprint."""
+        entry = self.files.get(str(path))
+        if entry is not None and entry == _fingerprint(st, entry["sha256"]):
+            return entry["sha256"]
+        return None
 
     def save(self, data: dict) -> None:
         """Write `data` as the manifest through a temp file in the same
@@ -110,13 +142,15 @@ class Manifest:
         tmp.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         os.replace(tmp, self.path)
         self.data = data
+        self._trust()
 
     def stage(self, name: str) -> dict:
         return self.data["stages"].get(name, {})
 
-    def set_stage(self, name: str, input_hash: str, output: str, meta: dict) -> None:
+    def set_stage(self, name: str, input_hash: str, output: str, meta: dict, files: dict) -> None:
+        """Record the stage entry, and `files` (path -> entry) over the trusted ones."""
         entry = {"input_hash": input_hash, "output": output, "meta": meta}
-        self.save({**self.data, "stages": {**self.data["stages"], name: entry}})
+        self.save({**self.data, "stages": {**self.data["stages"], name: entry}, "files": {**self.files, **files}})
 
 
 # The stages `run_pipeline` runs, in order. The report's run figures come
@@ -160,6 +194,8 @@ class Runner:
         # The table of the running command: input name -> [sha256, parsed
         # object or None]; None outside `locked()`.
         self._table: dict[str, list] | None = None
+        # The "files" entries of the running command: path -> entry.
+        self._taken: dict[str, dict] = {}
         # The inputs of the running stage: name -> path.
         self._inputs: dict[str, Path | None] | None = None
         self._snapshotted = False
@@ -175,18 +211,29 @@ class Runner:
 
     def _digest(self, name: str, path: Path | None) -> str | None:
         """sha256 of the file at `path`, the input `name` of the running
-        command, taken at most once per command; None when not configured."""
+        command, taken at most once per command; None when not configured.
+        The file is read only when the manifest holds no trusted entry with
+        its current fingerprint."""
         if name not in self._table:
-            self._table[name] = [_hash_file(path), None]
+            digest = None
+            if path is not None:
+                st = os.stat(path)  # before the read, so a later write changes st_ctime_ns
+                digest = self.manifest.known(path, st) or _hash_file(path)
+                self._taken[str(path)] = _fingerprint(st, digest)
+            self._table[name] = [digest, None]
         return self._table[name][0]
+
+    def _command(self):
+        """`locked()` when no command is running, else a context that does nothing."""
+        return self.locked() if self._table is None else contextlib.nullcontext()
 
     @contextlib.contextmanager
     def _declared(self, inputs: dict, needed_by: str):
         """Hash each file of `inputs` (name -> path, None when not
         configured) into the command's table, and let `_read` parse them
         while the block runs. Yields the sha256 of each by name. Outside a
-        command, the block takes `locked()` and is a command of its own."""
-        with self.locked() if self._table is None else contextlib.nullcontext():
+        command, the block is a command of its own."""
+        with self._command():
             digests = {}
             for name, path in inputs.items():
                 try:
@@ -250,11 +297,11 @@ class Runner:
                 fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
             except BlockingIOError:
                 raise StageError(f"run directory is locked by another command: {lock}") from None
-            self._table = {}
+            self._table, self._taken = {}, {}
             try:
                 yield
             finally:
-                self._table = None
+                self._table, self._taken = None, {}
 
     def snapshot_config(self) -> None:
         """Write `config_snapshot.yaml`, once per Runner."""
@@ -304,6 +351,7 @@ class Runner:
             finally:
                 self.close()
             self._table[name] = [output, written]
+            self._taken[str(path)] = _fingerprint(os.stat(path), output)
             per_model = {m: t.to_dict() for m, t in self.gateway.usage.items()} if self.gateway else {}
             meta = {
                 "duration_seconds": round(time.monotonic() - started, 3),
@@ -311,7 +359,7 @@ class Runner:
                 "per_model": per_model,
                 **extra,
             }
-            self.manifest.set_stage(name, input_hash, output, meta)
+            self.manifest.set_stage(name, input_hash, output, meta, self._taken)
         return path
 
     # --- stages ------------------------------------------------------------
@@ -504,26 +552,27 @@ class Runner:
 
     def write_report(self, report: EvalReport) -> str:
         """Write report.json, the tables and summary.md; return the sha256 of
-        report.json."""
-        digest = _write_json(self.artifact("evaluate"), report.to_dict())
-        tables = self.out / "tables"
-        tables.mkdir(exist_ok=True)
-        for name, scores in (
-            ("stage2_confusion", report.stage2),
-            ("stage3_symptom_confusion", report.stage3_symptom),
-            ("stage3_rootcause_confusion", report.stage3_rootcause),
-        ):
-            path = tables / f"{name}.csv"
-            if scores is None:
-                path.write_text("", encoding="utf-8")
-                continue
-            matrix = scores.confusion
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["gold \\ predicted"] + matrix.classes)
-                for cls, row in zip(matrix.classes, matrix.counts):
-                    writer.writerow([cls] + row)
-        self._write_summary(report)
+        report.json. Outside a command, this is a command of its own."""
+        with self._command():
+            digest = _write_json(self.artifact("evaluate"), report.to_dict())
+            tables = self.out / "tables"
+            tables.mkdir(exist_ok=True)
+            for name, scores in (
+                ("stage2_confusion", report.stage2),
+                ("stage3_symptom_confusion", report.stage3_symptom),
+                ("stage3_rootcause_confusion", report.stage3_rootcause),
+            ):
+                path = tables / f"{name}.csv"
+                if scores is None:
+                    path.write_text("", encoding="utf-8")
+                    continue
+                matrix = scores.confusion
+                with open(path, "w", encoding="utf-8", newline="") as fh:
+                    writer = csv.writer(fh)
+                    writer.writerow(["gold \\ predicted"] + matrix.classes)
+                    for cls, row in zip(matrix.classes, matrix.counts):
+                        writer.writerow([cls] + row)
+            self._write_summary(report)
         return digest
 
     def _write_summary(self, report: EvalReport) -> None:

@@ -64,9 +64,6 @@ class Taxonomy:
             yield node
             stack.extend(reversed(node.children))
 
-    def nodes_at_level(self, level: int) -> list[TaxonomyNode]:
-        return [n for n in self.walk() if n.level == level]
-
     def node_by_id(self, node_id: str) -> TaxonomyNode:
         try:
             return self._by_id[node_id]

@@ -37,6 +37,7 @@ from faultloom.taxonomy import load_taxonomy
 
 from fakes import CountingProvider, OracleProvider, ScriptedProvider
 from gen import EXCLUSION_LABELS, VOCAB, synth_corpus, synth_gold_balanced
+from helpers import nodes_at_level, row_sums
 from test_stage2 import _naive_criteria
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden"
@@ -65,10 +66,10 @@ def announce(request):
 def test_taxonomy_invariant_suite(announce, symptoms, root_causes):
     with announce("taxonomy invariants: fixture counts and mutation rejection"):
         assert len(symptoms.roots) == 5
-        assert len(symptoms.nodes_at_level(2)) == 15
-        assert len(symptoms.nodes_at_level(3)) == 15
+        assert len(nodes_at_level(symptoms, 2)) == 15
+        assert len(nodes_at_level(symptoms, 3)) == 15
         assert len(root_causes.roots) == 5
-        assert len(root_causes.nodes_at_level(2)) == 17
+        assert len(nodes_at_level(root_causes, 2)) == 17
 
         files = {
             "symptom": packaged_data_path("symptom_taxonomy.yaml"),
@@ -205,7 +206,7 @@ def test_metric_oracle_equivalence(announce, symptoms):
             for g in rand_gold.values():
                 name = symptoms.node_by_id(g.symptom_leaf).name
                 counts[name] = counts.get(name, 0) + 1
-            for cls, total in scores.confusion.row_sums().items():
+            for cls, total in row_sums(scores.confusion).items():
                 assert total == counts.get(cls, 0)
 
 

@@ -476,21 +476,78 @@ def test_cold_run_hashes_only_the_dump_and_config_files_once_each(tmp_path, monk
     }
 
 
-def test_noop_rerun_hashes_each_input_and_artifact_once(tmp_path, monkeypatch):
-    config = _config(tmp_path)
-    runner = Runner(config)
+def _set_mtime(path: Path, ns: int) -> None:
+    os.utime(path, ns=(ns, ns))
+
+
+def test_aged_noop_rerun_hashes_no_file_and_writes_nothing(tmp_path, monkeypatch):
+    """With the manifest a second newer than every file it fingerprints, no
+    entry is racy, so each file's sha256 comes from the manifest."""
+    runner = Runner(_config(tmp_path))
     runner.run_pipeline()
-    manifest = (runner.out / "manifest.json").read_bytes()
+    path = runner.out / "manifest.json"
+    _set_mtime(path, path.stat().st_mtime_ns + 10**9)
+    manifest = path.read_bytes()
     hashed = _count_hashes(monkeypatch)
     Runner(_config(tmp_path)).run_pipeline()
-    assert hashed == {
-        path: 1 for path in (
-            config.dumps[0], config.gold_file, config.criteria_file, config.vocabulary_file,
-            config.symptom_taxonomy_file, config.root_cause_taxonomy_file,
-            *(runner.artifact(name) for name in RUN_ORDER),
-        )
-    }
-    assert (runner.out / "manifest.json").read_bytes() == manifest
+    assert not hashed
+    assert path.read_bytes() == manifest
+
+
+@pytest.mark.parametrize(
+    "case, reran",
+    [
+        ("rewritten-in-place", ["filter"]),
+        ("replaced", []),
+        ("truncated", ["classify"]),
+        ("racy", []),
+        ("malformed", []),
+        ("no-files-map", []),
+    ],
+)
+def test_a_file_whose_fingerprint_may_be_stale_is_hashed_again(tmp_path, monkeypatch, caplog, case, reran):
+    """After a finished run whose manifest is a second newer than its files,
+    edit one file: it is hashed again, and its stage reruns only when its
+    bytes changed."""
+    golden = shutil.copytree(GOLDEN, tmp_path / "golden")
+    config = load_config(golden / "config.yaml", {"out": str(tmp_path / "run")})
+    runner = Runner(config)
+    runner.run_pipeline()
+    path = runner.out / "manifest.json"
+    manifest = json.loads(path.read_text())
+    mtime = path.stat().st_mtime_ns + 10**9
+    if case == "rewritten-in-place":  # the same size and terms and the old mtime: only st_ctime_ns differs
+        edited = golden / "vocab.txt"
+        before = edited.stat()
+        edited.write_bytes(edited.read_bytes()[:-1] + b" ")
+        os.utime(edited, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert edited.stat().st_ctime_ns != before.st_ctime_ns
+    elif case == "replaced":  # the same bytes under a new inode
+        edited = golden / "corpus.jsonl"
+        shutil.copyfile(edited, tmp_path / "copy.jsonl")
+        os.replace(tmp_path / "copy.jsonl", edited)
+    elif case == "truncated":
+        edited = runner.artifact("classify")
+        edited.write_bytes(b"".join(edited.read_bytes().splitlines(keepends=True)[:-1]))
+    elif case == "racy":  # the manifest written in the tick the file last changed
+        edited = golden / "gold.csv"
+        mtime = manifest["files"][str(edited)]["stat"][4]
+    elif case == "malformed":
+        edited = golden / "criteria.yaml"
+        manifest["files"][str(edited)] = {"stat": "stale", "sha256": 5}
+        path.write_text(json.dumps(manifest))
+    else:  # as written before manifests kept fingerprints
+        edited = golden / "corpus.jsonl"
+        del manifest["files"]
+        path.write_text(json.dumps(manifest))
+    _set_mtime(path, mtime)
+
+    hashed = _count_hashes(monkeypatch)
+    with caplog.at_level(logging.INFO, logger="faultloom.pipeline"):
+        Runner(config).run_pipeline()
+    assert hashed[edited] == 1
+    assert case in ("racy", "no-files-map") or set(hashed) == {edited}
+    assert [s for s in RUN_ORDER[:-1] if f"{s}: unchanged, skipping" not in caplog.text] == reran
 
 
 def test_truncated_artifact_reruns_its_stage_from_the_transcript(tmp_path, monkeypatch):
@@ -837,11 +894,14 @@ def test_cli_a_string_where_a_list_belongs_is_an_error_naming_the_file_and_key(
     assert f"{inputs / name}: {key} must be a list, not str" in result.stderr
 
 
-@pytest.mark.parametrize("call, ran", [("run_corpus", ()), ("build_report", RUN_ORDER)])
+@pytest.mark.parametrize(
+    "call, ran", [("run_corpus", ()), ("build_report", RUN_ORDER), ("write_report", RUN_ORDER)]
+)
 def test_direct_call_refuses_a_locked_run_directory(tmp_path, call, ran):
     runner = Runner(_config(tmp_path))
     for stage in ran:
         getattr(runner, f"run_{stage}")()
+    args = (runner.report,) if call == "write_report" else ()
 
     def written():
         return {str(p): (p.read_bytes(), p.stat().st_mtime_ns) for p in runner.out.rglob("*") if p.is_file()}
@@ -849,7 +909,7 @@ def test_direct_call_refuses_a_locked_run_directory(tmp_path, call, ran):
     with _lock_holder(runner.out):
         existing = written()
         with pytest.raises(StageError, match="locked"):
-            getattr(Runner(_config(tmp_path)), call)()
+            getattr(Runner(_config(tmp_path)), call)(*args)
         assert written() == existing
 
 

@@ -13,6 +13,7 @@ from faultloom.taxonomy import ancestors
 
 from fakes import CountingProvider, ScriptedProvider
 from gen import make_issue
+from helpers import nodes_at_level
 
 MODEL = "openai/gpt-4o"
 
@@ -35,9 +36,9 @@ def test_prompt_deterministic(symptoms, root_causes):
 
 def test_prompt_contains_all_symptom_leaves(symptoms, root_causes):
     prompt = build_classification_prompt(make_issue(), symptoms, root_causes, MODEL)
-    for leaf in symptoms.nodes_at_level(3):
+    for leaf in nodes_at_level(symptoms, 3):
         assert leaf.name in prompt.user_text
-    assert len(symptoms.nodes_at_level(3)) == 15
+    assert len(nodes_at_level(symptoms, 3)) == 15
 
 
 def test_prompt_offers_unknown_root_cause(symptoms, root_causes):

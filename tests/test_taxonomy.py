@@ -23,6 +23,8 @@ from faultloom.taxonomy import (
     resolve_label,
 )
 
+from helpers import nodes_at_level
+
 
 def _raw(kind: str) -> dict:
     name = "symptom_taxonomy.yaml" if kind == "symptom" else "root_cause_taxonomy.yaml"
@@ -32,14 +34,14 @@ def _raw(kind: str) -> dict:
 
 def test_symptom_fixture_counts(symptoms):
     assert len(symptoms.roots) == 5
-    assert len(symptoms.nodes_at_level(2)) == 15
-    assert len(symptoms.nodes_at_level(3)) == 15
+    assert len(nodes_at_level(symptoms, 2)) == 15
+    assert len(nodes_at_level(symptoms, 3)) == 15
     assert symptoms.leaf_level == 3
 
 
 def test_root_cause_fixture_counts(root_causes):
     assert len(root_causes.roots) == 5
-    assert len(root_causes.nodes_at_level(2)) == 17
+    assert len(nodes_at_level(root_causes, 2)) == 17
     assert root_causes.leaf_level == 2
     assert "Unknown" in [r.name for r in root_causes.roots]
 
@@ -142,7 +144,7 @@ def test_ancestors_rejects_foreign_node(symptoms):
 
 
 def test_leaf_path_lengths(symptoms, root_causes):
-    for leaf in symptoms.nodes_at_level(3):
+    for leaf in nodes_at_level(symptoms, 3):
         assert len(ancestors(symptoms, leaf)) == 3
     for leaf in root_causes.leaves():
         assert len(ancestors(root_causes, leaf)) <= 2
