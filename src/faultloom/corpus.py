@@ -9,6 +9,7 @@ import hashlib
 import io
 import json
 import random
+import re
 import types
 import typing
 from concurrent.futures import ThreadPoolExecutor
@@ -26,6 +27,12 @@ from .errors import (
 )
 
 IssueKey = tuple[str, int]
+
+Timestamp = typing.NewType("Timestamp", str)
+"""A time in UTC to the second, as the text `YYYY-MM-DDTHH:MM:SSZ`. The text
+is fixed-width, so comparing two of them compares the times. Nothing checks
+the text at run time: `from_dict` makes it canonical, and a record built
+directly must be given `canonical_timestamp` or `format_timestamp` text."""
 
 
 def parse_timestamp(value: str) -> datetime:
@@ -45,6 +52,32 @@ def format_timestamp(ts: datetime) -> str:
     return "%04d-%02d-%02dT%02d:%02d:%02dZ" % (ts.year, ts.month, ts.day, ts.hour, ts.minute, ts.second)
 
 
+# ASCII digits only (`\d` would take any script's), and hours stop at 23: an
+# interpreter that reads `T24:00:00` as the next midnight must normalise it.
+_canonical = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T(?:[01][0-9]|2[0-3]):[0-9]{2}:[0-9]{2}Z").fullmatch
+
+
+def canonical_timestamp(value) -> Timestamp:
+    """`value` as a Timestamp: `format_timestamp(parse_timestamp(value))`,
+    without the round trip for text already in that form. Such text is
+    still checked to name a time that exists; `fromisoformat` is given it
+    without the `Z`, which Python 3.10 does not read."""
+    if value.__class__ is str and _canonical(value):
+        datetime.fromisoformat(value[:19])
+        return value
+    return format_timestamp(parse_timestamp(value))
+
+
+def _integer(value) -> int:
+    """A JSON integer. An integral float or a numeric string reads as one;
+    a boolean or a fraction is a TypeError."""
+    if value.__class__ is int:
+        return value
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise TypeError(f"expected an integer, not {value!r}")
+    return int(value)
+
+
 def _expect(value, kind: type, what: str):
     if not isinstance(value, kind):
         raise TypeError(f"expected {what}, not {type(value).__name__}")
@@ -55,7 +88,7 @@ def _codec(tp) -> tuple[Callable | None, Callable]:
     """(encode, decode) for values of field type `tp`. `encode` is None where
     a value is already JSON-shaped; `decode` takes a value that is not None."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin is types.UnionType:  # X | None
+    if origin in (types.UnionType, typing.Union):  # X | None; typing.Union when X is a NewType
         (inner,) = [a for a in args if a is not type(None)]
         encode, decode = _codec(inner)
         return (encode and (lambda v: None if v is None else encode(v))), decode
@@ -75,16 +108,18 @@ def _codec(tp) -> tuple[Callable | None, Callable]:
         return (lambda v: {str(k): x for k, x in v.items()}), (
             lambda v: {int(k): float(x) for k, x in _expect(v, dict, "an object").items()}
         )
-    if tp is datetime:
-        return format_timestamp, parse_timestamp
+    if tp is Timestamp:
+        return None, canonical_timestamp
     if isinstance(tp, type) and issubclass(tp, Record):
         return _compiled(tp)
     if tp is str:  # a number reads as its text
         return None, lambda v: _expect(v, str, "a string") if isinstance(v, (dict, list)) else str(v)
     if tp is bool:
         return None, lambda v: _expect(v, bool, "a boolean")
-    if tp in (int, float):
-        return None, tp
+    if tp is int:
+        return None, _integer
+    if tp is float:
+        return None, float
     raise TypeError(f"no codec for field type {tp!r}")
 
 
@@ -129,11 +164,12 @@ def _compiled(cls) -> tuple[Callable, Callable]:
 class Record:
     """Base of the dataclasses that are written as JSON.
 
-    `to_dict` gives the JSON-shaped dict: datetimes as `format_timestamp`
-    strings, tuples as lists, dict keys as strings, nested records alike.
-    `from_dict` reads one back by the field types. A key that is missing or
-    null takes the field's default; without one it is a KeyError, and a value
-    of the wrong shape is a TypeError or ValueError.
+    `to_dict` gives the JSON-shaped dict: tuples as lists, dict keys as
+    strings, nested records alike; a Timestamp is already its text.
+    `from_dict` reads one back by the field types, a Timestamp through
+    `canonical_timestamp`. A key that is missing or null takes the field's
+    default; without one it is a KeyError, and a value of the wrong shape is
+    a TypeError or ValueError.
     """
 
     def to_dict(self) -> dict:
@@ -146,22 +182,28 @@ class Record:
 
 @dataclass(frozen=True, kw_only=True)
 class Comment(Record):
+    """One comment; `created_at` is Timestamp text, as for IssueRecord."""
+
     author_role: str = ""
-    created_at: datetime
+    created_at: Timestamp
     body: str = ""
 
 
 @dataclass(frozen=True, kw_only=True)
 class IssueRecord(Record):
-    """One issue; its invariants are checked on construction."""
+    """One issue; its invariants are checked on construction. Its
+    timestamps are Timestamp text, which `from_dict` makes canonical; a
+    caller that builds one directly passes `canonical_timestamp(v)` or
+    `format_timestamp(dt)`, since other text would compare and be written
+    as it is."""
 
     repo: str
     number: int
     title: str = ""
     state: str
-    created_at: datetime
-    updated_at: datetime
-    closed_at: datetime | None = None
+    created_at: Timestamp
+    updated_at: Timestamp
+    closed_at: Timestamp | None = None
     body: str = ""
     labels: tuple[str, ...] = ()
     comments: tuple[Comment, ...] = ()
@@ -284,7 +326,7 @@ def read_lines(path: str | Path, kind: type) -> Iterator[tuple[int, Record]]:
     DumpFormatError naming the file and the line."""
     with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
+            if line.isspace():
                 continue
             try:
                 # json.loads of the bytes would decode them too, but about 70 % slower.
@@ -339,7 +381,7 @@ def copy_lines(source: str | Path, path: str | Path, keep: set[int]) -> str:
     `keep`; return the sha256 of the bytes written."""
     digest = hashlib.sha256()
     with open(source, "rb") as src, open(path, "wb") as fh:
-        for index, line in enumerate(line for line in src if line.strip()):
+        for index, line in enumerate(line for line in src if not line.isspace()):
             if index in keep:
                 digest.update(line)
                 fh.write(line)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from datetime import date, datetime, timezone
+from datetime import date
 from pathlib import Path
 
 from .corpus import Corpus, IssueRecord, Record, map_issues, render_issue
@@ -134,13 +134,13 @@ def apply_deterministic(issue: IssueRecord, criteria: FilterCriteria) -> list[Cr
         )
     )
 
-    created = issue.created_at.date()
-    recent = created >= criteria.cutoff_date
+    created, cutoff = issue.created_at[:10], criteria.cutoff_date.isoformat()  # YYYY-MM-DD: text order is date order
+    recent = created >= cutoff
     trace.append(
         CriterionResult(
             CRITERION_CUTOFF_DATE,
             recent,
-            f"created {created.isoformat()}" + ("" if recent else f" before cutoff {criteria.cutoff_date.isoformat()}"),
+            f"created {created}" + ("" if recent else f" before cutoff {cutoff}"),
         )
     )
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from datetime import datetime, timedelta, timezone
 
-from faultloom.corpus import Comment, Corpus, GoldLabel, IssueRecord
+from faultloom.corpus import Comment, Corpus, GoldLabel, IssueRecord, format_timestamp
 
 VOCAB = [
     "WebGL", "dispose", "tensor", "backend", "tf.js", "memory", "inference",
@@ -38,18 +38,18 @@ def make_issue(
     comments = tuple(
         Comment(
             author_role="MEMBER",
-            created_at=created + timedelta(hours=i + 1),
+            created_at=format_timestamp(created + timedelta(hours=i + 1)),
             body=body_text,
         )
         for i, body_text in enumerate(comment_bodies)
     )
-    updated = comments[-1].created_at if comments else created
+    updated = comments[-1].created_at if comments else format_timestamp(created)
     return IssueRecord(
         repo=repo,
         number=number,
         title=title,
         state=state,
-        created_at=created,
+        created_at=format_timestamp(created),
         updated_at=updated,
         closed_at=updated if state == "closed" else None,
         body=body,

@@ -3,17 +3,19 @@
 
 Run from the repo root after any prompt or fixture-schema change:
 
-    python3 tests/make_golden.py
+    python3 tests/make_golden.py [OUT]
 
+OUT is the directory to write into, tests/fixtures/ by default; a test
+regenerates into a temporary one and compares it with the checked-in files.
 Writes the small demo corpus, gold labels, vocabulary, criteria, pipeline
-config, the golden taxonomy outline, and a replay transcript recorded against
-a provider that answers every prompt with the gold label.
+config and a replay transcript recorded against a provider that answers
+every prompt with the gold label under OUT/golden/, and the golden taxonomy
+outline as OUT/golden_symptom_outline.txt.
 """
 
 from __future__ import annotations
 
-import json
-import shutil
+import argparse
 import sys
 import tempfile
 from datetime import datetime, timezone
@@ -30,7 +32,7 @@ from faultloom.taxonomy import load_taxonomy, render_prompt_section
 from fakes import OracleProvider
 from gen import make_issue
 
-GOLDEN = TESTS_DIR / "fixtures" / "golden"
+FIXTURES = TESTS_DIR / "fixtures"
 
 REPO = "acme/dlpipe"
 T = lambda y, m, d: datetime(y, m, d, tzinfo=timezone.utc)
@@ -109,29 +111,29 @@ def build_corpus() -> Corpus:
     return Corpus(records=records)
 
 
-def write_inputs() -> None:
-    GOLDEN.mkdir(parents=True, exist_ok=True)
-    export_dump(build_corpus(), GOLDEN / "corpus.jsonl")
+def write_inputs(golden: Path) -> None:
+    golden.mkdir(parents=True, exist_ok=True)
+    export_dump(build_corpus(), golden / "corpus.jsonl")
 
     lines = ["repo,number,fault_related,symptom_leaf_id,root_cause_id"]
     for number, *rest in ISSUES:
         fault, symptom, root = rest[5], rest[6], rest[7]
         lines.append(f"{REPO},{number},{str(fault).lower()},{symptom or ''},{root or ''}")
-    (GOLDEN / "gold.csv").write_text("\n".join(lines) + "\n")
+    (golden / "gold.csv").write_text("\n".join(lines) + "\n")
 
-    (GOLDEN / "vocab.txt").write_text("\n".join(VOCAB) + "\n")
-    (GOLDEN / "criteria.yaml").write_text(
+    (golden / "vocab.txt").write_text("\n".join(VOCAB) + "\n")
+    (golden / "criteria.yaml").write_text(
         "exclusion_labels:\n"
         "  - \"stat:awaiting response\"\n"
         "cutoff_date: 2020-01-01\n"
         "require_answered: true\n"
     )
-    (GOLDEN / "reference_projects.txt").write_text(
+    (golden / "reference_projects.txt").write_text(
         "TensorFlow.js\n"
         "third-party DL libraries\n"
         "58 JavaScript-based DL applications\n"
     )
-    (GOLDEN / "config.yaml").write_text(
+    (golden / "config.yaml").write_text(
         "dumps: [corpus.jsonl]\n"
         "criteria: criteria.yaml\n"
         "vocabulary: vocab.txt\n"
@@ -150,19 +152,19 @@ def write_inputs() -> None:
     )
 
 
-def record_transcript() -> None:
-    transcript = GOLDEN / "transcript.jsonl"
+def record_transcript(golden: Path) -> None:
+    transcript = golden / "transcript.jsonl"
     transcript.unlink(missing_ok=True)
     symptoms = load_taxonomy(packaged_data_path("symptom_taxonomy.yaml"))
     root_causes = load_taxonomy(packaged_data_path("root_cause_taxonomy.yaml"))
-    gold = load_gold(GOLDEN / "gold.csv")
+    gold = load_gold(golden / "gold.csv")
     oracle = OracleProvider(gold, symptoms, root_causes, plan=PLAN)
 
     with tempfile.TemporaryDirectory() as tmp:
         # One call at a time, so that the transcript lines come in the same
         # order on every regeneration.
         config = load_config(
-            GOLDEN / "config.yaml",
+            golden / "config.yaml",
             overrides={"mode": "record", "out": tmp, "parallelism": 1},
         )
         runner = Runner(config, provider=oracle)
@@ -171,15 +173,22 @@ def record_transcript() -> None:
     print(f"recorded {len(transcript.read_text().splitlines())} transcript entries")
 
 
-def write_golden_outline() -> None:
+def write_golden_outline(out: Path) -> None:
     symptoms = load_taxonomy(packaged_data_path("symptom_taxonomy.yaml"))
-    (TESTS_DIR / "fixtures" / "golden_symptom_outline.txt").write_text(
+    (out / "golden_symptom_outline.txt").write_text(
         render_prompt_section(symptoms), encoding="utf-8"
     )
 
 
+def main(out: Path = FIXTURES) -> None:
+    golden = out / "golden"
+    write_inputs(golden)
+    write_golden_outline(out)
+    record_transcript(golden)
+    print("golden fixtures written to", golden)
+
+
 if __name__ == "__main__":
-    write_inputs()
-    write_golden_outline()
-    record_transcript()
-    print("golden fixtures written to", GOLDEN)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", nargs="?", type=Path, default=FIXTURES, help="directory to write into")
+    main(parser.parse_args().out)

@@ -35,6 +35,7 @@ from faultloom.stage2 import (
 from faultloom.stage3 import FaultLabel, run_stage3
 from faultloom.taxonomy import load_taxonomy
 
+import make_golden
 from fakes import CountingProvider, OracleProvider, ScriptedProvider
 from gen import EXCLUSION_LABELS, VOCAB, synth_corpus, synth_gold_balanced
 from helpers import nodes_at_level, row_sums
@@ -279,6 +280,16 @@ def test_golden_replay_determinism(announce, tmp_path):
         for name in first:
             assert first[name] == second[name], f"{name} differs between runs"
         assert time.monotonic() - started < 60.0
+
+
+def test_make_golden_regenerates_the_checked_in_fixtures(announce, tmp_path):
+    with announce("golden fixtures: tests/make_golden.py rewrites them byte for byte"):
+        make_golden.main(tmp_path)
+        fixtures = GOLDEN.parent
+        names = sorted(p.name for p in GOLDEN.iterdir())
+        assert sorted(p.name for p in (tmp_path / "golden").iterdir()) == names
+        for name in [f"golden/{n}" for n in names] + ["golden_symptom_outline.txt"]:
+            assert (tmp_path / name).read_bytes() == (fixtures / name).read_bytes(), f"{name} differs"
 
 
 def test_repair_budget_contract(announce, symptoms, root_causes):

@@ -2,16 +2,20 @@ import json
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from faultloom.corpus import (
+    Comment,
     Corpus,
     GoldLabel,
+    canonical_timestamp,
+    copy_lines,
     export_dump,
     format_timestamp,
     import_dump,
     load_gold,
+    parse_timestamp,
     sample_balanced,
 )
 from faultloom.errors import DumpFormatError, GoldFileError, SamplingError
@@ -97,6 +101,22 @@ def test_import_dump_names_the_line_of_a_wrongly_typed_record(tmp_path, line):
     with pytest.raises(DumpFormatError) as exc:
         import_dump(dump)
     assert exc.value.line_no == 2
+
+
+@pytest.mark.parametrize("number", [True, False, 3.7, float("nan")], ids=str)
+def test_a_boolean_or_fractional_issue_number_is_an_error_naming_the_line(tmp_path, number):
+    dump = tmp_path / "numbers.jsonl"
+    dump.write_text(json.dumps({**make_issue(number=5).to_dict(), "number": number}) + "\n")
+    with pytest.raises(DumpFormatError, match=f"{dump} line 1: expected an integer"):
+        import_dump(dump)
+
+
+@pytest.mark.parametrize("number", [5.0, "5"], ids=repr)
+def test_an_integral_float_or_numeric_string_is_still_an_issue_number(tmp_path, number):
+    dump = tmp_path / "numbers.jsonl"
+    dump.write_text(json.dumps({**make_issue(number=9).to_dict(), "number": number}) + "\n")
+    (record,) = import_dump(dump)
+    assert record.number == 5 and record.number.__class__ is int
 
 
 def test_closed_state_requires_closed_at(tmp_path):
@@ -186,10 +206,8 @@ def test_comment_ordering_enforced():
 
 
 def test_timestamps_are_utc():
-    issue = make_issue(number=2)
-    assert issue.created_at.tzinfo == timezone.utc
-    raw = issue.to_dict()
-    assert raw["created_at"].endswith("Z")
+    issue = make_issue(number=2, created_at=datetime(2021, 6, 1, 9, 30, tzinfo=timezone(timedelta(hours=2))))
+    assert issue.created_at == issue.to_dict()["created_at"] == "2021-06-01T07:30:00Z"
 
 
 _OFFSETS = st.timedeltas(min_value=-timedelta(hours=23, minutes=59), max_value=timedelta(hours=23, minutes=59))
@@ -215,6 +233,135 @@ def test_format_timestamp_matches_strftime(ts):
 ], ids=["year-999", "offset-across-midnight"])
 def test_format_timestamp_pads_the_year_and_converts_to_utc(ts, text):
     assert format_timestamp(ts) == text == ts.astimezone(timezone.utc).isoformat(timespec="seconds")[:-6] + "Z"
+
+
+def _outcome(decode, value):
+    try:
+        return decode(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def _field(width: int, top: int):
+    """Text of `width` digits: a number up to `top`, or digits of any script."""
+    return st.integers(0, top).map(lambda n: f"{n:0{width}d}") | st.text(
+        st.sampled_from("0123456789\u0660\u0665\uff10\uff19\u09e6"), min_size=width, max_size=width
+    )
+
+
+_TIMESTAMP_LIKE = st.builds(
+    "{}-{}-{}{}{}:{}:{}{}{}".format,
+    _field(4, 9999), _field(2, 13), _field(2, 32), st.sampled_from("T t"),
+    _field(2, 24), _field(2, 60), _field(2, 60),
+    st.sampled_from(["", ".5", ".123456"]),
+    st.sampled_from(["Z", "z", "", "+00:00", "+01:00", "-05:30", "+23:59"]),
+)
+
+
+@given(value=st.text() | _TIMESTAMP_LIKE)
+@example(value="2021-02-29T00:00:00Z")
+@example(value="2020-02-29T23:59:59Z")
+@example(value="2021-01-01T24:00:00Z")
+@example(value="2021-12-31T23:59:60Z")
+@example(value="\uff12\uff10\uff12\uff11-01-01T00:00:00Z")
+@example(value="2021-01-01T00:30:00+01:00")
+@example(value="0001-01-01T00:00:00+01:00")
+@example(value="2021-01-01T00:00:00.999999Z")
+@example(value="2021-01-01t00:00:00z")
+@example(value="2021-01-01 00:00:00Z")
+@example(value=5)
+def test_canonical_timestamp_is_the_parse_and_format_round_trip(value):
+    expected = _outcome(lambda v: format_timestamp(parse_timestamp(v)), value)
+    assert _outcome(canonical_timestamp, value) == expected
+    # The record decoder inlines the canonical case; it must agree as well.
+    assert _outcome(lambda v: Comment.from_dict({"created_at": v}).created_at, value) == expected
+
+
+# Later times are up to ~3.2 years on, so the range ends well before 9999.
+_INSTANTS = st.datetimes(
+    min_value=datetime(1000, 1, 2), max_value=datetime(9990, 1, 1), timezones=st.just(timezone.utc)
+)
+# RFC 3339 offsets are whole minutes.
+_ZONES = st.builds(timezone, _OFFSETS.map(lambda d: timedelta(minutes=d // timedelta(minutes=1))))
+
+
+@st.composite
+def _written(draw, ts: datetime) -> str:
+    """`ts` as a dump might hold it: any zone, `Z` or an offset, `T` or a
+    space, with or without a fraction of a second."""
+    local = ts.astimezone(draw(_ZONES))
+    text = local.isoformat(sep=draw(st.sampled_from("T ")), timespec=draw(st.sampled_from(["seconds", "microseconds"])))
+    return text[:-6] + "Z" if text.endswith("+00:00") and draw(st.booleans()) else text
+
+
+@st.composite
+def _dump_line(draw, number: int) -> tuple[dict, dict]:
+    """A raw dump object with keys missing, null or set, and the record it
+    must be written back as."""
+    created = draw(_INSTANTS)
+    later = sorted(created + timedelta(seconds=draw(st.integers(0, 10**8))) for _ in range(draw(st.integers(0, 3))))
+    updated = max([created, *later]) + timedelta(seconds=draw(st.integers(0, 10**6)))
+    closed = draw(st.booleans())
+    raw = {"repo": draw(st.text()), "number": number, "state": "closed" if closed else "open",
+           "created_at": draw(_written(created)), "updated_at": draw(_written(updated))}
+    if closed:
+        raw["closed_at"] = draw(_written(updated))
+    elif draw(st.booleans()):
+        raw["closed_at"] = None
+    comments = []
+    for at in later:
+        comment = {"created_at": draw(_written(at))}
+        for key in ("author_role", "body"):
+            comment.update(draw(st.sampled_from([{}, {key: None}, {key: draw(st.text())}])))
+        comments.append(comment)
+    optional = {"title": st.text(), "body": st.text(), "labels": st.lists(st.text(), max_size=3),
+                "comments": st.just(comments), "is_pull_request": st.booleans(), "url": st.text()}
+    for key, values in optional.items():
+        choice = draw(st.sampled_from(["missing", "null", "set"]))
+        if choice != "missing":
+            raw[key] = None if choice == "null" else draw(values)
+    stamp = lambda text: format_timestamp(parse_timestamp(text))
+    expected = {
+        "repo": raw["repo"], "number": number, "state": raw["state"],
+        "created_at": stamp(raw["created_at"]), "updated_at": stamp(raw["updated_at"]),
+        "closed_at": stamp(raw["closed_at"]) if closed else None,
+        "title": raw.get("title") or "", "body": raw.get("body") or "",
+        "labels": raw.get("labels") or [], "is_pull_request": raw.get("is_pull_request") or False,
+        "url": raw.get("url") or "",
+        "comments": [
+            {"author_role": c.get("author_role") or "", "body": c.get("body") or "", "created_at": stamp(c["created_at"])}
+            for c in (raw.get("comments") or [])
+        ],
+    }
+    return raw, expected
+
+
+@settings(deadline=None, max_examples=50)
+@given(data=st.data(), count=st.integers(0, 4))
+def test_a_dump_is_written_back_as_a_reference_encoder_writes_it(tmp_path_factory, data, count):
+    pairs = [data.draw(_dump_line(number)) for number in range(1, count + 1)]
+    work = tmp_path_factory.mktemp("dump")
+    source, written = work / "source.jsonl", work / "corpus.jsonl"
+    source.write_text("".join(json.dumps(raw, ensure_ascii=False) + "\n" for raw, _ in pairs), encoding="utf-8")
+    export_dump(import_dump(source), written)
+    assert written.read_bytes() == "".join(
+        json.dumps(expected, sort_keys=True) + "\n" for _, expected in pairs
+    ).encode("utf-8")
+
+
+def test_a_line_of_ascii_whitespace_is_blank_but_one_of_no_break_spaces_is_not(tmp_path):
+    first, second = (json.dumps(make_issue(number=n).to_dict()).encode("utf-8") + b"\n" for n in (1, 2))
+    dump = tmp_path / "dump.jsonl"
+    dump.write_bytes(first + b" \t\x0b\x0c\r\n" + second)
+    assert [r.number for r in import_dump(dump)] == [1, 2]
+    copy_lines(dump, tmp_path / "copy.jsonl", {1})
+    assert (tmp_path / "copy.jsonl").read_bytes() == second
+
+    dump.write_bytes(first + "\u00a0\n".encode("utf-8") + second)
+    with pytest.raises(DumpFormatError, match=f"{dump} line 2: invalid JSON"):
+        import_dump(dump)
+    copy_lines(dump, tmp_path / "copy.jsonl", {1})
+    assert (tmp_path / "copy.jsonl").read_bytes() == "\u00a0\n".encode("utf-8")
 
 
 def test_a_dump_line_that_is_not_utf8_names_the_file_and_line(tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faultloom.config import packaged_data_path
-from faultloom.corpus import Comment, GoldLabel, IssueRecord
+from faultloom.corpus import Comment, GoldLabel, IssueRecord, format_timestamp
 from faultloom.evaluation import (
     ConfusionMatrix,
     EvalReport,
@@ -48,13 +48,14 @@ def issues(draw):
     created = draw(stamps)
     offsets = sorted(draw(st.lists(st.integers(0, 10**8), max_size=3)))
     comments = tuple(
-        Comment(author_role=draw(texts), created_at=created + timedelta(seconds=s), body=draw(texts)) for s in offsets
+        Comment(author_role=draw(texts), created_at=format_timestamp(created + timedelta(seconds=s)), body=draw(texts))
+        for s in offsets
     )
-    updated = created + timedelta(seconds=draw(st.integers(offsets[-1] if offsets else 0, 10**9)))
+    updated = format_timestamp(created + timedelta(seconds=draw(st.integers(offsets[-1] if offsets else 0, 10**9))))
     closed = draw(st.booleans())
     return IssueRecord(
         repo=draw(texts), number=draw(numbers), title=draw(texts), state="closed" if closed else "open",
-        created_at=created, updated_at=updated, closed_at=updated if closed else None, body=draw(texts),
+        created_at=format_timestamp(created), updated_at=updated, closed_at=updated if closed else None, body=draw(texts),
         labels=tuple(draw(st.lists(texts, max_size=3))), comments=comments,
         is_pull_request=draw(st.booleans()), url=draw(texts),
     )
@@ -174,15 +175,14 @@ def test_record_round_trips_through_json(kind, data):
 
 
 STAMP = "2021-06-01T00:00:00Z"
-AT = datetime(2021, 6, 1, tzinfo=timezone.utc)
 
 
 OLDER_LINES = [
     (
         {"repo": REPO, "number": 3, "state": "open", "created_at": STAMP, "updated_at": STAMP, "body": None},
-        IssueRecord(repo=REPO, number=3, state="open", created_at=AT, updated_at=AT),
+        IssueRecord(repo=REPO, number=3, state="open", created_at=STAMP, updated_at=STAMP),
     ),
-    ({"created_at": STAMP, "body": None}, Comment(created_at=AT)),
+    ({"created_at": STAMP, "body": None}, Comment(created_at=STAMP)),
     (
         {"repo": REPO, "number": 3, "final": False, "trace": [{"criterion": "answered", "passed": True}]},
         FilterDecision(repo=REPO, number=3, final=False, trace=[CriterionResult("answered", True)]),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from faultloom.corpus import IssueRecord, parse_timestamp
 from faultloom.gateway import Gateway, Transcript, request_digest
 from faultloom.stage2 import (
     _FOLD,
@@ -56,6 +57,17 @@ def test_cutoff_date_boundary_passes():
     issue = make_issue(created_at=datetime(2020, 1, 1, tzinfo=timezone.utc))
     trace = _trace_map(apply_deterministic(issue, CRITERIA))
     assert trace[CRITERION_CUTOFF_DATE].passed
+
+
+@pytest.mark.parametrize("created, passed, evidence", [
+    ("2020-01-01T00:30:00+01:00", False, "created 2019-12-31 before cutoff 2020-01-01"),
+    ("2019-12-31T23:30:00-01:00", True, "created 2020-01-01"),
+])
+def test_cutoff_date_is_the_utc_date_of_an_offset_timestamp(created, passed, evidence):
+    issue = IssueRecord.from_dict({"repo": "acme/dlpipe", "number": 1, "state": "open",
+                                   "created_at": created, "updated_at": created})
+    trace = _trace_map(apply_deterministic(issue, CRITERIA))
+    assert (trace[CRITERION_CUTOFF_DATE].passed, trace[CRITERION_CUTOFF_DATE].evidence) == (passed, evidence)
 
 
 def test_vocabulary_match_with_evidence():
@@ -146,7 +158,7 @@ def _naive_criteria(issue, criteria):
     texts = [issue.title, issue.body] + [c.body for c in issue.comments]
     vocab = any(_naive_term_hit(t, term) for term in criteria.vocabulary for t in texts)
     label_ok = not any(l in criteria.exclusion_labels for l in issue.labels)
-    date_ok = issue.created_at.date() >= criteria.cutoff_date
+    date_ok = parse_timestamp(issue.created_at).date() >= criteria.cutoff_date
     answered = len(issue.comments) > 0 or not criteria.require_answered
     return (vocab, label_ok, date_ok, answered)
 
