@@ -104,7 +104,7 @@ def load_criteria(path: Path | None) -> dict:
     the classification prompts."""
     criteria = (load_yaml(path) if path else None) or {}
     if not isinstance(criteria, dict):
-        raise ConfigError(f"criteria file {path} is not a mapping")
+        raise ConfigError(f"{path}: the criteria are not a mapping")
     try:
         return {
             "exclusion_labels": [str(x) for x in _list(criteria.get("exclusion_labels", []), "exclusion_labels", path)],
@@ -114,15 +114,20 @@ def load_criteria(path: Path | None) -> dict:
             "char_budget": int(criteria.get("char_budget", DEFAULT_CHAR_BUDGET)),
         }
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed criteria file {path}: {exc}") from exc
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConfig:
-    """Read a config YAML; relative paths resolve against the config file."""
+    """Read a config YAML; relative paths resolve against the config file.
+    A file that does not parse (bad YAML, not UTF-8, a bad value) is a
+    ConfigError naming it."""
     path = Path(path)
-    raw = load_yaml(path) or {}
+    try:
+        raw = load_yaml(path) or {}
+    except (yaml.YAMLError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ConfigError(f"config file {path} is not a mapping")
+        raise ConfigError(f"{path}: the config is not a mapping")
     if overrides:
         raw.update({k: v for k, v in overrides.items() if v is not None})
     base = path.parent
@@ -145,6 +150,8 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
             sampling = SamplingConfig(n_pos=int(s["n_pos"]), n_neg=int(s["n_neg"]), seed=int(seed))
 
         theme = raw.get("theme") or {}
+        if "theme" in raw and not str(theme.get("description") or "").strip():
+            raise ConfigError(f"{path}: theme.description must be non-empty")
         config = PipelineConfig(
             out_dir=_resolve(raw.get("out", "run")),
             mode=str(raw.get("mode", "replay")),
@@ -168,6 +175,6 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
             cache_dir=_resolve(raw.get("cache_dir")),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed config file {path}: {exc!r}") from exc
+        raise ConfigError(f"{path}: {exc!r}") from exc
     config.validate()
     return config

@@ -78,6 +78,13 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _number(value) -> float:
+    """A JSON number as a float; a boolean or a string is a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, not {value!r}")
+    return float(value)
+
+
 def _expect(value, kind: type, what: str):
     if not isinstance(value, kind):
         raise TypeError(f"expected {what}, not {type(value).__name__}")
@@ -106,7 +113,7 @@ def _codec(tp) -> tuple[Callable | None, Callable]:
         return None, lambda v: dict(_expect(v, dict, "an object"))
     if tp == dict[int, float]:  # JSON object keys are strings
         return (lambda v: {str(k): x for k, x in v.items()}), (
-            lambda v: {int(k): float(x) for k, x in _expect(v, dict, "an object").items()}
+            lambda v: {int(k): _number(x) for k, x in _expect(v, dict, "an object").items()}
         )
     if tp is Timestamp:
         return None, canonical_timestamp
@@ -119,7 +126,7 @@ def _codec(tp) -> tuple[Callable | None, Callable]:
     if tp is int:
         return None, _integer
     if tp is float:
-        return None, float
+        return None, _number
     raise TypeError(f"no codec for field type {tp!r}")
 
 
@@ -358,6 +365,11 @@ def import_dump(path: str | Path) -> Corpus:
 _encode_row = json.JSONEncoder(sort_keys=True, check_circular=False).encode
 
 
+def sha256_json(obj) -> str:
+    """sha256 of `obj` as canonical JSON: sorted keys, no whitespace, ASCII."""
+    return hashlib.sha256(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("ascii")).hexdigest()
+
+
 def write_jsonl(path: str | Path, rows: Iterable[dict]) -> str:
     """Write one sorted-key JSON object per line; return the sha256 of the
     bytes written, hashed as they are written."""
@@ -455,9 +467,3 @@ def sample_balanced(
     records = [r for r in corpus if r.key in chosen]
     return Corpus(records=records)
 
-
-def merge_corpora(parts: Iterable[Corpus]) -> Corpus:
-    records: list[IssueRecord] = []
-    for part in parts:
-        records.extend(part.records)
-    return Corpus(records=records)

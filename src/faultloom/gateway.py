@@ -1,4 +1,4 @@
-"""Provider-agnostic chat access with retries, rate limiting, token accounting,
+"""Provider-agnostic chat access with retries, a bound on calls in flight, token accounting,
 structured-output extraction, and deterministic record/replay.
 
 Every LLM-dependent test in this repo runs against a recorded transcript;
@@ -7,7 +7,6 @@ live providers are only exercised when credentials are configured.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
@@ -16,10 +15,11 @@ import threading
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Callable, Protocol, TypeVar
 
-from .corpus import Record
+from .corpus import Record, sha256_json
 from .errors import (
+    GatewayError,
     MissingFieldsError,
     NoStructuredObjectError,
     ReplayMissError,
@@ -72,8 +72,37 @@ def request_digest(request: ChatRequest) -> str:
     invariant under field ordering and serialization whitespace, while any
     semantic field change produces a new digest.
     """
-    canonical = json.dumps(request.to_dict(), sort_keys=True, separators=(",", ":"), ensure_ascii=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return sha256_json(request.to_dict())
+
+
+T = TypeVar("T")
+
+
+def raise_transient(status: int, where: str) -> None:
+    """Raise a TransientProviderError for HTTP 429 or HTTP >= 500. With a
+    `requests` failure, which each client turns into one too, these are the
+    failures `retry` retries."""
+    if status == 429 or status >= 500:
+        raise TransientProviderError(f"HTTP {status} from {where}")
+
+
+def retry(send: Callable[[int], T], key: str, sleep: Callable[[float], None]) -> T:
+    """`send(attempt)` until it returns, at most MAX_ATTEMPTS times. Only a
+    TransientProviderError is retried, after an exponential backoff from
+    0.5 s with up to half a delay of jitter, seeded by `key` and the attempt
+    so that the same request waits the same; the last one raises
+    RetriesExhaustedError."""
+    delay = 0.5
+    for attempt in range(1, MAX_ATTEMPTS + 1):
+        try:
+            return send(attempt)
+        except TransientProviderError as exc:
+            last_error = exc
+            logger.warning("transient failure (attempt %d): %s", attempt, exc)
+            if attempt < MAX_ATTEMPTS:
+                sleep(delay + random.Random(f"{key}/{attempt}").uniform(0, delay / 2))
+                delay *= 2
+    raise RetriesExhaustedError(MAX_ATTEMPTS, last_error)
 
 
 class Transcript:
@@ -86,14 +115,14 @@ class Transcript:
     cut off before the next append; any other unreadable line is an error.
     """
 
-    def __init__(self, path: str | Path | None = None):
-        self.path = Path(path) if path is not None else None
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
         self.entries: dict[str, ChatResponse] = {}
         self._lock = threading.Lock()
         self._fh = None
         self._torn_at: int | None = None  # offset of a torn final line, cut before the next append
         self._newline = False  # the last entry lacks its newline
-        if self.path is not None and self.path.exists():
+        if self.path.exists():
             self._load()
 
     def _load(self) -> None:
@@ -126,8 +155,6 @@ class Transcript:
             if digest in self.entries:
                 return
             self.entries[digest] = response
-            if self.path is None:
-                return
             if self._fh is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 self._fh = open(self.path, "ab")
@@ -176,25 +203,27 @@ class OpenAICompatProvider:
             )
         _, model = split_model_id(request.model_id)
         start = time.monotonic()
-        resp = requests.post(
-            self.endpoint,
-            headers={"Authorization": f"Bearer {api_key}"},
-            json={
-                "model": model,
-                "messages": [
-                    {"role": "system", "content": request.system_text},
-                    {"role": "user", "content": request.user_text},
-                ],
-                "temperature": request.temperature,
-                "max_tokens": request.max_output_tokens,
-            },
-            timeout=120,
-        )
+        try:
+            resp = requests.post(
+                self.endpoint,
+                headers={"Authorization": f"Bearer {api_key}"},
+                json={
+                    "model": model,
+                    "messages": [
+                        {"role": "system", "content": request.system_text},
+                        {"role": "user", "content": request.user_text},
+                    ],
+                    "temperature": request.temperature,
+                    "max_tokens": request.max_output_tokens,
+                },
+                timeout=120,
+            )
+        except requests.RequestException as exc:
+            raise TransientProviderError(f"{self.endpoint}: {exc}") from exc
         latency_ms = (time.monotonic() - start) * 1000
-        if resp.status_code == 429 or resp.status_code >= 500:
-            raise TransientProviderError(f"HTTP {resp.status_code}: {resp.text[:200]}")
+        raise_transient(resp.status_code, f"{self.endpoint}: {resp.text[:200]}")
         if resp.status_code != 200:
-            raise RuntimeError(f"provider error HTTP {resp.status_code}: {resp.text[:200]}")
+            raise GatewayError(f"provider error HTTP {resp.status_code}: {resp.text[:200]}")
         payload = resp.json()
         usage = payload.get("usage", {})
         return ChatResponse(
@@ -221,23 +250,13 @@ def provider_for_model(model_id: str) -> Provider:
 
 
 class RateLimiter:
-    """Token-bucket limiter: bounds concurrency and paces requests per minute."""
+    """Bounds the provider calls in flight to `max_concurrent`."""
 
-    def __init__(self, max_concurrent: int = 4, requests_per_minute: float | None = None):
+    def __init__(self, max_concurrent: int = 4):
         self._semaphore = threading.Semaphore(max_concurrent)
-        self._interval = 60.0 / requests_per_minute if requests_per_minute else 0.0
-        self._lock = threading.Lock()
-        self._next_slot = 0.0
 
     def __enter__(self):
         self._semaphore.acquire()
-        if self._interval:
-            with self._lock:
-                now = time.monotonic()
-                wait = self._next_slot - now
-                self._next_slot = max(now, self._next_slot) + self._interval
-            if wait > 0:
-                time.sleep(wait)
         return self
 
     def __exit__(self, *exc):
@@ -303,25 +322,17 @@ class Gateway:
         if provider is None:
             provider = provider_for_model(request.model_id)
 
-        delay = 0.5
-        last_error: Exception | None = None
-        for attempt in range(1, MAX_ATTEMPTS + 1):
-            try:
-                with self.limiter:
-                    response = provider.send(request)
-                response.provider_meta.setdefault("attempts", attempt)
-                if self.mode == "record":
-                    self.transcript.record(digest, response)
-                self._account(request.model_id, response)
-                return response
-            except TransientProviderError as exc:
-                last_error = exc
-                logger.warning("transient provider failure (attempt %d): %s", attempt, exc)
-                if attempt < MAX_ATTEMPTS:
-                    rng = random.Random(f"{digest}/{attempt}")
-                    self.sleep(delay + rng.uniform(0, delay / 2))
-                    delay *= 2
-        raise RetriesExhaustedError(MAX_ATTEMPTS, last_error)
+        def send(attempt: int) -> ChatResponse:
+            with self.limiter:
+                response = provider.send(request)
+            response.provider_meta.setdefault("attempts", attempt)
+            return response
+
+        response = retry(send, digest, self.sleep)
+        if self.mode == "record":
+            self.transcript.record(digest, response)
+        self._account(request.model_id, response)
+        return response
 
 
 def extract_structured(text: str, expected_fields: set[str] | None = None) -> dict:

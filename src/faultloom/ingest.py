@@ -8,24 +8,20 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import os
 import re
 import time
 from dataclasses import dataclass
-from datetime import datetime
 from pathlib import Path
 from typing import Callable
 
 from .corpus import Corpus, IssueRecord, parse_timestamp
-from .errors import IngestError, RateLimitExhaustedError
-
-logger = logging.getLogger(__name__)
+from .errors import IngestError, RateLimitExhaustedError, TransientProviderError
+from .gateway import raise_transient, retry
 
 TOKEN_ENV_VAR = "FAULTLOOM_VCS_TOKEN"
-DEFAULT_API_BASE = "https://api.github.com"
+API_BASE = "https://api.github.com"
 DEFAULT_CACHE_TTL_SECONDS = 24 * 3600
-MAX_ATTEMPTS = 4
 
 # (status, headers, body_text)
 TransportResponse = tuple[int, dict, str]
@@ -35,7 +31,10 @@ Transport = Callable[[str, dict, dict], TransportResponse]
 def requests_transport(url: str, headers: dict, params: dict) -> TransportResponse:
     import requests
 
-    resp = requests.get(url, headers=headers, params=params, timeout=30)
+    try:
+        resp = requests.get(url, headers=headers, params=params, timeout=30)
+    except requests.RequestException as exc:
+        raise TransientProviderError(f"{url}: {exc}") from exc
     return resp.status_code, dict(resp.headers), resp.text
 
 
@@ -51,7 +50,9 @@ def _parse_next_link(link_header: str | None) -> str | None:
 
 @dataclass
 class PageCache:
-    """Content-addressed page store keyed by request URL + params, with TTL."""
+    """Content-addressed page store keyed by request URL + params, with TTL.
+    Each entry is one JSON object, written through a temp file and
+    `os.replace`; an entry that does not read as one is a miss."""
 
     root: Path
     ttl_seconds: float = DEFAULT_CACHE_TTL_SECONDS
@@ -60,130 +61,99 @@ class PageCache:
         digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
         return self.root / f"{digest}.json"
 
-    def get(self, key: str, now: float | None = None) -> str | None:
-        path = self._path(key)
-        if not path.exists():
-            return None
-        entry = json.loads(path.read_text(encoding="utf-8"))
+    def get(self, key: str, now: float | None = None) -> dict | None:
         now = time.time() if now is None else now
-        if now - entry["fetched_at"] > self.ttl_seconds:
-            return None
-        return entry["body"]
+        try:
+            entry = json.loads(self._path(key).read_text(encoding="utf-8"))
+            if now - entry["fetched_at"] <= self.ttl_seconds and isinstance(entry["page"], dict):
+                return entry["page"]
+        except (OSError, ValueError, KeyError, TypeError):
+            pass
+        return None
 
-    def put(self, key: str, body: str, now: float | None = None) -> None:
+    def put(self, key: str, page: dict, now: float | None = None) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
-        entry = {"fetched_at": time.time() if now is None else now, "body": body}
-        self._path(key).write_text(json.dumps(entry), encoding="utf-8")
+        path = self._path(key)
+        tmp = path.with_name(path.name + ".tmp")
+        tmp.write_text(json.dumps({"fetched_at": time.time() if now is None else now, "page": page}), encoding="utf-8")
+        os.replace(tmp, path)
 
 
 class IssueFetcher:
+    """Fetches issues from the GitHub REST API, authenticated by the token
+    in FAULTLOOM_VCS_TOKEN when it is set. Header names are read without
+    regard to case."""
+
     def __init__(
         self,
         transport: Transport | None = None,
         cache: PageCache | None = None,
-        api_base: str = DEFAULT_API_BASE,
-        auth_token: str | None = None,
-        max_attempts: int = MAX_ATTEMPTS,
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.transport = transport or requests_transport
         self.cache = cache
-        self.api_base = api_base.rstrip("/")
-        self.auth_token = auth_token or os.environ.get(TOKEN_ENV_VAR)
-        self.max_attempts = max_attempts
         self.sleep = sleep
         self.network_calls = 0
 
     def _headers(self) -> dict:
         headers = {"Accept": "application/vnd.github+json"}
-        if self.auth_token:
-            headers["Authorization"] = f"Bearer {self.auth_token}"
+        if token := os.environ.get(TOKEN_ENV_VAR):
+            headers["Authorization"] = f"Bearer {token}"
         return headers
 
-    def _get(self, url: str, params: dict) -> TransportResponse:
+    def _get(self, url: str, params: dict) -> tuple[dict, str]:
+        """The headers, with lower-case names, and the body of the page."""
         cache_key = url + "?" + json.dumps(params, sort_keys=True)
-        if self.cache is not None:
-            cached = self.cache.get(cache_key)
-            if cached is not None:
-                entry = json.loads(cached)
-                return entry["status"], entry["headers"], entry["body"]
+        if self.cache is not None and (page := self.cache.get(cache_key)) is not None:
+            return page["headers"], page["body"]
 
-        delay = 0.5
-        last_error: Exception | None = None
-        for attempt in range(1, self.max_attempts + 1):
-            try:
-                status, headers, body = self.transport(url, self._headers(), params)
-                self.network_calls += 1
-            except Exception as exc:
-                last_error = exc
-                logger.warning("transport error on %s (attempt %d): %s", url, attempt, exc)
-                if attempt < self.max_attempts:
-                    self.sleep(delay)
-                    delay *= 2
-                continue
-            if status == 403 and headers.get("X-RateLimit-Remaining") == "0":
-                reset = headers.get("X-RateLimit-Reset", "unknown")
-                raise RateLimitExhaustedError(str(reset))
-            if status >= 500 or status == 429:
-                last_error = IngestError(f"HTTP {status} from {url}")
-                if attempt < self.max_attempts:
-                    self.sleep(delay)
-                    delay *= 2
-                continue
+        def send(attempt: int) -> tuple[dict, str]:
+            status, headers, body = self.transport(url, self._headers(), params)
+            self.network_calls += 1
+            headers = {k.lower(): v for k, v in headers.items()}
+            if status == 403 and headers.get("x-ratelimit-remaining") == "0":
+                raise RateLimitExhaustedError(str(headers.get("x-ratelimit-reset", "unknown")))
+            raise_transient(status, url)
             if status != 200:
                 raise IngestError(f"HTTP {status} from {url}: {body[:200]}")
-            if self.cache is not None:
-                keep = {
-                    k: v for k, v in headers.items()
-                    if k.lower() in ("link", "content-type")
-                }
-                self.cache.put(
-                    cache_key,
-                    json.dumps({"status": status, "headers": keep, "body": body}),
-                )
-            return status, headers, body
-        raise IngestError(
-            f"request to {url} failed after {self.max_attempts} attempts: {last_error}"
-        )
+            return headers, body
+
+        headers, body = retry(send, cache_key, self.sleep)
+        if self.cache is not None:
+            keep = {k: v for k, v in headers.items() if k in ("link", "content-type")}
+            self.cache.put(cache_key, {"headers": keep, "body": body})
+        return headers, body
 
     def _paginate(self, url: str, params: dict) -> list[dict]:
         items: list[dict] = []
         next_url: str | None = url
         next_params = dict(params)
         while next_url:
-            status, headers, body = self._get(next_url, next_params)
+            headers, body = self._get(next_url, next_params)
             page = json.loads(body)
             if not isinstance(page, list):
                 raise IngestError(f"expected a JSON list from {next_url}")
             items.extend(page)
-            next_url = _parse_next_link(headers.get("Link"))
+            next_url = _parse_next_link(headers.get("link"))
             next_params = {}  # the next link already carries its query string
         return items
 
-    def fetch_issues(
-        self,
-        repo: str,
-        window: tuple[datetime, datetime] | None = None,
-    ) -> Corpus:
+    def fetch_issues(self, repo: str) -> Corpus:
         """Fetch all non-pull-request issues for a repo, with their comments.
 
-        Pull requests surfaced by the issues endpoint are dropped. When a
-        creation window is given, issues created outside it are skipped
-        (comments are not fetched for them).
+        Pull requests surfaced by the issues endpoint are dropped; Stage II's
+        `cutoff_date` is the date rule.
         """
-        url = f"{self.api_base}/repos/{repo}/issues"
+        url = f"{API_BASE}/repos/{repo}/issues"
         raw_issues = self._paginate(url, {"state": "all", "per_page": 100})
 
         records: list[IssueRecord] = []
         for raw in raw_issues:
             if "pull_request" in raw:
                 continue
-            created_at = parse_timestamp(raw["created_at"])
-            if window is not None and not (window[0] <= created_at <= window[1]):
-                continue
             comments = []
             if raw.get("comments", 0):
-                comments_url = f"{self.api_base}/repos/{repo}/issues/{raw['number']}/comments"
+                comments_url = f"{API_BASE}/repos/{repo}/issues/{raw['number']}/comments"
                 comments = [
                     {"author_role": c.get("author_association"), "created_at": c["created_at"], "body": c.get("body")}
                     for c in self._paginate(comments_url, {"per_page": 100})

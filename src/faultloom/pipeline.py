@@ -46,9 +46,9 @@ from .corpus import (
     export_dump,
     import_dump,
     load_gold,
-    merge_corpora,
     read_lines,
     sample_balanced,
+    sha256_json,
     write_jsonl,
 )
 from .errors import ConfigError, FaultloomError, ManifestError, MissingArtifactError, StageError
@@ -90,10 +90,6 @@ def _hash_file(path: Path) -> str:
 def _fingerprint(st: os.stat_result, sha256: str) -> dict:
     """A "files" entry of the manifest: a file's stat fingerprint and its sha256."""
     return {"stat": [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns], "sha256": sha256}
-
-
-def _canonical(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str).encode("utf-8")
 
 
 class Manifest:
@@ -139,7 +135,7 @@ class Manifest:
         directory, so a killed write leaves the previous manifest in place,
         then hold it as `self.data`: a failed write changes neither."""
         tmp = self.path.with_name(self.path.name + ".tmp")
-        tmp.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        _write_json(tmp, data)
         os.replace(tmp, self.path)
         self.data = data
         self._trust()
@@ -250,7 +246,9 @@ class Runner:
 
     def _read(self, name: str):
         """The declared input `name` of the running stage, parsed at most once
-        per command. An unconfigured criteria file reads as no settings."""
+        per command. An unconfigured criteria file reads as no settings; a
+        file that does not parse (bad YAML, not UTF-8, a bad value) is a
+        ConfigError naming it."""
         if self._inputs is None or name not in self._inputs:
             raise KeyError(f"{name!r} is not an input the running stage declared")
         entry = self._table[name]
@@ -258,17 +256,18 @@ class Runner:
             path = self._inputs[name]
             if path is None and name != "criteria":
                 raise ConfigError(f"no {name} file configured")
-            entry[1] = _PARSERS[name.rstrip("0123456789")](path)
+            try:
+                entry[1] = _PARSERS[name.rstrip("0123456789")](path)
+            except (yaml.YAMLError, ValueError) as exc:
+                raise ConfigError(f"{path}: {exc}") from exc
         return entry[1]
 
     def _get_gateway(self) -> Gateway:
         if self.gateway is None:
-            transcript = None
-            if self.config.transcript_path is not None:
-                transcript = Transcript(self.config.transcript_path)
+            path = self.config.transcript_path
             self.gateway = Gateway(
                 mode=self.config.mode,
-                transcript=transcript,
+                transcript=Transcript(path) if path is not None else None,
                 provider=self.provider,
                 limiter=RateLimiter(max_concurrent=self.config.parallelism),
             )
@@ -336,7 +335,7 @@ class Runner:
         The transcript is closed when the body ends."""
         started, path = time.monotonic(), self.artifact(name)
         with self._declared(inputs, name) as digests:
-            input_hash = hashlib.sha256(_canonical({"key": key, "inputs": digests})).hexdigest()
+            input_hash = sha256_json({"key": key, "inputs": digests})
             recorded = self.manifest.stage(name)
             unchanged = recorded.get("input_hash") == input_hash and path.exists()
             if unchanged and self._digest(name, path) == recorded.get("output"):
@@ -383,7 +382,7 @@ class Runner:
                 cache = PageCache(config.cache_dir) if config.cache_dir else None
                 fetcher = IssueFetcher(cache=cache)
                 parts.extend(fetcher.fetch_issues(repo) for repo in config.repos)
-            corpus = merge_corpora(parts)
+            corpus = Corpus(records=[record for part in parts for record in part])
             digest = export_dump(corpus, self.artifact("corpus"))
             return digest, corpus, {"records": len(corpus)}
 
@@ -410,6 +409,8 @@ class Runner:
 
     def run_define(self) -> Path:
         """Run research definition: elicit and score a study plan."""
+        if not self.config.theme_description.strip():
+            raise ConfigError("define needs a theme.description in the config")
         theme = stage1.StudyTheme(
             description=self.config.theme_description,
             constraints=self.config.theme_constraints,

@@ -60,6 +60,8 @@ def load_vocabulary(path: str | Path) -> list[str]:
         line = line.strip()
         if line and not line.startswith("#"):
             terms.append(line)
+    if not terms:
+        raise ValueError("holds no vocabulary terms")
     return terms
 
 

@@ -50,7 +50,6 @@ class TaxonomyNode:
 class Taxonomy:
     kind: str
     roots: tuple[TaxonomyNode, ...]
-    source: str
     leaf_level: int
     _by_id: dict[str, TaxonomyNode] = field(default_factory=dict, repr=False)
     _parent: dict[str, TaxonomyNode | None] = field(default_factory=dict, repr=False)
@@ -148,7 +147,6 @@ def load_taxonomy(document: str | Path | dict) -> Taxonomy:
     kind = raw.get("kind")
     if kind not in ("symptom", "root_cause"):
         raise TaxonomyError(f"unknown taxonomy kind: {kind!r}")
-    source = str(raw.get("source", ""))
     leaf_level = int(raw.get("leaf_level", DEFAULT_LEAF_LEVEL[kind]))
     raw_roots = raw.get("nodes")
     if not isinstance(raw_roots, list) or not raw_roots:
@@ -166,7 +164,7 @@ def load_taxonomy(document: str | Path | dict) -> Taxonomy:
         root_names.add(norm)
         roots.append(root)
 
-    taxonomy = Taxonomy(kind=kind, roots=tuple(roots), source=source, leaf_level=leaf_level)
+    taxonomy = Taxonomy(kind=kind, roots=tuple(roots), leaf_level=leaf_level)
     for node in taxonomy.walk():
         taxonomy._by_id[node.id] = node
         taxonomy._by_name.setdefault(normalize_label(node.name), []).append(node)

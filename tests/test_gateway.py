@@ -5,9 +5,11 @@ import threading
 from dataclasses import replace
 
 import pytest
+import requests
 
 from faultloom.errors import (
     FaultloomError,
+    GatewayError,
     MissingFieldsError,
     NoStructuredObjectError,
     ReplayMissError,
@@ -17,6 +19,7 @@ from faultloom.errors import (
 from faultloom.gateway import (
     ChatRequest,
     Gateway,
+    OpenAICompatProvider,
     Transcript,
     ask_structured,
     extract_structured,
@@ -24,7 +27,9 @@ from faultloom.gateway import (
     request_digest,
 )
 
-from fakes import FlakyProvider, ScriptedProvider, make_response
+from faultloom.ingest import IssueFetcher
+
+from fakes import FakeTransport, FlakyProvider, ScriptedProvider, make_response
 
 REQ = ChatRequest(model_id="openai/gpt-4o", system_text="sys", user_text="hello")
 
@@ -75,15 +80,27 @@ def test_live_retries_then_succeeds():
     assert len(sleeps) == 2
 
 
+def _provider_sleeps():
+    sleeps = []
+    Gateway(mode="live", provider=FlakyProvider(failures=3), sleep=sleeps.append).complete(REQ)
+    return sleeps
+
+
+def _tracker_sleeps():
+    url = "https://api.github.com/repos/acme/demo/issues"
+    transport = FakeTransport({url: [(503, {}, "busy")] * 3 + [(200, {}, "[]")]})
+    sleeps = []
+    IssueFetcher(transport=transport, sleep=sleeps.append).fetch_issues("acme/demo")
+    return sleeps
+
+
 def test_backoff_jitter_is_the_same_for_the_same_request():
-    runs = []
-    for _ in range(2):
-        sleeps = []
-        Gateway(mode="live", provider=FlakyProvider(failures=3), sleep=sleeps.append).complete(REQ)
-        runs.append(sleeps)
-    assert runs[0] == runs[1]
-    for sleep, delay in zip(runs[0], (0.5, 1.0, 2.0), strict=True):
-        assert delay <= sleep <= 1.5 * delay
+    """For a provider request and for a tracker page alike."""
+    for sleeps in (_provider_sleeps, _tracker_sleeps):
+        runs = [sleeps(), sleeps()]
+        assert runs[0] == runs[1] != [0.5, 1.0, 2.0]  # seeded, and jittered
+        for sleep, delay in zip(runs[0], (0.5, 1.0, 2.0), strict=True):
+            assert delay <= sleep <= 1.5 * delay
 
 
 def test_live_retries_exhausted():
@@ -93,6 +110,47 @@ def test_live_retries_exhausted():
         gateway.complete(REQ)
     assert exc.value.attempts == 4
     assert provider.calls == 4
+
+
+class _Reply:
+    def __init__(self, status_code, payload=None):
+        self.status_code, self.text, self._payload = status_code, json.dumps(payload), payload
+
+    def json(self):
+        return self._payload
+
+
+def _posting(monkeypatch, replies):
+    """An OpenAI provider whose `requests.post` raises or returns each of
+    `replies` in turn; the list of the calls made."""
+    calls = []
+
+    def post(url, **kwargs):
+        calls.append(url)
+        reply = replies.pop(0)
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
+
+    monkeypatch.setattr(requests, "post", post)
+    monkeypatch.setenv("FAULTLOOM_API_KEY_OPENAI", "key")
+    return OpenAICompatProvider("openai"), calls
+
+
+def test_provider_retries_a_dropped_connection(monkeypatch):
+    ok = _Reply(200, {"choices": [{"message": {"content": "hi"}}], "usage": {"prompt_tokens": 3}})
+    provider, calls = _posting(monkeypatch, [requests.ConnectionError("reset"), requests.Timeout("slow"), ok])
+    sleeps = []
+    response = Gateway(mode="live", provider=provider, sleep=sleeps.append).complete(REQ)
+    assert (response.text, response.input_tokens, response.provider_meta) == ("hi", 3, {"provider": "openai", "attempts": 3})
+    assert len(calls) == 3 and len(sleeps) == 2
+
+
+def test_provider_reports_a_client_error_once_as_a_gateway_error(monkeypatch):
+    provider, calls = _posting(monkeypatch, [_Reply(401, {"error": "bad key"})])
+    with pytest.raises(GatewayError, match="HTTP 401"):
+        Gateway(mode="live", provider=provider, sleep=lambda s: None).complete(REQ)
+    assert len(calls) == 1
 
 
 def test_record_then_replay_round_trip(tmp_path):

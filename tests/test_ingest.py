@@ -1,9 +1,8 @@
 import json
-from datetime import datetime, timezone
 
 import pytest
 
-from faultloom.errors import IngestError, RateLimitExhaustedError
+from faultloom.errors import RateLimitExhaustedError, RetriesExhaustedError
 from faultloom.ingest import IssueFetcher, PageCache, _parse_next_link
 
 from fakes import FakeTransport
@@ -38,12 +37,12 @@ def test_parse_next_link():
     assert _parse_next_link('<x>; rel="last"') is None
 
 
-def _two_page_transport():
+def _two_page_transport(link="Link"):
     page1 = [_raw_issue(i) for i in range(1, 31)]
     page2 = [_raw_issue(i) for i in range(31, 43)]
     return FakeTransport(
         {
-            ISSUES_URL: [(200, {"Link": f'<{PAGE2_URL}>; rel="next"'}, json.dumps(page1))],
+            ISSUES_URL: [(200, {link: f'<{PAGE2_URL}>; rel="next"'}, json.dumps(page1))],
             PAGE2_URL: [(200, {}, json.dumps(page2))],
         }
     )
@@ -55,6 +54,15 @@ def test_two_page_pagination_counts():
     assert len(corpus) == 42
     assert corpus.records[0].number == 1
     assert corpus.records[-1].number == 42
+
+
+@pytest.mark.parametrize("link", ["link", "LINK"])
+def test_header_names_are_read_without_regard_to_case(link):
+    assert len(IssueFetcher(transport=_two_page_transport(link)).fetch_issues("acme/demo")) == 42
+    headers = {"x-ratelimit-remaining": "0", "X-RATELIMIT-RESET": "1700000000"}
+    transport = FakeTransport({ISSUES_URL: [(403, headers, "limited")]})
+    with pytest.raises(RateLimitExhaustedError, match="1700000000"):
+        IssueFetcher(transport=transport, sleep=lambda s: None).fetch_issues("acme/demo")
 
 
 def test_pull_requests_excluded():
@@ -71,20 +79,6 @@ def test_empty_repository():
     assert len(corpus) == 0
 
 
-def test_window_filtering():
-    items = [
-        _raw_issue(1, created="2019-01-01T00:00:00Z"),
-        _raw_issue(2, created="2021-01-01T00:00:00Z"),
-    ]
-    transport = FakeTransport({ISSUES_URL: [(200, {}, json.dumps(items))]})
-    window = (
-        datetime(2020, 1, 1, tzinfo=timezone.utc),
-        datetime(2022, 1, 1, tzinfo=timezone.utc),
-    )
-    corpus = IssueFetcher(transport=transport).fetch_issues("acme/demo", window=window)
-    assert [r.number for r in corpus] == [2]
-
-
 def test_cache_avoids_second_fetch(tmp_path):
     transport = _two_page_transport()
     cache = PageCache(tmp_path / "cache")
@@ -98,9 +92,32 @@ def test_cache_avoids_second_fetch(tmp_path):
 
 def test_cache_expires(tmp_path):
     cache = PageCache(tmp_path / "cache", ttl_seconds=10)
-    cache.put("k", "v", now=0.0)
-    assert cache.get("k", now=5.0) == "v"
+    cache.put("k", {"v": 1}, now=0.0)
+    assert cache.get("k", now=5.0) == {"v": 1}
     assert cache.get("k", now=20.0) is None
+
+
+@pytest.mark.parametrize("damage", ["torn", "old format", "not an object"])
+def test_unreadable_cache_entry_is_a_miss_fetched_again(tmp_path, damage):
+    cache = PageCache(tmp_path / "cache")
+    fetcher = IssueFetcher(transport=_two_page_transport(), cache=cache)
+    first = fetcher.fetch_issues("acme/demo")
+    entries = sorted((tmp_path / "cache").iterdir())
+    assert [p.suffix for p in entries] == [".json", ".json"]  # no temp file left
+    for path in entries:
+        text = path.read_text()
+        if damage == "torn":
+            path.write_text(text[: len(text) // 2])
+        elif damage == "old format":  # the page as a JSON string in "body"
+            entry = json.loads(text)
+            path.write_text(json.dumps({"fetched_at": entry["fetched_at"], "body": json.dumps(entry["page"])}))
+        else:
+            path.write_text("[]")
+    calls = fetcher.network_calls
+    again = fetcher.fetch_issues("acme/demo")
+    assert fetcher.network_calls == calls + 2
+    assert [r.to_dict() for r in again] == [r.to_dict() for r in first]
+    assert fetcher.fetch_issues("acme/demo") and fetcher.network_calls == calls + 2  # rewritten whole
 
 
 def test_retry_then_success():
@@ -116,10 +133,23 @@ def test_retry_then_success():
 
 def test_retries_exhausted():
     transport = FakeTransport({ISSUES_URL: [(500, {}, "boom")]})
-    fetcher = IssueFetcher(transport=transport, sleep=lambda s: None, max_attempts=3)
-    with pytest.raises(IngestError) as exc:
+    fetcher = IssueFetcher(transport=transport, sleep=lambda s: None)
+    with pytest.raises(RetriesExhaustedError) as exc:
         fetcher.fetch_issues("acme/demo")
-    assert "3 attempts" in str(exc.value)
+    assert "4 attempts" in str(exc.value)
+    assert transport.calls == 4
+
+
+def test_a_transport_error_that_is_not_transient_is_not_retried():
+    calls = []
+
+    def transport(url, headers, params):
+        calls.append(url)
+        raise ValueError("not a network failure")
+
+    with pytest.raises(ValueError):
+        IssueFetcher(transport=transport, sleep=lambda s: None).fetch_issues("acme/demo")
+    assert calls == [ISSUES_URL]
 
 
 def test_rate_limit_reports_reset_time():

@@ -182,6 +182,15 @@ def test_cli_record_mode_without_a_transcript_is_a_config_error(tmp_path):
     assert not (tmp_path / "run").exists()
 
 
+def test_cli_define_without_a_theme_is_a_config_error(tmp_path):
+    config = tmp_path / "config.yaml"
+    config.write_text(f"dumps: [{GOLDEN / 'corpus.jsonl'}]\ntranscript: {GOLDEN / 'transcript.jsonl'}\nout: run\n")
+    result = CliRunner().invoke(main, ["define", "--config", str(config)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "error: define needs a theme.description in the config" in result.stderr
+
+
 @pytest.mark.parametrize(
     "name, old, new",
     [  # `old` None: `new` is the whole file
@@ -190,15 +199,27 @@ def test_cli_record_mode_without_a_transcript_is_a_config_error(tmp_path):
         ("criteria.yaml", None, "- exclusion_labels\n"),
         ("criteria.yaml", "cutoff_date: 2020-01-01", "cutoff_date: yesterday"),
         ("criteria.yaml", "require_answered: true", "require_answered: true\ncomment_budget: lots"),
+        ("config.yaml", "parallelism: 2", "parallelism: [2"),
+        ("config.yaml", "  description: JavaScript-based DL system faults\n", ""),
+        ("criteria.yaml", "require_answered: true", "require_answered: [true"),
+        ("symptom_taxonomy.yaml", "kind: symptom", "kind: [symptom"),
+        ("vocab.txt", "WebGL", "WebGL\udcff"),  # the byte 0xff: not UTF-8
+        ("vocab.txt", None, "# no terms, only comments\n"),
+        ("reference_projects.txt", "TensorFlow.js", "TensorFlow.js\udcff"),
     ],
 )
 def test_cli_malformed_config_or_criteria_file_is_an_error_naming_it(tmp_path, name, old, new):
     inputs = tmp_path / "inputs"
     shutil.copytree(GOLDEN, inputs)
+    if name == "symptom_taxonomy.yaml":  # the golden config reads the packaged one
+        shutil.copy(packaged_data_path(name), inputs / name)
+        with open(inputs / "config.yaml", "a") as fh:
+            fh.write(f"symptom_taxonomy: {name}\n")
     text = (inputs / name).read_text()
     assert old is None or old in text
-    (inputs / name).write_text(new if old is None else text.replace(old, new))
-    result = CliRunner().invoke(main, ["run", "--config", str(inputs / "config.yaml"), "--out", str(tmp_path / "run")])
+    (inputs / name).write_bytes((new if old is None else text.replace(old, new)).encode("utf-8", "surrogateescape"))
+    command = "define" if name == "reference_projects.txt" else "run"  # only define reads it
+    result = CliRunner().invoke(main, [command, "--config", str(inputs / "config.yaml"), "--out", str(tmp_path / "run")])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert result.stderr.startswith("error: ")

@@ -204,3 +204,16 @@ def test_a_missing_required_key_is_a_key_error():
         FilterDecision.from_dict({"repo": REPO, "number": 3})
     with pytest.raises(KeyError, match="run_meta"):
         EvalReport.from_dict({"stage2": None})
+
+
+@pytest.mark.parametrize("value", [True, False, "0.5", [0.5]])
+def test_a_float_field_reads_an_int_or_a_float_only(value):
+    assert RunMeta.from_dict({"wall_time_seconds": 2}).wall_time_seconds == 2.0
+    with pytest.raises(TypeError, match="expected a number"):
+        RunMeta.from_dict({"wall_time_seconds": value})
+    scores = _scored_report().stage3_symptom.to_dict()
+    assert Stage3Scores.from_dict({**scores, "accuracy": 1, "per_level_accuracy": {"1": 1}}).per_level_accuracy == {1: 1.0}
+    with pytest.raises(TypeError, match="expected a number"):
+        Stage3Scores.from_dict({**scores, "accuracy": value})
+    with pytest.raises(TypeError, match="expected a number"):
+        Stage3Scores.from_dict({**scores, "per_level_accuracy": {"1": value}})
