@@ -18,13 +18,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .errors import (
-    DumpFormatError,
-    DuplicateRecordError,
-    GoldFileError,
-    RecordInvariantError,
-    SamplingError,
-)
+from .errors import CorpusError, RecordInvariantError
 
 IssueKey = tuple[str, int]
 
@@ -249,7 +243,7 @@ class Corpus:
         seen: set[IssueKey] = set()
         for record in self.records:
             if record.key in seen:
-                raise DuplicateRecordError(record.key)
+                raise CorpusError(f"duplicate record key {record.repo}#{record.number}")
             seen.add(record.key)
 
     def __len__(self) -> int:
@@ -330,7 +324,7 @@ def read_lines(path: str | Path, kind: type) -> Iterator[tuple[int, Record]]:
     `kind` record, with its 1-based line number. Lines end at `\n` only, the
     JSON Lines separator, and a line of ASCII whitespace alone is blank. A
     line that does not read as one (not UTF-8 included) raises a
-    DumpFormatError naming the file and the line."""
+    CorpusError naming the file and the line."""
     with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             if line.isspace():
@@ -339,9 +333,9 @@ def read_lines(path: str | Path, kind: type) -> Iterator[tuple[int, Record]]:
                 # json.loads of the bytes would decode them too, but about 70 % slower.
                 record = kind.from_dict(json.loads(line.decode("utf-8")))
             except json.JSONDecodeError as exc:
-                raise DumpFormatError(path, line_no, f"invalid JSON: {exc}") from exc
+                raise CorpusError(f"{path} line {line_no}: invalid JSON: {exc}") from exc
             except (KeyError, TypeError, ValueError, OverflowError, RecordInvariantError) as exc:
-                raise DumpFormatError(path, line_no, str(exc)) from exc
+                raise CorpusError(f"{path} line {line_no}: {exc}") from exc
             yield line_no, record
 
 
@@ -354,7 +348,7 @@ def import_dump(path: str | Path) -> Corpus:
     seen: set[IssueKey] = set()
     for line_no, record in read_lines(path, IssueRecord):
         if record.key in seen:
-            raise DumpFormatError(path, line_no, f"duplicate record key {record.repo}#{record.number}")
+            raise CorpusError(f"{path} line {line_no}: duplicate record key {record.repo}#{record.number}")
         seen.add(record.key)
         records.append(record)
     return Corpus(records=records)
@@ -408,11 +402,11 @@ def load_gold(path: str | Path) -> dict[IssueKey, GoldLabel]:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
-            raise GoldFileError(f"gold file {path} is not UTF-8: {exc}") from exc
+            raise CorpusError(f"gold file {path} is not UTF-8: {exc}") from exc
         reader = csv.DictReader(io.StringIO(text, newline=""))
         required = {"repo", "number", "fault_related", "symptom_leaf_id", "root_cause_id"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise GoldFileError(
+            raise CorpusError(
                 f"gold file must have columns {sorted(required)}, got {reader.fieldnames}"
             )
         for row_no, row in enumerate(reader, start=2):
@@ -420,16 +414,16 @@ def load_gold(path: str | Path) -> dict[IssueKey, GoldLabel]:
             try:
                 number = int(row["number"])
             except ValueError as exc:
-                raise GoldFileError(f"gold row {row_no}: bad issue number") from exc
+                raise CorpusError(f"gold row {row_no}: bad issue number") from exc
             fault_raw = row["fault_related"].strip().lower()
             fault_related = None if fault_raw == "" else fault_raw in ("true", "1", "yes")
             symptom = row["symptom_leaf_id"].strip() or None
             root_cause = row["root_cause_id"].strip() or None
             if fault_related is None and symptom is None and root_cause is None:
-                raise GoldFileError(f"gold row {row_no}: no populated label field")
+                raise CorpusError(f"gold row {row_no}: no populated label field")
             key = (repo, number)
             if key in gold:
-                raise GoldFileError(f"gold row {row_no}: duplicate key {repo}#{number}")
+                raise CorpusError(f"gold row {row_no}: duplicate key {repo}#{number}")
             gold[key] = GoldLabel(
                 repo=repo, number=number, fault_related=fault_related,
                 symptom_leaf=symptom, root_cause=root_cause,
@@ -456,10 +450,11 @@ def sample_balanced(
     neg_keys = sorted(
         k for k in corpus.keys() if gold.get(k) and gold[k].fault_related is False
     )
-    if len(pos_keys) < n_pos:
-        raise SamplingError("fault", n_pos, len(pos_keys))
-    if len(neg_keys) < n_neg:
-        raise SamplingError("non-fault", n_neg, len(neg_keys))
+    for stratum, keys, n in (("fault", pos_keys, n_pos), ("non-fault", neg_keys, n_neg)):
+        if len(keys) < n:
+            raise CorpusError(
+                f"stratum {stratum!r}: requested {n} but only {len(keys)} available (shortfall {n - len(keys)})"
+            )
 
     rng = random.Random(seed)
     chosen = set(rng.sample(pos_keys, n_pos))

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .corpus import GoldLabel, IssueKey, Record
-from .errors import EvaluationError, MissingGoldError
+from .errors import EvaluationError
 from .stage2 import FilterDecision
 from .stage3 import FaultLabel
 from .taxonomy import Taxonomy, TaxonomyNode, ancestor_at_level
@@ -70,7 +70,7 @@ def score_stage2(
     for decision in decisions:
         label = gold.get(decision.key)
         if label is None or label.fault_related is None:
-            raise MissingGoldError(decision.key, "fault_related value")
+            raise EvaluationError(f"no gold fault_related value for {decision.repo}#{decision.number}")
         confusion.add(
             "fault" if label.fault_related else "non-fault",
             "fault" if decision.final else "non-fault",
@@ -95,7 +95,7 @@ def _gold_node(
     attr = "symptom_leaf" if taxonomy.kind == "symptom" else "root_cause"
     node_id = getattr(label, attr, None) if label else None
     if node_id is None:
-        raise MissingGoldError(key, f"{taxonomy.kind} label")
+        raise EvaluationError(f"no gold {taxonomy.kind} label for {key[0]}#{key[1]}")
     return taxonomy.node_by_id(node_id)
 
 

@@ -20,13 +20,10 @@ from typing import Callable, Protocol, TypeVar
 from .corpus import Record, sha256_json
 from .errors import (
     GatewayError,
-    MissingFieldsError,
-    NoStructuredObjectError,
     ReplayMissError,
     RetriesExhaustedError,
     StructuredOutputError,
     TaxonomyError,
-    TranscriptError,
     TransientProviderError,
     UnknownModelError,
 )
@@ -102,7 +99,7 @@ def retry(send: Callable[[int], T], key: str, sleep: Callable[[float], None]) ->
             if attempt < MAX_ATTEMPTS:
                 sleep(delay + random.Random(f"{key}/{attempt}").uniform(0, delay / 2))
                 delay *= 2
-    raise RetriesExhaustedError(MAX_ATTEMPTS, last_error)
+    raise RetriesExhaustedError(f"provider failed after {MAX_ATTEMPTS} attempts: {last_error}") from last_error
 
 
 class Transcript:
@@ -136,7 +133,7 @@ class Transcript:
                         self.entries[raw["request_digest"]] = ChatResponse.from_dict(raw["response"])
                     except (ValueError, KeyError, TypeError) as exc:
                         if complete:
-                            raise TranscriptError(str(self.path), line_no, f"unreadable entry: {exc}") from exc
+                            raise GatewayError(f"{self.path} line {line_no}: unreadable entry: {exc}") from exc
                         logger.warning("%s line %d: dropping torn final entry", self.path, line_no)
                         self._torn_at = offset
                         return
@@ -147,7 +144,7 @@ class Transcript:
         try:
             return self.entries[digest]
         except KeyError:
-            raise ReplayMissError(digest) from None
+            raise ReplayMissError(f"transcript has no entry for request digest {digest}") from None
 
     def record(self, digest: str, response: ChatResponse) -> None:
         line = json.dumps({"request_digest": digest, "response": response.to_dict()}, sort_keys=True)
@@ -189,7 +186,7 @@ class OpenAICompatProvider:
 
     def __init__(self, provider_name: str, endpoint: str | None = None):
         if endpoint is None and provider_name not in self.ENDPOINTS:
-            raise UnknownModelError(provider_name)
+            raise UnknownModelError(f"unknown model id: {provider_name!r}")
         self.provider_name = provider_name
         self.endpoint = endpoint or self.ENDPOINTS[provider_name]
 
@@ -198,9 +195,7 @@ class OpenAICompatProvider:
 
         api_key = os.environ.get(API_KEY_ENV_PREFIX + self.provider_name.upper())
         if not api_key:
-            raise UnknownModelError(
-                f"{request.model_id} (no {API_KEY_ENV_PREFIX}{self.provider_name.upper()} set)"
-            )
+            raise GatewayError(f"{request.model_id}: {API_KEY_ENV_PREFIX}{self.provider_name.upper()} is not set")
         _, model = split_model_id(request.model_id)
         start = time.monotonic()
         try:
@@ -236,11 +231,9 @@ class OpenAICompatProvider:
 
 
 def split_model_id(model_id: str) -> tuple[str, str]:
-    if "/" not in model_id:
-        raise UnknownModelError(model_id)
-    provider, model = model_id.split("/", 1)
+    provider, _, model = model_id.partition("/")
     if not provider or not model:
-        raise UnknownModelError(model_id)
+        raise UnknownModelError(f"unknown model id: {model_id!r}")
     return provider, model
 
 
@@ -356,11 +349,11 @@ def extract_structured(text: str, expected_fields: set[str] | None = None) -> di
             break
         idx = text.find("{", idx + 1)
     if obj is None:
-        raise NoStructuredObjectError()
+        raise StructuredOutputError("no well-formed structured object found in output")
     if expected_fields:
-        missing = [name for name in expected_fields if name not in obj]
+        missing = sorted(name for name in expected_fields if name not in obj)
         if missing:
-            raise MissingFieldsError(missing)
+            raise StructuredOutputError(f"structured object missing fields: {', '.join(missing)}")
     return obj
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Callable
 
 from .corpus import Corpus, IssueRecord, parse_timestamp
-from .errors import IngestError, RateLimitExhaustedError, TransientProviderError
+from .errors import IngestError, RecordInvariantError, TransientProviderError
 from .gateway import raise_transient, retry
 
 TOKEN_ENV_VAR = "FAULTLOOM_VCS_TOKEN"
@@ -36,6 +36,16 @@ def requests_transport(url: str, headers: dict, params: dict) -> TransportRespon
     except requests.RequestException as exc:
         raise TransientProviderError(f"{url}: {exc}") from exc
     return resp.status_code, dict(resp.headers), resp.text
+
+
+def _json_list(body: str, url: str) -> list:
+    try:
+        page = json.loads(body)
+    except ValueError as exc:
+        raise IngestError(f"{url}: invalid JSON: {exc}") from exc
+    if not isinstance(page, list):
+        raise IngestError(f"expected a JSON list from {url}")
+    return page
 
 
 def _parse_next_link(link_header: str | None) -> str | None:
@@ -101,38 +111,37 @@ class IssueFetcher:
             headers["Authorization"] = f"Bearer {token}"
         return headers
 
-    def _get(self, url: str, params: dict) -> tuple[dict, str]:
-        """The headers, with lower-case names, and the body of the page."""
+    def _get(self, url: str, params: dict) -> tuple[dict, list]:
+        """The headers, with lower-case names, and the JSON list of the page.
+        A body that is not one is an IngestError and is not cached."""
         cache_key = url + "?" + json.dumps(params, sort_keys=True)
         if self.cache is not None and (page := self.cache.get(cache_key)) is not None:
-            return page["headers"], page["body"]
+            return page["headers"], _json_list(page["body"], url)
 
         def send(attempt: int) -> tuple[dict, str]:
             status, headers, body = self.transport(url, self._headers(), params)
             self.network_calls += 1
             headers = {k.lower(): v for k, v in headers.items()}
             if status == 403 and headers.get("x-ratelimit-remaining") == "0":
-                raise RateLimitExhaustedError(str(headers.get("x-ratelimit-reset", "unknown")))
+                raise IngestError(f"rate limit exhausted; resets at {headers.get('x-ratelimit-reset', 'unknown')}")
             raise_transient(status, url)
             if status != 200:
                 raise IngestError(f"HTTP {status} from {url}: {body[:200]}")
             return headers, body
 
         headers, body = retry(send, cache_key, self.sleep)
+        page = _json_list(body, url)
         if self.cache is not None:
             keep = {k: v for k, v in headers.items() if k in ("link", "content-type")}
             self.cache.put(cache_key, {"headers": keep, "body": body})
-        return headers, body
+        return headers, page
 
     def _paginate(self, url: str, params: dict) -> list[dict]:
         items: list[dict] = []
         next_url: str | None = url
         next_params = dict(params)
         while next_url:
-            headers, body = self._get(next_url, next_params)
-            page = json.loads(body)
-            if not isinstance(page, list):
-                raise IngestError(f"expected a JSON list from {next_url}")
+            headers, page = self._get(next_url, next_params)
             items.extend(page)
             next_url = _parse_next_link(headers.get("link"))
             next_params = {}  # the next link already carries its query string
@@ -142,25 +151,29 @@ class IssueFetcher:
         """Fetch all non-pull-request issues for a repo, with their comments.
 
         Pull requests surfaced by the issues endpoint are dropped; Stage II's
-        `cutoff_date` is the date rule.
+        `cutoff_date` is the date rule. An issue or a comment that does not
+        read as one is an IngestError naming the URL it came from.
         """
         url = f"{API_BASE}/repos/{repo}/issues"
-        raw_issues = self._paginate(url, {"state": "all", "per_page": 100})
-
         records: list[IssueRecord] = []
-        for raw in raw_issues:
-            if "pull_request" in raw:
-                continue
-            comments = []
-            if raw.get("comments", 0):
-                comments_url = f"{API_BASE}/repos/{repo}/issues/{raw['number']}/comments"
-                comments = [
-                    {"author_role": c.get("author_association"), "created_at": c["created_at"], "body": c.get("body")}
-                    for c in self._paginate(comments_url, {"per_page": 100})
-                ]
-                comments.sort(key=lambda c: parse_timestamp(c["created_at"]))
-            labels = [l["name"] if isinstance(l, dict) else l for l in raw.get("labels", [])]
-            records.append(IssueRecord.from_dict(
-                {**raw, "repo": repo, "labels": labels, "comments": comments, "url": raw.get("html_url")}
-            ))
+        for raw in self._paginate(url, {"state": "all", "per_page": 100}):
+            where = url
+            try:
+                if "pull_request" in raw:
+                    continue
+                comments = []
+                if raw.get("comments", 0):
+                    where = f"{url}/{raw['number']}/comments"
+                    comments = [
+                        {"author_role": c.get("author_association"), "created_at": c["created_at"],
+                         "body": c.get("body")} for c in self._paginate(where, {"per_page": 100})
+                    ]
+                    comments.sort(key=lambda c: parse_timestamp(c["created_at"]))
+                    where = url
+                labels = [l["name"] if isinstance(l, dict) else l for l in raw.get("labels", [])]
+                records.append(IssueRecord.from_dict(
+                    {**raw, "repo": repo, "labels": labels, "comments": comments, "url": raw.get("html_url")}
+                ))
+            except (AttributeError, KeyError, TypeError, ValueError, RecordInvariantError) as exc:
+                raise IngestError(f"{where}: {exc!r}") from exc
         return Corpus(records=records)

@@ -51,7 +51,7 @@ from .corpus import (
     sha256_json,
     write_jsonl,
 )
-from .errors import ConfigError, FaultloomError, ManifestError, MissingArtifactError, StageError
+from .errors import ConfigError, FaultloomError, StageError
 from .evaluation import (
     EvalReport,
     RunMeta,
@@ -104,9 +104,9 @@ class Manifest:
             try:
                 self.data = json.loads(path.read_text(encoding="utf-8"))
             except ValueError as exc:
-                raise ManifestError(f"unreadable manifest {path}: {exc}") from exc
+                raise StageError(f"unreadable manifest {path}: {exc}") from exc
             if not isinstance(self.data, dict) or not isinstance(self.data.get("stages"), dict):
-                raise ManifestError(f"unreadable manifest {path}: no stages object")
+                raise StageError(f"unreadable manifest {path}: no stages object")
             self._trust()
 
     def _trust(self) -> None:
@@ -236,7 +236,9 @@ class Runner:
                     digests[name] = self._digest(name, path)
                 except FileNotFoundError:
                     if name in ARTIFACTS:
-                        raise MissingArtifactError(str(path), needed_by) from None
+                        raise StageError(
+                            f"missing upstream artifact {path} (needed by {needed_by}); run the producing stage first"
+                        ) from None
                     raise ConfigError(f"referenced file does not exist: {path}") from None
             self._inputs = inputs
             try:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import Record
-from .errors import EmptyPlanError, EmptyReferenceError
+from .errors import StageError
 from .gateway import ChatRequest, Gateway, ask_structured, extract_structured
 
 _SUFFIXES = ("js",)  # ".js" reduces to "js" once punctuation is stripped
@@ -96,7 +96,7 @@ def propose_study(theme: StudyTheme, gateway: Gateway, model_id: str) -> StudyPl
             merged[key] = project
     plan.projects = list(merged.values())
     if not plan.projects or not plan.research_questions:
-        raise EmptyPlanError("study plan needs at least one project and one research question")
+        raise StageError("study plan needs at least one project and one research question")
     return plan
 
 
@@ -122,7 +122,7 @@ def score_plan(plan: StudyPlan, reference: list[str]) -> PlanScore:
     """Recall of the plan's projects against a reference list under
     normalized-name matching. hits + misses partition the reference."""
     if not reference:
-        raise EmptyReferenceError("reference project list is empty")
+        raise StageError("reference project list is empty")
     plan_keys = {normalize_project_name(p.name): p.name for p in plan.projects}
     hits, misses = [], []
     matched_keys = set()

@@ -12,18 +12,7 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from .config import load_yaml
-from .errors import (
-    AmbiguousLabelError,
-    CyclicStructureError,
-    DuplicateIdError,
-    DuplicateNameError,
-    LabelNotFoundError,
-    LevelViolationError,
-    MissingDefinitionError,
-    MissingFieldInNodeError,
-    NodeMembershipError,
-    TaxonomyError,
-)
+from .errors import TaxonomyError
 
 MAX_LEVEL = 3
 
@@ -67,7 +56,7 @@ class Taxonomy:
         try:
             return self._by_id[node_id]
         except KeyError:
-            raise NodeMembershipError(node_id) from None
+            raise TaxonomyError(f"node {node_id!r} does not belong to this taxonomy") from None
 
     def is_leaf_granularity(self, node: TaxonomyNode) -> bool:
         """Whether a node is a valid classification target.
@@ -94,23 +83,25 @@ def _build_node(
     if not isinstance(raw, dict):
         raise TaxonomyError(f"node entry is not a mapping ({context})")
     if id(raw) in seen_objs:
-        raise CyclicStructureError(str(raw.get("id", "<unknown>")))
+        raise TaxonomyError(f"cycle detected at node {str(raw.get('id', '<unknown>'))!r}")
     seen_objs.add(id(raw))
 
     for key in ("id", "name", "definition"):
         if key not in raw or raw[key] is None:
-            raise MissingFieldInNodeError(key, context)
+            raise TaxonomyError(f"node missing required field {key!r} ({context})")
     node_id = str(raw["id"])
     name = str(raw["name"])
     definition = str(raw["definition"]).strip()
 
     if node_id in seen_ids:
-        raise DuplicateIdError(node_id)
+        raise TaxonomyError(f"duplicate taxonomy node id: {node_id!r}")
     seen_ids[node_id] = name
     if not definition:
-        raise MissingDefinitionError(node_id)
+        raise TaxonomyError(f"node {node_id!r} has an empty definition")
     if level > MAX_LEVEL:
-        raise LevelViolationError(node_id, level, MAX_LEVEL)
+        raise TaxonomyError(
+            f"node {node_id!r} sits at level {level}, deeper than the allowed maximum of {MAX_LEVEL}"
+        )
 
     raw_children = raw.get("children") or []
     if not isinstance(raw_children, list):
@@ -121,7 +112,7 @@ def _build_node(
         child = _build_node(child_raw, level + 1, seen_ids, seen_objs, f"child of {node_id}")
         norm = normalize_label(child.name)
         if norm in child_names:
-            raise DuplicateNameError(child.name, f"under {node_id!r}")
+            raise TaxonomyError(f"duplicate sibling name {child.name!r} under {node_id!r}")
         child_names.add(norm)
         children.append(child)
 
@@ -134,7 +125,7 @@ def _build_node(
 def load_taxonomy(document: str | Path | dict) -> Taxonomy:
     """Load and validate a taxonomy from a YAML file path or a parsed mapping.
 
-    Raises a specific TaxonomyError subclass naming the offending node for
+    Raises a TaxonomyError whose message names the offending node for
     duplicate ids, missing definitions, level violations, and cycles.
     """
     if isinstance(document, (str, Path)):
@@ -160,7 +151,7 @@ def load_taxonomy(document: str | Path | dict) -> Taxonomy:
         root = _build_node(raw_root, 1, seen_ids, seen_objs, "root")
         norm = normalize_label(root.name)
         if norm in root_names:
-            raise DuplicateNameError(root.name, "among roots")
+            raise TaxonomyError(f"duplicate sibling name {root.name!r} among roots")
         root_names.add(norm)
         roots.append(root)
 
@@ -179,16 +170,16 @@ def resolve_label(taxonomy: Taxonomy, label: str) -> TaxonomyNode:
     """Exact-name lookup, case-insensitive with whitespace normalization."""
     matches = taxonomy._by_name.get(normalize_label(label), [])
     if not matches:
-        raise LabelNotFoundError(label)
+        raise TaxonomyError(f"no taxonomy node named {label!r}")
     if len(matches) > 1:
-        raise AmbiguousLabelError(label, [n.id for n in matches])
+        raise TaxonomyError(f"label {label!r} matches multiple nodes: {', '.join(n.id for n in matches)}")
     return matches[0]
 
 
 def ancestors(taxonomy: Taxonomy, node: TaxonomyNode) -> list[TaxonomyNode]:
     """Path from a root down to the node, inclusive."""
     if taxonomy._by_id.get(node.id) is not node:
-        raise NodeMembershipError(node.id)
+        raise TaxonomyError(f"node {node.id!r} does not belong to this taxonomy")
     path = [node]
     parent = taxonomy._parent[node.id]
     while parent is not None:

@@ -14,12 +14,7 @@ import yaml
 
 from faultloom.config import load_config, packaged_data_path
 from faultloom.corpus import GoldLabel, load_gold, sample_balanced
-from faultloom.errors import (
-    DuplicateIdError,
-    DuplicateNameError,
-    MissingDefinitionError,
-    MissingFieldInNodeError,
-)
+from faultloom.errors import TaxonomyError
 from faultloom.evaluation import hierarchical_accuracy, score_stage2, score_stage3
 from faultloom.gateway import Gateway
 from faultloom.pipeline import Runner
@@ -82,17 +77,17 @@ def test_taxonomy_invariant_suite(announce, symptoms, root_causes):
             for idx in range(len(base["nodes"])):
                 mutations += [
                     (kind, lambda r, i=idx: r["nodes"][i].update(
-                        id=r["nodes"][(i + 1) % len(r["nodes"])]["id"]), DuplicateIdError),
+                        id=r["nodes"][(i + 1) % len(r["nodes"])]["id"]), "^duplicate taxonomy node id: "),
                     (kind, lambda r, i=idx: r["nodes"][i].update(
-                        name=r["nodes"][(i + 1) % len(r["nodes"])]["name"]), DuplicateNameError),
-                    (kind, lambda r, i=idx: r["nodes"][i].update(definition=" "), MissingDefinitionError),
-                    (kind, lambda r, i=idx: r["nodes"][i].pop("name"), MissingFieldInNodeError),
+                        name=r["nodes"][(i + 1) % len(r["nodes"])]["name"]), "^duplicate sibling name .* among roots$"),
+                    (kind, lambda r, i=idx: r["nodes"][i].update(definition=" "), "has an empty definition$"),
+                    (kind, lambda r, i=idx: r["nodes"][i].pop("name"), "^node missing required field 'name' "),
                 ]
         assert len(mutations) >= 20
         for kind, build, expected in mutations[:40]:
             raw = copy.deepcopy(yaml.safe_load(files[kind].read_text(encoding="utf-8")))
             build(raw)
-            with pytest.raises(expected):
+            with pytest.raises(TaxonomyError, match=expected):
                 load_taxonomy(raw)
 
 

@@ -1,5 +1,7 @@
-"""Each error's text and attributes, and two errors no other test raises."""
+"""Each error message, checked where it is raised: every case reaches its
+raise site through public code and gets the class and the whole text."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -7,99 +9,204 @@ from click.testing import CliRunner
 
 from faultloom import errors
 from faultloom.cli import main
-from faultloom.corpus import Corpus, export_dump
-from faultloom.taxonomy import load_taxonomy
+from faultloom.config import load_config
+from faultloom.corpus import Corpus, export_dump, import_dump, load_gold, sample_balanced
+from faultloom.errors import (
+    ConfigError,
+    CorpusError,
+    EvaluationError,
+    GatewayError,
+    IngestError,
+    RecordInvariantError,
+    ReplayMissError,
+    RetriesExhaustedError,
+    StageError,
+    StructuredOutputError,
+    TaxonomyError,
+    TransientProviderError,
+    UnknownModelError,
+)
+from faultloom.evaluation import score_stage2, score_stage3
+from faultloom.gateway import (
+    ChatRequest,
+    Gateway,
+    OpenAICompatProvider,
+    Transcript,
+    extract_structured,
+    provider_for_model,
+    raise_transient,
+    request_digest,
+)
+from faultloom.ingest import IssueFetcher
+from faultloom.pipeline import Manifest, Runner
+from faultloom.stage1 import ProjectCandidate, StudyPlan, StudyTheme, propose_study, score_plan
+from faultloom.stage2 import FilterDecision
+from faultloom.stage3 import FaultLabel
+from faultloom.taxonomy import ancestors, load_taxonomy, resolve_label
 
-from gen import make_issue
+from fakes import FakeTransport, FlakyProvider, ScriptedProvider
+from gen import make_issue, synth_gold_balanced
 
-LAST_ERROR = errors.TransientProviderError("HTTP 503")
+GOLDEN = Path(__file__).parent / "fixtures" / "golden"
+ISSUES_URL = "https://api.github.com/repos/acme/demo/issues"
+REQ = ChatRequest(model_id="openai/gpt-4o", system_text="sys", user_text="hello")
 
-# (class, positional arguments as the raise sites pass them, text, attributes)
+
+def _node(node_id, name=None, children=(), definition="d"):
+    return {"id": node_id, "name": name or node_id.upper(), "definition": definition, "children": list(children)}
+
+
+def _taxonomy(*roots):
+    return {"kind": "symptom", "nodes": list(roots)}
+
+
+def _write(path, text):
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def _dump(tmp, *lines):
+    return import_dump(_write(tmp / "d.jsonl", "".join(line + "\n" for line in lines)))
+
+
+def _issue_line(**fields):
+    return json.dumps({**make_issue(number=1).to_dict(), **fields})
+
+
+def _fetch(status, headers, body):
+    transport = FakeTransport({ISSUES_URL: [(status, headers, body)]})
+    IssueFetcher(transport=transport, sleep=lambda s: None).fetch_issues("acme/demo")
+
+
+def _empty_plan(tmp):
+    plan = json.dumps({"projects": [{"name": "TensorFlow.js"}], "research_questions": []})
+    gateway = Gateway(mode="live", provider=ScriptedProvider([plan]))
+    propose_study(StudyTheme(description="faults"), gateway, "openai/gpt-4o")
+
+
+def _missing_key(tmp):
+    OpenAICompatProvider("openai").send(REQ)
+
+
+def _sample(tmp):
+    corpus, gold = synth_gold_balanced(3, 3)
+    sample_balanced(corpus, gold, 5, 1, seed=0)
+
+
+def _missing_artifact(tmp):
+    runner = Runner(load_config(GOLDEN / "config.yaml", overrides={"out": str(tmp / "run")}))
+    try:
+        runner.run_filter()
+    finally:
+        runner.close()
+
+
+SHARED = _taxonomy(_node("a", children=[_node("a.x", "Crash")]), _node("b", children=[_node("b.x", "crash")]))
+
+# (id, the call that raises, given the test's tmp_path; class; text, "{tmp}" standing for tmp_path)
 CASES = [
-    ("DuplicateIdError", ("a.b",), "duplicate taxonomy node id: 'a.b'", {"node_id": "a.b"}),
-    ("DuplicateNameError", ("Crash", "under 'a'"), "duplicate sibling name 'Crash' under 'a'", {"name": "Crash"}),
-    ("DuplicateNameError", ("Crash", "among roots"), "duplicate sibling name 'Crash' among roots", {"name": "Crash"}),
-    ("MissingDefinitionError", ("a",), "node 'a' has an empty definition", {"node_id": "a"}),
-    (
-        "MissingFieldInNodeError", ("definition", "child of a"),
-        "node missing required field 'definition' (child of a)", {"field": "definition"},
-    ),
-    (
-        "LevelViolationError", ("a.b.c.d.e", 5, 4),
-        "node 'a.b.c.d.e' sits at level 5, deeper than the allowed maximum of 4", {"node_id": "a.b.c.d.e"},
-    ),
-    ("CyclicStructureError", ("a",), "cycle detected at node 'a'", {"node_id": "a"}),
-    ("LabelNotFoundError", ("Crash",), "no taxonomy node named 'Crash'", {"label": "Crash"}),
-    (
-        "AmbiguousLabelError", ("Crash", ["a", "b"]),
-        "label 'Crash' matches multiple nodes: a, b", {"label": "Crash", "node_ids": ["a", "b"]},
-    ),
-    ("NodeMembershipError", ("a",), "node 'a' does not belong to this taxonomy", {"node_id": "a"}),
-    (
-        "DumpFormatError", (Path("d.jsonl"), 3, "invalid JSON: x"),
-        "d.jsonl line 3: invalid JSON: x", {"line_no": 3, "reason": "invalid JSON: x"},
-    ),
-    ("DuplicateRecordError", (("o/r", 7),), "duplicate record key o/r#7", {"key": ("o/r", 7)}),
-    (
-        "SamplingError", ("fault", 5, 3),
-        "stratum 'fault': requested 5 but only 3 available (shortfall 2)",
-        {"stratum": "fault", "requested": 5, "available": 3},
-    ),
-    (
-        "RateLimitExhaustedError", ("2021-06-01T00:00:00Z",),
-        "rate limit exhausted; resets at 2021-06-01T00:00:00Z", {"reset_at": "2021-06-01T00:00:00Z"},
-    ),
-    ("UnknownModelError", ("x",), "unknown model id: 'x'", {"model_id": "x"}),
-    (
-        "RetriesExhaustedError", (4, LAST_ERROR),
-        "provider failed after 4 attempts: HTTP 503", {"attempts": 4, "last_error": LAST_ERROR},
-    ),
-    ("ReplayMissError", ("abc",), "transcript has no entry for request digest abc", {"digest": "abc"}),
-    ("TranscriptError", ("t.jsonl", 2, "unreadable entry: x"), "t.jsonl line 2: unreadable entry: x", {"line_no": 2}),
-    ("NoStructuredObjectError", (), "no well-formed structured object found in output", {}),
-    ("MissingFieldsError", (["b", "a"],), "structured object missing fields: a, b", {"missing": ["a", "b"]}),
-    (
-        "MissingGoldError", (("o/r", 7), "fault_related value"),
-        "no gold fault_related value for o/r#7", {"key": ("o/r", 7)},
-    ),
-    (
-        "MissingArtifactError", ("run/sample.jsonl", "filter"),
-        "missing upstream artifact run/sample.jsonl (needed by filter); run the producing stage first",
-        {"path": "run/sample.jsonl", "needed_by": "filter"},
-    ),
+    ("config without input", lambda tmp: load_config(_write(tmp / "c.yaml", "mode: replay\ntranscript: t.jsonl\n")),
+     ConfigError, "config needs at least one dump path or repo"),
+    # taxonomy
+    ("duplicate id", lambda tmp: load_taxonomy(_taxonomy(_node("a"), _node("a", "B"))),
+     TaxonomyError, "duplicate taxonomy node id: 'a'"),
+    ("duplicate sibling", lambda tmp: load_taxonomy(_taxonomy(_node("a", children=[_node("a.b", "Crash"),
+                                                                                   _node("a.c", "crash")]))),
+     TaxonomyError, "duplicate sibling name 'crash' under 'a'"),
+    ("duplicate root", lambda tmp: load_taxonomy(_taxonomy(_node("a", "Crash"), _node("b", "Crash"))),
+     TaxonomyError, "duplicate sibling name 'Crash' among roots"),
+    ("empty definition", lambda tmp: load_taxonomy(_taxonomy(_node("a", definition=" "))),
+     TaxonomyError, "node 'a' has an empty definition"),
+    ("missing field", lambda tmp: load_taxonomy(_taxonomy(_node("a", children=[{"id": "a.b", "name": "B"}]))),
+     TaxonomyError, "node missing required field 'definition' (child of a)"),
+    ("too deep", lambda tmp: load_taxonomy(_taxonomy(_node("a", children=[_node("a.b", children=[
+        _node("a.b.c", children=[_node("a.b.c.d")])])]))),
+     TaxonomyError, "node 'a.b.c.d' sits at level 4, deeper than the allowed maximum of 3"),
+    ("cycle", lambda tmp: load_taxonomy(_write(
+        tmp / "t.yaml", "kind: symptom\nnodes:\n  - &a {id: a, name: A, definition: d, children: [*a]}\n")),
+     TaxonomyError, "cycle detected at node 'a'"),
+    ("label not found", lambda tmp: resolve_label(load_taxonomy(SHARED), "Leak"),
+     TaxonomyError, "no taxonomy node named 'Leak'"),
+    ("ambiguous label", lambda tmp: resolve_label(load_taxonomy(SHARED), "CRASH"),
+     TaxonomyError, "label 'CRASH' matches multiple nodes: a.x, b.x"),
+    ("foreign node", lambda tmp: ancestors(load_taxonomy(SHARED), load_taxonomy(SHARED).roots[0]),
+     TaxonomyError, "node 'a' does not belong to this taxonomy"),
+    ("unknown node id", lambda tmp: load_taxonomy(SHARED).node_by_id("zz"),
+     TaxonomyError, "node 'zz' does not belong to this taxonomy"),
+    # corpus
+    ("dump line not JSON", lambda tmp: _dump(tmp, _issue_line(), "{not json"),
+     CorpusError, "{tmp}/d.jsonl line 2: invalid JSON: Expecting property name enclosed in double quotes: "
+                  "line 1 column 2 (char 1)"),
+    ("dump line not a record", lambda tmp: _dump(tmp, _issue_line(state="stale")),
+     CorpusError, "{tmp}/d.jsonl line 1: acme/dlpipe#1: bad state 'stale'"),
+    ("dump key twice", lambda tmp: _dump(tmp, _issue_line(), _issue_line()),
+     CorpusError, "{tmp}/d.jsonl line 2: duplicate record key acme/dlpipe#1"),
+    ("record invariant", lambda tmp: make_issue(number=0),
+     RecordInvariantError, "acme/dlpipe: non-positive issue number 0"),
+    ("corpus key twice", lambda tmp: Corpus(records=[make_issue(number=1), make_issue(number=1)]),
+     CorpusError, "duplicate record key acme/dlpipe#1"),
+    ("gold row without label", lambda tmp: load_gold(_write(
+        tmp / "gold.csv", "repo,number,fault_related,symptom_leaf_id,root_cause_id\nacme/x,1,,,\n")),
+     CorpusError, "gold row 2: no populated label field"),
+    ("short stratum", _sample,
+     CorpusError, "stratum 'fault': requested 5 but only 3 available (shortfall 2)"),
+    # tracker
+    ("rate limit", lambda tmp: _fetch(403, {"X-RateLimit-Remaining": "0", "X-RateLimit-Reset": "1700000000"}, ""),
+     IngestError, "rate limit exhausted; resets at 1700000000"),
+    ("tracker not 200", lambda tmp: _fetch(404, {}, '{"message": "Not Found"}'),
+     IngestError, f'HTTP 404 from {ISSUES_URL}: {{"message": "Not Found"}}'),
+    ("tracker page not a list", lambda tmp: _fetch(200, {}, '{"message": "moved"}'),
+     IngestError, f"expected a JSON list from {ISSUES_URL}"),
+    # gateway
+    ("transient", lambda tmp: raise_transient(503, "https://api.example.test"),
+     TransientProviderError, "HTTP 503 from https://api.example.test"),
+    ("model id without provider", lambda tmp: provider_for_model("no-slash"),
+     UnknownModelError, "unknown model id: 'no-slash'"),
+    ("unknown provider", lambda tmp: provider_for_model("mystery/model"),
+     UnknownModelError, "unknown model id: 'mystery'"),
+    ("provider key not set", _missing_key,
+     GatewayError, "openai/gpt-4o: FAULTLOOM_API_KEY_OPENAI is not set"),
+    ("retries exhausted",
+     lambda tmp: Gateway(mode="live", provider=FlakyProvider(9), sleep=lambda s: None).complete(REQ),
+     RetriesExhaustedError, "provider failed after 4 attempts: rate limited"),
+    ("replay miss", lambda tmp: Gateway(mode="replay", transcript=Transcript(tmp / "t.jsonl")).complete(REQ),
+     ReplayMissError, f"transcript has no entry for request digest {request_digest(REQ)}"),
+    ("unreadable transcript", lambda tmp: Transcript(_write(tmp / "t.jsonl", '{"entry": 1}\n')),
+     GatewayError, "{tmp}/t.jsonl line 1: unreadable entry: 'response'"),
+    ("no structured object", lambda tmp: extract_structured("prose only"),
+     StructuredOutputError, "no well-formed structured object found in output"),
+    ("missing fields", lambda tmp: extract_structured('{"c": 1}', {"c", "b", "a"}),
+     StructuredOutputError, "structured object missing fields: a, b"),
+    # evaluation
+    ("no gold decision", lambda tmp: score_stage2([FilterDecision(repo="o/r", number=7, final=True)], {}),
+     EvaluationError, "no gold fault_related value for o/r#7"),
+    ("no gold label", lambda tmp: score_stage3([FaultLabel(repo="o/r", number=7, valid=False)], {},
+                                               load_taxonomy(SHARED)),
+     EvaluationError, "no gold symptom label for o/r#7"),
+    # stages
+    ("empty plan", _empty_plan,
+     StageError, "study plan needs at least one project and one research question"),
+    ("empty reference", lambda tmp: score_plan(StudyPlan(projects=[ProjectCandidate(name="x")]), []),
+     StageError, "reference project list is empty"),
+    ("unreadable manifest", lambda tmp: Manifest(_write(tmp / "manifest.json", "[]")),
+     StageError, "unreadable manifest {tmp}/manifest.json: no stages object"),
+    ("missing artifact", _missing_artifact,
+     StageError, "missing upstream artifact {tmp}/run/sample.jsonl (needed by filter); run the producing stage first"),
 ]
 
 
-def test_every_error_class_with_a_message_has_a_case():
-    with_message = {
-        name for name, cls in vars(errors).items()
-        if isinstance(cls, type) and issubclass(cls, errors.FaultloomError) and cls.message is not None
-    }
-    assert with_message == {case[0] for case in CASES}
+def test_every_error_class_has_a_case():
+    classes = {cls for cls in vars(errors).values() if isinstance(cls, type) and issubclass(cls, Exception)}
+    assert classes - {errors.FaultloomError} == {case[2] for case in CASES}
 
 
-@pytest.mark.parametrize("name, args, text, attributes", CASES, ids=[f"{c[0]}-{i}" for i, c in enumerate(CASES)])
-def test_error_text_and_attributes(name, args, text, attributes):
-    error = getattr(errors, name)(*args)
-    assert str(error) == text
-    for attribute, value in attributes.items():
-        assert getattr(error, attribute) == value
-        assert type(getattr(error, attribute)) is type(value), attribute
-
-
-def test_error_without_a_message_keeps_its_text():
-    error = errors.ConfigError("no vocabulary file configured")
-    assert str(error) == "no vocabulary file configured"
-    assert error.args == ("no vocabulary file configured",)
-
-
-def test_recursive_yaml_alias_is_a_cyclic_structure(tmp_path):
-    path = tmp_path / "taxonomy.yaml"
-    path.write_text("kind: symptom\nnodes:\n  - &a {id: a, name: A, definition: d, children: [*a]}\n")
-    with pytest.raises(errors.CyclicStructureError) as exc:
-        load_taxonomy(path)
-    assert str(exc.value) == "cycle detected at node 'a'"
-    assert exc.value.node_id == "a"
+@pytest.mark.parametrize("raise_it, cls, text", [case[1:] for case in CASES], ids=[case[0] for case in CASES])
+def test_each_message_where_it_is_raised(tmp_path, monkeypatch, raise_it, cls, text):
+    monkeypatch.delenv("FAULTLOOM_API_KEY_OPENAI", raising=False)  # no case needs it, one needs it unset
+    with pytest.raises(cls) as exc:
+        raise_it(tmp_path)
+    assert type(exc.value) is cls
+    assert str(exc.value) == text.replace("{tmp}", str(tmp_path))
 
 
 def test_import_of_two_dumps_sharing_a_key_exits_1(tmp_path):

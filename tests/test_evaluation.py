@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from faultloom.corpus import GoldLabel
-from faultloom.errors import EvaluationError, MissingGoldError
+from faultloom.errors import EvaluationError
 from faultloom.evaluation import (
     ConfusionMatrix,
     hierarchical_accuracy,
@@ -85,7 +85,7 @@ def test_score_stage2_empty_errors():
 
 
 def test_score_stage2_missing_gold_errors():
-    with pytest.raises(MissingGoldError):
+    with pytest.raises(EvaluationError, match="no gold fault_related value for "):
         score_stage2([_decision(1, True)], {})
 
 

@@ -10,10 +10,10 @@ import requests
 from faultloom.errors import (
     FaultloomError,
     GatewayError,
-    MissingFieldsError,
-    NoStructuredObjectError,
     ReplayMissError,
     RetriesExhaustedError,
+    StructuredOutputError,
+    TransientProviderError,
     UnknownModelError,
 )
 from faultloom.gateway import (
@@ -65,9 +65,8 @@ def test_replay_serves_stored_response(tmp_path):
 def test_replay_miss_names_digest(tmp_path):
     transcript = Transcript(tmp_path / "t.jsonl")
     gateway = Gateway(mode="replay", transcript=transcript)
-    with pytest.raises(ReplayMissError) as exc:
+    with pytest.raises(ReplayMissError, match=f"^transcript has no entry for request digest {request_digest(REQ)}$"):
         gateway.complete(REQ)
-    assert exc.value.digest == request_digest(REQ)
 
 
 def test_live_retries_then_succeeds():
@@ -104,12 +103,18 @@ def test_backoff_jitter_is_the_same_for_the_same_request():
 
 
 def test_live_retries_exhausted():
-    provider = FlakyProvider(failures=10)
-    gateway = Gateway(mode="live", provider=provider, sleep=lambda s: None)
-    with pytest.raises(RetriesExhaustedError) as exc:
+    failures = []
+
+    class Failing:
+        def send(self, request):
+            failures.append(TransientProviderError(f"failure {len(failures) + 1}"))
+            raise failures[-1]
+
+    gateway = Gateway(mode="live", provider=Failing(), sleep=lambda s: None)
+    with pytest.raises(RetriesExhaustedError, match="^provider failed after 4 attempts: failure 4$") as exc:
         gateway.complete(REQ)
-    assert exc.value.attempts == 4
-    assert provider.calls == 4
+    assert len(failures) == 4
+    assert exc.value.__cause__ is failures[-1]
 
 
 class _Reply:
@@ -153,6 +158,16 @@ def test_provider_reports_a_client_error_once_as_a_gateway_error(monkeypatch):
     assert len(calls) == 1
 
 
+def test_provider_without_its_key_is_a_gateway_error_naming_the_variable(monkeypatch):
+    provider, calls = _posting(monkeypatch, [])
+    monkeypatch.delenv("FAULTLOOM_API_KEY_OPENAI")
+    with pytest.raises(GatewayError) as exc:
+        Gateway(mode="live", provider=provider, sleep=lambda s: None).complete(REQ)
+    assert type(exc.value) is GatewayError
+    assert str(exc.value) == "openai/gpt-4o: FAULTLOOM_API_KEY_OPENAI is not set"
+    assert calls == []
+
+
 def test_record_then_replay_round_trip(tmp_path):
     path = tmp_path / "t.jsonl"
     provider = ScriptedProvider(['{"x": 1}'])
@@ -180,9 +195,9 @@ def test_token_accounting_is_additive(tmp_path):
 
 
 def test_unknown_model_id():
-    with pytest.raises(UnknownModelError):
+    with pytest.raises(UnknownModelError, match="^unknown model id: 'no-slash'$"):
         provider_for_model("no-slash")
-    with pytest.raises(UnknownModelError):
+    with pytest.raises(UnknownModelError, match="^unknown model id: 'mystery'$"):
         provider_for_model("mystery/model")
 
 
@@ -314,14 +329,13 @@ def test_extract_structured_skips_broken_braces():
 
 
 def test_extract_structured_no_object():
-    with pytest.raises(NoStructuredObjectError):
+    with pytest.raises(StructuredOutputError, match="^no well-formed structured object found in output$"):
         extract_structured("no braces here at all")
 
 
 def test_extract_structured_missing_field():
-    with pytest.raises(MissingFieldsError) as exc:
+    with pytest.raises(StructuredOutputError, match="^structured object missing fields: fault_related$"):
         extract_structured('{"rationale": "x"}', {"fault_related"})
-    assert exc.value.missing == ["fault_related"]
 
 
 def _ask(gateway, request=REQ):
@@ -350,7 +364,8 @@ def test_ask_structured_exhausted_returns_last_answer_and_error():
     provider = ScriptedProvider(["junk", "{}", '{"nope": 2}'])
     answer = _ask(Gateway(mode="live", provider=provider))
     assert (answer.value, answer.attempts, answer.text) == (None, 3, '{"nope": 2}')
-    assert isinstance(answer.error, MissingFieldsError)
+    assert type(answer.error) is StructuredOutputError
+    assert str(answer.error) == "structured object missing fields: ok"
     assert provider.calls == 3
 
 

@@ -1,8 +1,9 @@
 import json
+import re
 
 import pytest
 
-from faultloom.errors import RateLimitExhaustedError, RetriesExhaustedError
+from faultloom.errors import IngestError, RetriesExhaustedError
 from faultloom.ingest import IssueFetcher, PageCache, _parse_next_link
 
 from fakes import FakeTransport
@@ -61,7 +62,7 @@ def test_header_names_are_read_without_regard_to_case(link):
     assert len(IssueFetcher(transport=_two_page_transport(link)).fetch_issues("acme/demo")) == 42
     headers = {"x-ratelimit-remaining": "0", "X-RATELIMIT-RESET": "1700000000"}
     transport = FakeTransport({ISSUES_URL: [(403, headers, "limited")]})
-    with pytest.raises(RateLimitExhaustedError, match="1700000000"):
+    with pytest.raises(IngestError, match="rate limit exhausted; resets at 1700000000"):
         IssueFetcher(transport=transport, sleep=lambda s: None).fetch_issues("acme/demo")
 
 
@@ -156,9 +157,46 @@ def test_rate_limit_reports_reset_time():
     headers = {"X-RateLimit-Remaining": "0", "X-RateLimit-Reset": "1700000000"}
     transport = FakeTransport({ISSUES_URL: [(403, headers, "limited")]})
     fetcher = IssueFetcher(transport=transport, sleep=lambda s: None)
-    with pytest.raises(RateLimitExhaustedError) as exc:
+    with pytest.raises(IngestError, match="^rate limit exhausted; resets at 1700000000$"):
         fetcher.fetch_issues("acme/demo")
-    assert exc.value.reset_at == "1700000000"
+
+
+@pytest.mark.parametrize(
+    "body, text",
+    [
+        ("<html>busy</html>", f"{ISSUES_URL}: invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ('{"message": "moved"}', f"expected a JSON list from {ISSUES_URL}"),
+    ],
+    ids=["not JSON", "not a list"],
+)
+def test_a_page_that_is_not_a_json_list_is_an_ingest_error_and_not_cached(tmp_path, body, text):
+    transport = FakeTransport({ISSUES_URL: [(200, {}, body)]})
+    fetcher = IssueFetcher(transport=transport, cache=PageCache(tmp_path / "cache"))
+    for _ in range(2):
+        with pytest.raises(IngestError, match=f"^{re.escape(text)}$"):
+            fetcher.fetch_issues("acme/demo")
+    assert transport.calls == 2
+    assert list((tmp_path / "cache").glob("*")) == []
+
+
+def test_an_issue_without_state_is_an_ingest_error_naming_the_url():
+    raw = _raw_issue(1)
+    del raw["state"]
+    transport = FakeTransport({ISSUES_URL: [(200, {}, json.dumps([raw]))]})
+    with pytest.raises(IngestError) as exc:
+        IssueFetcher(transport=transport).fetch_issues("acme/demo")
+    assert str(exc.value) == f"{ISSUES_URL}: KeyError('missing or null: state')"
+
+
+def test_a_comment_without_created_at_is_an_ingest_error_naming_its_url():
+    comments_url = f"{ISSUES_URL}/5/comments"
+    transport = FakeTransport({
+        ISSUES_URL: [(200, {}, json.dumps([_raw_issue(5, comments=1)]))],
+        comments_url: [(200, {}, json.dumps([{"author_association": "NONE", "body": "hi"}]))],
+    })
+    with pytest.raises(IngestError) as exc:
+        IssueFetcher(transport=transport).fetch_issues("acme/demo")
+    assert str(exc.value) == f"{comments_url}: KeyError('created_at')"
 
 
 def test_comments_fetched_and_ordered():

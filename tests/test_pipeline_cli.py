@@ -19,7 +19,7 @@ from faultloom import ingest, pipeline, taxonomy
 from faultloom.cli import main
 from faultloom.config import load_config, load_yaml, packaged_data_path
 from faultloom.corpus import Corpus, IssueRecord, export_dump, import_dump, load_gold, sample_balanced
-from faultloom.errors import ConfigError, MissingArtifactError, StageError
+from faultloom.errors import ConfigError, StageError
 from faultloom.pipeline import ARTIFACTS, RUN_ORDER, Manifest, Runner
 
 from fakes import CountingProvider, OracleProvider, ScriptedProvider, make_response
@@ -91,7 +91,7 @@ def test_changed_seed_invalidates_downstream(tmp_path):
 
 def test_filter_before_sample_reports_missing_artifact(tmp_path):
     runner = Runner(_config(tmp_path))
-    with pytest.raises(MissingArtifactError) as exc:
+    with pytest.raises(StageError, match="missing upstream artifact .*sample.jsonl") as exc:
         runner.run_filter()
     assert "sample.jsonl" in str(exc.value)
 

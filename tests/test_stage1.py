@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from faultloom.errors import EmptyReferenceError, StructuredOutputError
+from faultloom.errors import StageError, StructuredOutputError
 from faultloom.gateway import Gateway
 from faultloom.stage1 import (
     ProjectCandidate,
@@ -106,7 +106,7 @@ def test_score_plan_disjoint():
 
 
 def test_score_plan_empty_reference():
-    with pytest.raises(EmptyReferenceError):
+    with pytest.raises(StageError, match="reference project list is empty"):
         score_plan(_plan(["x"]), [])
 
 
