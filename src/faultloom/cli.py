@@ -1,5 +1,5 @@
-"""Command-line surface: one subcommand per stage, `report` to rewrite the
-report files, and `run` for the whole pipeline."""
+"""Command-line surface: one subcommand per stage, and `run` for the whole
+pipeline. The evaluate stage writes the report files."""
 
 from __future__ import annotations
 
@@ -66,13 +66,6 @@ def _stage_command(stage: str) -> None:
 
 for _stage in ARTIFACTS:
     _stage_command(_stage)
-
-
-@_command("report", "Regenerate report files from a finished run directory.")
-def report(runner: Runner) -> None:
-    with runner.locked():
-        runner.write_report(runner.build_report())
-    click.echo(f"report: wrote {runner.artifact('evaluate')}")
 
 
 @_command("run", "Run the full pipeline end to end.")

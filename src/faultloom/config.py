@@ -10,6 +10,7 @@ from pathlib import Path
 
 import yaml
 
+from .corpus import integer
 from .errors import ConfigError
 from .gateway import API_KEY_ENV_PREFIX, split_model_id
 from .stage2 import DEFAULT_CHAR_BUDGET, DEFAULT_COMMENT_BUDGET
@@ -97,6 +98,19 @@ def _list(value, key: str, path) -> list:
     return value
 
 
+def _count(value, key: str, path, least: int | None = None) -> int:
+    """`value`, the `key` of the file at `path`, as an integer no less than
+    `least`. As in a record, a boolean or a fraction is no integer; any of
+    these is a ConfigError naming both."""
+    try:
+        number = integer(value)
+        if least is None or number >= least:
+            return number
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{path}: {key} must be an integer{'' if least is None else f' >= {least}'}, not {value!r}")
+
+
 def load_criteria(path: Path | None) -> dict:
     """The settings of the criteria file at `path`, each defaulted when
     absent, as FilterCriteria arguments besides the vocabulary; without a
@@ -105,15 +119,17 @@ def load_criteria(path: Path | None) -> dict:
     criteria = (load_yaml(path) if path else None) or {}
     if not isinstance(criteria, dict):
         raise ConfigError(f"{path}: the criteria are not a mapping")
+    if not isinstance(answered := criteria.get("require_answered", True), bool):
+        raise ConfigError(f"{path}: require_answered must be true or false, not {answered!r}")
     try:
         return {
             "exclusion_labels": [str(x) for x in _list(criteria.get("exclusion_labels", []), "exclusion_labels", path)],
             "cutoff_date": date.fromisoformat(str(criteria.get("cutoff_date", "2020-01-01"))),
-            "require_answered": bool(criteria.get("require_answered", True)),
-            "comment_budget": int(criteria.get("comment_budget", DEFAULT_COMMENT_BUDGET)),
-            "char_budget": int(criteria.get("char_budget", DEFAULT_CHAR_BUDGET)),
+            "require_answered": answered,
+            "comment_budget": _count(criteria.get("comment_budget", DEFAULT_COMMENT_BUDGET), "comment_budget", path, 0),
+            "char_budget": _count(criteria.get("char_budget", DEFAULT_CHAR_BUDGET), "char_budget", path, 0),
         }
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -147,7 +163,11 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
             seed = (overrides or {}).get("seed")
             if seed is None:
                 seed = s.get("seed", raw.get("seed", 0))
-            sampling = SamplingConfig(n_pos=int(s["n_pos"]), n_neg=int(s["n_neg"]), seed=int(seed))
+            sampling = SamplingConfig(
+                n_pos=_count(s["n_pos"], "sampling.n_pos", path, 0),
+                n_neg=_count(s["n_neg"], "sampling.n_neg", path, 0),
+                seed=_count(seed, "sampling.seed", path),
+            )
 
         theme = raw.get("theme") or {}
         if "theme" in raw and not str(theme.get("description") or "").strip():
@@ -170,7 +190,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
             theme_constraints=[str(c) for c in _list(theme.get("constraints", []), "theme.constraints", path)],
             transcript_path=_resolve(raw.get("transcript")),
             sampling=sampling,
-            parallelism=int(raw.get("parallelism", 1)),
+            parallelism=_count(raw.get("parallelism", 1), "parallelism", path, 1),
             stage3_input=str(raw.get("stage3_input", "filtered")),
             cache_dir=_resolve(raw.get("cache_dir")),
         )

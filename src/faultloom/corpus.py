@@ -62,7 +62,7 @@ def canonical_timestamp(value) -> Timestamp:
     return format_timestamp(parse_timestamp(value))
 
 
-def _integer(value) -> int:
+def integer(value) -> int:
     """A JSON integer. An integral float or a numeric string reads as one;
     a boolean or a fraction is a TypeError."""
     if value.__class__ is int:
@@ -118,7 +118,7 @@ def _codec(tp) -> tuple[Callable | None, Callable]:
     if tp is bool:
         return None, lambda v: _expect(v, bool, "a boolean")
     if tp is int:
-        return None, _integer
+        return None, integer
     if tp is float:
         return None, _number
     raise TypeError(f"no codec for field type {tp!r}")

@@ -60,12 +60,11 @@ def _parse_next_link(link_header: str | None) -> str | None:
 
 @dataclass
 class PageCache:
-    """Content-addressed page store keyed by request URL + params, with TTL.
-    Each entry is one JSON object, written through a temp file and
-    `os.replace`; an entry that does not read as one is a miss."""
+    """Content-addressed page store keyed by request URL + params, with a TTL
+    of DEFAULT_CACHE_TTL_SECONDS. Each entry is one JSON object, written through
+    a temp file and `os.replace`; an entry that does not read as one is a miss."""
 
     root: Path
-    ttl_seconds: float = DEFAULT_CACHE_TTL_SECONDS
 
     def _path(self, key: str) -> Path:
         digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
@@ -75,7 +74,7 @@ class PageCache:
         now = time.time() if now is None else now
         try:
             entry = json.loads(self._path(key).read_text(encoding="utf-8"))
-            if now - entry["fetched_at"] <= self.ttl_seconds and isinstance(entry["page"], dict):
+            if now - entry["fetched_at"] <= DEFAULT_CACHE_TTL_SECONDS and isinstance(entry["page"], dict):
                 return entry["page"]
         except (OSError, ValueError, KeyError, TypeError):
             pass
@@ -103,7 +102,6 @@ class IssueFetcher:
         self.transport = transport or requests_transport
         self.cache = cache
         self.sleep = sleep
-        self.network_calls = 0
 
     def _headers(self) -> dict:
         headers = {"Accept": "application/vnd.github+json"}
@@ -120,7 +118,6 @@ class IssueFetcher:
 
         def send(attempt: int) -> tuple[dict, str]:
             status, headers, body = self.transport(url, self._headers(), params)
-            self.network_calls += 1
             headers = {k.lower(): v for k, v in headers.items()}
             if status == 403 and headers.get("x-ratelimit-remaining") == "0":
                 raise IngestError(f"rate limit exhausted; resets at {headers.get('x-ratelimit-reset', 'unknown')}")

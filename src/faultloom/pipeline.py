@@ -7,7 +7,9 @@ upstream artifacts alike, and records in the manifest its input hash (its
 config key + the sha256 of each declared file) and the sha256 its artifact was
 written with. On rerun it is skipped when the input hash is unchanged and the
 artifact still has that sha256, so a finished run directory is stable and
-fully determines its report: a no-op rerun reads report.json back.
+fully determines its report: a no-op rerun reads report.json back. The
+evaluate stage alone writes the report, and its output records the sha256
+of each report file, so a missing or edited one is written again.
 
 The manifest also keeps, for each file a command hashed or a stage wrote, its
 stat fingerprint (device, inode, size, mtime, ctime) and its sha256. A later
@@ -19,8 +21,8 @@ when a stage next writes the manifest.
 A command (a `Runner.locked()` block) keeps one table of the files its
 stages read and write, and each file is hashed and parsed at most once in it:
 a stage puts the sha256 and the object of the artifact it writes there for
-the stages after it. A stage or report called outside a command is a command
-of its own. Nothing in the table outlives the command.
+the stages after it. A stage called outside a command is a command of its
+own. Nothing in the table outlives the command.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import contextlib
 import csv
 import fcntl
 import hashlib
+import io
 import json
 import logging
 import os
@@ -153,8 +156,10 @@ class Manifest:
 # from the manifest entries of all but the last.
 RUN_ORDER = ("corpus", "sample", "filter", "classify", "evaluate")
 
-# The inputs of the evaluate stage, which the report reads.
-REPORT_INPUTS = ("gold", "symptom_taxonomy", "root_cause_taxonomy", "filter", "classify")
+# The files the evaluate stage writes, by path in the run directory; the
+# output its manifest entry records maps each to its sha256.
+REPORT_FILES = ("report.json", "summary.md",
+                *(f"tables/{t}_confusion.csv" for t in ("stage2", "stage3_symptom", "stage3_rootcause")))
 
 
 # The parser of each input a stage may declare, by name; a dump is named
@@ -205,23 +210,32 @@ class Runner:
         """Input name -> file: a stage's artifact, else the configured `<name>_file`."""
         return {n: self.artifact(n) if n in ARTIFACTS else getattr(self.config, f"{n}_file") for n in names}
 
+    def _sha256(self, path: Path) -> str:
+        """sha256 of the file at `path`, noted with its fingerprint among the
+        command's "files" entries. The file is read only when the manifest
+        holds no trusted entry with its current fingerprint."""
+        st = os.stat(path)  # before the read, so a later write changes st_ctime_ns
+        digest = self.manifest.known(path, st) or _hash_file(path)
+        self._taken[str(path)] = _fingerprint(st, digest)
+        return digest
+
     def _digest(self, name: str, path: Path | None) -> str | None:
         """sha256 of the file at `path`, the input `name` of the running
-        command, taken at most once per command; None when not configured.
-        The file is read only when the manifest holds no trusted entry with
-        its current fingerprint."""
+        command, taken at most once per command; None when not configured."""
         if name not in self._table:
-            digest = None
-            if path is not None:
-                st = os.stat(path)  # before the read, so a later write changes st_ctime_ns
-                digest = self.manifest.known(path, st) or _hash_file(path)
-                self._taken[str(path)] = _fingerprint(st, digest)
-            self._table[name] = [digest, None]
+            self._table[name] = [None if path is None else self._sha256(path), None]
         return self._table[name][0]
 
-    def _command(self):
-        """`locked()` when no command is running, else a context that does nothing."""
-        return self.locked() if self._table is None else contextlib.nullcontext()
+    def _written(self, name: str, output) -> bool:
+        """Whether each file the stage `name` wrote still has the sha256 that
+        `output`, its manifest entry's, records: its artifact's, or for
+        evaluate the map of each report file's."""
+        try:
+            if name == "evaluate":
+                return output == {rel: self._sha256(self.out / rel) for rel in REPORT_FILES}
+            return output == self._digest(name, self.artifact(name))
+        except FileNotFoundError:
+            return False
 
     @contextlib.contextmanager
     def _declared(self, inputs: dict, needed_by: str):
@@ -229,7 +243,7 @@ class Runner:
         configured) into the command's table, and let `_read` parse them
         while the block runs. Yields the sha256 of each by name. Outside a
         command, the block is a command of its own."""
-        with self._command():
+        with self.locked() if self._table is None else contextlib.nullcontext():
             digests = {}
             for name, path in inputs.items():
                 try:
@@ -328,19 +342,20 @@ class Runner:
         `inputs` names every file the body reads (name -> path, None when not
         configured); the body reads them only through `_read`. The stage's
         input hash covers `key` and the sha256 of each input. When the
-        manifest records that hash and the artifact still has the sha256
-        recorded as its output, the stage is skipped. Otherwise `body()`
-        writes the artifact and returns its sha256, the object written (None
-        when no stage reads it) and any extra manifest meta; the first two go
-        into the command's table, and the manifest records the hash, the
-        output, the time from the call on and the model calls of the stage.
-        The transcript is closed when the body ends."""
+        manifest records that hash and each file the stage wrote still has
+        the sha256 recorded as its output, the stage is skipped. Otherwise
+        `body()` writes them and returns their output (the artifact's sha256;
+        for evaluate, each report file's by its path in the run directory),
+        the object written (None when no stage reads it) and any extra
+        manifest meta; the artifact's sha256 and the object go into the
+        command's table, and the manifest records the hash, the output, the
+        time from the call on and the model calls of the stage. The
+        transcript is closed when the body ends."""
         started, path = time.monotonic(), self.artifact(name)
         with self._declared(inputs, name) as digests:
             input_hash = sha256_json({"key": key, "inputs": digests})
             recorded = self.manifest.stage(name)
-            unchanged = recorded.get("input_hash") == input_hash and path.exists()
-            if unchanged and self._digest(name, path) == recorded.get("output"):
+            if recorded.get("input_hash") == input_hash and self._written(name, recorded.get("output")):
                 logger.info("%s: unchanged, skipping", name)
                 return path
             self._table.pop(name, None)  # no digest of the artifact holds until the body returns
@@ -351,8 +366,10 @@ class Runner:
                 output, written, extra = body()
             finally:
                 self.close()
-            self._table[name] = [output, written]
-            self._taken[str(path)] = _fingerprint(os.stat(path), output)
+            files = output if name == "evaluate" else {ARTIFACTS[name]: output}
+            for rel, digest in files.items():
+                self._taken[str(self.out / rel)] = _fingerprint(os.stat(self.out / rel), digest)
+            self._table[name] = [files[ARTIFACTS[name]], written]
             per_model = {m: t.to_dict() for m, t in self.gateway.usage.items()} if self.gateway else {}
             meta = {
                 "duration_seconds": round(time.monotonic() - started, 3),
@@ -475,14 +492,11 @@ class Runner:
     # --- evaluation and report ---------------------------------------------
 
     def build_report(self) -> EvalReport:
-        """Score the decisions and labels against gold. Outside the evaluate
-        stage it declares the evaluate stage's inputs itself, and the run's
-        wall time counts the evaluate stage's time up to its report as that
-        stage recorded it; the running evaluate stage adds its own."""
-        inside = self._inputs is not None
-        with contextlib.nullcontext() if inside else self._declared(self._files(*REPORT_INPUTS), "report"):
-            gold, decisions, labels = self._read("gold"), self._read("filter"), self._read("classify")
-            symptoms, root_causes = self._read("symptom_taxonomy"), self._read("root_cause_taxonomy")
+        """Score the decisions and labels against gold, in the evaluate
+        stage's body. The run's wall time sums the stages before it as the
+        manifest records them; the evaluate stage adds its own."""
+        gold, decisions, labels = self._read("gold"), self._read("filter"), self._read("classify")
+        symptoms, root_causes = self._read("symptom_taxonomy"), self._read("root_cause_taxonomy")
         notes: list[str] = []
         meta = RunMeta()
 
@@ -492,12 +506,8 @@ class Runner:
         if stage2_scores is None:
             notes.append("stage2: no gold-covered decisions to score")
 
-        symptom_labels = [
-            l for l in labels if (g := gold.get(l.key)) and g.symptom_leaf is not None
-        ]
-        rootcause_labels = [
-            l for l in labels if (g := gold.get(l.key)) and g.root_cause is not None
-        ]
+        symptom_labels = [l for l in labels if (g := gold.get(l.key)) and g.symptom_leaf is not None]
+        rootcause_labels = [l for l in labels if (g := gold.get(l.key)) and g.root_cause is not None]
         meta.unscored += (len(labels) - len(symptom_labels)) + (len(labels) - len(rootcause_labels))
         meta.invalid_labels = sum(1 for l in labels if not l.valid)
         if not labels:
@@ -506,31 +516,17 @@ class Runner:
         stage3_rootcause = score_stage3(rootcause_labels, gold, root_causes) if rootcause_labels else None
 
         # Each stage's manifest entry holds what that stage itself used.
-        durations = 0.0
-        tokens = 0
-        per_model: dict = {}
         for name in RUN_ORDER[:-1]:
             stage_meta = self.manifest.stage(name).get("meta", {})
-            durations += stage_meta.get("duration_seconds", 0.0)
-            tokens += stage_meta.get("tokens", 0)
+            meta.wall_time_seconds += stage_meta.get("duration_seconds", 0.0)
+            meta.total_tokens += stage_meta.get("tokens", 0)
             for model, tally in stage_meta.get("per_model", {}).items():
-                agg = per_model.setdefault(
-                    model, {"requests": 0, "input_tokens": 0, "output_tokens": 0}
-                )
+                agg = meta.per_model.setdefault(model, {"requests": 0, "input_tokens": 0, "output_tokens": 0})
                 for key in agg:
                     agg[key] += tally.get(key, 0)
-        meta.wall_time_seconds = round(durations, 3)
-        if not inside:
-            evaluate = self.manifest.stage("evaluate").get("meta", {})
-            meta.wall_time_seconds = round(meta.wall_time_seconds + evaluate.get("report_seconds", 0.0), 3)
-        meta.total_tokens = tokens
-        meta.per_model = per_model
-
+        meta.wall_time_seconds = round(meta.wall_time_seconds, 3)
         return EvalReport(
-            stage2=stage2_scores,
-            stage3_symptom=stage3_symptom,
-            stage3_rootcause=stage3_rootcause,
-            run_meta=meta,
+            stage2=stage2_scores, stage3_symptom=stage3_symptom, stage3_rootcause=stage3_rootcause, run_meta=meta,
             notes=notes,
         )
 
@@ -541,79 +537,33 @@ class Runner:
         def body():
             started = time.monotonic()
             report = self.build_report()
-            # The report counts this stage's time up to here; `report_seconds`
-            # lets a later `report` command count the same.
-            seconds = round(time.monotonic() - started, 3)
-            report.run_meta.wall_time_seconds = round(report.run_meta.wall_time_seconds + seconds, 3)
+            meta = report.run_meta  # its wall time counts this stage's time up to here
+            meta.wall_time_seconds = round(meta.wall_time_seconds + time.monotonic() - started, 3)
             self.report = report
-            return self.write_report(report), None, {"report_seconds": seconds}
+            return self.write_report(report), None, {}
 
         # The report also reads the upstream manifest entries, so a skip
-        # means report.json is current.
+        # means the report files are current.
         key = {"stages": {name: self.manifest.stage(name) for name in RUN_ORDER[:-1]}}
-        return self._stage("evaluate", key, self._files(*REPORT_INPUTS), body)
+        inputs = self._files("gold", "symptom_taxonomy", "root_cause_taxonomy", "filter", "classify")
+        return self._stage("evaluate", key, inputs, body)
 
-    def write_report(self, report: EvalReport) -> str:
-        """Write report.json, the tables and summary.md; return the sha256 of
-        report.json. Outside a command, this is a command of its own."""
-        with self._command():
-            digest = _write_json(self.artifact("evaluate"), report.to_dict())
-            tables = self.out / "tables"
-            tables.mkdir(exist_ok=True)
-            for name, scores in (
-                ("stage2_confusion", report.stage2),
-                ("stage3_symptom_confusion", report.stage3_symptom),
-                ("stage3_rootcause_confusion", report.stage3_rootcause),
-            ):
-                path = tables / f"{name}.csv"
-                if scores is None:
-                    path.write_text("", encoding="utf-8")
-                    continue
+    def write_report(self, report: EvalReport) -> dict:
+        """Write the REPORT_FILES; return the sha256 of each as written, by
+        its path in the run directory."""
+        (self.out / "tables").mkdir(exist_ok=True)
+        data = [_summary(report)]
+        for scores in (report.stage2, report.stage3_symptom, report.stage3_rootcause):
+            text = io.StringIO()
+            if scores is not None:
                 matrix = scores.confusion
-                with open(path, "w", encoding="utf-8", newline="") as fh:
-                    writer = csv.writer(fh)
-                    writer.writerow(["gold \\ predicted"] + matrix.classes)
-                    for cls, row in zip(matrix.classes, matrix.counts):
-                        writer.writerow([cls] + row)
-            self._write_summary(report)
-        return digest
-
-    def _write_summary(self, report: EvalReport) -> None:
-        lines = ["# Run summary", ""]
-        if report.stage2:
-            s = report.stage2
-            lines += [
-                "## Stage II: fault-related issue filtering",
-                f"- accuracy: {s.accuracy:.4f} ({s.tp + s.tn}/{s.total})",
-                f"- precision: {s.precision:.4f}",
-                f"- recall: {s.recall:.4f}",
-                "",
-            ]
-        for title, scores in (
-            ("Stage III: symptom classification", report.stage3_symptom),
-            ("Stage III: root-cause classification", report.stage3_rootcause),
-        ):
-            if scores:
-                lines.append(f"## {title}")
-                lines.append(
-                    f"- leaf accuracy: {scores.accuracy:.4f} ({scores.correct}/{scores.total})"
-                )
-                for level in sorted(scores.per_level_accuracy):
-                    lines.append(
-                        f"- level-{level} accuracy: {scores.per_level_accuracy[level]:.4f}"
-                    )
-                lines.append(f"- invalid labels: {scores.invalid}")
-                lines.append("")
-        meta = report.run_meta
-        lines += [
-            "## Run",
-            f"- wall time (s): {meta.wall_time_seconds}",
-            f"- total tokens: {meta.total_tokens}",
-            f"- unscored items: {meta.unscored}",
-        ]
-        for note in report.notes:
-            lines.append(f"- note: {note}")
-        (self.out / "summary.md").write_text("\n".join(lines) + "\n", encoding="utf-8")
+                writer = csv.writer(text)
+                writer.writerow(["gold \\ predicted"] + matrix.classes)
+                for cls, row in zip(matrix.classes, matrix.counts):
+                    writer.writerow([cls] + row)
+            data.append(text.getvalue().encode("utf-8"))
+        written = {rel: _write_bytes(self.out / rel, payload) for rel, payload in zip(REPORT_FILES[1:], data)}
+        return {"report.json": _write_json(self.artifact("evaluate"), report.to_dict()), **written}
 
     # --- whole pipeline -----------------------------------------------------
 
@@ -632,11 +582,47 @@ class Runner:
         return self.report
 
 
-def _write_json(path: Path, payload) -> str:
-    """Write `payload` as indented JSON; return the sha256 of the bytes written."""
-    data = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+def _write_bytes(path: Path, data: bytes) -> str:
+    """Write `data` to `path`; return its sha256."""
     path.write_bytes(data)
     return hashlib.sha256(data).hexdigest()
+
+
+def _write_json(path: Path, payload) -> str:
+    """Write `payload` as indented JSON; return the sha256 of the bytes written."""
+    return _write_bytes(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+
+
+def _summary(report: EvalReport) -> bytes:
+    """summary.md of `report`."""
+    lines = ["# Run summary", ""]
+    if report.stage2:
+        s = report.stage2
+        lines += [
+            "## Stage II: fault-related issue filtering",
+            f"- accuracy: {s.accuracy:.4f} ({s.tp + s.tn}/{s.total})",
+            f"- precision: {s.precision:.4f}",
+            f"- recall: {s.recall:.4f}",
+            "",
+        ]
+    for title, scores in (
+        ("Stage III: symptom classification", report.stage3_symptom),
+        ("Stage III: root-cause classification", report.stage3_rootcause),
+    ):
+        if scores:
+            lines += [f"## {title}", f"- leaf accuracy: {scores.accuracy:.4f} ({scores.correct}/{scores.total})"]
+            levels = scores.per_level_accuracy
+            lines += [f"- level-{n} accuracy: {levels[n]:.4f}" for n in sorted(levels)]
+            lines += [f"- invalid labels: {scores.invalid}", ""]
+    meta = report.run_meta
+    lines += [
+        "## Run",
+        f"- wall time (s): {meta.wall_time_seconds}",
+        f"- total tokens: {meta.total_tokens}",
+        f"- unscored items: {meta.unscored}",
+    ]
+    lines += [f"- note: {note}" for note in report.notes]
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def _last_artifact(out: Path) -> str:

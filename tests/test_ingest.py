@@ -4,7 +4,7 @@ import re
 import pytest
 
 from faultloom.errors import IngestError, RetriesExhaustedError
-from faultloom.ingest import IssueFetcher, PageCache, _parse_next_link
+from faultloom.ingest import DEFAULT_CACHE_TTL_SECONDS, IssueFetcher, PageCache, _parse_next_link
 
 from fakes import FakeTransport
 
@@ -85,23 +85,24 @@ def test_cache_avoids_second_fetch(tmp_path):
     cache = PageCache(tmp_path / "cache")
     fetcher = IssueFetcher(transport=transport, cache=cache)
     first = fetcher.fetch_issues("acme/demo")
-    calls_after_first = fetcher.network_calls
+    calls_after_first = transport.calls
     second = fetcher.fetch_issues("acme/demo")
-    assert fetcher.network_calls == calls_after_first
+    assert transport.calls == calls_after_first == 2
     assert [r.to_dict() for r in first] == [r.to_dict() for r in second]
 
 
 def test_cache_expires(tmp_path):
-    cache = PageCache(tmp_path / "cache", ttl_seconds=10)
+    cache = PageCache(tmp_path / "cache")
     cache.put("k", {"v": 1}, now=0.0)
-    assert cache.get("k", now=5.0) == {"v": 1}
-    assert cache.get("k", now=20.0) is None
+    assert cache.get("k", now=DEFAULT_CACHE_TTL_SECONDS) == {"v": 1}
+    assert cache.get("k", now=DEFAULT_CACHE_TTL_SECONDS + 1) is None
 
 
 @pytest.mark.parametrize("damage", ["torn", "old format", "not an object"])
 def test_unreadable_cache_entry_is_a_miss_fetched_again(tmp_path, damage):
     cache = PageCache(tmp_path / "cache")
-    fetcher = IssueFetcher(transport=_two_page_transport(), cache=cache)
+    transport = _two_page_transport()
+    fetcher = IssueFetcher(transport=transport, cache=cache)
     first = fetcher.fetch_issues("acme/demo")
     entries = sorted((tmp_path / "cache").iterdir())
     assert [p.suffix for p in entries] == [".json", ".json"]  # no temp file left
@@ -114,11 +115,11 @@ def test_unreadable_cache_entry_is_a_miss_fetched_again(tmp_path, damage):
             path.write_text(json.dumps({"fetched_at": entry["fetched_at"], "body": json.dumps(entry["page"])}))
         else:
             path.write_text("[]")
-    calls = fetcher.network_calls
+    calls = transport.calls
     again = fetcher.fetch_issues("acme/demo")
-    assert fetcher.network_calls == calls + 2
+    assert transport.calls == calls + 2
     assert [r.to_dict() for r in again] == [r.to_dict() for r in first]
-    assert fetcher.fetch_issues("acme/demo") and fetcher.network_calls == calls + 2  # rewritten whole
+    assert fetcher.fetch_issues("acme/demo") and transport.calls == calls + 2  # rewritten whole
 
 
 def test_retry_then_success():

@@ -17,10 +17,10 @@ from click.testing import CliRunner
 from faultloom import config as config_module
 from faultloom import ingest, pipeline, taxonomy
 from faultloom.cli import main
-from faultloom.config import load_config, load_yaml, packaged_data_path
+from faultloom.config import load_config, load_criteria, load_yaml, packaged_data_path
 from faultloom.corpus import Corpus, IssueRecord, export_dump, import_dump, load_gold, sample_balanced
 from faultloom.errors import ConfigError, StageError
-from faultloom.pipeline import ARTIFACTS, RUN_ORDER, Manifest, Runner
+from faultloom.pipeline import ARTIFACTS, REPORT_FILES, RUN_ORDER, Manifest, Runner
 
 from fakes import CountingProvider, OracleProvider, ScriptedProvider, make_response
 from gen import make_issue
@@ -39,6 +39,11 @@ def _snapshot(out: Path) -> dict[str, bytes]:
         for p in sorted(out.rglob("*"))
         if p.is_file() and p.name != "manifest.json"
     }
+
+
+def _files(out: Path) -> dict[str, tuple[bytes, int]]:
+    """The bytes and st_mtime_ns of each file under `out`."""
+    return {str(p): (p.read_bytes(), p.stat().st_mtime_ns) for p in out.rglob("*") if p.is_file()}
 
 
 def test_run_pipeline_writes_all_artifacts(tmp_path):
@@ -125,17 +130,6 @@ def test_define_writes_plan_with_expected_project(tmp_path):
     assert payload["score"]["recall"] == pytest.approx(1 / 3)
 
 
-def test_report_regeneration_is_idempotent(tmp_path):
-    runner = Runner(_config(tmp_path))
-    runner.run_pipeline()
-    out = Path(runner.out)
-    report_before = (out / "report.json").read_bytes()
-    summary_before = (out / "summary.md").read_bytes()
-    runner.write_report(runner.build_report())
-    assert (out / "report.json").read_bytes() == report_before
-    assert (out / "summary.md").read_bytes() == summary_before
-
-
 def test_stage3_gold_wiring_classifies_all_annotated(tmp_path):
     # with a perfect filter the gold wiring selects the same sampled positives,
     # so the recorded transcript still covers every prompt
@@ -162,14 +156,6 @@ def test_cli_run_and_report(tmp_path):
     )
     assert result.exit_code == 0, result.output
     assert "stage2 accuracy: 1.0000" in result.output
-
-    report_before = (out / "report.json").read_bytes()
-    result = cli.invoke(
-        main,
-        ["report", "--config", str(GOLDEN / "config.yaml"), "--out", str(out)],
-    )
-    assert result.exit_code == 0, result.output
-    assert (out / "report.json").read_bytes() == report_before
 
 
 def test_cli_record_mode_without_a_transcript_is_a_config_error(tmp_path):
@@ -206,6 +192,12 @@ def test_cli_define_without_a_theme_is_a_config_error(tmp_path):
         ("vocab.txt", "WebGL", "WebGL\udcff"),  # the byte 0xff: not UTF-8
         ("vocab.txt", None, "# no terms, only comments\n"),
         ("reference_projects.txt", "TensorFlow.js", "TensorFlow.js\udcff"),
+        ("criteria.yaml", "require_answered: true", 'require_answered: "false"'),
+        ("criteria.yaml", "require_answered: true", "require_answered: true\ncomment_budget: true"),
+        ("criteria.yaml", "require_answered: true", "require_answered: true\ncomment_budget: -1"),
+        ("criteria.yaml", "require_answered: true", "require_answered: true\nchar_budget: 12.9"),
+        ("config.yaml", "parallelism: 2", "parallelism: true"),
+        ("config.yaml", "n_pos: 4", "n_pos: 2.5"),
     ],
 )
 def test_cli_malformed_config_or_criteria_file_is_an_error_naming_it(tmp_path, name, old, new):
@@ -224,6 +216,30 @@ def test_cli_malformed_config_or_criteria_file_is_an_error_naming_it(tmp_path, n
     assert isinstance(result.exception, SystemExit)
     assert result.stderr.startswith("error: ")
     assert str(inputs / name) in result.stderr
+
+
+@pytest.mark.parametrize(
+    "name, line, message",
+    [
+        ("criteria.yaml", 'require_answered: "false"', "require_answered must be true or false, not 'false'"),
+        ("criteria.yaml", "comment_budget: true", "comment_budget must be an integer >= 0, not True"),
+        ("criteria.yaml", "comment_budget: -1", "comment_budget must be an integer >= 0, not -1"),
+        ("criteria.yaml", "char_budget: 12.9", "char_budget must be an integer >= 0, not 12.9"),
+        ("config.yaml", "parallelism: true", "parallelism must be an integer >= 1, not True"),
+        ("config.yaml", "sampling: {n_pos: 2.5, n_neg: 4}", "sampling.n_pos must be an integer >= 0, not 2.5"),
+        ("config.yaml", "sampling: {n_pos: 4, n_neg: 4, seed: false}", "sampling.seed must be an integer, not False"),
+    ],
+)
+def test_a_boolean_fraction_or_negative_setting_is_an_error_naming_the_file_and_key(tmp_path, name, line, message):
+    path = tmp_path / name
+    if name == "criteria.yaml":
+        path.write_text(line + "\n")
+    else:
+        (tmp_path / "corpus.jsonl").touch()
+        path.write_text(f"dumps: [corpus.jsonl]\nmode: record\ntranscript: t.jsonl\n{line}\n")
+    with pytest.raises(ConfigError) as exc:
+        (load_criteria if name == "criteria.yaml" else load_config)(path)
+    assert str(exc.value) == f"{path}: {message}"
 
 
 def test_cli_filter_before_sample_errors(tmp_path):
@@ -292,23 +308,19 @@ def test_lock_of_a_gone_command_on_this_host_is_broken(tmp_path, owner, broken):
 
 @pytest.mark.parametrize(
     "command, ran",
-    [("import", ()), ("filter", ("corpus", "sample")), ("report", RUN_ORDER), ("run", ())],
+    [("import", ()), ("filter", ("corpus", "sample")), ("run", ())],
 )
 def test_cli_command_refuses_a_locked_run_directory(tmp_path, command, ran):
     runner = Runner(_config(tmp_path))
     for stage in ran:
         getattr(runner, f"run_{stage}")()
     out = Path(runner.out)
-
-    def written():
-        return {str(p): (p.read_bytes(), p.stat().st_mtime_ns) for p in out.rglob("*") if p.is_file()}
-
     with _lock_holder(out):
-        existing = written()
+        existing = _files(out)
         result = CliRunner().invoke(main, [command, "--config", str(GOLDEN / "config.yaml"), "--out", str(out)])
         assert result.exit_code == 1
         assert "locked" in result.stderr
-        assert written() == existing
+        assert _files(out) == existing
 
 
 def test_empty_stage3_branch_notes_zero_count(tmp_path):
@@ -324,7 +336,8 @@ def test_empty_stage3_branch_notes_zero_count(tmp_path):
         d["llm_verdict"] = False
     decisions_path.write_text("\n".join(json.dumps(d) for d in decisions) + "\n")
     runner.run_classify()
-    report = runner.build_report()
+    runner.run_evaluate()
+    report = runner.report
     assert report.stage3_symptom is None
     assert any("zero issues" in note for note in report.notes)
 
@@ -571,6 +584,52 @@ def test_a_file_whose_fingerprint_may_be_stale_is_hashed_again(tmp_path, monkeyp
     assert [s for s in RUN_ORDER[:-1] if f"{s}: unchanged, skipping" not in caplog.text] == reran
 
 
+def _without_wall_time(out: Path) -> dict[str, bytes]:
+    """The bytes of each report file, without the lines that hold the wall time."""
+    return {
+        name: b"".join(line for line in (out / name).read_bytes().splitlines(keepends=True)
+                       if b"wall_time_seconds" not in line and b"wall time (s)" not in line)
+        for name in REPORT_FILES
+    }
+
+
+@pytest.mark.parametrize("command", ["run", "evaluate"])
+@pytest.mark.parametrize("damage", ["table deleted", "table edited", "summary truncated", "all three"])
+def test_a_missing_or_edited_report_file_is_written_again(tmp_path, monkeypatch, command, damage):
+    """`all three`: a table deleted, summary.md truncated and report.json
+    edited. With each manifest a second newer than the files it
+    fingerprints, a later command with nothing to do hashes and writes
+    nothing."""
+    out = tmp_path / "run"
+    args = ["--config", str(GOLDEN / "config.yaml"), "--out", str(out)]
+    assert CliRunner().invoke(main, ["run", *args]).exit_code == 0
+    manifest = out / "manifest.json"
+    _set_mtime(manifest, manifest.stat().st_mtime_ns + 10**9)
+    first = _without_wall_time(out)
+    table = out / "tables" / "stage2_confusion.csv"
+    if damage == "table edited":
+        table.write_bytes(table.read_bytes().replace(b",0", b",1", 1))
+    if damage in ("table deleted", "all three"):
+        table.unlink()
+    if damage in ("summary truncated", "all three"):
+        (out / "summary.md").write_bytes((out / "summary.md").read_bytes()[:20])
+    if damage == "all three":
+        report = json.loads((out / "report.json").read_text())
+        report["stage2"]["accuracy"] = 0.5
+        (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+
+    result = CliRunner().invoke(main, [command, *args])
+    assert result.exit_code == 0, result.output
+    assert _without_wall_time(out) == first
+
+    _set_mtime(manifest, manifest.stat().st_mtime_ns + 10**9)
+    existing = _files(out)
+    hashed = _count_hashes(monkeypatch)
+    assert CliRunner().invoke(main, ["run", *args]).exit_code == 0
+    assert not hashed
+    assert _files(out) == existing
+
+
 def test_truncated_artifact_reruns_its_stage_from_the_transcript(tmp_path, monkeypatch):
     guard = CountingProvider(ScriptedProvider([]))
     runner = Runner(_config(tmp_path), provider=guard)
@@ -662,10 +721,6 @@ def test_reported_wall_time_counts_the_evaluate_stage(tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "score_stage2", slowed)
     runner = Runner(_config(tmp_path))
     assert runner.run_pipeline().run_meta.wall_time_seconds >= 0.3
-    # `report` counts the evaluate stage's time as that stage recorded it.
-    report = (runner.out / "report.json").read_bytes()
-    runner.write_report(runner.build_report())
-    assert (runner.out / "report.json").read_bytes() == report
 
 
 def test_a_stage_body_cannot_read_an_input_it_did_not_declare(tmp_path):
@@ -684,7 +739,7 @@ def test_report_names_the_line_of_an_unreadable_artifact(tmp_path):
     lines = decisions.read_text().splitlines(keepends=True)
     lines[1] = json.dumps({**json.loads(lines[1]), "trace": 5}) + "\n"
     decisions.write_text("".join(lines))
-    result = CliRunner().invoke(main, ["report", *args])
+    result = CliRunner().invoke(main, ["evaluate", *args])
     assert result.exit_code == 1
     assert f"{decisions} line 2: expected an array, not int" in result.stderr
 
@@ -915,23 +970,16 @@ def test_cli_a_string_where_a_list_belongs_is_an_error_naming_the_file_and_key(
     assert f"{inputs / name}: {key} must be a list, not str" in result.stderr
 
 
-@pytest.mark.parametrize(
-    "call, ran", [("run_corpus", ()), ("build_report", RUN_ORDER), ("write_report", RUN_ORDER)]
-)
+@pytest.mark.parametrize("call, ran", [("run_corpus", ()), ("run_evaluate", RUN_ORDER[:-1])])
 def test_direct_call_refuses_a_locked_run_directory(tmp_path, call, ran):
     runner = Runner(_config(tmp_path))
     for stage in ran:
         getattr(runner, f"run_{stage}")()
-    args = (runner.report,) if call == "write_report" else ()
-
-    def written():
-        return {str(p): (p.read_bytes(), p.stat().st_mtime_ns) for p in runner.out.rglob("*") if p.is_file()}
-
     with _lock_holder(runner.out):
-        existing = written()
+        existing = _files(runner.out)
         with pytest.raises(StageError, match="locked"):
-            getattr(Runner(_config(tmp_path)), call)(*args)
-        assert written() == existing
+            getattr(Runner(_config(tmp_path)), call)()
+        assert _files(runner.out) == existing
 
 
 def test_sample_command_copies_the_chosen_lines_of_a_hand_written_corpus(tmp_path):
