@@ -70,14 +70,12 @@ for _stage in ARTIFACTS:
 
 @_command("run", "Run the full pipeline end to end.")
 def run(runner: Runner) -> None:
-    report_obj = runner.run_pipeline()
+    report = runner.run_pipeline()
     click.echo(f"run: report at {runner.artifact('evaluate')}")
-    if report_obj.stage2:
-        click.echo(f"stage2 accuracy: {report_obj.stage2.accuracy:.4f}")
-    if report_obj.stage3_symptom:
-        click.echo(f"stage3 symptom accuracy: {report_obj.stage3_symptom.accuracy:.4f}")
-    if report_obj.stage3_rootcause:
-        click.echo(f"stage3 root-cause accuracy: {report_obj.stage3_rootcause.accuracy:.4f}")
+    for key, name in (("stage2", "stage2"), ("stage3_symptom", "stage3 symptom"),
+                      ("stage3_rootcause", "stage3 root-cause")):
+        if report[key]:
+            click.echo(f"{name} accuracy: {report[key]['accuracy']:.4f}")
 
 
 if __name__ == "__main__":

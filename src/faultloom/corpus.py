@@ -235,27 +235,6 @@ class IssueRecord(Record):
                 )
 
 
-@dataclass
-class Corpus:
-    records: list[IssueRecord]
-
-    def __post_init__(self) -> None:
-        seen: set[IssueKey] = set()
-        for record in self.records:
-            if record.key in seen:
-                raise CorpusError(f"duplicate record key {record.repo}#{record.number}")
-            seen.add(record.key)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def keys(self) -> list[IssueKey]:
-        return [r.key for r in self.records]
-
-
 def render_issue(issue: IssueRecord, comment_budget: int, char_budget: int) -> str:
     """The issue as prompt text: its first `comment_budget` comments, cut
     off once `char_budget` characters of comment text are shown, with a
@@ -339,10 +318,11 @@ def read_lines(path: str | Path, kind: type) -> Iterator[tuple[int, Record]]:
             yield line_no, record
 
 
-def import_dump(path: str | Path) -> Corpus:
-    """Read a line-delimited JSON dump into a Corpus.
+def import_dump(path: str | Path) -> list[IssueRecord]:
+    """The records of a line-delimited JSON dump, in file order.
 
-    Every rejection reports the 1-based line number it came from.
+    Every rejection, a key seen twice included, reports the 1-based line
+    number it came from.
     """
     records: list[IssueRecord] = []
     seen: set[IssueKey] = set()
@@ -351,7 +331,7 @@ def import_dump(path: str | Path) -> Corpus:
             raise CorpusError(f"{path} line {line_no}: duplicate record key {record.repo}#{record.number}")
         seen.add(record.key)
         records.append(record)
-    return Corpus(records=records)
+    return records
 
 
 # `json.dumps(row, sort_keys=True)` without building an encoder per call. The
@@ -376,9 +356,9 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> str:
     return digest.hexdigest()
 
 
-def export_dump(corpus: Corpus, path: str | Path) -> str:
-    """Write `corpus` as a line-delimited JSON dump; return its sha256."""
-    return write_jsonl(path, (record.to_dict() for record in corpus))
+def export_dump(records: Iterable[IssueRecord], path: str | Path) -> str:
+    """Write `records` as a line-delimited JSON dump; return its sha256."""
+    return write_jsonl(path, (record.to_dict() for record in records))
 
 
 def copy_lines(source: str | Path, path: str | Path, keep: set[int]) -> str:
@@ -432,24 +412,25 @@ def load_gold(path: str | Path) -> dict[IssueKey, GoldLabel]:
 
 
 def sample_balanced(
-    corpus: Corpus,
+    keys: Iterable[IssueKey],
     gold: dict[IssueKey, GoldLabel],
     n_pos: int,
     n_neg: int,
     seed: int,
-) -> Corpus:
-    """Draw a balanced fault / non-fault subset, uniformly without replacement.
+) -> set[IssueKey]:
+    """Draw a balanced fault / non-fault subset of `keys`, uniformly without
+    replacement, and return the chosen keys.
 
     Uses Python's Mersenne Twister seeded explicitly over key-sorted strata,
-    so identical (corpus, gold, seed) inputs select identical records on any
-    platform regardless of corpus ordering.
+    so identical (keys, gold, seed) inputs choose identical keys on any
+    platform regardless of key order.
     """
-    pos_keys = sorted(
-        k for k in corpus.keys() if gold.get(k) and gold[k].fault_related is True
-    )
-    neg_keys = sorted(
-        k for k in corpus.keys() if gold.get(k) and gold[k].fault_related is False
-    )
+    pos_keys, neg_keys = [], []
+    for k in keys:
+        if (g := gold.get(k)) is not None and g.fault_related is not None:
+            (pos_keys if g.fault_related else neg_keys).append(k)
+    pos_keys.sort()
+    neg_keys.sort()
     for stratum, keys, n in (("fault", pos_keys, n_pos), ("non-fault", neg_keys, n_neg)):
         if len(keys) < n:
             raise CorpusError(
@@ -459,6 +440,5 @@ def sample_balanced(
     rng = random.Random(seed)
     chosen = set(rng.sample(pos_keys, n_pos))
     chosen.update(rng.sample(neg_keys, n_neg))
-    records = [r for r in corpus if r.key in chosen]
-    return Corpus(records=records)
+    return chosen
 

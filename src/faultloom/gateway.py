@@ -184,11 +184,11 @@ class OpenAICompatProvider:
         "deepseek": "https://api.deepseek.com/v1/chat/completions",
     }
 
-    def __init__(self, provider_name: str, endpoint: str | None = None):
-        if endpoint is None and provider_name not in self.ENDPOINTS:
+    def __init__(self, provider_name: str):
+        if provider_name not in self.ENDPOINTS:
             raise UnknownModelError(f"unknown model id: {provider_name!r}")
         self.provider_name = provider_name
-        self.endpoint = endpoint or self.ENDPOINTS[provider_name]
+        self.endpoint = self.ENDPOINTS[provider_name]
 
     def send(self, request: ChatRequest) -> ChatResponse:
         import requests

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .corpus import Corpus, IssueRecord, parse_timestamp
+from .corpus import IssueRecord, parse_timestamp
 from .errors import IngestError, RecordInvariantError, TransientProviderError
 from .gateway import raise_transient, retry
 
@@ -144,7 +144,7 @@ class IssueFetcher:
             next_params = {}  # the next link already carries its query string
         return items
 
-    def fetch_issues(self, repo: str) -> Corpus:
+    def fetch_issues(self, repo: str) -> list[IssueRecord]:
         """Fetch all non-pull-request issues for a repo, with their comments.
 
         Pull requests surfaced by the issues endpoint are dropped; Stage II's
@@ -173,4 +173,4 @@ class IssueFetcher:
                 ))
             except (AttributeError, KeyError, TypeError, ValueError, RecordInvariantError) as exc:
                 raise IngestError(f"{where}: {exc!r}") from exc
-        return Corpus(records=records)
+        return records

@@ -44,7 +44,6 @@ import yaml
 from . import stage1, stage2, stage3
 from .config import PipelineConfig, load_criteria
 from .corpus import (
-    Corpus,
     copy_lines,
     export_dump,
     import_dump,
@@ -54,13 +53,8 @@ from .corpus import (
     sha256_json,
     write_jsonl,
 )
-from .errors import ConfigError, FaultloomError, StageError
-from .evaluation import (
-    EvalReport,
-    RunMeta,
-    score_stage2,
-    score_stage3,
-)
+from .errors import ConfigError, CorpusError, FaultloomError, StageError
+from .evaluation import EvalReport, RunMeta, score_stage2, score_stage3
 from .gateway import Gateway, Provider, RateLimiter, Transcript
 from .ingest import IssueFetcher, PageCache
 from .taxonomy import load_taxonomy
@@ -186,7 +180,6 @@ class Runner:
     provider: Provider | None = None  # injected fake for tests; live resolves by model id
     gateway: Gateway | None = field(default=None, init=False)
     manifest: Manifest = field(init=False)
-    report: EvalReport | None = field(default=None, init=False)  # as run_evaluate last wrote it
 
     def __post_init__(self) -> None:
         self.out = Path(self.config.out_dir)
@@ -401,12 +394,18 @@ class Runner:
                 cache = PageCache(config.cache_dir) if config.cache_dir else None
                 fetcher = IssueFetcher(cache=cache)
                 parts.extend(fetcher.fetch_issues(repo) for repo in config.repos)
-            corpus = Corpus(records=[record for part in parts for record in part])
-            digest = export_dump(corpus, self.artifact("corpus"))
-            return digest, corpus, {"records": len(corpus)}
+            records = [record for part in parts for record in part]
+            seen = set()
+            for record in records:  # across the parts; import_dump checked each dump
+                if record.key in seen:
+                    raise CorpusError(f"duplicate record key {record.repo}#{record.number}")
+                seen.add(record.key)
+            digest = export_dump(records, self.artifact("corpus"))
+            return digest, records, {"records": len(records)}
 
-        key = {"dumps": [str(p) for p in config.dumps], "repos": config.repos}
-        return self._stage("corpus", key, dumps, body)
+        # No dump paths: the dump digests, by position, cover the dumps, and a
+        # path as spelled would make one config named two ways two runs.
+        return self._stage("corpus", {"repos": config.repos}, dumps, body)
 
     def run_sample(self) -> Path:
         """Draw the balanced evaluation sample from the corpus."""
@@ -416,13 +415,14 @@ class Runner:
         def body():
             corpus = self._read("corpus")
             self._table["corpus"][1] = None  # no later stage reads the full corpus
-            sample = corpus
+            keep = range(len(corpus))
             if sampling is not None:
-                sample = sample_balanced(corpus, self._read("gold"), sampling.n_pos, sampling.n_neg, sampling.seed)
-            chosen = set(sample.keys())
-            keep = {i for i, key in enumerate(corpus.keys()) if key in chosen}
-            digest = copy_lines(inputs["corpus"], self.artifact("sample"), keep)
-            return digest, sample, {}
+                chosen = sample_balanced(
+                    (r.key for r in corpus), self._read("gold"), sampling.n_pos, sampling.n_neg, sampling.seed
+                )
+                keep = [i for i, r in enumerate(corpus) if r.key in chosen]
+            digest = copy_lines(inputs["corpus"], self.artifact("sample"), set(keep))
+            return digest, [corpus[i] for i in keep], {}
 
         return self._stage("sample", asdict(sampling) if sampling else None, inputs, body)
 
@@ -476,7 +476,7 @@ class Runner:
                 }
             else:
                 keep = {d.key for d in self._read("filter") if d.final}
-            issues = Corpus(records=[r for r in sample if r.key in keep])
+            issues = [r for r in sample if r.key in keep]
             criteria = self._read("criteria")
             labels = stage3.run_stage3(
                 issues, self._read("symptom_taxonomy"), self._read("root_cause_taxonomy"),
@@ -532,14 +532,12 @@ class Runner:
 
     def run_evaluate(self) -> Path:
         """Score stage outputs against gold labels and write the report."""
-        self.report = None
 
         def body():
             started = time.monotonic()
             report = self.build_report()
             meta = report.run_meta  # its wall time counts this stage's time up to here
             meta.wall_time_seconds = round(meta.wall_time_seconds + time.monotonic() - started, 3)
-            self.report = report
             return self.write_report(report), None, {}
 
         # The report also reads the upstream manifest entries, so a skip
@@ -567,7 +565,8 @@ class Runner:
 
     # --- whole pipeline -----------------------------------------------------
 
-    def run_pipeline(self) -> EvalReport:
+    def run_pipeline(self) -> dict:
+        """Run every stage of RUN_ORDER; return report.json as JSON data."""
         self.config.validate()
         with self.locked():
             try:
@@ -576,10 +575,7 @@ class Runner:
             except FaultloomError as exc:
                 last = _last_artifact(self.out)
                 raise StageError(f"stage {current!r} failed ({exc}); last artifact: {last}") from exc
-        if self.report is None:  # evaluate skipped, so report.json is current
-            raw = json.loads(self.artifact("evaluate").read_text(encoding="utf-8"))
-            self.report = EvalReport.from_dict(raw)
-        return self.report
+        return json.loads(self.artifact("evaluate").read_text(encoding="utf-8"))
 
 
 def _write_bytes(path: Path, data: bytes) -> str:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
 
-from .corpus import Corpus, IssueRecord, Record, map_issues, render_issue
+from .corpus import IssueRecord, Record, map_issues, render_issue
 from .gateway import ChatRequest, Gateway, ask_structured, extract_structured
 
 DEFAULT_COMMENT_BUDGET = 20
@@ -195,13 +195,10 @@ def judge(
     criteria: FilterCriteria,
     gateway: Gateway,
     model_id: str,
-    trace: list[CriterionResult] | None = None,
+    trace: list[CriterionResult],
 ) -> FilterDecision:
     """Full per-issue verdict: deterministic short-circuit, then LLM.
-    `trace` is the issue's `apply_deterministic` result, when the caller
-    has it already."""
-    if trace is None:
-        trace = apply_deterministic(issue, criteria)
+    `trace` is the issue's `apply_deterministic` result."""
     if not all(c.passed for c in trace):
         return _undecided(issue, trace)
 
@@ -224,19 +221,19 @@ def judge(
 
 
 def run_stage2(
-    corpus: Corpus,
+    issues: list[IssueRecord],
     criteria: FilterCriteria,
     gateway: Gateway,
     model_id: str,
     parallelism: int = 1,
 ) -> list[FilterDecision]:
-    """One decision per record, in corpus order; per-issue failures are
+    """One decision per issue, in input order; per-issue failures are
     recorded in the decision rather than aborting the batch.
 
     The deterministic check runs inline for every issue; only the issues
     that pass it go to the `parallelism` threads that ask the model."""
-    traces = {issue.key: apply_deterministic(issue, criteria) for issue in corpus}
-    passed = [issue for issue in corpus if all(c.passed for c in traces[issue.key])]
+    traces = {issue.key: apply_deterministic(issue, criteria) for issue in issues}
+    passed = [issue for issue in issues if all(c.passed for c in traces[issue.key])]
 
     def failed(issue: IssueRecord, exc: Exception) -> FilterDecision:
         return _undecided(issue, traces[issue.key], f"{type(exc).__name__}: {exc}")
@@ -248,4 +245,4 @@ def run_stage2(
         failed,
     )
     by_key = {decision.key: decision for decision in judged}
-    return [by_key.get(issue.key) or _undecided(issue, traces[issue.key]) for issue in corpus]
+    return [by_key.get(issue.key) or _undecided(issue, traces[issue.key]) for issue in issues]

@@ -5,10 +5,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import Corpus, IssueRecord, Record, map_issues, render_issue
+from .corpus import IssueRecord, Record, map_issues, render_issue
 from .errors import TaxonomyError
 from .gateway import ChatRequest, Gateway, ask_structured, extract_structured
-from .stage2 import DEFAULT_CHAR_BUDGET, DEFAULT_COMMENT_BUDGET
 from .taxonomy import Taxonomy, TaxonomyNode, render_prompt_section, resolve_label
 
 
@@ -29,24 +28,18 @@ class FaultLabel(Record):
         return (self.repo, self.number)
 
 
-def _outlines(symptoms: Taxonomy, root_causes: Taxonomy) -> tuple[str, str]:
-    return render_prompt_section(symptoms), render_prompt_section(root_causes)
-
-
 def build_classification_prompt(
     issue: IssueRecord,
-    symptoms: Taxonomy,
-    root_causes: Taxonomy,
     model_id: str,
-    outlines: tuple[str, str] | None = None,
-    comment_budget: int = DEFAULT_COMMENT_BUDGET,
-    char_budget: int = DEFAULT_CHAR_BUDGET,
+    outlines: tuple[str, str],
+    comment_budget: int,
+    char_budget: int,
 ) -> ChatRequest:
-    """Deterministic prompt: both taxonomy outlines, exact-name selection
+    """Deterministic prompt: both taxonomy outlines (`render_prompt_section`
+    of the symptom and of the root-cause taxonomy), exact-name selection
     instructions, the issue content within the two budgets, and the
-    structured output contract. `outlines` is the pair of rendered taxonomy
-    sections, when the caller has them already."""
-    symptom_outline, root_cause_outline = outlines or _outlines(symptoms, root_causes)
+    structured output contract."""
+    symptom_outline, root_cause_outline = outlines
     user_text = (
         "Classify the software fault described by the issue below.\n\n"
         "Symptom taxonomy (choose exactly one leaf-level specific type, by "
@@ -94,12 +87,13 @@ def classify(
     root_causes: Taxonomy,
     gateway: Gateway,
     model_id: str,
-    outlines: tuple[str, str] | None = None,
-    comment_budget: int = DEFAULT_COMMENT_BUDGET,
-    char_budget: int = DEFAULT_CHAR_BUDGET,
+    outlines: tuple[str, str],
+    comment_budget: int,
+    char_budget: int,
 ) -> FaultLabel:
     """Single-issue classification: 1 provider call plus up to 2 repair
-    retries; on exhaustion the label is marked invalid, never coerced."""
+    retries; on exhaustion the label is marked invalid, never coerced.
+    `outlines` are the two taxonomies rendered for the prompt."""
 
     def parse(text: str) -> tuple[dict, TaxonomyNode, TaxonomyNode]:
         fields = extract_structured(text, {"symptom", "root_cause"})
@@ -110,9 +104,7 @@ def classify(
         )
 
     # Positional only, so a wrapper of the builder taking *args sees them all.
-    request = build_classification_prompt(
-        issue, symptoms, root_causes, model_id, outlines, comment_budget, char_budget
-    )
+    request = build_classification_prompt(issue, model_id, outlines, comment_budget, char_budget)
     answer = ask_structured(
         gateway, request, parse,
         lambda exc: f"\n\nYour previous answer was rejected: {exc}. "
@@ -133,18 +125,19 @@ def classify(
 
 
 def run_stage3(
-    issues: Corpus,
+    issues: list[IssueRecord],
     symptoms: Taxonomy,
     root_causes: Taxonomy,
     gateway: Gateway,
     model_id: str,
     parallelism: int = 1,
-    comment_budget: int = DEFAULT_COMMENT_BUDGET,
-    char_budget: int = DEFAULT_CHAR_BUDGET,
+    *,
+    comment_budget: int,
+    char_budget: int,
 ) -> list[FaultLabel]:
     """One label per issue, in input order, with per-issue fault isolation.
     The budgets bound the issue text of each prompt."""
-    outlines = _outlines(symptoms, root_causes)
+    outlines = render_prompt_section(symptoms), render_prompt_section(root_causes)
 
     def failed(issue: IssueRecord, exc: Exception) -> FaultLabel:
         return _invalid(issue, 1, f"{type(exc).__name__}: {exc}")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from datetime import datetime, timedelta, timezone
 
-from faultloom.corpus import Comment, Corpus, GoldLabel, IssueRecord, format_timestamp
+from faultloom.corpus import Comment, GoldLabel, IssueRecord, format_timestamp
 
 VOCAB = [
     "WebGL", "dispose", "tensor", "backend", "tf.js", "memory", "inference",
@@ -60,7 +60,7 @@ def make_issue(
     )
 
 
-def synth_corpus(n: int, seed: int) -> Corpus:
+def synth_corpus(n: int, seed: int) -> list[IssueRecord]:
     """Random issues exercising every deterministic filter criterion."""
     rng = random.Random(seed)
     records = []
@@ -87,10 +87,10 @@ def synth_corpus(n: int, seed: int) -> Corpus:
                 n_comments=rng.randrange(0, 3),
             )
         )
-    return Corpus(records=records)
+    return records
 
 
-def synth_gold_balanced(n_pos: int, n_neg: int, repo: str = "acme/synth") -> tuple[Corpus, dict]:
+def synth_gold_balanced(n_pos: int, n_neg: int, repo: str = "acme/synth") -> tuple[list[IssueRecord], dict]:
     """A corpus of n_pos + n_neg issues with matching fault_related gold."""
     records = []
     gold = {}
@@ -106,4 +106,4 @@ def synth_gold_balanced(n_pos: int, n_neg: int, repo: str = "acme/synth") -> tup
             )
         )
         gold[(repo, i)] = GoldLabel(repo=repo, number=i, fault_related=positive)
-    return Corpus(records=records), gold
+    return records, gold

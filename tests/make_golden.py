@@ -25,7 +25,7 @@ TESTS_DIR = Path(__file__).resolve().parent
 sys.path.insert(0, str(TESTS_DIR))
 
 from faultloom.config import load_config, packaged_data_path
-from faultloom.corpus import Corpus, export_dump, load_gold
+from faultloom.corpus import IssueRecord, export_dump, load_gold
 from faultloom.pipeline import Runner
 from faultloom.taxonomy import load_taxonomy, render_prompt_section
 
@@ -98,7 +98,7 @@ PLAN = {
 }
 
 
-def build_corpus() -> Corpus:
+def build_corpus() -> list[IssueRecord]:
     records = []
     for number, title, body, labels, created, comments, *_ in ISSUES:
         records.append(
@@ -108,7 +108,7 @@ def build_corpus() -> Corpus:
                 state="closed" if comments else "open",
             )
         )
-    return Corpus(records=records)
+    return records
 
 
 def write_inputs(golden: Path) -> None:

@@ -124,8 +124,8 @@ def test_sampling_determinism(announce):
         corpus, gold = synth_gold_balanced(300, 300)
         runs = []
         for _ in range(10):
-            sample = sample_balanced(corpus, gold, 250, 250, seed=42)
-            keys = frozenset(r.key for r in sample)
+            sample = sample_balanced([r.key for r in corpus], gold, 250, 250, seed=42)
+            keys = frozenset(sample)
             assert len(keys) == 500
             positives = sum(1 for k in keys if gold[k].fault_related)
             assert positives == 250 and len(keys) - positives == 250
@@ -238,12 +238,12 @@ def test_perfect_oracle_end_to_end(announce, symptoms, root_causes, tmp_path):
             },
         )
         report = Runner(config, provider=oracle).run_pipeline()
-        assert report.stage2.accuracy == 1.0
-        assert report.stage2.precision == 1.0
-        assert report.stage2.recall == 1.0
-        for scores in (report.stage3_symptom, report.stage3_rootcause):
-            assert scores.accuracy == 1.0
-            assert all(v == 1.0 for v in scores.per_level_accuracy.values())
+        assert report["stage2"]["accuracy"] == 1.0
+        assert report["stage2"]["precision"] == 1.0
+        assert report["stage2"]["recall"] == 1.0
+        for scores in (report["stage3_symptom"], report["stage3_rootcause"]):
+            assert scores["accuracy"] == 1.0
+            assert all(v == 1.0 for v in scores["per_level_accuracy"].values())
 
 
 def test_golden_replay_determinism(announce, tmp_path):
@@ -289,7 +289,7 @@ def test_make_golden_regenerates_the_checked_in_fixtures(announce, tmp_path):
 
 def test_repair_budget_contract(announce, symptoms, root_causes):
     with announce("repair budget: 1-3 calls per issue, exhausted -> valid=false"):
-        from faultloom.corpus import Corpus
+        from faultloom.stage2 import DEFAULT_CHAR_BUDGET, DEFAULT_COMMENT_BUDGET
         from gen import make_issue
 
         valid = json.dumps(
@@ -304,10 +304,11 @@ def test_repair_budget_contract(announce, symptoms, root_causes):
             4: [valid],                                     # clean first try
         }
         texts = [t for i in sorted(scripts) for t in scripts[i]]
-        issues = Corpus(records=[make_issue(number=i) for i in sorted(scripts)])
+        issues = [make_issue(number=i) for i in sorted(scripts)]
         provider = CountingProvider(ScriptedProvider(texts))
         gateway = Gateway(mode="live", provider=provider, sleep=lambda s: None)
-        labels = run_stage3(issues, symptoms, root_causes, gateway, "openai/gpt-4o")
+        labels = run_stage3(issues, symptoms, root_causes, gateway, "openai/gpt-4o",
+                            comment_budget=DEFAULT_COMMENT_BUDGET, char_budget=DEFAULT_CHAR_BUDGET)
 
         assert [l.number for l in labels] == sorted(scripts)
         for label in labels:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from faultloom.corpus import (
     Comment,
-    Corpus,
     GoldLabel,
     canonical_timestamp,
     copy_lines,
@@ -150,43 +149,39 @@ def test_gold_file_rejects_fully_empty_row(tmp_path):
 
 def test_sample_balanced_counts_and_determinism():
     corpus, gold = synth_gold_balanced(300, 300)
-    sample_a = sample_balanced(corpus, gold, 250, 250, seed=42)
-    sample_b = sample_balanced(corpus, gold, 250, 250, seed=42)
+    keys = [r.key for r in corpus]
+    sample_a = sample_balanced(keys, gold, 250, 250, seed=42)
+    sample_b = sample_balanced(keys, gold, 250, 250, seed=42)
     assert len(sample_a) == 500
-    assert sample_a.keys() == sample_b.keys()
-    positives = sum(1 for r in sample_a if gold[r.key].fault_related)
+    assert sample_a == sample_b
+    positives = sum(1 for key in sample_a if gold[key].fault_related)
     assert positives == 250
     assert len(sample_a) - positives == 250
 
 
 def test_sample_balanced_is_subset_and_seed_sensitive():
     corpus, gold = synth_gold_balanced(300, 300)
-    sample = sample_balanced(corpus, gold, 100, 100, seed=1)
-    other = sample_balanced(corpus, gold, 100, 100, seed=2)
-    corpus_keys = set(corpus.keys())
-    assert set(sample.keys()) <= corpus_keys
-    assert sample.keys() != other.keys()
+    keys = [r.key for r in corpus]
+    sample = sample_balanced(keys, gold, 100, 100, seed=1)
+    other = sample_balanced(keys, gold, 100, 100, seed=2)
+    corpus_keys = set(keys)
+    assert sample <= corpus_keys
+    assert sample != other
 
 
 def test_sample_balanced_reports_shortfall():
     corpus, gold = synth_gold_balanced(300, 300)
     text = r"^stratum 'non-fault': requested 400 but only 300 available \(shortfall 100\)$"
     with pytest.raises(CorpusError, match=text):
-        sample_balanced(corpus, gold, 250, 400, seed=0)
+        sample_balanced([r.key for r in corpus], gold, 250, 400, seed=0)
 
 
 def test_sample_order_independent_of_corpus_order():
     corpus, gold = synth_gold_balanced(50, 50)
-    reversed_corpus = Corpus(records=list(reversed(corpus.records)))
-    a = sample_balanced(corpus, gold, 20, 20, seed=9)
-    b = sample_balanced(reversed_corpus, gold, 20, 20, seed=9)
-    assert set(a.keys()) == set(b.keys())
-
-
-def test_corpus_rejects_duplicate_keys():
-    record = make_issue(number=1)
-    with pytest.raises(Exception):
-        Corpus(records=[record, record])
+    keys = [r.key for r in corpus]
+    a = sample_balanced(keys, gold, 20, 20, seed=9)
+    b = sample_balanced(list(reversed(keys)), gold, 20, 20, seed=9)
+    assert a == b
 
 
 def test_comment_ordering_enforced():

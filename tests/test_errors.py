@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from faultloom import errors
 from faultloom.cli import main
 from faultloom.config import load_config
-from faultloom.corpus import Corpus, export_dump, import_dump, load_gold, sample_balanced
+from faultloom.corpus import export_dump, import_dump, load_gold, sample_balanced
 from faultloom.errors import (
     ConfigError,
     CorpusError,
@@ -90,7 +90,14 @@ def _missing_key(tmp):
 
 def _sample(tmp):
     corpus, gold = synth_gold_balanced(3, 3)
-    sample_balanced(corpus, gold, 5, 1, seed=0)
+    sample_balanced([r.key for r in corpus], gold, 5, 1, seed=0)
+
+
+def _two_dumps(tmp):
+    """A config whose two dumps share the key acme/dlpipe#1."""
+    export_dump([make_issue(number=1)], tmp / "a.jsonl")
+    export_dump([make_issue(number=2), make_issue(number=1)], tmp / "b.jsonl")
+    return _write(tmp / "config.yaml", "dumps: [a.jsonl, b.jsonl]\nmode: record\ntranscript: t.jsonl\nout: run\n")
 
 
 def _missing_artifact(tmp):
@@ -143,7 +150,7 @@ CASES = [
      CorpusError, "{tmp}/d.jsonl line 2: duplicate record key acme/dlpipe#1"),
     ("record invariant", lambda tmp: make_issue(number=0),
      RecordInvariantError, "acme/dlpipe: non-positive issue number 0"),
-    ("corpus key twice", lambda tmp: Corpus(records=[make_issue(number=1), make_issue(number=1)]),
+    ("corpus key twice", lambda tmp: Runner(load_config(_two_dumps(tmp))).run_corpus(),
      CorpusError, "duplicate record key acme/dlpipe#1"),
     ("gold row without label", lambda tmp: load_gold(_write(
         tmp / "gold.csv", "repo,number,fault_related,symptom_leaf_id,root_cause_id\nacme/x,1,,,\n")),
@@ -210,10 +217,20 @@ def test_each_message_where_it_is_raised(tmp_path, monkeypatch, raise_it, cls, t
 
 
 def test_import_of_two_dumps_sharing_a_key_exits_1(tmp_path):
-    export_dump(Corpus(records=[make_issue(number=1)]), tmp_path / "a.jsonl")
-    export_dump(Corpus(records=[make_issue(number=2), make_issue(number=1)]), tmp_path / "b.jsonl")
-    config = tmp_path / "config.yaml"
-    config.write_text("dumps: [a.jsonl, b.jsonl]\nmode: record\ntranscript: t.jsonl\nout: run\n")
+    config = _two_dumps(tmp_path)
+    result = CliRunner().invoke(main, ["import", "--config", str(config)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "error: duplicate record key acme/dlpipe#1" in result.stderr
+
+
+def test_import_of_a_dump_and_a_repo_sharing_a_key_exits_1(tmp_path, monkeypatch):
+    export_dump([make_issue(number=2), make_issue(number=1)], tmp_path / "a.jsonl")
+    page = json.dumps([{**make_issue(number=1).to_dict(), "comments": 0}])
+    url = "https://api.github.com/repos/acme/dlpipe/issues"
+    monkeypatch.setattr("faultloom.ingest.requests_transport", FakeTransport({url: [(200, {}, page)]}))
+    config = _write(tmp_path / "config.yaml",
+                    "dumps: [a.jsonl]\nrepos: [acme/dlpipe]\nmode: record\ntranscript: t.jsonl\nout: run\n")
     result = CliRunner().invoke(main, ["import", "--config", str(config)])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)

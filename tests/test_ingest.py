@@ -53,8 +53,8 @@ def test_two_page_pagination_counts():
     fetcher = IssueFetcher(transport=_two_page_transport())
     corpus = fetcher.fetch_issues("acme/demo")
     assert len(corpus) == 42
-    assert corpus.records[0].number == 1
-    assert corpus.records[-1].number == 42
+    assert corpus[0].number == 1
+    assert corpus[-1].number == 42
 
 
 @pytest.mark.parametrize("link", ["link", "LINK"])
@@ -214,5 +214,5 @@ def test_comments_fetched_and_ordered():
         }
     )
     corpus = IssueFetcher(transport=transport).fetch_issues("acme/demo")
-    bodies = [c.body for c in corpus.records[0].comments]
+    bodies = [c.body for c in corpus[0].comments]
     assert bodies == ["earlier", "later"]

@@ -18,8 +18,9 @@ from faultloom import config as config_module
 from faultloom import ingest, pipeline, taxonomy
 from faultloom.cli import main
 from faultloom.config import load_config, load_criteria, load_yaml, packaged_data_path
-from faultloom.corpus import Corpus, IssueRecord, export_dump, import_dump, load_gold, sample_balanced
+from faultloom.corpus import IssueRecord, export_dump, import_dump, load_gold, sample_balanced
 from faultloom.errors import ConfigError, StageError
+from faultloom.evaluation import EvalReport
 from faultloom.pipeline import ARTIFACTS, REPORT_FILES, RUN_ORDER, Manifest, Runner
 
 from fakes import CountingProvider, OracleProvider, ScriptedProvider, make_response
@@ -337,9 +338,9 @@ def test_empty_stage3_branch_notes_zero_count(tmp_path):
     decisions_path.write_text("\n".join(json.dumps(d) for d in decisions) + "\n")
     runner.run_classify()
     runner.run_evaluate()
-    report = runner.report
-    assert report.stage3_symptom is None
-    assert any("zero issues" in note for note in report.notes)
+    report = json.loads(runner.artifact("evaluate").read_text())
+    assert report["stage3_symptom"] is None
+    assert any("zero issues" in note for note in report["notes"])
 
 
 def test_seed_override_replaces_sampling_seed_and_yaml_seed_only_fills(tmp_path):
@@ -418,7 +419,33 @@ def test_cold_run_parses_each_input_once_and_noop_rerun_only_reads_report(tmp_pa
     counts.clear()
     report = rerun.run_pipeline()
     assert not counts  # no parse (YAML included), load, score, report build or manifest write
-    assert report.to_dict() == json.loads((Path(config.out_dir) / "report.json").read_text())
+    assert report == json.loads((Path(config.out_dir) / "report.json").read_text())
+
+
+def test_noop_rerun_prints_the_report_without_decoding_it(tmp_path, monkeypatch):
+    args = ["run", "--config", str(GOLDEN / "config.yaml"), "--out", str(tmp_path / "run")]
+    first = CliRunner().invoke(main, args)
+    assert first.exit_code == 0, first.output
+    decoded = []
+    from_dict = EvalReport.from_dict
+    monkeypatch.setattr(EvalReport, "from_dict", lambda raw: decoded.append(raw) or from_dict(raw))
+    again = CliRunner().invoke(main, args)
+    assert again.exit_code == 0, again.output
+    assert not decoded
+    lines = [line for line in first.output.splitlines() if " accuracy: " in line]
+    assert len(lines) == 3
+    assert [line for line in again.output.splitlines() if " accuracy: " in line] == lines
+
+
+def test_a_config_named_by_a_relative_and_an_absolute_path_is_one_run(tmp_path, monkeypatch, caplog):
+    guard = CountingProvider(ScriptedProvider([]))
+    out = {"out": str(tmp_path / "run")}
+    monkeypatch.chdir(GOLDEN.parent)
+    Runner(load_config("golden/config.yaml", out), provider=guard).run_pipeline()
+    with caplog.at_level(logging.INFO, logger="faultloom.pipeline"):
+        Runner(load_config(GOLDEN.resolve() / "config.yaml", out), provider=guard).run_pipeline()
+    assert [s for s in RUN_ORDER if f"{s}: unchanged, skipping" not in caplog.text] == []
+    assert guard.calls == 0
 
 
 class _PromptRecorder:
@@ -651,8 +678,8 @@ def test_truncated_artifact_reruns_its_stage_from_the_transcript(tmp_path, monke
     assert ran in (["classify"], ["classify", "evaluate"])
     assert guard.calls == 0
     assert labels.read_bytes() == whole
-    assert again.stage3_symptom.total == first.stage3_symptom.total
-    assert again.stage3_rootcause.total == first.stage3_rootcause.total
+    assert again["stage3_symptom"]["total"] == first["stage3_symptom"]["total"]
+    assert again["stage3_rootcause"]["total"] == first["stage3_rootcause"]["total"]
 
 
 def test_manifest_written_before_output_digests_reruns_each_stage_once(tmp_path, monkeypatch):
@@ -720,7 +747,7 @@ def test_reported_wall_time_counts_the_evaluate_stage(tmp_path, monkeypatch):
 
     monkeypatch.setattr(pipeline, "score_stage2", slowed)
     runner = Runner(_config(tmp_path))
-    assert runner.run_pipeline().run_meta.wall_time_seconds >= 0.3
+    assert runner.run_pipeline()["run_meta"]["wall_time_seconds"] >= 0.3
 
 
 def test_a_stage_body_cannot_read_an_input_it_did_not_declare(tmp_path):
@@ -772,8 +799,9 @@ def test_split_run_reports_the_tokens_of_every_stage(tmp_path):
     stages = second.manifest.data["stages"]
     assert stages["filter"]["meta"]["tokens"] > 0
     assert stages["classify"]["meta"]["tokens"] > 0
-    assert second.report.run_meta.total_tokens == whole.run_meta.total_tokens
-    assert second.report.run_meta.per_model == whole.run_meta.per_model
+    report = json.loads(second.artifact("evaluate").read_text())
+    assert report["run_meta"]["total_tokens"] == whole["run_meta"]["total_tokens"]
+    assert report["run_meta"]["per_model"] == whole["run_meta"]["per_model"]
 
 
 class _BarrierProvider:
@@ -789,7 +817,7 @@ class _BarrierProvider:
 
 def test_parallelism_above_four_reaches_the_provider(tmp_path):
     dump = tmp_path / "dump.jsonl"
-    export_dump(Corpus(records=[make_issue(number=n) for n in range(1, 7)]), dump)
+    export_dump([make_issue(number=n) for n in range(1, 7)], dump)
     (tmp_path / "vocab.txt").write_text("predict\n")
     config_path = tmp_path / "config.yaml"
     config_path.write_text(
@@ -830,8 +858,9 @@ def test_replay_runs_each_issue_inline(tmp_path, monkeypatch):
 
 def test_sample_is_copied_from_the_corpus_bytes_and_equals_its_export(tmp_path):
     expected = tmp_path / "expected.jsonl"
-    drawn = sample_balanced(import_dump(GOLDEN / "corpus.jsonl"), load_gold(GOLDEN / "gold.csv"), 4, 4, 7)
-    export_dump(drawn, expected)
+    corpus = import_dump(GOLDEN / "corpus.jsonl")
+    chosen = sample_balanced([r.key for r in corpus], load_gold(GOLDEN / "gold.csv"), 4, 4, 7)
+    export_dump([r for r in corpus if r.key in chosen], expected)
 
     whole = Runner(_config(tmp_path, out=str(tmp_path / "whole")))
     whole.run_corpus()
@@ -855,7 +884,7 @@ def test_cold_run_serializes_each_corpus_record_once(tmp_path, monkeypatch):
     runner = Runner(_config(tmp_path))
     runner.run_pipeline()
     corpus = import_dump(runner.artifact("corpus"))
-    assert set(calls) == set(corpus.keys())
+    assert set(calls) == {r.key for r in corpus}
     assert set(calls.values()) == {1}
 
 
@@ -998,9 +1027,9 @@ def test_sample_command_copies_the_chosen_lines_of_a_hand_written_corpus(tmp_pat
     result = CliRunner().invoke(main, ["sample", "--config", str(GOLDEN / "config.yaml"), "--out", str(out)])
     assert result.exit_code == 0, result.output
     corpus = import_dump(corpus_path)
-    drawn = sample_balanced(corpus, load_gold(GOLDEN / "gold.csv"), 4, 4, 7)
-    chosen = set(drawn.keys())
-    assert corpus.keys()[-1] in chosen
-    expected = b"".join(line for line, key in zip(lines, corpus.keys()) if key in chosen)
+    keys = [r.key for r in corpus]
+    chosen = sample_balanced(keys, load_gold(GOLDEN / "gold.csv"), 4, 4, 7)
+    assert keys[-1] in chosen
+    expected = b"".join(line for line, key in zip(lines, keys) if key in chosen)
     assert (out / "sample.jsonl").read_bytes() == expected
-    assert import_dump(out / "sample.jsonl") == drawn
+    assert import_dump(out / "sample.jsonl") == [r for r in corpus if r.key in chosen]

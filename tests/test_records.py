@@ -22,9 +22,17 @@ from faultloom.evaluation import (
 )
 from faultloom.gateway import ChatRequest, ChatResponse, Gateway, UsageTally
 from faultloom.stage1 import PlanScore, ProjectCandidate, StudyPlan
-from faultloom.stage2 import CriterionResult, FilterCriteria, FilterDecision, judge
+from faultloom.stage2 import (
+    DEFAULT_CHAR_BUDGET,
+    DEFAULT_COMMENT_BUDGET,
+    CriterionResult,
+    FilterCriteria,
+    FilterDecision,
+    apply_deterministic,
+    judge,
+)
 from faultloom.stage3 import FaultLabel, classify
-from faultloom.taxonomy import load_taxonomy
+from faultloom.taxonomy import load_taxonomy, render_prompt_section
 
 from fakes import ScriptedProvider, make_response
 from gen import EXCLUSION_LABELS, VOCAB, make_issue
@@ -84,12 +92,17 @@ def _answering(*texts):
 
 def _judged_decision():
     criteria = FilterCriteria(vocabulary=list(VOCAB), exclusion_labels=list(EXCLUSION_LABELS))
-    return judge(make_issue(), criteria, _answering('{"fault_related": true, "rationale": "r"}'), MODEL)
+    issue = make_issue()
+    gateway = _answering('{"fault_related": true, "rationale": "r"}')
+    return judge(issue, criteria, gateway, MODEL, apply_deterministic(issue, criteria))
 
 
 def _classified_label():
     answer = json.dumps({"symptom": "Memory Leak", "root_cause": "Unimplemented Operator", "rationale": "r"})
-    return classify(make_issue(), *_taxonomies(), _answering(answer), MODEL)
+    symptoms, root_causes = _taxonomies()
+    outlines = render_prompt_section(symptoms), render_prompt_section(root_causes)
+    return classify(make_issue(), symptoms, root_causes, _answering(answer), MODEL, outlines,
+                    DEFAULT_COMMENT_BUDGET, DEFAULT_CHAR_BUDGET)
 
 
 def _scored_report():

@@ -273,10 +273,15 @@ def _gateway(texts):
     return Gateway(mode="live", provider=provider, sleep=lambda s: None), provider
 
 
+def _judge(gateway):
+    issue = make_issue()
+    return judge(issue, CRITERIA, gateway, MODEL, apply_deterministic(issue, CRITERIA))
+
+
 def test_judge_short_circuits_without_provider_call():
     issue = make_issue(created_at=datetime(2019, 1, 1, tzinfo=timezone.utc))
     gateway, provider = _gateway([])
-    decision = judge(issue, CRITERIA, gateway, MODEL)
+    decision = judge(issue, CRITERIA, gateway, MODEL, apply_deterministic(issue, CRITERIA))
     assert decision.final is False
     assert decision.llm_verdict is None
     assert provider.calls == 0
@@ -284,21 +289,21 @@ def test_judge_short_circuits_without_provider_call():
 
 def test_judge_positive_verdict():
     gateway, provider = _gateway(['{"fault_related": true, "rationale": "crash"}'])
-    decision = judge(make_issue(), CRITERIA, gateway, MODEL)
+    decision = _judge(gateway)
     assert decision.final is True and decision.llm_verdict is True
     assert provider.calls == 1
 
 
 def test_judge_negative_verdict():
     gateway, _ = _gateway(['{"fault_related": false, "rationale": "feature request"}'])
-    decision = judge(make_issue(), CRITERIA, gateway, MODEL)
+    decision = _judge(gateway)
     assert decision.final is False and decision.llm_verdict is False
     assert decision.llm_rationale == "feature request"
 
 
 def test_judge_parse_failure_marker_after_retries():
     gateway, provider = _gateway(["prose", "prose", "prose"])
-    decision = judge(make_issue(), CRITERIA, gateway, MODEL)
+    decision = _judge(gateway)
     assert decision.final is False
     assert decision.llm_verdict is None
     assert "structured-output-parse-failure" in decision.error
@@ -316,7 +321,7 @@ def test_final_implies_all_deterministic_passed():
 # --- batch -------------------------------------------------------------------
 
 def _record_transcript_for(corpus, criteria, tmp_path):
-    texts = ['{"fault_related": true, "rationale": "gold"}'] * len(corpus.records)
+    texts = ['{"fault_related": true, "rationale": "gold"}'] * len(corpus)
     provider = ScriptedProvider(texts)
     path = tmp_path / "t.jsonl"
     gateway = Gateway(mode="record", transcript=Transcript(path), provider=provider)
@@ -336,14 +341,12 @@ def test_run_stage2_order_preserved_across_parallelism(tmp_path):
     serial = replay(1)
     parallel = replay(8)
     assert [d.to_dict() for d in serial] == [d.to_dict() for d in parallel]
-    assert [d.key for d in serial] == corpus.keys()
+    assert [d.key for d in serial] == [r.key for r in corpus]
 
 
 def test_run_stage2_empty_corpus():
-    from faultloom.corpus import Corpus
-
     gateway, _ = _gateway([])
-    assert run_stage2(Corpus(records=[]), CRITERIA, gateway, MODEL) == []
+    assert run_stage2([], CRITERIA, gateway, MODEL) == []
 
 
 def test_run_stage2_isolates_per_issue_failure(tmp_path):
