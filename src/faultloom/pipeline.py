@@ -20,9 +20,12 @@ when a stage next writes the manifest.
 
 A command (a `Runner.locked()` block) keeps one table of the files its
 stages read and write, and each file is hashed and parsed at most once in it:
-a stage puts the sha256 and the object of the artifact it writes there for
-the stages after it. A stage called outside a command is a command of its
-own. Nothing in the table outlives the command.
+a stage puts the sha256 of the artifact it writes there for the stages after
+it, with what a later stage reads of it where the stage holds that: the
+corpus stage its ordered key list, so that no stage holds the whole corpus's
+records. The filter stage builds the sample's records from `sample.jsonl`. A
+stage called outside a command is a command of its own. Nothing in the table
+outlives the command.
 """
 
 from __future__ import annotations
@@ -43,10 +46,12 @@ import yaml
 
 from . import stage1, stage2, stage3
 from .config import PipelineConfig, load_criteria
-from .corpus import (
+from .corpus import (  # export_dump: no stage calls it, but perfbench/tracing.py patches it here
+    check_dump,
     copy_lines,
     export_dump,
     import_dump,
+    jsonl_writer,
     load_gold,
     read_lines,
     sample_balanced,
@@ -91,7 +96,8 @@ def _fingerprint(st: os.stat_result, sha256: str) -> dict:
 
 class Manifest:
     """Per-run record of stage input hashes and stage metadata, and of the
-    fingerprint and sha256 of each file a command hashed or a stage wrote."""
+    fingerprint and sha256 of each file a command hashed or a stage wrote,
+    by its absolute path: one file named two ways is one entry."""
 
     def __init__(self, path: Path):
         self.path = path
@@ -110,19 +116,21 @@ class Manifest:
         """Hold as `self.files` the well-formed entries of the "files" map
         whose file last changed before the manifest was written. An entry that
         changed in the same clock tick is racy: a write later in that tick
-        would leave its fingerprint as it was."""
+        would leave its fingerprint as it was. An entry keyed by a relative
+        path, as manifests were once written, is never looked up: it goes."""
         written = self.path.stat().st_mtime_ns
         files = self.data.get("files")
         self.files = {
             path: entry for path, entry in (files.items() if isinstance(files, dict) else ())
-            if isinstance(entry, dict) and isinstance(entry.get("sha256"), str)
+            if os.path.isabs(path) and isinstance(entry, dict) and isinstance(entry.get("sha256"), str)
             and isinstance(stat := entry.get("stat"), list) and len(stat) == 5
             and all(type(v) is int for v in stat) and stat[4] < written
         }
 
-    def known(self, path: Path, st: os.stat_result) -> str | None:
-        """The sha256 of the trusted entry for `path` if it holds `st`'s fingerprint."""
-        entry = self.files.get(str(path))
+    def known(self, path: str, st: os.stat_result) -> str | None:
+        """The sha256 of the trusted entry for the absolute `path` if it holds
+        `st`'s fingerprint."""
+        entry = self.files.get(path)
         if entry is not None and entry == _fingerprint(st, entry["sha256"]):
             return entry["sha256"]
         return None
@@ -156,15 +164,14 @@ REPORT_FILES = ("report.json", "summary.md",
                 *(f"tables/{t}_confusion.csv" for t in ("stage2", "stage3_symptom", "stage3_rootcause")))
 
 
-# The parser of each input a stage may declare, by name; a dump is named
-# "dump" and its index. Each looks its loader up as a global at call time,
-# so that a loader patched on this module is the one called.
+# The parser of each input a stage reads through `_read`, by name. Each
+# looks its loader up as a global at call time, so that a loader patched on
+# this module is the one called. The corpus reads as its keys, in file order.
 _PARSERS = {
-    "dump": lambda path: import_dump(path),
-    "corpus": lambda path: import_dump(path),
+    "corpus": lambda path: [key for key, _ in check_dump(path)],
     "sample": lambda path: import_dump(path),
-    "filter": lambda path: [d for _, d in read_lines(path, stage2.FilterDecision)],
-    "classify": lambda path: [l for _, l in read_lines(path, stage3.FaultLabel)],
+    "filter": lambda path: [d for _, d in read_lines(path, stage2.FilterDecision.from_dict)],
+    "classify": lambda path: [l for _, l in read_lines(path, stage3.FaultLabel.from_dict)],
     "gold": lambda path: load_gold(path),
     "symptom_taxonomy": lambda path: load_taxonomy(path),
     "root_cause_taxonomy": lambda path: load_taxonomy(path),
@@ -208,8 +215,9 @@ class Runner:
         command's "files" entries. The file is read only when the manifest
         holds no trusted entry with its current fingerprint."""
         st = os.stat(path)  # before the read, so a later write changes st_ctime_ns
-        digest = self.manifest.known(path, st) or _hash_file(path)
-        self._taken[str(path)] = _fingerprint(st, digest)
+        key = os.path.abspath(path)
+        digest = self.manifest.known(key, st) or _hash_file(path)
+        self._taken[key] = _fingerprint(st, digest)
         return digest
 
     def _digest(self, name: str, path: Path | None) -> str | None:
@@ -339,7 +347,7 @@ class Runner:
         the sha256 recorded as its output, the stage is skipped. Otherwise
         `body()` writes them and returns their output (the artifact's sha256;
         for evaluate, each report file's by its path in the run directory),
-        the object written (None when no stage reads it) and any extra
+        what a later stage reads of it (None to parse the file) and any extra
         manifest meta; the artifact's sha256 and the object go into the
         command's table, and the manifest records the hash, the output, the
         time from the call on and the model calls of the stage. The
@@ -361,7 +369,7 @@ class Runner:
                 self.close()
             files = output if name == "evaluate" else {ARTIFACTS[name]: output}
             for rel, digest in files.items():
-                self._taken[str(self.out / rel)] = _fingerprint(os.stat(self.out / rel), digest)
+                self._taken[os.path.abspath(self.out / rel)] = _fingerprint(os.stat(self.out / rel), digest)
             self._table[name] = [files[ARTIFACTS[name]], written]
             per_model = {m: t.to_dict() for m, t in self.gateway.usage.items()} if self.gateway else {}
             meta = {
@@ -387,21 +395,27 @@ class Runner:
         dumps = {f"dump{i}": path for i, path in enumerate(config.dumps)}
 
         def body():
-            parts = [self._read(name) for name in dumps]
-            for name in dumps:  # no later stage reads a dump
-                self._table[name][1] = None
-            if config.repos:
-                cache = PageCache(config.cache_dir) if config.cache_dir else None
-                fetcher = IssueFetcher(cache=cache)
-                parts.extend(fetcher.fetch_issues(repo) for repo in config.repos)
-            records = [record for part in parts for record in part]
-            seen = set()
-            for record in records:  # across the parts; import_dump checked each dump
-                if record.key in seen:
-                    raise CorpusError(f"duplicate record key {record.repo}#{record.number}")
-                seen.add(record.key)
-            digest = export_dump(records, self.artifact("corpus"))
-            return digest, records, {"records": len(records)}
+            # Each dump line is checked and written as it is read; only the
+            # keys are kept, and no IssueRecord is built for a dump line.
+            keys = []
+            with jsonl_writer(self.artifact("corpus")) as (write, digest):
+                for path in dumps.values():
+                    for key, row in check_dump(path):
+                        keys.append(key)
+                        write(row)
+                if config.repos:
+                    cache = PageCache(config.cache_dir) if config.cache_dir else None
+                    fetcher = IssueFetcher(cache=cache)
+                    for repo in config.repos:
+                        for record in fetcher.fetch_issues(repo):
+                            keys.append(record.key)
+                            write(record.to_dict())
+                seen = set()
+                for key in keys:  # across the parts; check_dump checked each dump
+                    if key in seen:
+                        raise CorpusError(f"duplicate record key {key[0]}#{key[1]}")
+                    seen.add(key)
+            return digest.hexdigest(), keys, {"records": len(keys)}
 
         # No dump paths: the dump digests, by position, cover the dumps, and a
         # path as spelled would make one config named two ways two runs.
@@ -413,16 +427,14 @@ class Runner:
         inputs = self._files("corpus", *(["gold"] if sampling else []))
 
         def body():
-            corpus = self._read("corpus")
-            self._table["corpus"][1] = None  # no later stage reads the full corpus
-            keep = range(len(corpus))
+            keys = self._read("corpus")
+            keep = range(len(keys))
             if sampling is not None:
-                chosen = sample_balanced(
-                    (r.key for r in corpus), self._read("gold"), sampling.n_pos, sampling.n_neg, sampling.seed
-                )
-                keep = [i for i, r in enumerate(corpus) if r.key in chosen]
+                chosen = sample_balanced(keys, self._read("gold"), sampling.n_pos, sampling.n_neg, sampling.seed)
+                keep = [i for i, key in enumerate(keys) if key in chosen]
             digest = copy_lines(inputs["corpus"], self.artifact("sample"), set(keep))
-            return digest, [corpus[i] for i in keep], {}
+            # The filter stage builds the sample's records from the file.
+            return digest, None, {}
 
         return self._stage("sample", asdict(sampling) if sampling else None, inputs, body)
 

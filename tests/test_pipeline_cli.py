@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import json
 import logging
 import os
@@ -15,11 +16,12 @@ import yaml
 from click.testing import CliRunner
 
 from faultloom import config as config_module
+from faultloom import corpus as corpus_module
 from faultloom import ingest, pipeline, taxonomy
 from faultloom.cli import main
 from faultloom.config import load_config, load_criteria, load_yaml, packaged_data_path
 from faultloom.corpus import IssueRecord, export_dump, import_dump, load_gold, sample_balanced
-from faultloom.errors import ConfigError, StageError
+from faultloom.errors import ConfigError, CorpusError, StageError
 from faultloom.evaluation import EvalReport
 from faultloom.pipeline import ARTIFACTS, REPORT_FILES, RUN_ORDER, Manifest, Runner
 
@@ -409,7 +411,7 @@ def test_cold_run_parses_each_input_once_and_noop_rerun_only_reads_report(tmp_pa
     counts = _count_calls(monkeypatch)
     config = _config(tmp_path)
     Runner(config).run_pipeline()
-    assert counts["import_dump"] == len(config.dumps)
+    assert counts["import_dump"] == 1  # sample.jsonl, by the filter stage: the corpus stage builds no record
     assert counts["load_gold"] == 1
     assert counts["load_taxonomy"] == 2
     assert counts["load_yaml"] == 4  # the config, the criteria and both taxonomies
@@ -553,6 +555,23 @@ def test_aged_noop_rerun_hashes_no_file_and_writes_nothing(tmp_path, monkeypatch
     Runner(_config(tmp_path)).run_pipeline()
     assert not hashed
     assert path.read_bytes() == manifest
+
+
+def test_a_noop_rerun_through_absolute_paths_hashes_no_file(tmp_path, monkeypatch):
+    """The manifest keys each file by its absolute path, so a run through
+    relative paths and a rerun through absolute ones share its entries."""
+    shutil.copytree(GOLDEN, tmp_path / "golden")
+    monkeypatch.chdir(tmp_path)
+    first = load_config("golden/config.yaml")  # the run directory is golden/run
+    assert not Path(first.dumps[0]).is_absolute() and not first.out_dir.is_absolute()
+    Runner(first).run_pipeline()
+    path = tmp_path / "golden" / "run" / "manifest.json"
+    _set_mtime(path, path.stat().st_mtime_ns + 10**9)
+    hashed = _count_hashes(monkeypatch)
+    config = load_config(tmp_path / "golden" / "config.yaml")
+    assert Path(config.dumps[0]).is_absolute() and config.out_dir.is_absolute()
+    Runner(config).run_pipeline()
+    assert not hashed
 
 
 @pytest.mark.parametrize(
@@ -873,19 +892,111 @@ def test_sample_is_copied_from_the_corpus_bytes_and_equals_its_export(tmp_path):
 
 
 def test_cold_run_serializes_each_corpus_record_once(tmp_path, monkeypatch):
+    """Each corpus line is encoded once, by the corpus stage; the sample
+    stage copies its lines and encodes none."""
     calls = Counter()
-    to_dict = IssueRecord.to_dict
+    encode_row = corpus_module._encode_row
+    issue_keys = {f.name for f in dataclasses.fields(IssueRecord)}
 
-    def counted(record):
-        calls[record.key] += 1
-        return to_dict(record)
+    def counted(row):
+        if row.keys() == issue_keys:
+            calls[row["repo"], row["number"]] += 1
+        return encode_row(row)
 
-    monkeypatch.setattr(IssueRecord, "to_dict", counted)
+    monkeypatch.setattr(corpus_module, "_encode_row", counted)
     runner = Runner(_config(tmp_path))
     runner.run_pipeline()
     corpus = import_dump(runner.artifact("corpus"))
     assert set(calls) == {r.key for r in corpus}
     assert set(calls.values()) == {1}
+
+
+def test_cold_run_builds_records_for_the_sample_only(tmp_path, monkeypatch):
+    """The corpus stage builds no IssueRecord, and the whole pass builds one
+    per sampled issue."""
+    built, running = Counter(), [None]
+    init = IssueRecord.__init__
+
+    def counted(self, **fields):
+        built[running[0]] += 1
+        init(self, **fields)
+
+    def tagged(name):
+        run = getattr(Runner, f"run_{name}")
+
+        def wrapper(self):
+            running[0] = name
+            return run(self)
+
+        return wrapper
+
+    for name in RUN_ORDER:
+        monkeypatch.setattr(Runner, f"run_{name}", tagged(name))
+    monkeypatch.setattr(IssueRecord, "__init__", counted)
+    config = _config(tmp_path)
+    Runner(config).run_pipeline()
+    sampled = config.sampling.n_pos + config.sampling.n_neg
+    assert built["corpus"] == 0
+    assert sum(built.values()) == sampled
+    assert len((GOLDEN / "corpus.jsonl").read_text().splitlines()) > sampled
+
+
+# An issue that is not in gold, so that no sample picks it.
+_UNSAMPLED = make_issue(repo="acme/unsampled", number=99, n_comments=2).to_dict()
+
+
+def _unsampled(**fields) -> bytes:
+    return json.dumps({**_UNSAMPLED, **fields}).encode("utf-8")
+
+
+BAD_LINES = {
+    "invariant": _unsampled(updated_at="2001-01-01T00:00:00Z"),
+    "closed-at": _unsampled(state="open"),
+    "comment-order": _unsampled(comments=_UNSAMPLED["comments"][::-1]),
+    "labels-string": _unsampled(labels="bug"),
+    "number-bool": _unsampled(number=True),
+    "no-such-day": _unsampled(created_at="2021-02-29T00:00:00Z"),
+    "null-repo": _unsampled(repo=None),
+    "torn": _unsampled()[:40],
+    "array": b"[]",
+    "not-utf8": b"\xff",
+    "duplicate": (GOLDEN / "corpus.jsonl").read_bytes().splitlines()[3],
+}
+
+
+@pytest.mark.parametrize("bad_line", BAD_LINES.values(), ids=BAD_LINES)
+def test_a_bad_dump_line_that_sampling_would_not_pick_fails_import(tmp_path, bad_line):
+    """The corpus stage checks every dump line, not only the sampled ones:
+    it exits 1 with the text `import_dump` gives for the line, and leaves
+    the corpus artifact as it was."""
+    golden = shutil.copytree(GOLDEN, tmp_path / "golden")
+    dump = golden / "corpus.jsonl"
+    args = ["import", "--config", str(golden / "config.yaml"), "--out", str(tmp_path / "run")]
+    assert CliRunner().invoke(main, args).exit_code == 0
+    written = (tmp_path / "run" / "corpus.jsonl").read_bytes()
+    lines = dump.read_bytes().splitlines(keepends=True)
+    dump.write_bytes(b"".join(lines) + bad_line + b"\n")
+    with pytest.raises(CorpusError) as parsed:
+        import_dump(dump)
+    assert str(parsed.value).startswith(f"{dump} line {len(lines) + 1}: ")
+
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 1
+    assert result.stderr == f"error: {parsed.value}\n"
+    assert (tmp_path / "run" / "corpus.jsonl").read_bytes() == written
+    assert sorted(p.name for p in (tmp_path / "run").iterdir() if p.name.endswith(".tmp")) == []
+
+
+def test_an_invariant_breaking_dump_line_names_it(tmp_path):
+    golden = shutil.copytree(GOLDEN, tmp_path / "golden")
+    dump = golden / "corpus.jsonl"
+    n = len(dump.read_text().splitlines())
+    with open(dump, "a", encoding="utf-8") as fh:
+        fh.write(BAD_LINES["invariant"].decode() + "\n")
+    result = CliRunner().invoke(main, ["import", "--config", str(golden / "config.yaml"), "--out", str(tmp_path / "run")])
+    assert result.exit_code == 1
+    assert result.stderr == f"error: {dump} line {n + 1}: acme/unsampled#99: created_at after updated_at\n"
+    assert not (tmp_path / "run" / "corpus.jsonl").exists()
 
 
 def _leaves_no_file_open(tmp_path, calls: str):
