@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import dataclasses
 import functools
@@ -87,52 +86,43 @@ def _expect(value, kind: type, what: str):
     return value
 
 
-def _codec(tp) -> tuple[Callable | None, Callable, Callable]:
-    """(encode, decode, check) for values of field type `tp`. `encode` is None
-    where a value is already JSON-shaped. `decode` and `check` take a JSON
-    value that is not None: `decode` gives the field's value, and `check` gives
-    what `encode` would make of that value, with the same errors, without
-    building a record."""
+def _codec(tp) -> tuple[Callable | None, Callable]:
+    """(encode, decode) for values of field type `tp`. `encode` is None where
+    a value is already JSON-shaped; `decode` takes a value that is not None."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (types.UnionType, typing.Union):  # X | None; typing.Union when X is a NewType
         (inner,) = [a for a in args if a is not type(None)]
-        encode, decode, check = _codec(inner)
-        return (encode and (lambda v: None if v is None else encode(v))), decode, check
+        encode, decode = _codec(inner)
+        return (encode and (lambda v: None if v is None else encode(v))), decode
     if origin in (list, tuple):
-        item_encode, item_decode, item_check = _codec(args[0])
+        item_encode, item_decode = _codec(args[0])
         build = list if origin is list else tuple
 
         def decode_array(value):
             return build([item_decode(item) for item in _expect(value, list, "an array")])
 
-        def check_array(value):
-            return [item_check(item) for item in _expect(value, list, "an array")]
-
         if item_encode is not None:
-            return (lambda v: [item_encode(item) for item in v]), decode_array, check_array
-        return (None if origin is list else list), decode_array, check_array
+            return (lambda v: [item_encode(item) for item in v]), decode_array
+        return (None if origin is list else list), decode_array
     if tp is dict:
-        decode = lambda v: dict(_expect(v, dict, "an object"))
-        return None, decode, decode
+        return None, lambda v: dict(_expect(v, dict, "an object"))
     if tp == dict[int, float]:  # JSON object keys are strings
         return (lambda v: {str(k): x for k, x in v.items()}), (
             lambda v: {int(k): _number(x) for k, x in _expect(v, dict, "an object").items()}
-        ), lambda v: {str(int(k)): _number(x) for k, x in _expect(v, dict, "an object").items()}
+        )
     if tp is Timestamp:
-        return None, canonical_timestamp, canonical_timestamp
+        return None, canonical_timestamp
     if isinstance(tp, type) and issubclass(tp, Record):
         return _compiled(tp)
     if tp is str:  # a number reads as its text
-        decode = lambda v: _expect(v, str, "a string") if isinstance(v, (dict, list)) else str(v)
-    elif tp is bool:
-        decode = lambda v: _expect(v, bool, "a boolean")
-    elif tp is int:
-        decode = integer
-    elif tp is float:
-        decode = _number
-    else:
-        raise TypeError(f"no codec for field type {tp!r}")
-    return None, decode, decode
+        return None, lambda v: _expect(v, str, "a string") if isinstance(v, (dict, list)) else str(v)
+    if tp is bool:
+        return None, lambda v: _expect(v, bool, "a boolean")
+    if tp is int:
+        return None, integer
+    if tp is float:
+        return None, _number
+    raise TypeError(f"no codec for field type {tp!r}")
 
 
 def _missing(name: str):
@@ -140,21 +130,18 @@ def _missing(name: str):
 
 
 @functools.cache
-def _compiled(cls) -> tuple[Callable, Callable, Callable]:
-    """The to_dict, from_dict and check functions of record class `cls`,
-    compiled once from its field types into one expression per field, the
-    way dataclasses compiles `__init__`. They run as fast as hand-written
-    ones: a loop over the fields decoded a dump about 45 % slower, and
-    copying `__dict__` to encode gave every record a dict object of its own.
-    `check` builds the to_dict-shaped dict with the same expressions and in
-    the same order as `from_dict` builds its call, then runs the class's
-    `_check_dict` if it has one, so the two raise alike."""
+def _compiled(cls) -> tuple[Callable, Callable]:
+    """The to_dict and from_dict functions of record class `cls`, compiled
+    once from its field types into one expression per field, the way
+    dataclasses compiles `__init__`. They run as fast as hand-written ones:
+    a loop over the fields decoded a dump about 45 % slower, and copying
+    `__dict__` to encode gave every record a dict object of its own."""
     hints = typing.get_type_hints(cls)
-    env = {"cls": cls, "_expect": _expect, "_missing": _missing, "_check_dict": cls._check_dict}
-    encoded, decoded, checked = [], [], []
+    env = {"cls": cls, "_expect": _expect, "_missing": _missing}
+    encoded, decoded = [], []
     for f in dataclasses.fields(cls):
         name = f.name
-        encode, env[f"_decode_{name}"], env[f"_check_{name}"] = _codec(hints[name])
+        encode, env[f"_decode_{name}"] = _codec(hints[name])
         env[f"_encode_{name}"] = encode
         encoded.append(f"{name!r}: self.{name}" if encode is None else f"{name!r}: _encode_{name}(self.{name})")
         if f.default is not dataclasses.MISSING:
@@ -163,24 +150,17 @@ def _compiled(cls) -> tuple[Callable, Callable, Callable]:
             env[f"_default_{name}"], fallback = f.default_factory, f"_default_{name}()"
         else:
             fallback = f"_missing({name!r})"
-        # Encoded per call, so that no two dicts share a default list.
-        json_fallback = fallback if encode is None else f"_encode_{name}({fallback})"
-        got = f"(v := raw.get({name!r})) is not None"
-        value, check = f"_decode_{name}(v)", f"_check_{name}(v)"
+        value = f"_decode_{name}(v)"
         if hints[name] is str:  # a string is taken as it is, without a call
-            value, check = f"(v if v.__class__ is str else {value})", f"(v if v.__class__ is str else {check})"
-        decoded.append(f"{name}={value} if {got} else {fallback}")
-        checked.append(f"{name!r}: {check} if {got} else {json_fallback}")
+            value = f"(v if v.__class__ is str else {value})"
+        decoded.append(f"{name}={value} if (v := raw.get({name!r})) is not None else {fallback}")
     exec(
         f"def encode(self):\n    return {{{', '.join(encoded)}}}\n"
         "def decode(raw):\n    if not isinstance(raw, dict):\n        _expect(raw, dict, 'an object')\n"
-        f"    return cls({', '.join(decoded)})\n"
-        "def check(raw):\n    if not isinstance(raw, dict):\n        _expect(raw, dict, 'an object')\n"
-        f"    out = {{{', '.join(checked)}}}\n"
-        f"{'    _check_dict(out)' if cls._check_dict else ''}\n    return out\n",
+        f"    return cls({', '.join(decoded)})\n",
         env,
     )
-    return env["encode"], env["decode"], env["check"]
+    return env["encode"], env["decode"]
 
 
 class Record:
@@ -191,11 +171,7 @@ class Record:
     `from_dict` reads one back by the field types, a Timestamp through
     `canonical_timestamp`. A key that is missing or null takes the field's
     default; without one it is a KeyError, and a value of the wrong shape is
-    a TypeError or ValueError. `check(raw)` returns `from_dict(raw).to_dict()`,
-    key order included, and raises what `from_dict(raw)` raises, without
-    building the record: a key not among the fields is dropped. That holds
-    for a class whose `__post_init__`, if any, only checks, and makes the
-    same checks in `_check_dict`, as Comment and IssueRecord do.
+    a TypeError or ValueError.
     """
 
     __slots__ = ()
@@ -207,16 +183,8 @@ class Record:
     def from_dict(cls, raw: dict):
         return _compiled(cls)[1](raw)
 
-    @classmethod
-    def check(cls, raw: dict) -> dict:
-        return _compiled(cls)[2](raw)
 
-    # A class whose `__post_init__` checks its fields sets this to a
-    # function making the same checks of the to_dict-shaped dict, for `check`.
-    _check_dict: Callable[[dict], None] | None = None
-
-
-@dataclass(slots=True, kw_only=True)
+@dataclass(frozen=True, slots=True, kw_only=True)
 class Comment(Record):
     """One comment; `created_at` is Timestamp text, as for IssueRecord."""
 
@@ -225,30 +193,13 @@ class Comment(Record):
     body: str = ""
 
 
-def _issue_invariants(repo, number, state, created_at, updated_at, closed_at, comment_times) -> None:
-    """Raise a RecordInvariantError unless these IssueRecord fields agree;
-    `comment_times` is the `created_at` of each comment, in order."""
-    if number <= 0:
-        raise RecordInvariantError(f"{repo}: non-positive issue number {number}")
-    if state not in ("open", "closed"):
-        raise RecordInvariantError(f"{repo}#{number}: bad state {state!r}")
-    if created_at > updated_at:
-        raise RecordInvariantError(f"{repo}#{number}: created_at after updated_at")
-    if (closed_at is not None) != (state == "closed"):
-        raise RecordInvariantError(f"{repo}#{number}: closed_at must be present iff state is closed")
-    for a, b in zip(comment_times, comment_times[1:]):
-        if a > b:
-            raise RecordInvariantError(f"{repo}#{number}: comments out of chronological order")
-
-
-@dataclass(slots=True, kw_only=True)
+@dataclass(frozen=True, slots=True, kw_only=True)
 class IssueRecord(Record):
     """One issue; its invariants are checked on construction. Its
     timestamps are Timestamp text, which `from_dict` makes canonical; a
     caller that builds one directly passes `canonical_timestamp(v)` or
     `format_timestamp(dt)`, since other text would compare and be written
-    as it is. Nothing hashes a record or changes one once built, so it is
-    neither frozen nor hashable: a frozen one decoded about a fifth slower."""
+    as it is."""
 
     repo: str
     number: int
@@ -268,13 +219,23 @@ class IssueRecord(Record):
         return (self.repo, self.number)
 
     def __post_init__(self) -> None:
-        _issue_invariants(self.repo, self.number, self.state, self.created_at, self.updated_at, self.closed_at,
-                          [c.created_at for c in self.comments])
-
-    @staticmethod
-    def _check_dict(out: dict) -> None:
-        _issue_invariants(out["repo"], out["number"], out["state"], out["created_at"], out["updated_at"],
-                          out["closed_at"], [c["created_at"] for c in out["comments"]])
+        if self.number <= 0:
+            raise RecordInvariantError(f"{self.repo}: non-positive issue number {self.number}")
+        if self.state not in ("open", "closed"):
+            raise RecordInvariantError(f"{self.repo}#{self.number}: bad state {self.state!r}")
+        if self.created_at > self.updated_at:
+            raise RecordInvariantError(
+                f"{self.repo}#{self.number}: created_at after updated_at"
+            )
+        if (self.closed_at is not None) != (self.state == "closed"):
+            raise RecordInvariantError(
+                f"{self.repo}#{self.number}: closed_at must be present iff state is closed"
+            )
+        for a, b in zip(self.comments, self.comments[1:]):
+            if a.created_at > b.created_at:
+                raise RecordInvariantError(
+                    f"{self.repo}#{self.number}: comments out of chronological order"
+                )
 
 
 def render_issue(issue: IssueRecord, comment_budget: int, char_budget: int) -> str:
@@ -340,56 +301,45 @@ class GoldLabel:
         return (self.repo, self.number)
 
 
-def read_lines(path: str | Path, decode: Callable[[dict], object]) -> Iterator[tuple[int, object]]:
-    """`decode(json)` of each non-blank line of the line-delimited JSON file at
-    `path` (a record class's `from_dict` or `check`), with its 1-based line
-    number. Lines end at `\n` only, the JSON Lines separator, and a line of
-    ASCII whitespace alone is blank. A line that does not decode (not UTF-8
-    included) raises a CorpusError naming the file and the line."""
+def read_lines(path: str | Path, kind: type) -> Iterator[tuple[int, Record]]:
+    """Each non-blank line of the line-delimited JSON file at `path` as a
+    `kind` record, with its 1-based line number. Lines end at `\n` only, the
+    JSON Lines separator, and a line of ASCII whitespace alone is blank. A
+    line that does not read as one (not UTF-8 included) raises a
+    CorpusError naming the file and the line."""
     with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             if line.isspace():
                 continue
             try:
                 # json.loads of the bytes would decode them too, but about 70 % slower.
-                value = decode(json.loads(line.decode("utf-8")))
+                record = kind.from_dict(json.loads(line.decode("utf-8")))
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"{path} line {line_no}: invalid JSON: {exc}") from exc
             except (KeyError, TypeError, ValueError, OverflowError, RecordInvariantError) as exc:
                 raise CorpusError(f"{path} line {line_no}: {exc}") from exc
-            yield line_no, value
+            yield line_no, record
 
 
-def _unique(path: str | Path, lines: Iterable[tuple[int, object]], key: Callable) -> Iterator[tuple[IssueKey, object]]:
-    """Each item of `lines` with its `key`, raising a CorpusError that names
-    the line of a key seen before."""
+def read_dump(path: str | Path) -> Iterator[IssueRecord]:
+    """The records of a line-delimited JSON dump, in file order, one at a
+    time. Every rejection, a key seen twice included, reports the 1-based
+    line number it came from."""
     seen: set[IssueKey] = set()
-    for line_no, item in lines:
-        k = key(item)
-        if k in seen:
-            raise CorpusError(f"{path} line {line_no}: duplicate record key {k[0]}#{k[1]}")
-        seen.add(k)
-        yield k, item
+    for line_no, record in read_lines(path, IssueRecord):
+        if record.key in seen:
+            raise CorpusError(f"{path} line {line_no}: duplicate record key {record.repo}#{record.number}")
+        seen.add(record.key)
+        yield record
 
 
 def import_dump(path: str | Path) -> list[IssueRecord]:
-    """The records of a line-delimited JSON dump, in file order.
-
-    Every rejection, a key seen twice included, reports the 1-based line
-    number it came from.
-    """
-    return [record for _, record in _unique(path, read_lines(path, IssueRecord.from_dict), lambda r: r.key)]
-
-
-def check_dump(path: str | Path) -> Iterator[tuple[IssueKey, dict]]:
-    """The key and canonical dict (`IssueRecord.check`) of each record of a
-    line-delimited JSON dump, in file order, without building a record. It
-    rejects what `import_dump` rejects, with the same text."""
-    return _unique(path, read_lines(path, IssueRecord.check), lambda row: (row["repo"], row["number"]))
+    """The records of a line-delimited JSON dump, in file order (see `read_dump`)."""
+    return list(read_dump(path))
 
 
 # `json.dumps(row, sort_keys=True)` without building an encoder per call. The
-# rows are fresh `to_dict` or `check` output, which holds no cycle to check for.
+# rows are fresh `to_dict` output, which holds no cycle to check for.
 _encode_row = json.JSONEncoder(sort_keys=True, check_circular=False).encode
 
 
@@ -398,36 +348,22 @@ def sha256_json(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("ascii")).hexdigest()
 
 
-@contextlib.contextmanager
-def jsonl_writer(path: str | Path):
-    """A `with` block yielding `write(row)`, which writes `row` as one
-    sorted-key JSON line, and the sha256 object the bytes are hashed into as
-    they are written. They go to a temp file beside `path`, which replaces
-    it when the block ends cleanly and is removed when it raises, so a
-    failed write leaves `path` as it was."""
-    path = Path(path)
-    tmp, digest = path.with_name(path.name + ".tmp"), hashlib.sha256()
-
-    def write(row: dict) -> None:
-        line = (_encode_row(row) + "\n").encode("utf-8")
-        digest.update(line)
-        fh.write(line)
-
+def write_jsonl(path: str | Path, rows: Iterable[dict]) -> str:
+    """Write one sorted-key JSON object per line; return the sha256 of the
+    bytes written, hashed as they are written. They go to a temp file beside
+    `path`, which replaces it once the last row is written and is removed
+    if `rows` raises, so a failed write leaves `path` as it was."""
+    tmp, digest = f"{path}.tmp", hashlib.sha256()
     try:
         with open(tmp, "wb") as fh:
-            yield write, digest
+            for row in rows:
+                line = (_encode_row(row) + "\n").encode("utf-8")
+                digest.update(line)
+                fh.write(line)
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        Path(tmp).unlink(missing_ok=True)
         raise
-
-
-def write_jsonl(path: str | Path, rows: Iterable[dict]) -> str:
-    """Write one sorted-key JSON object per line (see `jsonl_writer`);
-    return the sha256 of the bytes written."""
-    with jsonl_writer(path) as (write, digest):
-        for row in rows:
-            write(row)
     return digest.hexdigest()
 
 

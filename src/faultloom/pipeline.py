@@ -47,12 +47,11 @@ import yaml
 from . import stage1, stage2, stage3
 from .config import PipelineConfig, load_criteria
 from .corpus import (  # export_dump: no stage calls it, but perfbench/tracing.py patches it here
-    check_dump,
     copy_lines,
     export_dump,
     import_dump,
-    jsonl_writer,
     load_gold,
+    read_dump,
     read_lines,
     sample_balanced,
     sha256_json,
@@ -168,10 +167,10 @@ REPORT_FILES = ("report.json", "summary.md",
 # looks its loader up as a global at call time, so that a loader patched on
 # this module is the one called. The corpus reads as its keys, in file order.
 _PARSERS = {
-    "corpus": lambda path: [key for key, _ in check_dump(path)],
+    "corpus": lambda path: [record.key for record in read_dump(path)],
     "sample": lambda path: import_dump(path),
-    "filter": lambda path: [d for _, d in read_lines(path, stage2.FilterDecision.from_dict)],
-    "classify": lambda path: [l for _, l in read_lines(path, stage3.FaultLabel.from_dict)],
+    "filter": lambda path: [d for _, d in read_lines(path, stage2.FilterDecision)],
+    "classify": lambda path: [l for _, l in read_lines(path, stage3.FaultLabel)],
     "gold": lambda path: load_gold(path),
     "symptom_taxonomy": lambda path: load_taxonomy(path),
     "root_cause_taxonomy": lambda path: load_taxonomy(path),
@@ -341,7 +340,8 @@ class Runner:
         """Run one stage and return its artifact path.
 
         `inputs` names every file the body reads (name -> path, None when not
-        configured); the body reads them only through `_read`. The stage's
+        configured); the body reads them only through `_read`, but for the
+        corpus stage, which streams its dumps a record at a time. The stage's
         input hash covers `key` and the sha256 of each input. When the
         manifest records that hash and each file the stage wrote still has
         the sha256 recorded as its output, the stage is skipped. Otherwise
@@ -387,6 +387,7 @@ class Runner:
     # decides whether to skip before the body parses anything. Inputs come
     # from `_read`, so within one command each is parsed at most once, and an
     # artifact not at all when the stage that wrote it ran in the command.
+    # The corpus stage reads its dumps itself, each once, as it writes them.
     # The docstrings are the CLI's help texts.
 
     def run_corpus(self) -> Path:
@@ -395,27 +396,30 @@ class Runner:
         dumps = {f"dump{i}": path for i, path in enumerate(config.dumps)}
 
         def body():
-            # Each dump line is checked and written as it is read; only the
-            # keys are kept, and no IssueRecord is built for a dump line.
+            # Each record is written as it is read, and only its key is kept.
             keys = []
-            with jsonl_writer(self.artifact("corpus")) as (write, digest):
+
+            def records():
                 for path in dumps.values():
-                    for key, row in check_dump(path):
-                        keys.append(key)
-                        write(row)
+                    yield from read_dump(path)
                 if config.repos:
                     cache = PageCache(config.cache_dir) if config.cache_dir else None
                     fetcher = IssueFetcher(cache=cache)
                     for repo in config.repos:
-                        for record in fetcher.fetch_issues(repo):
-                            keys.append(record.key)
-                            write(record.to_dict())
+                        yield from fetcher.fetch_issues(repo)
+
+            def rows():
+                for record in records():
+                    keys.append(record.key)
+                    yield record.to_dict()
                 seen = set()
-                for key in keys:  # across the parts; check_dump checked each dump
+                for key in keys:  # across the parts; read_dump checked each dump
                     if key in seen:
                         raise CorpusError(f"duplicate record key {key[0]}#{key[1]}")
                     seen.add(key)
-            return digest.hexdigest(), keys, {"records": len(keys)}
+
+            digest = write_jsonl(self.artifact("corpus"), rows())
+            return digest, keys, {"records": len(keys)}
 
         # No dump paths: the dump digests, by position, cover the dumps, and a
         # path as spelled would make one config named two ways two runs.

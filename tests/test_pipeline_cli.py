@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import json
 import logging
 import os
@@ -16,7 +15,6 @@ import yaml
 from click.testing import CliRunner
 
 from faultloom import config as config_module
-from faultloom import corpus as corpus_module
 from faultloom import ingest, pipeline, taxonomy
 from faultloom.cli import main
 from faultloom.config import load_config, load_criteria, load_yaml, packaged_data_path
@@ -397,7 +395,7 @@ def _count_calls(monkeypatch) -> Counter:
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    for name in ("import_dump", "load_gold", "load_taxonomy", "score_stage2", "score_stage3"):
+    for name in ("read_dump", "import_dump", "load_gold", "load_taxonomy", "score_stage2", "score_stage3"):
         counted(pipeline, name)
     counted(Runner, "build_report")
     counted(Manifest, "set_stage")
@@ -411,7 +409,8 @@ def test_cold_run_parses_each_input_once_and_noop_rerun_only_reads_report(tmp_pa
     counts = _count_calls(monkeypatch)
     config = _config(tmp_path)
     Runner(config).run_pipeline()
-    assert counts["import_dump"] == 1  # sample.jsonl, by the filter stage: the corpus stage builds no record
+    assert counts["read_dump"] == len(config.dumps)  # the corpus stage's; the sample stage takes its keys
+    assert counts["import_dump"] == 1  # sample.jsonl, by the filter stage
     assert counts["load_gold"] == 1
     assert counts["load_taxonomy"] == 2
     assert counts["load_yaml"] == 4  # the config, the criteria and both taxonomies
@@ -892,18 +891,14 @@ def test_sample_is_copied_from_the_corpus_bytes_and_equals_its_export(tmp_path):
 
 
 def test_cold_run_serializes_each_corpus_record_once(tmp_path, monkeypatch):
-    """Each corpus line is encoded once, by the corpus stage; the sample
-    stage copies its lines and encodes none."""
     calls = Counter()
-    encode_row = corpus_module._encode_row
-    issue_keys = {f.name for f in dataclasses.fields(IssueRecord)}
+    to_dict = IssueRecord.to_dict
 
-    def counted(row):
-        if row.keys() == issue_keys:
-            calls[row["repo"], row["number"]] += 1
-        return encode_row(row)
+    def counted(record):
+        calls[record.key] += 1
+        return to_dict(record)
 
-    monkeypatch.setattr(corpus_module, "_encode_row", counted)
+    monkeypatch.setattr(IssueRecord, "to_dict", counted)
     runner = Runner(_config(tmp_path))
     runner.run_pipeline()
     corpus = import_dump(runner.artifact("corpus"))
@@ -911,34 +906,27 @@ def test_cold_run_serializes_each_corpus_record_once(tmp_path, monkeypatch):
     assert set(calls.values()) == {1}
 
 
-def test_cold_run_builds_records_for_the_sample_only(tmp_path, monkeypatch):
-    """The corpus stage builds no IssueRecord, and the whole pass builds one
-    per sampled issue."""
-    built, running = Counter(), [None]
+def test_the_corpus_stage_holds_no_more_than_two_records_at_once(tmp_path, monkeypatch):
+    """The corpus stage writes each record as it reads it and keeps only its
+    key: however long the dump, the record being written and the one being
+    read are all it holds."""
+    live, peak = [0], [0]
     init = IssueRecord.__init__
 
     def counted(self, **fields):
-        built[running[0]] += 1
         init(self, **fields)
+        live[0] += 1
+        peak[0] = max(peak[0], live[0])
 
-    def tagged(name):
-        run = getattr(Runner, f"run_{name}")
+    def dropped(self):
+        live[0] -= 1
 
-        def wrapper(self):
-            running[0] = name
-            return run(self)
-
-        return wrapper
-
-    for name in RUN_ORDER:
-        monkeypatch.setattr(Runner, f"run_{name}", tagged(name))
     monkeypatch.setattr(IssueRecord, "__init__", counted)
-    config = _config(tmp_path)
-    Runner(config).run_pipeline()
-    sampled = config.sampling.n_pos + config.sampling.n_neg
-    assert built["corpus"] == 0
-    assert sum(built.values()) == sampled
-    assert len((GOLDEN / "corpus.jsonl").read_text().splitlines()) > sampled
+    monkeypatch.setattr(IssueRecord, "__del__", dropped, raising=False)
+    runner = Runner(_config(tmp_path))
+    runner.run_corpus()
+    assert peak[0] == 2
+    assert len(runner.artifact("corpus").read_text().splitlines()) > 5 * peak[0]
 
 
 # An issue that is not in gold, so that no sample picks it.

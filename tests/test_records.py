@@ -230,69 +230,3 @@ def test_a_float_field_reads_an_int_or_a_float_only(value):
         Stage3Scores.from_dict({**scores, "accuracy": value})
     with pytest.raises(TypeError, match="expected a number"):
         Stage3Scores.from_dict({**scores, "per_level_accuracy": {"1": value}})
-
-
-# Values for the fields of a dump line, canonical or not: odd timestamps
-# (offsets, hour 24, no such day, digits of other scripts, no zone), a bool
-# where an int belongs, a string where a list belongs, non-ASCII text.
-odd_stamps = stamps.map(format_timestamp) | st.sampled_from([
-    "2021-06-01T12:00:00+05:30", "2021-06-01T12:00:00.5-03:00", "2021-06-01T24:00:00Z",
-    "2021-06-01T24:00:00+00:00", "2021-02-29T00:00:00Z", "2020-02-29T00:00:00Z", "٢٠٢١-06-01T00:00:00Z",
-    "２０２１-06-01T00:00:00Z", "2021-06-01T00:00:00", "2021-06-01", "", 5, True, ["2021-06-01T00:00:00Z"],
-])
-odd_texts = st.text(max_size=8) | st.sampled_from(["naïve 漢字 \U0001f642", 5, 2.5, True, ["t"], {"k": "v"}])
-odd_comments = st.fixed_dictionaries(
-    {}, optional={"created_at": odd_stamps, "author_role": odd_texts, "body": odd_texts, "extra": st.integers()}
-) | st.sampled_from(["c", 5])
-ODD_FIELDS = {
-    "repo": odd_texts,
-    "number": st.integers(-2, 10**20) | st.sampled_from([True, False, 7.0, "7", "x", 3.7, [7]]),
-    "title": odd_texts,
-    "state": st.sampled_from(["open", "closed", "OPEN", "", 1]),
-    "created_at": odd_stamps,
-    "updated_at": odd_stamps,
-    "closed_at": odd_stamps,
-    "body": odd_texts,
-    "labels": st.lists(odd_texts | st.sampled_from([{"name": "bug"}, 1]), max_size=3) | st.sampled_from(["bug", 5]),
-    "comments": st.lists(odd_comments, max_size=3) | st.sampled_from(["c", 5, {}]),
-    "is_pull_request": st.sampled_from([True, False, "false", 0, 1]),
-    "url": odd_texts,
-}
-
-
-@st.composite
-def dump_lines(draw):
-    """A JSON object for a dump line: a valid issue's, with some keys
-    replaced by odd values, set to null or left out, and unknown keys added."""
-    raw = draw(issues()).to_dict()
-    for key, values in ODD_FIELDS.items():
-        change = draw(st.sampled_from(["keep"] * 6 + ["odd", "null", "missing"]))
-        if change == "odd":
-            raw[key] = draw(values)
-        elif change == "null":
-            raw[key] = None
-        elif change == "missing":
-            del raw[key]
-    raw.update(draw(st.dictionaries(st.text(max_size=6).filter(lambda k: k not in ODD_FIELDS), odd_texts, max_size=2)))
-    return json.loads(json.dumps(raw))
-
-
-def _outcome(call):
-    """What `call()` returns, by its repr (key order and int/float/bool
-    included), or the type and text of what it raises."""
-    try:
-        return repr(call())
-    except Exception as exc:
-        return type(exc), str(exc)
-
-
-@settings(deadline=None, max_examples=400)
-@given(raw=dump_lines())
-def test_check_returns_the_dict_of_the_record_from_dict_builds_or_raises_alike(raw):
-    assert _outcome(lambda: IssueRecord.check(raw)) == _outcome(lambda: IssueRecord.from_dict(raw).to_dict())
-
-
-@settings(deadline=None)
-@given(raw=odd_comments)
-def test_a_comment_checks_as_it_decodes(raw):
-    assert _outcome(lambda: Comment.check(raw)) == _outcome(lambda: Comment.from_dict(raw).to_dict())
