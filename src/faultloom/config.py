@@ -111,6 +111,16 @@ def _count(value, key: str, path, least: int | None = None) -> int:
     raise ConfigError(f"{path}: {key} must be an integer{'' if least is None else f' >= {least}'}, not {value!r}")
 
 
+def _known(raw: dict, keys: tuple, path, within: str = "") -> None:
+    """A ConfigError naming the file at `path` and the first key of `raw` not
+    among `keys`: a misspelled setting would otherwise be ignored."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: {within.rstrip('.')} must be a mapping, not {type(raw).__name__}")
+    for key in raw:
+        if key not in keys:
+            raise ConfigError(f"{path}: unknown key {within}{key}")
+
+
 def load_criteria(path: Path | None) -> dict:
     """The settings of the criteria file at `path`, each defaulted when
     absent, as FilterCriteria arguments besides the vocabulary; without a
@@ -119,6 +129,7 @@ def load_criteria(path: Path | None) -> dict:
     criteria = (load_yaml(path) if path else None) or {}
     if not isinstance(criteria, dict):
         raise ConfigError(f"{path}: the criteria are not a mapping")
+    _known(criteria, ("exclusion_labels", "cutoff_date", "require_answered", "comment_budget", "char_budget"), path)
     if not isinstance(answered := criteria.get("require_answered", True), bool):
         raise ConfigError(f"{path}: require_answered must be true or false, not {answered!r}")
     try:
@@ -133,6 +144,13 @@ def load_criteria(path: Path | None) -> dict:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+# The top-level keys of a config file.
+_CONFIG_KEYS = (
+    "out", "mode", "model", "dumps", "repos", "criteria", "vocabulary", "symptom_taxonomy", "root_cause_taxonomy",
+    "gold", "reference_projects", "theme", "transcript", "sampling", "seed", "parallelism", "stage3_input", "cache_dir",
+)
+
+
 def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConfig:
     """Read a config YAML; relative paths resolve against the config file.
     A file that does not parse (bad YAML, not UTF-8, a bad value) is a
@@ -144,6 +162,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
         raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: the config is not a mapping")
+    _known(raw, _CONFIG_KEYS, path)  # the file's own keys; the overrides come from code
     if overrides:
         raw.update({k: v for k, v in overrides.items() if v is not None})
     base = path.parent
@@ -158,6 +177,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
         sampling = None
         if raw.get("sampling"):
             s = raw["sampling"]
+            _known(s, ("n_pos", "n_neg", "seed"), path, "sampling.")
             # An explicit seed override replaces sampling.seed; a top-level YAML
             # seed only fills a missing one.
             seed = (overrides or {}).get("seed")
@@ -170,6 +190,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
             )
 
         theme = raw.get("theme") or {}
+        _known(theme, ("description", "constraints"), path, "theme.")
         if "theme" in raw and not str(theme.get("description") or "").strip():
             raise ConfigError(f"{path}: theme.description must be non-empty")
         config = PipelineConfig(

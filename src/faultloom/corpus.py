@@ -348,23 +348,28 @@ def sha256_json(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("ascii")).hexdigest()
 
 
-def write_jsonl(path: str | Path, rows: Iterable[dict]) -> str:
-    """Write one sorted-key JSON object per line; return the sha256 of the
-    bytes written, hashed as they are written. They go to a temp file beside
-    `path`, which replaces it once the last row is written and is removed
-    if `rows` raises, so a failed write leaves `path` as it was."""
+def write_atomic(path: str | Path, chunks: Iterable[bytes]) -> str:
+    """Write the byte `chunks` to `path`; return the sha256 of the bytes
+    written, hashed as they are written. They go to `<path>.tmp`, which
+    replaces `path` once the last chunk is written and is removed on any
+    exception, so a failed or killed write leaves `path` as it was."""
     tmp, digest = f"{path}.tmp", hashlib.sha256()
     try:
         with open(tmp, "wb") as fh:
-            for row in rows:
-                line = (_encode_row(row) + "\n").encode("utf-8")
-                digest.update(line)
-                fh.write(line)
+            for chunk in chunks:
+                digest.update(chunk)
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         Path(tmp).unlink(missing_ok=True)
         raise
     return digest.hexdigest()
+
+
+def write_jsonl(path: str | Path, rows: Iterable[dict]) -> str:
+    """Write one sorted-key JSON object per line through `write_atomic`;
+    return the sha256 of the bytes written."""
+    return write_atomic(path, ((_encode_row(row) + "\n").encode("utf-8") for row in rows))
 
 
 def export_dump(records: Iterable[IssueRecord], path: str | Path) -> str:
@@ -373,16 +378,12 @@ def export_dump(records: Iterable[IssueRecord], path: str | Path) -> str:
 
 
 def copy_lines(source: str | Path, path: str | Path, keep: set[int]) -> str:
-    """Copy to `path`, byte for byte and in order, each non-blank line of
-    `source` (as `read_lines` splits it) whose 0-based index among them is in
-    `keep`; return the sha256 of the bytes written."""
-    digest = hashlib.sha256()
-    with open(source, "rb") as src, open(path, "wb") as fh:
-        for index, line in enumerate(line for line in src if not line.isspace()):
-            if index in keep:
-                digest.update(line)
-                fh.write(line)
-    return digest.hexdigest()
+    """Copy to `path` through `write_atomic`, byte for byte and in order,
+    each non-blank line of `source` (as `read_lines` splits it) whose 0-based
+    index among them is in `keep`; return the sha256 of the bytes written."""
+    with open(source, "rb") as src:
+        lines = (line for line in src if not line.isspace())
+        return write_atomic(path, (line for index, line in enumerate(lines) if index in keep))
 
 
 def load_gold(path: str | Path) -> dict[IssueKey, GoldLabel]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .corpus import IssueRecord, parse_timestamp
+from .corpus import IssueRecord, parse_timestamp, write_atomic
 from .errors import IngestError, RecordInvariantError, TransientProviderError
 from .gateway import raise_transient, retry
 
@@ -62,7 +62,7 @@ def _parse_next_link(link_header: str | None) -> str | None:
 class PageCache:
     """Content-addressed page store keyed by request URL + params, with a TTL
     of DEFAULT_CACHE_TTL_SECONDS. Each entry is one JSON object, written through
-    a temp file and `os.replace`; an entry that does not read as one is a miss."""
+    `write_atomic`; an entry that does not read as one is a miss."""
 
     root: Path
 
@@ -82,10 +82,8 @@ class PageCache:
 
     def put(self, key: str, page: dict, now: float | None = None) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
-        path = self._path(key)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps({"fetched_at": time.time() if now is None else now, "page": page}), encoding="utf-8")
-        os.replace(tmp, path)
+        entry = {"fetched_at": time.time() if now is None else now, "page": page}
+        write_atomic(self._path(key), [json.dumps(entry).encode("utf-8")])
 
 
 class IssueFetcher:

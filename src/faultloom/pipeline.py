@@ -1,15 +1,16 @@
 """End-to-end orchestration: stage sequencing, artifact persistence,
 content-hash resumability, and report emission.
 
-Each stage writes a line-delimited artifact into the run directory before the
-next stage starts. Each stage declares the files it reads, config files and
+Each stage writes its files into the run directory before the next stage
+starts, every one through `write_atomic`, so a failed or killed write leaves
+the file as it was. Each stage declares the files it reads, config files and
 upstream artifacts alike, and records in the manifest its input hash (its
-config key + the sha256 of each declared file) and the sha256 its artifact was
-written with. On rerun it is skipped when the input hash is unchanged and the
-artifact still has that sha256, so a finished run directory is stable and
-fully determines its report: a no-op rerun reads report.json back. The
-evaluate stage alone writes the report, and its output records the sha256
-of each report file, so a missing or edited one is written again.
+config key + the sha256 of each declared file) and, as its output, the sha256
+of each file it wrote by its path in the run directory. On rerun it is
+skipped when the input hash is unchanged and each of those files still has
+its sha256, so a finished run directory is stable and fully determines its
+report: a no-op rerun reads report.json back. The evaluate stage alone writes
+the report files, so a missing or edited one is written again.
 
 The manifest also keeps, for each file a command hashed or a stage wrote, its
 stat fingerprint (device, inode, size, mtime, ctime) and its sha256. A later
@@ -18,14 +19,15 @@ unchanged and the file's ctime is older than the manifest's mtime (git's
 "racy git" rule); any other file is hashed. A stale fingerprint is refreshed
 when a stage next writes the manifest.
 
-A command (a `Runner.locked()` block) keeps one table of the files its
-stages read and write, and each file is hashed and parsed at most once in it:
-a stage puts the sha256 of the artifact it writes there for the stages after
-it, with what a later stage reads of it where the stage holds that: the
-corpus stage its ordered key list, so that no stage holds the whole corpus's
-records. The filter stage builds the sample's records from `sample.jsonl`. A
-stage called outside a command is a command of its own. Nothing in the table
-outlives the command.
+A command (a `Runner.locked()` block) hashes and parses each file its stages
+read at most once. Its "files" entries hold the sha256 of each file it hashed,
+and each file a stage wrote with the sha256 it was written with, so no
+artifact is read back to hash it. Its table holds what it parsed of each
+input, and what a later stage reads of an artifact where the stage that wrote
+it holds that: the corpus stage its ordered key list, so that no stage holds
+the whole corpus's records. The filter stage builds the sample's records from
+`sample.jsonl`. A stage called outside a command is a command of its own.
+Nothing of either outlives the command.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .corpus import (  # export_dump: no stage calls it, but perfbench/tracing.p
     read_lines,
     sample_balanced,
     sha256_json,
+    write_atomic,
     write_jsonl,
 )
 from .errors import ConfigError, CorpusError, FaultloomError, StageError
@@ -135,19 +138,16 @@ class Manifest:
         return None
 
     def save(self, data: dict) -> None:
-        """Write `data` as the manifest through a temp file in the same
-        directory, so a killed write leaves the previous manifest in place,
-        then hold it as `self.data`: a failed write changes neither."""
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        _write_json(tmp, data)
-        os.replace(tmp, self.path)
+        """Write `data` as the manifest, then hold it as `self.data`: a
+        failed or killed write changes neither."""
+        write_atomic(self.path, [_json(data)])
         self.data = data
         self._trust()
 
     def stage(self, name: str) -> dict:
         return self.data["stages"].get(name, {})
 
-    def set_stage(self, name: str, input_hash: str, output: str, meta: dict, files: dict) -> None:
+    def set_stage(self, name: str, input_hash: str, output: dict, meta: dict, files: dict) -> None:
         """Record the stage entry, and `files` (path -> entry) over the trusted ones."""
         entry = {"input_hash": input_hash, "output": output, "meta": meta}
         self.save({**self.data, "stages": {**self.data["stages"], name: entry}, "files": {**self.files, **files}})
@@ -157,8 +157,7 @@ class Manifest:
 # from the manifest entries of all but the last.
 RUN_ORDER = ("corpus", "sample", "filter", "classify", "evaluate")
 
-# The files the evaluate stage writes, by path in the run directory; the
-# output its manifest entry records maps each to its sha256.
+# The files the evaluate stage writes, by path in the run directory.
 REPORT_FILES = ("report.json", "summary.md",
                 *(f"tables/{t}_confusion.csv" for t in ("stage2", "stage3_symptom", "stage3_rootcause")))
 
@@ -191,10 +190,10 @@ class Runner:
         self.out = Path(self.config.out_dir)
         self.out.mkdir(parents=True, exist_ok=True)
         self.manifest = Manifest(self.out / "manifest.json")
-        # The table of the running command: input name -> [sha256, parsed
-        # object or None]; None outside `locked()`.
-        self._table: dict[str, list] | None = None
-        # The "files" entries of the running command: path -> entry.
+        # The table of the running command: input name -> parsed object;
+        # None outside `locked()`.
+        self._table: dict[str, object] | None = None
+        # The "files" entries of the running command: absolute path -> entry.
         self._taken: dict[str, dict] = {}
         # The inputs of the running stage: name -> path.
         self._inputs: dict[str, Path | None] | None = None
@@ -210,44 +209,35 @@ class Runner:
         return {n: self.artifact(n) if n in ARTIFACTS else getattr(self.config, f"{n}_file") for n in names}
 
     def _sha256(self, path: Path) -> str:
-        """sha256 of the file at `path`, noted with its fingerprint among the
-        command's "files" entries. The file is read only when the manifest
-        holds no trusted entry with its current fingerprint."""
-        st = os.stat(path)  # before the read, so a later write changes st_ctime_ns
+        """sha256 of the file at `path`, kept with its fingerprint as the
+        command's "files" entry for it once the command hashed or wrote it.
+        The file is read only when neither that entry nor a trusted manifest
+        entry with its current fingerprint holds it."""
         key = os.path.abspath(path)
-        digest = self.manifest.known(key, st) or _hash_file(path)
-        self._taken[key] = _fingerprint(st, digest)
-        return digest
+        if (entry := self._taken.get(key)) is None:
+            st = os.stat(path)  # before the read, so a later write changes st_ctime_ns
+            entry = self._taken[key] = _fingerprint(st, self.manifest.known(key, st) or _hash_file(path))
+        return entry["sha256"]
 
-    def _digest(self, name: str, path: Path | None) -> str | None:
-        """sha256 of the file at `path`, the input `name` of the running
-        command, taken at most once per command; None when not configured."""
-        if name not in self._table:
-            self._table[name] = [None if path is None else self._sha256(path), None]
-        return self._table[name][0]
-
-    def _written(self, name: str, output) -> bool:
-        """Whether each file the stage `name` wrote still has the sha256 that
-        `output`, its manifest entry's, records: its artifact's, or for
-        evaluate the map of each report file's."""
+    def _written(self, output) -> bool:
+        """Whether `output`, a stage's manifest entry's, maps the files the
+        stage wrote, by path in the run directory, to the sha256 each still has."""
         try:
-            if name == "evaluate":
-                return output == {rel: self._sha256(self.out / rel) for rel in REPORT_FILES}
-            return output == self._digest(name, self.artifact(name))
+            return isinstance(output, dict) and all(
+                self._sha256(self.out / rel) == digest for rel, digest in output.items())
         except FileNotFoundError:
             return False
 
     @contextlib.contextmanager
     def _declared(self, inputs: dict, needed_by: str):
         """Hash each file of `inputs` (name -> path, None when not
-        configured) into the command's table, and let `_read` parse them
-        while the block runs. Yields the sha256 of each by name. Outside a
+        configured), and let `_read` parse them while the block runs. Yields the sha256 of each by name. Outside a
         command, the block is a command of its own."""
         with self.locked() if self._table is None else contextlib.nullcontext():
             digests = {}
             for name, path in inputs.items():
                 try:
-                    digests[name] = self._digest(name, path)
+                    digests[name] = None if path is None else self._sha256(path)
                 except FileNotFoundError:
                     if name in ARTIFACTS:
                         raise StageError(
@@ -267,16 +257,15 @@ class Runner:
         ConfigError naming it."""
         if self._inputs is None or name not in self._inputs:
             raise KeyError(f"{name!r} is not an input the running stage declared")
-        entry = self._table[name]
-        if entry[1] is None:
+        if name not in self._table:
             path = self._inputs[name]
             if path is None and name != "criteria":
                 raise ConfigError(f"no {name} file configured")
             try:
-                entry[1] = _PARSERS[name.rstrip("0123456789")](path)
+                self._table[name] = _PARSERS[name](path)
             except (yaml.YAMLError, ValueError) as exc:
                 raise ConfigError(f"{path}: {exc}") from exc
-        return entry[1]
+        return self._table[name]
 
     def _get_gateway(self) -> Gateway:
         if self.gateway is None:
@@ -332,9 +321,7 @@ class Runner:
             "parallelism": self.config.parallelism,
             "stage3_input": self.config.stage3_input,
         }
-        (self.out / "config_snapshot.yaml").write_text(
-            yaml.safe_dump(payload, sort_keys=True), encoding="utf-8"
-        )
+        write_atomic(self.out / "config_snapshot.yaml", [yaml.safe_dump(payload, sort_keys=True).encode("utf-8")])
 
     def _stage(self, name: str, key, inputs: dict, body) -> Path:
         """Run one stage and return its artifact path.
@@ -344,33 +331,33 @@ class Runner:
         corpus stage, which streams its dumps a record at a time. The stage's
         input hash covers `key` and the sha256 of each input. When the
         manifest records that hash and each file the stage wrote still has
-        the sha256 recorded as its output, the stage is skipped. Otherwise
-        `body()` writes them and returns their output (the artifact's sha256;
-        for evaluate, each report file's by its path in the run directory),
-        what a later stage reads of it (None to parse the file) and any extra
-        manifest meta; the artifact's sha256 and the object go into the
-        command's table, and the manifest records the hash, the output, the
-        time from the call on and the model calls of the stage. The
-        transcript is closed when the body ends."""
+        the sha256 its recorded output maps it to, the stage is skipped.
+        Otherwise `body()` writes its files and returns their output, the
+        sha256 of each by its path in the run directory; what a later stage
+        reads of its artifact (None to parse the file); and any extra
+        manifest meta. Each file's fingerprint goes into the command's
+        "files" entries and the object into its table, and the manifest
+        records the hash, the output, the time from the call on and the model
+        calls of the stage. The transcript is closed when the body ends."""
         started, path = time.monotonic(), self.artifact(name)
         with self._declared(inputs, name) as digests:
             input_hash = sha256_json({"key": key, "inputs": digests})
             recorded = self.manifest.stage(name)
-            if recorded.get("input_hash") == input_hash and self._written(name, recorded.get("output")):
+            if recorded.get("input_hash") == input_hash and self._written(recorded.get("output")):
                 logger.info("%s: unchanged, skipping", name)
                 return path
-            self._table.pop(name, None)  # no digest of the artifact holds until the body returns
+            self._table.pop(name, None)  # what was parsed of the artifact the body rewrites
             self.snapshot_config()
             if self.gateway is not None:
                 self.gateway.usage.clear()
             try:
-                output, written, extra = body()
+                output, parsed, extra = body()
             finally:
                 self.close()
-            files = output if name == "evaluate" else {ARTIFACTS[name]: output}
-            for rel, digest in files.items():
+            for rel, digest in output.items():
                 self._taken[os.path.abspath(self.out / rel)] = _fingerprint(os.stat(self.out / rel), digest)
-            self._table[name] = [files[ARTIFACTS[name]], written]
+            if parsed is not None:
+                self._table[name] = parsed
             per_model = {m: t.to_dict() for m, t in self.gateway.usage.items()} if self.gateway else {}
             meta = {
                 "duration_seconds": round(time.monotonic() - started, 3),
@@ -418,8 +405,7 @@ class Runner:
                         raise CorpusError(f"duplicate record key {key[0]}#{key[1]}")
                     seen.add(key)
 
-            digest = write_jsonl(self.artifact("corpus"), rows())
-            return digest, keys, {"records": len(keys)}
+            return {ARTIFACTS["corpus"]: write_jsonl(self.artifact("corpus"), rows())}, keys, {"records": len(keys)}
 
         # No dump paths: the dump digests, by position, cover the dumps, and a
         # path as spelled would make one config named two ways two runs.
@@ -436,9 +422,8 @@ class Runner:
             if sampling is not None:
                 chosen = sample_balanced(keys, self._read("gold"), sampling.n_pos, sampling.n_neg, sampling.seed)
                 keep = [i for i, key in enumerate(keys) if key in chosen]
-            digest = copy_lines(inputs["corpus"], self.artifact("sample"), set(keep))
             # The filter stage builds the sample's records from the file.
-            return digest, None, {}
+            return {ARTIFACTS["sample"]: copy_lines(inputs["corpus"], self.artifact("sample"), set(keep))}, None, {}
 
         return self._stage("sample", asdict(sampling) if sampling else None, inputs, body)
 
@@ -456,7 +441,7 @@ class Runner:
             payload = {"plan": plan.to_dict()}
             if self.config.reference_projects_file is not None:
                 payload["score"] = stage1.score_plan(plan, self._read("reference_projects")).to_dict()
-            return _write_json(self.artifact("define"), payload), None, {}
+            return {ARTIFACTS["define"]: write_atomic(self.artifact("define"), [_json(payload)])}, None, {}
 
         key = {"theme": theme.description, "constraints": theme.constraints, "model": self.config.model_id}
         return self._stage("define", key, self._files("reference_projects"), body)
@@ -472,7 +457,8 @@ class Runner:
                 parallelism=self._issue_parallelism(),
             )
             digest = write_jsonl(self.artifact("filter"), (d.to_dict() for d in decisions))
-            return digest, decisions, {"decisions": len(decisions), "positives": sum(1 for d in decisions if d.final)}
+            meta = {"decisions": len(decisions), "positives": sum(1 for d in decisions if d.final)}
+            return {ARTIFACTS["filter"]: digest}, decisions, meta
 
         return self._stage("filter", {"model": self.config.model_id}, inputs, body)
 
@@ -500,7 +486,8 @@ class Runner:
                 comment_budget=criteria["comment_budget"], char_budget=criteria["char_budget"],
             )
             digest = write_jsonl(self.artifact("classify"), (l.to_dict() for l in labels))
-            return digest, labels, {"labels": len(labels), "invalid": sum(1 for l in labels if not l.valid)}
+            meta = {"labels": len(labels), "invalid": sum(1 for l in labels if not l.valid)}
+            return {ARTIFACTS["classify"]: digest}, labels, meta
 
         key = {"model": config.model_id, "stage3_input": config.stage3_input}
         return self._stage("classify", key, inputs, body)
@@ -554,30 +541,16 @@ class Runner:
             report = self.build_report()
             meta = report.run_meta  # its wall time counts this stage's time up to here
             meta.wall_time_seconds = round(meta.wall_time_seconds + time.monotonic() - started, 3)
-            return self.write_report(report), None, {}
+            (self.out / "tables").mkdir(exist_ok=True)
+            tables = (report.stage2, report.stage3_symptom, report.stage3_rootcause)
+            data = [_json(report.to_dict()), _summary(report), *map(_confusion_csv, tables)]
+            return {rel: write_atomic(self.out / rel, [d]) for rel, d in zip(REPORT_FILES, data)}, None, {}
 
         # The report also reads the upstream manifest entries, so a skip
         # means the report files are current.
         key = {"stages": {name: self.manifest.stage(name) for name in RUN_ORDER[:-1]}}
         inputs = self._files("gold", "symptom_taxonomy", "root_cause_taxonomy", "filter", "classify")
         return self._stage("evaluate", key, inputs, body)
-
-    def write_report(self, report: EvalReport) -> dict:
-        """Write the REPORT_FILES; return the sha256 of each as written, by
-        its path in the run directory."""
-        (self.out / "tables").mkdir(exist_ok=True)
-        data = [_summary(report)]
-        for scores in (report.stage2, report.stage3_symptom, report.stage3_rootcause):
-            text = io.StringIO()
-            if scores is not None:
-                matrix = scores.confusion
-                writer = csv.writer(text)
-                writer.writerow(["gold \\ predicted"] + matrix.classes)
-                for cls, row in zip(matrix.classes, matrix.counts):
-                    writer.writerow([cls] + row)
-            data.append(text.getvalue().encode("utf-8"))
-        written = {rel: _write_bytes(self.out / rel, payload) for rel, payload in zip(REPORT_FILES[1:], data)}
-        return {"report.json": _write_json(self.artifact("evaluate"), report.to_dict()), **written}
 
     # --- whole pipeline -----------------------------------------------------
 
@@ -594,15 +567,20 @@ class Runner:
         return json.loads(self.artifact("evaluate").read_text(encoding="utf-8"))
 
 
-def _write_bytes(path: Path, data: bytes) -> str:
-    """Write `data` to `path`; return its sha256."""
-    path.write_bytes(data)
-    return hashlib.sha256(data).hexdigest()
+def _json(payload) -> bytes:
+    """`payload` as indented, sorted-key JSON text."""
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
-def _write_json(path: Path, payload) -> str:
-    """Write `payload` as indented JSON; return the sha256 of the bytes written."""
-    return _write_bytes(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+def _confusion_csv(scores) -> bytes:
+    """The confusion matrix of `scores` as CSV; empty without scores."""
+    text = io.StringIO()
+    if scores is not None:
+        writer = csv.writer(text)
+        writer.writerow(["gold \\ predicted"] + scores.confusion.classes)
+        for cls, row in zip(scores.confusion.classes, scores.confusion.counts):
+            writer.writerow([cls] + row)
+    return text.getvalue().encode("utf-8")
 
 
 def _summary(report: EvalReport) -> bytes:

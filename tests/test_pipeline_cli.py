@@ -199,6 +199,10 @@ def test_cli_define_without_a_theme_is_a_config_error(tmp_path):
         ("criteria.yaml", "require_answered: true", "require_answered: true\nchar_budget: 12.9"),
         ("config.yaml", "parallelism: 2", "parallelism: true"),
         ("config.yaml", "n_pos: 4", "n_pos: 2.5"),
+        ("config.yaml", "parallelism: 2", "paralelism: 8"),  # misspelled keys
+        ("config.yaml", "seed: 7", "sed: 7"),
+        ("config.yaml", "  constraints:", "  constraint:"),
+        ("criteria.yaml", "cutoff_date: 2020-01-01", "cutof_date: 2030-01-01"),
     ],
 )
 def test_cli_malformed_config_or_criteria_file_is_an_error_naming_it(tmp_path, name, old, new):
@@ -229,6 +233,11 @@ def test_cli_malformed_config_or_criteria_file_is_an_error_naming_it(tmp_path, n
         ("config.yaml", "parallelism: true", "parallelism must be an integer >= 1, not True"),
         ("config.yaml", "sampling: {n_pos: 2.5, n_neg: 4}", "sampling.n_pos must be an integer >= 0, not 2.5"),
         ("config.yaml", "sampling: {n_pos: 4, n_neg: 4, seed: false}", "sampling.seed must be an integer, not False"),
+        ("criteria.yaml", "cutof_date: 2030-01-01", "unknown key cutof_date"),
+        ("config.yaml", "paralelism: 8", "unknown key paralelism"),
+        ("config.yaml", "sampling: {n_pos: 4, n_neg: 4, sed: 7}", "unknown key sampling.sed"),
+        ("config.yaml", "theme: {description: faults, constraint: []}", "unknown key theme.constraint"),
+        ("config.yaml", "sampling: [4, 4]", "sampling must be a mapping, not list"),
     ],
 )
 def test_a_boolean_fraction_or_negative_setting_is_an_error_naming_the_file_and_key(tmp_path, name, line, message):
@@ -700,19 +709,33 @@ def test_truncated_artifact_reruns_its_stage_from_the_transcript(tmp_path, monke
     assert again["stage3_rootcause"]["total"] == first["stage3_rootcause"]["total"]
 
 
-def test_manifest_written_before_output_digests_reruns_each_stage_once(tmp_path, monkeypatch):
-    counts = _count_calls(monkeypatch)
+@pytest.mark.parametrize("written", ["without-output", "with-one-sha256-per-stage"])
+def test_manifest_written_before_output_digests_reruns_each_stage_once(tmp_path, monkeypatch, written):
+    """`with-one-sha256-per-stage`: written as before each stage's output
+    mapped its files to their sha256, when the output of each stage but
+    evaluate was its artifact's sha256 alone, and evaluate's input hash
+    covered those entries."""
     guard = CountingProvider(ScriptedProvider([]))
     runner = Runner(_config(tmp_path), provider=guard)
-    runner.run_pipeline()
-    artifacts = _snapshot(runner.out)
-    path = runner.out / "manifest.json"
-    manifest = json.loads(path.read_text())
-    for entry in manifest["stages"].values():
-        del entry["output"]
-    path.write_text(json.dumps(manifest))
+    with monkeypatch.context() as patched:
+        if written == "with-one-sha256-per-stage":
+            set_stage = Manifest.set_stage
 
-    counts.clear()
+            def one_sha256(manifest, name, input_hash, output, *rest):
+                one = output if name == "evaluate" else output[ARTIFACTS[name]]
+                set_stage(manifest, name, input_hash, one, *rest)
+
+            patched.setattr(Manifest, "set_stage", one_sha256)
+        runner.run_pipeline()
+    artifacts = _snapshot(runner.out)
+    if written == "without-output":
+        path = runner.out / "manifest.json"
+        manifest = json.loads(path.read_text())
+        for entry in manifest["stages"].values():
+            del entry["output"]
+        path.write_text(json.dumps(manifest))
+
+    counts = _count_calls(monkeypatch)
     Runner(_config(tmp_path), provider=guard).run_pipeline()
     assert counts["set_stage"] == len(RUN_ORDER)
     counts.clear()
@@ -736,24 +759,73 @@ def test_unreadable_manifest_stops_the_run_and_names_the_file(tmp_path):
     assert f"unreadable manifest {manifest}" in result.stderr
 
 
+def _kill_the_rename_to(path: Path, monkeypatch) -> None:
+    """Make `os.replace` raise KeyboardInterrupt, as a kill would stop it,
+    when it would replace `path`, and only then."""
+    replace = os.replace
+
+    def killed(src, dst):
+        if Path(dst) == path:
+            raise KeyboardInterrupt
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", killed)
+
+
 def test_manifest_is_replaced_whole(tmp_path, monkeypatch):
     runner = Runner(_config(tmp_path))
     runner.run_corpus()
     path = runner.out / "manifest.json"
     before = path.read_bytes()
 
-    def killed(*args):
-        raise KeyboardInterrupt
-
-    monkeypatch.setattr(pipeline.os, "replace", killed)
+    _kill_the_rename_to(path, monkeypatch)
     with pytest.raises(KeyboardInterrupt):
         runner.run_sample()
+    assert runner.artifact("sample").exists()  # the kill came at the manifest's write
     assert path.read_bytes() == before
     assert "sample" not in runner.manifest.data["stages"]  # memory agrees with the file
     monkeypatch.undo()
     runner.run_sample()
     assert "sample" in json.loads(path.read_text())["stages"]
     assert [p.name for p in runner.out.glob("manifest*")] == ["manifest.json"]
+
+
+@pytest.mark.parametrize("stage, name", [("sample", "sample.jsonl"), ("evaluate", "report.json")])
+def test_a_killed_write_leaves_the_file_it_would_replace(tmp_path, monkeypatch, stage, name):
+    """Cut the file short so its stage reruns, and kill that rerun as its
+    write is renamed into place: the cut file stays as it was and no temp
+    file is left. The next run reruns the stage from the transcript."""
+    guard = CountingProvider(ScriptedProvider([]))
+    runner = Runner(_config(tmp_path), provider=guard)
+    runner.run_pipeline()
+    out = runner.out
+    first, reports = _snapshot(out), _without_wall_time(out)
+    path = out / name
+    cut = path.read_bytes()[:-20]
+    path.write_bytes(cut)
+    _kill_the_rename_to(path, monkeypatch)
+    with pytest.raises(KeyboardInterrupt):
+        Runner(_config(tmp_path), provider=guard).run_pipeline()
+    monkeypatch.undo()
+    assert path.read_bytes() == cut
+    assert list(out.rglob("*.tmp")) == []
+
+    ran = []
+    set_stage = Manifest.set_stage
+
+    def recorded(manifest, stage_name, *rest):
+        ran.append(stage_name)
+        return set_stage(manifest, stage_name, *rest)
+
+    monkeypatch.setattr(Manifest, "set_stage", recorded)
+    Runner(_config(tmp_path), provider=guard).run_pipeline()
+    assert stage in ran
+    assert guard.calls == 0
+    assert _without_wall_time(out) == reports
+    again = _snapshot(out)
+    for report in ("report.json", "summary.md"):  # they carry the wall time
+        del first[report], again[report]
+    assert again == first
 
 
 def test_reported_wall_time_counts_the_evaluate_stage(tmp_path, monkeypatch):
