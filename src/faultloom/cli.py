@@ -10,13 +10,14 @@ import click
 
 from .config import load_config
 from .errors import FaultloomError
+from .gateway import MODES
 from .pipeline import ARTIFACTS, Runner
 
 logger = logging.getLogger(__name__)
 
 _OPTIONS = [
     click.option("--config", "config_path", required=True, type=click.Path(exists=True)),
-    click.option("--mode", type=click.Choice(["live", "record", "replay"]), default=None),
+    click.option("--mode", type=click.Choice(MODES), default=None),
     click.option("--model", default=None),
     click.option("--seed", type=int, default=None),
     click.option("--parallelism", type=int, default=None),

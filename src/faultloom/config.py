@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import date
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import yaml
 
 from .corpus import integer
 from .errors import ConfigError
-from .gateway import API_KEY_ENV_PREFIX, split_model_id
+from .gateway import API_KEY_ENV_PREFIX, MODES, split_model_id
 from .stage2 import DEFAULT_CHAR_BUDGET, DEFAULT_COMMENT_BUDGET
 
 
@@ -36,12 +37,12 @@ def load_yaml(path: str | Path):
 class SamplingConfig:
     n_pos: int
     n_neg: int
-    seed: int
+    seed: int = 0
 
 
 @dataclass
 class PipelineConfig:
-    out_dir: Path
+    out_dir: Path = Path("run")
     mode: str = "replay"
     model_id: str = "openai/gpt-4o"
     dumps: list[Path] = field(default_factory=list)
@@ -61,25 +62,15 @@ class PipelineConfig:
     cache_dir: Path | None = None
 
     def validate(self) -> None:
-        if self.mode not in ("live", "record", "replay"):
+        if self.mode not in MODES:
             raise ConfigError(f"unknown mode: {self.mode!r}")
         if self.mode != "live" and self.transcript_path is None:
             raise ConfigError(f"mode={self.mode} requires a transcript path")
-        if self.parallelism < 1:
-            raise ConfigError("parallelism must be >= 1")
         if self.stage3_input not in ("filtered", "gold"):
             raise ConfigError(f"stage3_input must be 'filtered' or 'gold', not {self.stage3_input!r}")
         if not self.dumps and not self.repos:
             raise ConfigError("config needs at least one dump path or repo")
-        for path in [
-            *self.dumps,
-            self.criteria_file,
-            self.vocabulary_file,
-            self.symptom_taxonomy_file,
-            self.root_cause_taxonomy_file,
-            self.gold_file,
-            self.reference_projects_file,
-        ]:
+        for path in [*self.dumps, *(getattr(self, f.name) for f in fields(self) if f.name.endswith("_file"))]:
             if path is not None and not Path(path).exists():
                 raise ConfigError(f"referenced file does not exist: {path}")
         if self.mode == "replay" and not Path(self.transcript_path).exists():
@@ -111,7 +102,7 @@ def _count(value, key: str, path, least: int | None = None) -> int:
     raise ConfigError(f"{path}: {key} must be an integer{'' if least is None else f' >= {least}'}, not {value!r}")
 
 
-def _known(raw: dict, keys: tuple, path, within: str = "") -> None:
+def _known(raw: dict, keys, path, within: str = "") -> None:
     """A ConfigError naming the file at `path` and the first key of `raw` not
     among `keys`: a misspelled setting would otherwise be ignored."""
     if not isinstance(raw, dict):
@@ -144,17 +135,67 @@ def load_criteria(path: Path | None) -> dict:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-# The top-level keys of a config file.
-_CONFIG_KEYS = (
-    "out", "mode", "model", "dumps", "repos", "criteria", "vocabulary", "symptom_taxonomy", "root_cause_taxonomy",
-    "gold", "reference_projects", "theme", "transcript", "sampling", "seed", "parallelism", "stage3_input", "cache_dir",
-)
+def _one(convert):
+    """The reader of a value, as `convert` makes it."""
+    return lambda value, key, path: convert(value)
+
+
+def _each(convert):
+    """The reader of a list, each of its items as `convert` makes it."""
+    return lambda value, key, path: [convert(v) for v in _list(value, key, path)]
+
+
+_SAMPLING_KEYS = {"n_pos": ("n_pos", partial(_count, least=0)), "n_neg": ("n_neg", partial(_count, least=0)),
+                  "seed": ("seed", _count)}
+
+# Each key of a config file: the PipelineConfig field it sets and the reader
+# of its value (value, key, file path), or the keys of a mapping under it.
+# A key the file leaves out or empty keeps the field's default.
+_CONFIG_KEYS = {
+    "out": ("out_dir", _one(Path)),
+    "mode": ("mode", _one(str)),
+    "model": ("model_id", _one(str)),
+    "dumps": ("dumps", _each(Path)),
+    "repos": ("repos", _each(str)),
+    **{name: (f"{name}_file", _one(Path)) for name in (
+        "criteria", "vocabulary", "symptom_taxonomy", "root_cause_taxonomy", "gold", "reference_projects")},
+    "theme": {"description": ("theme_description", _one(str)), "constraints": ("theme_constraints", _each(str))},
+    "transcript": ("transcript_path", _one(Path)),
+    "sampling": ("sampling", lambda value, key, path: SamplingConfig(**_read(value, _SAMPLING_KEYS, path, key + "."))),
+    "parallelism": ("parallelism", partial(_count, least=1)),
+    "stage3_input": ("stage3_input", _one(str)),
+    "cache_dir": ("cache_dir", _one(Path)),
+}
+
+
+def _read(raw: dict, keys: dict, path, within: str = "") -> dict:
+    """The field values that the mapping `raw`, the part `within` of the
+    file at `path`, sets through `keys`. A key left empty sets nothing."""
+    _known(raw, keys, path, within)
+    values = {}
+    for key, value in raw.items():
+        if value is not None and isinstance(keys[key], dict):
+            values.update(_read(value, keys[key], path, f"{within}{key}."))
+        elif value is not None:
+            name, read = keys[key]
+            values[name] = read(value, within + key, path)
+    return values
+
+
+def _absolute(value, base: Path):
+    """`value` with each path in it made absolute against `base` as named:
+    a symlink is not resolved, so a directory keeps the name it was given."""
+    if isinstance(value, list):
+        return [_absolute(v, base) for v in value]
+    return Path(os.path.abspath(base / value)) if isinstance(value, Path) else value
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConfig:
-    """Read a config YAML; relative paths resolve against the config file.
-    A file that does not parse (bad YAML, not UTF-8, a bad value) is a
-    ConfigError naming it."""
+    """Read a config YAML; each path is made absolute against the config
+    file's directory. `overrides` (config key -> value, None for none)
+    replace the file's keys, but `seed`, which replaces `sampling.seed` and
+    needs `sampling`. A file that does not parse (bad YAML, not UTF-8, a bad
+    value) is a ConfigError naming it."""
     path = Path(path)
     try:
         raw = load_yaml(path) or {}
@@ -162,60 +203,19 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
         raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: the config is not a mapping")
-    _known(raw, _CONFIG_KEYS, path)  # the file's own keys; the overrides come from code
-    if overrides:
-        raw.update({k: v for k, v in overrides.items() if v is not None})
-    base = path.parent
-
-    def _resolve(value) -> Path | None:
-        if value is None:
-            return None
-        p = Path(value)
-        return p if p.is_absolute() else (base / p)
-
+    overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
+    seed = overrides.pop("seed", None)
     try:
-        sampling = None
-        if raw.get("sampling"):
-            s = raw["sampling"]
-            _known(s, ("n_pos", "n_neg", "seed"), path, "sampling.")
-            # An explicit seed override replaces sampling.seed; a top-level YAML
-            # seed only fills a missing one.
-            seed = (overrides or {}).get("seed")
-            if seed is None:
-                seed = s.get("seed", raw.get("seed", 0))
-            sampling = SamplingConfig(
-                n_pos=_count(s["n_pos"], "sampling.n_pos", path, 0),
-                n_neg=_count(s["n_neg"], "sampling.n_neg", path, 0),
-                seed=_count(seed, "sampling.seed", path),
-            )
-
-        theme = raw.get("theme") or {}
-        _known(theme, ("description", "constraints"), path, "theme.")
-        if "theme" in raw and not str(theme.get("description") or "").strip():
-            raise ConfigError(f"{path}: theme.description must be non-empty")
-        config = PipelineConfig(
-            out_dir=_resolve(raw.get("out", "run")),
-            mode=str(raw.get("mode", "replay")),
-            model_id=str(raw.get("model", "openai/gpt-4o")),
-            dumps=[_resolve(p) for p in _list(raw.get("dumps", []), "dumps", path)],
-            repos=[str(r) for r in _list(raw.get("repos", []), "repos", path)],
-            criteria_file=_resolve(raw.get("criteria")),
-            vocabulary_file=_resolve(raw.get("vocabulary")),
-            symptom_taxonomy_file=_resolve(raw.get("symptom_taxonomy"))
-            or packaged_data_path("symptom_taxonomy.yaml"),
-            root_cause_taxonomy_file=_resolve(raw.get("root_cause_taxonomy"))
-            or packaged_data_path("root_cause_taxonomy.yaml"),
-            gold_file=_resolve(raw.get("gold")),
-            reference_projects_file=_resolve(raw.get("reference_projects")),
-            theme_description=str(theme.get("description", "")),
-            theme_constraints=[str(c) for c in _list(theme.get("constraints", []), "theme.constraints", path)],
-            transcript_path=_resolve(raw.get("transcript")),
-            sampling=sampling,
-            parallelism=_count(raw.get("parallelism", 1), "parallelism", path, 1),
-            stage3_input=str(raw.get("stage3_input", "filtered")),
-            cache_dir=_resolve(raw.get("cache_dir")),
-        )
+        config = PipelineConfig(**_read({**raw, **overrides}, _CONFIG_KEYS, path))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc!r}") from exc
+    if "theme" in raw and not config.theme_description.strip():
+        raise ConfigError(f"{path}: theme.description must be non-empty")
+    if seed is not None:
+        if config.sampling is None:
+            raise ConfigError(f"{path}: --seed sets sampling.seed, but the config has no sampling")
+        config.sampling.seed = _count(seed, "--seed", path)
+    for f in fields(config):
+        setattr(config, f.name, _absolute(getattr(config, f.name), path.parent))
     config.validate()
     return config

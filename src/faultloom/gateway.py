@@ -31,6 +31,7 @@ from .errors import (
 logger = logging.getLogger(__name__)
 
 API_KEY_ENV_PREFIX = "FAULTLOOM_API_KEY_"
+MODES = ("live", "record", "replay")  # see Gateway
 MAX_ATTEMPTS = 4
 DEFAULT_MAX_OUTPUT_TOKENS = 2048
 REPAIR_RETRIES = 2
@@ -282,7 +283,7 @@ class Gateway:
         limiter: RateLimiter | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
-        if mode not in ("live", "record", "replay"):
+        if mode not in MODES:
             raise ValueError(f"unknown gateway mode: {mode!r}")
         if mode != "live" and transcript is None:
             raise ValueError(f"{mode} mode requires a transcript")

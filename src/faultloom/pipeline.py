@@ -99,7 +99,8 @@ def _fingerprint(st: os.stat_result, sha256: str) -> dict:
 class Manifest:
     """Per-run record of stage input hashes and stage metadata, and of the
     fingerprint and sha256 of each file a command hashed or a stage wrote,
-    by its absolute path: one file named two ways is one entry."""
+    by its absolute path, as `load_config` makes each config path: one file
+    named two ways is one entry."""
 
     def __init__(self, path: Path):
         self.path = path
@@ -193,7 +194,7 @@ class Runner:
         # The table of the running command: input name -> parsed object;
         # None outside `locked()`.
         self._table: dict[str, object] | None = None
-        # The "files" entries of the running command: absolute path -> entry.
+        # The "files" entries of the running command: path -> entry.
         self._taken: dict[str, dict] = {}
         # The inputs of the running stage: name -> path.
         self._inputs: dict[str, Path | None] | None = None
@@ -213,7 +214,7 @@ class Runner:
         command's "files" entry for it once the command hashed or wrote it.
         The file is read only when neither that entry nor a trusted manifest
         entry with its current fingerprint holds it."""
-        key = os.path.abspath(path)
+        key = str(path)
         if (entry := self._taken.get(key)) is None:
             st = os.stat(path)  # before the read, so a later write changes st_ctime_ns
             entry = self._taken[key] = _fingerprint(st, self.manifest.known(key, st) or _hash_file(path))
@@ -308,19 +309,12 @@ class Runner:
                 self._table, self._taken = None, {}
 
     def snapshot_config(self) -> None:
-        """Write `config_snapshot.yaml`, once per Runner."""
+        """Write `config_snapshot.yaml`, the whole resolved config with each
+        path as text, once per Runner."""
         if self._snapshotted:
             return
         self._snapshotted = True
-        payload = {
-            "mode": self.config.mode,
-            "model": self.config.model_id,
-            "dumps": [str(p) for p in self.config.dumps],
-            "repos": self.config.repos,
-            "sampling": asdict(self.config.sampling) if self.config.sampling else None,
-            "parallelism": self.config.parallelism,
-            "stage3_input": self.config.stage3_input,
-        }
+        payload = json.loads(json.dumps(asdict(self.config), default=str))
         write_atomic(self.out / "config_snapshot.yaml", [yaml.safe_dump(payload, sort_keys=True).encode("utf-8")])
 
     def _stage(self, name: str, key, inputs: dict, body) -> Path:
@@ -355,7 +349,7 @@ class Runner:
             finally:
                 self.close()
             for rel, digest in output.items():
-                self._taken[os.path.abspath(self.out / rel)] = _fingerprint(os.stat(self.out / rel), digest)
+                self._taken[str(self.out / rel)] = _fingerprint(os.stat(self.out / rel), digest)
             if parsed is not None:
                 self._table[name] = parsed
             per_model = {m: t.to_dict() for m, t in self.gateway.usage.items()} if self.gateway else {}

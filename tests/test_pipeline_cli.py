@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import json
 import logging
 import os
@@ -235,6 +236,7 @@ def test_cli_malformed_config_or_criteria_file_is_an_error_naming_it(tmp_path, n
         ("config.yaml", "sampling: {n_pos: 4, n_neg: 4, seed: false}", "sampling.seed must be an integer, not False"),
         ("criteria.yaml", "cutof_date: 2030-01-01", "unknown key cutof_date"),
         ("config.yaml", "paralelism: 8", "unknown key paralelism"),
+        ("config.yaml", "seed: 3", "unknown key seed"),  # the seed is sampling.seed
         ("config.yaml", "sampling: {n_pos: 4, n_neg: 4, sed: 7}", "unknown key sampling.sed"),
         ("config.yaml", "theme: {description: faults, constraint: []}", "unknown key theme.constraint"),
         ("config.yaml", "sampling: [4, 4]", "sampling must be a mapping, not list"),
@@ -352,17 +354,39 @@ def test_empty_stage3_branch_notes_zero_count(tmp_path):
     assert any("zero issues" in note for note in report["notes"])
 
 
-def test_seed_override_replaces_sampling_seed_and_yaml_seed_only_fills(tmp_path):
+def _minimal_config(tmp_path, extra: str = "") -> Path:
+    """A config in `tmp_path` that reads one empty dump, with `extra` appended."""
+    (tmp_path / "corpus.jsonl").touch()
+    config = tmp_path / "config.yaml"
+    config.write_text(f"dumps: [corpus.jsonl]\nmode: record\ntranscript: t.jsonl\n{extra}")
+    return config
+
+
+def test_seed_override_replaces_sampling_seed(tmp_path):
     assert _config(tmp_path).sampling.seed == 7
     assert _config(tmp_path, seed=8).sampling.seed == 8
-    config = tmp_path / "config.yaml"
-    config.write_text(
-        "dumps: [corpus.jsonl]\nmode: record\ntranscript: t.jsonl\nseed: 3\nsampling: {n_pos: 1, n_neg: 1, seed: 5}\n"
-    )
-    (tmp_path / "corpus.jsonl").touch()
-    assert load_config(config).sampling.seed == 5
-    config.write_text("dumps: [corpus.jsonl]\nmode: record\ntranscript: t.jsonl\nseed: 3\nsampling: {n_pos: 1, n_neg: 1}\n")
-    assert load_config(config).sampling.seed == 3
+
+
+def test_sampling_without_a_seed_draws_with_seed_0(tmp_path):
+    assert load_config(_minimal_config(tmp_path, "sampling: {n_pos: 1, n_neg: 1}\n")).sampling.seed == 0
+
+
+def test_a_seed_override_without_sampling_is_an_error_naming_the_flag(tmp_path):
+    config = _minimal_config(tmp_path)
+    assert load_config(config).sampling is None
+    with pytest.raises(ConfigError, match="--seed"):
+        load_config(config, overrides={"seed": 5})
+
+
+def test_cli_seed_option_without_sampling_exits_1_naming_the_flag(tmp_path):
+    inputs = shutil.copytree(GOLDEN, tmp_path / "inputs")
+    config = inputs / "config.yaml"
+    lines = config.read_text().splitlines(keepends=True)
+    config.write_text("".join(line for line in lines if not line.startswith("sampling:")))
+    result = CliRunner().invoke(main, ["import", "--config", str(config), "--seed", "5"])
+    assert result.exit_code == 1
+    assert result.stderr.startswith(f"error: {config}: --seed ")
+    assert not (inputs / "run").exists()
 
 
 def test_cli_seed_option_changes_the_sample(tmp_path):
@@ -565,21 +589,46 @@ def test_aged_noop_rerun_hashes_no_file_and_writes_nothing(tmp_path, monkeypatch
     assert path.read_bytes() == manifest
 
 
+def test_load_config_makes_each_path_absolute_as_named(tmp_path, monkeypatch):
+    """Paths resolve against the config file's directory, lexically: a
+    symlinked directory keeps the name it was given."""
+    shutil.copytree(GOLDEN, tmp_path / "golden")
+    (tmp_path / "link").symlink_to(tmp_path / "golden")
+    monkeypatch.chdir(tmp_path)
+    config = load_config("golden/config.yaml")
+    assert config.dumps == [tmp_path / "golden" / "corpus.jsonl"]
+    assert config.out_dir == tmp_path / "golden" / "run"
+    assert config.criteria_file == tmp_path / "golden" / "criteria.yaml"
+    assert config.symptom_taxonomy_file.is_absolute()
+    assert load_config("link/../link/config.yaml").out_dir == tmp_path / "link" / "run"
+
+
 def test_a_noop_rerun_through_absolute_paths_hashes_no_file(tmp_path, monkeypatch):
-    """The manifest keys each file by its absolute path, so a run through
-    relative paths and a rerun through absolute ones share its entries."""
+    """The manifest keys each file by its absolute path, as load_config
+    makes it, so a run through one spelling of the config and a rerun
+    through another share its entries."""
     shutil.copytree(GOLDEN, tmp_path / "golden")
     monkeypatch.chdir(tmp_path)
     first = load_config("golden/config.yaml")  # the run directory is golden/run
-    assert not Path(first.dumps[0]).is_absolute() and not first.out_dir.is_absolute()
     Runner(first).run_pipeline()
     path = tmp_path / "golden" / "run" / "manifest.json"
     _set_mtime(path, path.stat().st_mtime_ns + 10**9)
     hashed = _count_hashes(monkeypatch)
-    config = load_config(tmp_path / "golden" / "config.yaml")
-    assert Path(config.dumps[0]).is_absolute() and config.out_dir.is_absolute()
+    config = load_config("golden/../golden/config.yaml")
+    assert config.dumps == first.dumps and config.out_dir == first.out_dir
     Runner(config).run_pipeline()
     assert not hashed
+
+
+def test_config_snapshot_holds_every_resolved_setting(tmp_path):
+    config = _config(tmp_path)
+    Runner(config).run_corpus()
+    snapshot = load_yaml(tmp_path / "run" / "config_snapshot.yaml")
+    assert snapshot.keys() == {f.name for f in dataclasses.fields(config)}
+    assert snapshot["criteria_file"] == os.path.abspath(GOLDEN / "criteria.yaml")
+    assert snapshot["theme_description"] == "JavaScript-based DL system faults"
+    assert snapshot["sampling"] == {"n_pos": 4, "n_neg": 4, "seed": 7}
+    assert snapshot["out_dir"] == str(tmp_path / "run")
 
 
 @pytest.mark.parametrize(
