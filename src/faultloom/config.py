@@ -161,17 +161,22 @@ _CONFIG_KEYS = {
         "criteria", "vocabulary", "symptom_taxonomy", "root_cause_taxonomy", "gold", "reference_projects")},
     "theme": {"description": ("theme_description", _one(str)), "constraints": ("theme_constraints", _each(str))},
     "transcript": ("transcript_path", _one(Path)),
-    "sampling": ("sampling", lambda value, key, path: SamplingConfig(**_read(value, _SAMPLING_KEYS, path, key + "."))),
+    "sampling": ("sampling", lambda value, key, path: SamplingConfig(
+        **_read(value, _SAMPLING_KEYS, path, key + ".", required=("n_pos", "n_neg")))),
     "parallelism": ("parallelism", partial(_count, least=1)),
     "stage3_input": ("stage3_input", _one(str)),
     "cache_dir": ("cache_dir", _one(Path)),
 }
 
 
-def _read(raw: dict, keys: dict, path, within: str = "") -> dict:
+def _read(raw: dict, keys: dict, path, within: str = "", required=()) -> dict:
     """The field values that the mapping `raw`, the part `within` of the
-    file at `path`, sets through `keys`. A key left empty sets nothing."""
+    file at `path`, sets through `keys`. A key left empty sets nothing; a
+    `required` key left out or empty is a ConfigError naming it."""
     _known(raw, keys, path, within)
+    for key in required:
+        if raw.get(key) is None:
+            raise ConfigError(f"{path}: missing key {within}{key}")
     values = {}
     for key, value in raw.items():
         if value is not None and isinstance(keys[key], dict):
@@ -191,10 +196,11 @@ def _absolute(value, base: Path):
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConfig:
-    """Read a config YAML; each path is made absolute against the config
+    """Read a config YAML; each path in the file is made absolute against the
     file's directory. `overrides` (config key -> value, None for none)
-    replace the file's keys, but `seed`, which replaces `sampling.seed` and
-    needs `sampling`. A file that does not parse (bad YAML, not UTF-8, a bad
+    replace the file's keys, each path in them made absolute against the
+    working directory, but `seed`, which replaces `sampling.seed` and needs
+    `sampling`. A file that does not parse (bad YAML, not UTF-8, a bad
     value) is a ConfigError naming it."""
     path = Path(path)
     try:
@@ -206,7 +212,8 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
     overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
     seed = overrides.pop("seed", None)
     try:
-        config = PipelineConfig(**_read({**raw, **overrides}, _CONFIG_KEYS, path))
+        overrides = {k: _absolute(v, Path.cwd()) for k, v in _read(overrides, _CONFIG_KEYS, path).items()}
+        config = PipelineConfig(**{**_read(raw, _CONFIG_KEYS, path), **overrides})
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc!r}") from exc
     if "theme" in raw and not config.theme_description.strip():

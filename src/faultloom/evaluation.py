@@ -8,6 +8,7 @@ arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .corpus import GoldLabel, IssueKey, Record
 from .errors import EvaluationError
@@ -16,6 +17,9 @@ from .stage3 import FaultLabel
 from .taxonomy import Taxonomy, TaxonomyNode, ancestor_at_level
 
 INVALID_CLASS = "invalid"
+
+# The field of a GoldLabel and of a FaultLabel that each taxonomy kind scores.
+LABEL_FIELD = {"symptom": "symptom_leaf", "root_cause": "root_cause"}
 
 
 @dataclass
@@ -86,26 +90,19 @@ def score_stage2(
     )
 
 
-def _gold_node(
-    gold: dict[IssueKey, GoldLabel],
-    key: IssueKey,
-    taxonomy: Taxonomy,
-) -> TaxonomyNode:
-    label = gold.get(key)
-    attr = "symptom_leaf" if taxonomy.kind == "symptom" else "root_cause"
-    node_id = getattr(label, attr, None) if label else None
-    if node_id is None:
-        raise EvaluationError(f"no gold {taxonomy.kind} label for {key[0]}#{key[1]}")
-    return taxonomy.node_by_id(node_id)
-
-
-def _predicted_node(label: FaultLabel, taxonomy: Taxonomy) -> TaxonomyNode | None:
-    if not label.valid:
-        return None
-    node_id = label.symptom_leaf if taxonomy.kind == "symptom" else label.root_cause
-    if node_id is None:
-        return None
-    return taxonomy.node_by_id(node_id)
+def _node_pairs(
+    labels: list[FaultLabel], gold: dict[IssueKey, GoldLabel], taxonomy: Taxonomy
+) -> Iterator[tuple[TaxonomyNode, TaxonomyNode | None]]:
+    """Each label's gold node in `taxonomy` and its predicted node, None for
+    an invalid label or one that names no node of that kind."""
+    name = LABEL_FIELD[taxonomy.kind]
+    for label in labels:
+        gold_id = getattr(gold.get(label.key), name, None)
+        if gold_id is None:
+            raise EvaluationError(f"no gold {taxonomy.kind} label for {label.key[0]}#{label.key[1]}")
+        gold_node = taxonomy.node_by_id(gold_id)
+        predicted_id = getattr(label, name) if label.valid else None
+        yield gold_node, None if predicted_id is None else taxonomy.node_by_id(predicted_id)
 
 
 @dataclass
@@ -119,10 +116,7 @@ class Stage3Scores(Record):
 
 
 def hierarchical_accuracy(
-    labels: list[FaultLabel],
-    gold: dict[IssueKey, GoldLabel],
-    taxonomy: Taxonomy,
-    level: int,
+    labels: list[FaultLabel], gold: dict[IssueKey, GoldLabel], taxonomy: Taxonomy, level: int
 ) -> float:
     """Fraction of predictions whose ancestor at `level` matches the gold
     label's ancestor at that level. Invalid predictions are wrong at every
@@ -131,23 +125,16 @@ def hierarchical_accuracy(
         raise EvaluationError("no labels to score")
     if not 1 <= level <= taxonomy.leaf_level:
         raise EvaluationError(f"level must be in 1..{taxonomy.leaf_level}")
-    correct = 0
-    for label in labels:
-        gold_node = _gold_node(gold, label.key, taxonomy)
-        predicted = _predicted_node(label, taxonomy)
-        if predicted is None:
-            continue
-        if ancestor_at_level(taxonomy, predicted, level) is ancestor_at_level(
-            taxonomy, gold_node, level
-        ):
-            correct += 1
+    correct = sum(
+        predicted is not None
+        and ancestor_at_level(taxonomy, predicted, level) is ancestor_at_level(taxonomy, gold_node, level)
+        for gold_node, predicted in _node_pairs(labels, gold, taxonomy)
+    )
     return correct / len(labels)
 
 
 def score_stage3(
-    labels: list[FaultLabel],
-    gold: dict[IssueKey, GoldLabel],
-    taxonomy: Taxonomy,
+    labels: list[FaultLabel], gold: dict[IssueKey, GoldLabel], taxonomy: Taxonomy
 ) -> Stage3Scores:
     """Exact-node accuracy at the taxonomy's leaf granularity, a full
     confusion matrix over leaf classes plus "invalid", and per-level
@@ -158,16 +145,10 @@ def score_stage3(
     confusion = ConfusionMatrix.empty(classes)
 
     correct = invalid = 0
-    for label in labels:
-        gold_node = _gold_node(gold, label.key, taxonomy)
-        predicted = _predicted_node(label, taxonomy)
-        if predicted is None:
-            invalid += 1
-            confusion.add(gold_node.name, INVALID_CLASS)
-            continue
-        confusion.add(gold_node.name, predicted.name)
-        if predicted is gold_node:
-            correct += 1
+    for gold_node, predicted in _node_pairs(labels, gold, taxonomy):
+        confusion.add(gold_node.name, INVALID_CLASS if predicted is None else predicted.name)
+        invalid += predicted is None
+        correct += predicted is gold_node
 
     total = len(labels)
     accuracy = correct / total
@@ -179,16 +160,10 @@ def score_stage3(
             f"diagonal {confusion.diagonal()} vs {correct})"
         )
 
-    per_level = {
-        level: hierarchical_accuracy(labels, gold, taxonomy, level)
-        for level in range(1, taxonomy.leaf_level + 1)
-    }
+    levels = range(1, taxonomy.leaf_level + 1)
+    per_level = {level: hierarchical_accuracy(labels, gold, taxonomy, level) for level in levels}
     return Stage3Scores(
-        accuracy=accuracy,
-        correct=correct,
-        total=total,
-        invalid=invalid,
-        per_level_accuracy=per_level,
+        accuracy=accuracy, correct=correct, total=total, invalid=invalid, per_level_accuracy=per_level,
         confusion=confusion,
     )
 

@@ -61,7 +61,7 @@ from .corpus import (  # export_dump: no stage calls it, but perfbench/tracing.p
     write_jsonl,
 )
 from .errors import ConfigError, CorpusError, FaultloomError, StageError
-from .evaluation import EvalReport, RunMeta, score_stage2, score_stage3
+from .evaluation import LABEL_FIELD, EvalReport, RunMeta, score_stage2, score_stage3
 from .gateway import Gateway, Provider, RateLimiter, Transcript
 from .ingest import IssueFetcher, PageCache
 from .taxonomy import load_taxonomy
@@ -503,14 +503,16 @@ class Runner:
         if stage2_scores is None:
             notes.append("stage2: no gold-covered decisions to score")
 
-        symptom_labels = [l for l in labels if (g := gold.get(l.key)) and g.symptom_leaf is not None]
-        rootcause_labels = [l for l in labels if (g := gold.get(l.key)) and g.root_cause is not None]
-        meta.unscored += (len(labels) - len(symptom_labels)) + (len(labels) - len(rootcause_labels))
         meta.invalid_labels = sum(1 for l in labels if not l.valid)
         if not labels:
             notes.append("stage3: zero issues reached classification")
-        stage3_symptom = score_stage3(symptom_labels, gold, symptoms) if symptom_labels else None
-        stage3_rootcause = score_stage3(rootcause_labels, gold, root_causes) if rootcause_labels else None
+        stage3_scores = []
+        for taxonomy in (symptoms, root_causes):
+            field_name = LABEL_FIELD[taxonomy.kind]
+            scorable_labels = [l for l in labels if getattr(gold.get(l.key), field_name, None) is not None]
+            meta.unscored += len(labels) - len(scorable_labels)
+            stage3_scores.append(score_stage3(scorable_labels, gold, taxonomy) if scorable_labels else None)
+        stage3_symptom, stage3_rootcause = stage3_scores
 
         # Each stage's manifest entry holds what that stage itself used.
         for name in RUN_ORDER[:-1]:

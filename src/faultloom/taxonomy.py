@@ -41,7 +41,8 @@ class Taxonomy:
     roots: tuple[TaxonomyNode, ...]
     leaf_level: int
     _by_id: dict[str, TaxonomyNode] = field(default_factory=dict, repr=False)
-    _parent: dict[str, TaxonomyNode | None] = field(default_factory=dict, repr=False)
+    # Each node id's path of nodes from its root down to the node, inclusive.
+    _path: dict[str, tuple[TaxonomyNode, ...]] = field(default_factory=dict, repr=False)
     _by_name: dict[str, list[TaxonomyNode]] = field(default_factory=dict, repr=False)
 
     def walk(self) -> Iterator[TaxonomyNode]:
@@ -73,13 +74,7 @@ class Taxonomy:
         return [n for n in self.walk() if self.is_leaf_granularity(n)]
 
 
-def _build_node(
-    raw: Any,
-    level: int,
-    seen_ids: dict[str, str],
-    seen_objs: set[int],
-    context: str,
-) -> TaxonomyNode:
+def _build_node(raw: Any, level: int, seen_ids: set[str], seen_objs: set[int], context: str) -> TaxonomyNode:
     if not isinstance(raw, dict):
         raise TaxonomyError(f"node entry is not a mapping ({context})")
     if id(raw) in seen_objs:
@@ -95,7 +90,7 @@ def _build_node(
 
     if node_id in seen_ids:
         raise TaxonomyError(f"duplicate taxonomy node id: {node_id!r}")
-    seen_ids[node_id] = name
+    seen_ids.add(node_id)
     if not definition:
         raise TaxonomyError(f"node {node_id!r} has an empty definition")
     if level > MAX_LEVEL:
@@ -106,20 +101,26 @@ def _build_node(
     raw_children = raw.get("children") or []
     if not isinstance(raw_children, list):
         raise TaxonomyError(f"children of node {node_id!r} is not a list")
-    children = []
-    child_names: set[str] = set()
-    for child_raw in raw_children:
-        child = _build_node(child_raw, level + 1, seen_ids, seen_objs, f"child of {node_id}")
-        norm = normalize_label(child.name)
-        if norm in child_names:
-            raise TaxonomyError(f"duplicate sibling name {child.name!r} under {node_id!r}")
-        child_names.add(norm)
-        children.append(child)
-
-    return TaxonomyNode(
-        id=node_id, name=name, definition=definition, level=level,
-        children=tuple(children),
+    children = _build_siblings(
+        raw_children, level + 1, seen_ids, seen_objs, f"child of {node_id}", f"under {node_id!r}"
     )
+    return TaxonomyNode(id=node_id, name=name, definition=definition, level=level, children=children)
+
+
+def _build_siblings(
+    raws: list, level: int, seen_ids: set[str], seen_objs: set[int], context: str, where: str
+) -> tuple[TaxonomyNode, ...]:
+    """The nodes of the sibling entries `raws`, at `level`: two siblings whose
+    names normalize alike are a TaxonomyError that names the second and
+    `where` they are ("among roots", "under '<parent id>'")."""
+    nodes, names = [], set()
+    for raw in raws:
+        node = _build_node(raw, level, seen_ids, seen_objs, context)
+        if normalize_label(node.name) in names:
+            raise TaxonomyError(f"duplicate sibling name {node.name!r} {where}")
+        names.add(normalize_label(node.name))
+        nodes.append(node)
+    return tuple(nodes)
 
 
 def load_taxonomy(document: str | Path | dict) -> Taxonomy:
@@ -128,10 +129,7 @@ def load_taxonomy(document: str | Path | dict) -> Taxonomy:
     Raises a TaxonomyError whose message names the offending node for
     duplicate ids, missing definitions, level violations, and cycles.
     """
-    if isinstance(document, (str, Path)):
-        raw = load_yaml(document)
-    else:
-        raw = document
+    raw = load_yaml(document) if isinstance(document, (str, Path)) else document
     if not isinstance(raw, dict):
         raise TaxonomyError("taxonomy document must be a mapping")
 
@@ -143,26 +141,14 @@ def load_taxonomy(document: str | Path | dict) -> Taxonomy:
     if not isinstance(raw_roots, list) or not raw_roots:
         raise TaxonomyError("taxonomy document has no 'nodes' list")
 
-    seen_ids: dict[str, str] = {}
-    seen_objs: set[int] = set()
-    roots = []
-    root_names: set[str] = set()
-    for raw_root in raw_roots:
-        root = _build_node(raw_root, 1, seen_ids, seen_objs, "root")
-        norm = normalize_label(root.name)
-        if norm in root_names:
-            raise TaxonomyError(f"duplicate sibling name {root.name!r} among roots")
-        root_names.add(norm)
-        roots.append(root)
-
-    taxonomy = Taxonomy(kind=kind, roots=tuple(roots), leaf_level=leaf_level)
+    roots = _build_siblings(raw_roots, 1, set(), set(), "root", "among roots")
+    taxonomy = Taxonomy(kind=kind, roots=roots, leaf_level=leaf_level)
     for node in taxonomy.walk():
         taxonomy._by_id[node.id] = node
         taxonomy._by_name.setdefault(normalize_label(node.name), []).append(node)
-        for child in node.children:
-            taxonomy._parent[child.id] = node
-    for root in roots:
-        taxonomy._parent[root.id] = None
+        # The walk reaches a parent before its children; a root's path is itself.
+        path = taxonomy._path.setdefault(node.id, (node,))
+        taxonomy._path.update((child.id, path + (child,)) for child in node.children)
     return taxonomy
 
 
@@ -180,13 +166,7 @@ def ancestors(taxonomy: Taxonomy, node: TaxonomyNode) -> list[TaxonomyNode]:
     """Path from a root down to the node, inclusive."""
     if taxonomy._by_id.get(node.id) is not node:
         raise TaxonomyError(f"node {node.id!r} does not belong to this taxonomy")
-    path = [node]
-    parent = taxonomy._parent[node.id]
-    while parent is not None:
-        path.append(parent)
-        parent = taxonomy._parent[parent.id]
-    path.reverse()
-    return path
+    return list(taxonomy._path[node.id])
 
 
 def ancestor_at_level(taxonomy: Taxonomy, node: TaxonomyNode, level: int) -> TaxonomyNode:

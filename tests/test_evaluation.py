@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from faultloom.corpus import GoldLabel
-from faultloom.errors import EvaluationError
+from faultloom.errors import EvaluationError, TaxonomyError
 from faultloom.evaluation import (
     ConfusionMatrix,
     hierarchical_accuracy,
@@ -13,6 +13,7 @@ from faultloom.evaluation import (
 )
 from faultloom.stage2 import FilterDecision
 from faultloom.stage3 import FaultLabel
+from faultloom.taxonomy import load_taxonomy
 
 from helpers import row_sums
 
@@ -167,6 +168,35 @@ def test_score_stage3_unresolvable_gold_id(symptoms):
     gold = {(REPO, 1): _gold(1, symptom="no-such-node")}
     with pytest.raises(Exception):
         score_stage3(labels, gold, symptoms)
+
+
+def test_score_stage3_empty_ids_are_looked_up_and_none_is_invalid(symptoms):
+    gold = {(REPO, 1): _gold(1, symptom=LEAF_MEM)}
+    with pytest.raises(TaxonomyError, match="node '' does not belong"):
+        score_stage3([_label(1, symptom="")], gold, symptoms)
+    with pytest.raises(TaxonomyError, match="node '' does not belong"):
+        score_stage3([_label(1, symptom=LEAF_MEM)], {(REPO, 1): _gold(1, symptom="")}, symptoms)
+    with pytest.raises(EvaluationError, match="no gold symptom label for acme/dlpipe#1"):
+        score_stage3([_label(1, symptom=LEAF_MEM)], {(REPO, 1): _gold(1)}, symptoms)
+    scores = score_stage3([_label(1, root_cause="unknown")], gold, symptoms)
+    assert (scores.invalid, scores.correct) == (1, 0)
+
+
+def _node(node_id, name, *children):
+    return {"id": node_id, "name": name, "definition": f"{name}.", "children": list(children)}
+
+
+def test_score_stage3_leaves_sharing_a_name_across_branches_fail_the_tally_check():
+    """The confusion grid keys classes by name, so a miss between two leaves
+    named alike lands on its diagonal; only the tally check catches it."""
+    taxonomy = load_taxonomy({"kind": "symptom", "nodes": [
+        _node("a", "A", _node("a.x", "X", _node("a.x.s", "Shared Name"))),
+        _node("b", "B", _node("b.y", "Y", _node("b.y.s", "Shared Name"))),
+    ]})
+    labels = [_label(1, symptom="b.y.s")]
+    gold = {(REPO, 1): _gold(1, symptom="a.x.s")}
+    with pytest.raises(EvaluationError, match="confusion matrix disagrees with per-item tally .*diagonal 1 vs 0"):
+        score_stage3(labels, gold, taxonomy)
 
 
 # --- hierarchical accuracy -----------------------------------------------------

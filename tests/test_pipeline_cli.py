@@ -240,6 +240,9 @@ def test_cli_malformed_config_or_criteria_file_is_an_error_naming_it(tmp_path, n
         ("config.yaml", "sampling: {n_pos: 4, n_neg: 4, sed: 7}", "unknown key sampling.sed"),
         ("config.yaml", "theme: {description: faults, constraint: []}", "unknown key theme.constraint"),
         ("config.yaml", "sampling: [4, 4]", "sampling must be a mapping, not list"),
+        ("config.yaml", "sampling: {n_neg: 4}", "missing key sampling.n_pos"),
+        ("config.yaml", "sampling: {n_pos: null, n_neg: 4}", "missing key sampling.n_pos"),
+        ("config.yaml", "sampling: {n_pos: 4, seed: 7}", "missing key sampling.n_neg"),
     ],
 )
 def test_a_boolean_fraction_or_negative_setting_is_an_error_naming_the_file_and_key(tmp_path, name, line, message):
@@ -534,13 +537,14 @@ def test_edited_criteria_or_vocabulary_reruns_the_stages_that_read_it(
         ("corpus.jsonl", {}, "\n", ["corpus"]),
         ("gold.csv", {}, "\n", ["sample"]),
         ("gold.csv", {"stage3_input": "gold"}, "\n", ["sample", "classify"]),
-        ("symptom_taxonomy.yaml", {"symptom_taxonomy": "symptom_taxonomy.yaml"}, "# reviewed\n", ["classify"]),
+        ("symptom_taxonomy.yaml", {"symptom_taxonomy": "golden/symptom_taxonomy.yaml"}, "# reviewed\n", ["classify"]),
     ],
     ids=["dump", "gold", "gold-in-gold-mode", "symptom-taxonomy"],
 )
 def test_edited_dump_gold_or_taxonomy_reruns_the_stages_that_read_it(
-    tmp_path, caplog, symptoms, root_causes, edited, overrides, line, reran
+    tmp_path, caplog, monkeypatch, symptoms, root_causes, edited, overrides, line, reran
 ):
+    monkeypatch.chdir(tmp_path)  # a path override names a file under the working directory
     provider = _PromptRecorder(OracleProvider(load_gold(GOLDEN / "gold.csv"), symptoms, root_causes))
     assert _rerun_after_edit(tmp_path, caplog, provider, edited, line, overrides) == reran
 
@@ -601,6 +605,31 @@ def test_load_config_makes_each_path_absolute_as_named(tmp_path, monkeypatch):
     assert config.criteria_file == tmp_path / "golden" / "criteria.yaml"
     assert config.symptom_taxonomy_file.is_absolute()
     assert load_config("link/../link/config.yaml").out_dir == tmp_path / "link" / "run"
+
+
+def test_a_path_override_resolves_against_the_working_directory(tmp_path, monkeypatch):
+    """A path in the file names a file beside it; a path given as an
+    override (a flag typed at a shell) names one under the working directory."""
+    monkeypatch.chdir(tmp_path)
+    assert load_config(GOLDEN / "config.yaml", {"out": "rel"}).out_dir == tmp_path / "rel"
+    config = load_config(GOLDEN / "config.yaml", {"mode": "record", "transcript": "t.jsonl"})
+    assert config.transcript_path == tmp_path / "t.jsonl"
+    assert config.out_dir == GOLDEN / "run" and config.dumps == [GOLDEN / "corpus.jsonl"]
+    result = CliRunner().invoke(main, ["import", "--config", str(GOLDEN / "config.yaml"), "--out", "relout"])
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "relout" / "corpus.jsonl").stat().st_size > 0
+    assert not (GOLDEN / "relout").exists()
+
+
+def test_a_fault_issue_without_a_gold_symptom_is_unscored_for_symptoms_only(tmp_path):
+    golden = shutil.copytree(GOLDEN, tmp_path / "golden")
+    gold = (golden / "gold.csv").read_text()
+    row = "acme/dlpipe,1,true,crash.reference-error.dl-operator-exception,"
+    assert row in gold  # issue 1 is sampled, filtered in and classified
+    (golden / "gold.csv").write_text(gold.replace(row, "acme/dlpipe,1,true,,"))
+    report = Runner(load_config(golden / "config.yaml", {"out": str(tmp_path / "run")})).run_pipeline()
+    assert report["run_meta"]["unscored"] == 1
+    assert report["stage3_symptom"]["total"] == report["stage3_rootcause"]["total"] - 1
 
 
 def test_a_noop_rerun_through_absolute_paths_hashes_no_file(tmp_path, monkeypatch):
