@@ -76,10 +76,15 @@ class PipelineConfig:
         if self.mode == "replay" and not Path(self.transcript_path).exists():
             raise ConfigError(f"transcript not found: {self.transcript_path}")
         if self.mode == "live":
-            provider, _ = split_model_id(self.model_id)
-            env_var = API_KEY_ENV_PREFIX + provider.upper()
-            if not os.environ.get(env_var):
-                raise ConfigError(f"mode=live requires {env_var} to be set")
+            self.require_api_key()
+
+    def require_api_key(self) -> None:
+        """A ConfigError naming the variable when `model_id`'s provider key is
+        unset: checked at load in live mode, at provider resolution in record."""
+        provider, _ = split_model_id(self.model_id)
+        env_var = API_KEY_ENV_PREFIX + provider.upper()
+        if not os.environ.get(env_var):
+            raise ConfigError(f"mode={self.mode} requires {env_var} to be set")
 
 
 def _list(value, key: str, path) -> list:

@@ -35,10 +35,9 @@ class ConfusionMatrix(Record):
         n = len(classes)
         return cls(classes=list(classes), counts=[[0] * n for _ in range(n)])
 
-    def add(self, gold_class: str, predicted_class: str) -> None:
-        i = self.classes.index(gold_class)
-        j = self.classes.index(predicted_class)
-        self.counts[i][j] += 1
+    def add(self, gold_index: int, predicted_index: int) -> None:
+        """Count one item by the positions of its two classes in `classes`."""
+        self.counts[gold_index][predicted_index] += 1
 
     @property
     def total(self) -> int:
@@ -75,10 +74,7 @@ def score_stage2(
         label = gold.get(decision.key)
         if label is None or label.fault_related is None:
             raise EvaluationError(f"no gold fault_related value for {decision.repo}#{decision.number}")
-        confusion.add(
-            "fault" if label.fault_related else "non-fault",
-            "fault" if decision.final else "non-fault",
-        )
+        confusion.add(0 if label.fault_related else 1, 0 if decision.final else 1)
     (tp, fn), (fp, tn) = confusion.counts
     total = tp + fp + fn + tn
     return Stage2Scores(
@@ -138,15 +134,24 @@ def score_stage3(
 ) -> Stage3Scores:
     """Exact-node accuracy at the taxonomy's leaf granularity, a full
     confusion matrix over leaf classes plus "invalid", and per-level
-    hierarchical accuracies."""
+    hierarchical accuracies. Each label is counted at its gold and predicted
+    node's position among the leaves, so two leaves named alike are two
+    classes; a node that is no classification target is an EvaluationError."""
     if not labels:
         raise EvaluationError("no labels to score")
-    classes = [n.name for n in taxonomy.leaves()] + [INVALID_CLASS]
-    confusion = ConfusionMatrix.empty(classes)
+    leaves = taxonomy.leaves()
+    position = {node.id: i for i, node in enumerate(leaves)}
+    confusion = ConfusionMatrix.empty([n.name for n in leaves] + [INVALID_CLASS])
+
+    def place(label: FaultLabel, node: TaxonomyNode | None, whose: str) -> int:
+        if node is not None and node.id not in position:
+            raise EvaluationError(f"{label.key[0]}#{label.key[1]}: {whose} {taxonomy.kind} node {node.id!r} "
+                                  "is not a classification target")
+        return len(leaves) if node is None else position[node.id]
 
     correct = invalid = 0
-    for gold_node, predicted in _node_pairs(labels, gold, taxonomy):
-        confusion.add(gold_node.name, INVALID_CLASS if predicted is None else predicted.name)
+    for label, (gold_node, predicted) in zip(labels, _node_pairs(labels, gold, taxonomy)):
+        confusion.add(place(label, gold_node, "gold"), place(label, predicted, "predicted"))
         invalid += predicted is None
         correct += predicted is gold_node
 
@@ -154,11 +159,8 @@ def score_stage3(
     accuracy = correct / total
     # The confusion grid must tell the same story as the per-item counter.
     if confusion.total != total or confusion.diagonal() != correct:
-        raise EvaluationError(
-            "confusion matrix disagrees with per-item tally "
-            f"(grid total {confusion.total} vs {total}, "
-            f"diagonal {confusion.diagonal()} vs {correct})"
-        )
+        raise EvaluationError("confusion matrix disagrees with per-item tally (grid total "
+                              f"{confusion.total} vs {total}, diagonal {confusion.diagonal()} vs {correct})")
 
     levels = range(1, taxonomy.leaf_level + 1)
     per_level = {level: hierarchical_accuracy(labels, gold, taxonomy, level) for level in levels}

@@ -287,6 +287,8 @@ class Gateway:
             raise ValueError(f"unknown gateway mode: {mode!r}")
         if mode != "live" and transcript is None:
             raise ValueError(f"{mode} mode requires a transcript")
+        if mode != "replay" and provider is None:
+            raise ValueError(f"{mode} mode requires a provider")
         self.mode = mode
         self.transcript = transcript
         self._provider = provider
@@ -312,13 +314,9 @@ class Gateway:
             self._account(request.model_id, response)
             return response
 
-        provider = self._provider
-        if provider is None:
-            provider = provider_for_model(request.model_id)
-
         def send(attempt: int) -> ChatResponse:
             with self.limiter:
-                response = provider.send(request)
+                response = self._provider.send(request)
             response.provider_meta.setdefault("attempts", attempt)
             return response
 

@@ -19,6 +19,7 @@ unchanged and the file's ctime is older than the manifest's mtime (git's
 "racy git" rule); any other file is hashed. A stale fingerprint is refreshed
 when a stage next writes the manifest.
 
+A stage body reads its declared inputs through the `read` it is called with.
 A command (a `Runner.locked()` block) hashes and parses each file its stages
 read at most once. Its "files" entries hold the sha256 of each file it hashed,
 and each file a stage wrote with the sha256 it was written with, so no
@@ -35,6 +36,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import fcntl
+import functools
 import hashlib
 import io
 import json
@@ -62,7 +64,7 @@ from .corpus import (  # export_dump: no stage calls it, but perfbench/tracing.p
 )
 from .errors import ConfigError, CorpusError, FaultloomError, StageError
 from .evaluation import LABEL_FIELD, EvalReport, RunMeta, score_stage2, score_stage3
-from .gateway import Gateway, Provider, RateLimiter, Transcript
+from .gateway import Gateway, Provider, RateLimiter, Transcript, provider_for_model
 from .ingest import IssueFetcher, PageCache
 from .taxonomy import load_taxonomy
 
@@ -163,7 +165,7 @@ REPORT_FILES = ("report.json", "summary.md",
                 *(f"tables/{t}_confusion.csv" for t in ("stage2", "stage3_symptom", "stage3_rootcause")))
 
 
-# The parser of each input a stage reads through `_read`, by name. Each
+# The parser of each input a stage body reads through `read`, by name. Each
 # looks its loader up as a global at call time, so that a loader patched on
 # this module is the one called. The corpus reads as its keys, in file order.
 _PARSERS = {
@@ -183,7 +185,7 @@ _PARSERS = {
 @dataclass
 class Runner:
     config: PipelineConfig
-    provider: Provider | None = None  # injected fake for tests; live resolves by model id
+    provider: Provider | None = None  # injected fake for tests; else resolved by model id
     gateway: Gateway | None = field(default=None, init=False)
     manifest: Manifest = field(init=False)
 
@@ -196,8 +198,6 @@ class Runner:
         self._table: dict[str, object] | None = None
         # The "files" entries of the running command: path -> entry.
         self._taken: dict[str, dict] = {}
-        # The inputs of the running stage: name -> path.
-        self._inputs: dict[str, Path | None] | None = None
         self._snapshotted = False
 
     # --- shared plumbing ---------------------------------------------------
@@ -229,37 +229,16 @@ class Runner:
         except FileNotFoundError:
             return False
 
-    @contextlib.contextmanager
-    def _declared(self, inputs: dict, needed_by: str):
-        """Hash each file of `inputs` (name -> path, None when not
-        configured), and let `_read` parse them while the block runs. Yields the sha256 of each by name. Outside a
-        command, the block is a command of its own."""
-        with self.locked() if self._table is None else contextlib.nullcontext():
-            digests = {}
-            for name, path in inputs.items():
-                try:
-                    digests[name] = None if path is None else self._sha256(path)
-                except FileNotFoundError:
-                    if name in ARTIFACTS:
-                        raise StageError(
-                            f"missing upstream artifact {path} (needed by {needed_by}); run the producing stage first"
-                        ) from None
-                    raise ConfigError(f"referenced file does not exist: {path}") from None
-            self._inputs = inputs
-            try:
-                yield digests
-            finally:
-                self._inputs = None
-
-    def _read(self, name: str):
-        """The declared input `name` of the running stage, parsed at most once
-        per command. An unconfigured criteria file reads as no settings; a
-        file that does not parse (bad YAML, not UTF-8, a bad value) is a
+    def _read(self, inputs: dict, name: str):
+        """The input `name` of `inputs`, a stage's declared inputs (name ->
+        path), parsed at most once per command; a name not among them is a
+        KeyError. An unconfigured criteria file reads as no settings; a file
+        that does not parse (bad YAML, not UTF-8, a bad value) is a
         ConfigError naming it."""
-        if self._inputs is None or name not in self._inputs:
+        if name not in inputs:
             raise KeyError(f"{name!r} is not an input the running stage declared")
         if name not in self._table:
-            path = self._inputs[name]
+            path = inputs[name]
             if path is None and name != "criteria":
                 raise ConfigError(f"no {name} file configured")
             try:
@@ -269,14 +248,17 @@ class Runner:
         return self._table[name]
 
     def _get_gateway(self) -> Gateway:
+        """The Runner's Gateway, made on first use. Outside replay its
+        provider is the injected one, or else the one `config.model_id`
+        names, whose key must then be set: a ConfigError before any call."""
         if self.gateway is None:
-            path = self.config.transcript_path
-            self.gateway = Gateway(
-                mode=self.config.mode,
-                transcript=Transcript(path) if path is not None else None,
-                provider=self.provider,
-                limiter=RateLimiter(max_concurrent=self.config.parallelism),
-            )
+            config, provider = self.config, self.provider
+            if provider is None and config.mode != "replay":
+                provider = provider_for_model(config.model_id)
+                config.require_api_key()
+            path = config.transcript_path
+            self.gateway = Gateway(config.mode, Transcript(path) if path is not None else None, provider,
+                                   RateLimiter(max_concurrent=config.parallelism))
         return self.gateway
 
     def _issue_parallelism(self) -> int:
@@ -321,20 +303,31 @@ class Runner:
         """Run one stage and return its artifact path.
 
         `inputs` names every file the body reads (name -> path, None when not
-        configured); the body reads them only through `_read`, but for the
-        corpus stage, which streams its dumps a record at a time. The stage's
-        input hash covers `key` and the sha256 of each input. When the
-        manifest records that hash and each file the stage wrote still has
-        the sha256 its recorded output maps it to, the stage is skipped.
-        Otherwise `body()` writes its files and returns their output, the
-        sha256 of each by its path in the run directory; what a later stage
-        reads of its artifact (None to parse the file); and any extra
-        manifest meta. Each file's fingerprint goes into the command's
-        "files" entries and the object into its table, and the manifest
-        records the hash, the output, the time from the call on and the model
-        calls of the stage. The transcript is closed when the body ends."""
+        configured); the stage's input hash covers `key` and the sha256 of
+        each, and a missing one is an error naming it. When the manifest
+        records that hash and each file the stage wrote still has the sha256
+        its recorded output maps it to, the stage is skipped. Otherwise
+        `body(read)` runs, where `read(name)` is `_read` bound to `inputs`:
+        the body reads its inputs only through it, but for the corpus stage,
+        which streams its dumps a record at a time. It writes its files and
+        returns their output, the sha256 of each by its path in the run
+        directory; what a later stage reads of its artifact (None to parse
+        the file); and any extra manifest meta. Each file's fingerprint goes
+        into the command's "files" entries and the object into its table,
+        and the manifest records the hash, the output, the time from the call
+        on and the model calls of the stage. The transcript is closed when
+        the body ends. Outside a command, the stage is a command of its own."""
         started, path = time.monotonic(), self.artifact(name)
-        with self._declared(inputs, name) as digests:
+        with self.locked() if self._table is None else contextlib.nullcontext():
+            digests = {}
+            for input_name, input_path in inputs.items():
+                try:
+                    digests[input_name] = None if input_path is None else self._sha256(input_path)
+                except FileNotFoundError:
+                    if input_name in ARTIFACTS:
+                        raise StageError(f"missing upstream artifact {input_path} (needed by {name}); "
+                                         "run the producing stage first") from None
+                    raise ConfigError(f"referenced file does not exist: {input_path}") from None
             input_hash = sha256_json({"key": key, "inputs": digests})
             recorded = self.manifest.stage(name)
             if recorded.get("input_hash") == input_hash and self._written(recorded.get("output")):
@@ -345,7 +338,7 @@ class Runner:
             if self.gateway is not None:
                 self.gateway.usage.clear()
             try:
-                output, parsed, extra = body()
+                output, parsed, extra = body(functools.partial(self._read, inputs))
             finally:
                 self.close()
             for rel, digest in output.items():
@@ -366,7 +359,7 @@ class Runner:
     #
     # Each stage names its key, its input files and its body; `_stage`
     # decides whether to skip before the body parses anything. Inputs come
-    # from `_read`, so within one command each is parsed at most once, and an
+    # from the body's `read`, so within one command each is parsed at most once, and an
     # artifact not at all when the stage that wrote it ran in the command.
     # The corpus stage reads its dumps itself, each once, as it writes them.
     # The docstrings are the CLI's help texts.
@@ -376,7 +369,7 @@ class Runner:
         config = self.config
         dumps = {f"dump{i}": path for i, path in enumerate(config.dumps)}
 
-        def body():
+        def body(_):
             # Each record is written as it is read, and only its key is kept.
             keys = []
 
@@ -410,11 +403,11 @@ class Runner:
         sampling = self.config.sampling
         inputs = self._files("corpus", *(["gold"] if sampling else []))
 
-        def body():
-            keys = self._read("corpus")
+        def body(read):
+            keys = read("corpus")
             keep = range(len(keys))
             if sampling is not None:
-                chosen = sample_balanced(keys, self._read("gold"), sampling.n_pos, sampling.n_neg, sampling.seed)
+                chosen = sample_balanced(keys, read("gold"), sampling.n_pos, sampling.n_neg, sampling.seed)
                 keep = [i for i, key in enumerate(keys) if key in chosen]
             # The filter stage builds the sample's records from the file.
             return {ARTIFACTS["sample"]: copy_lines(inputs["corpus"], self.artifact("sample"), set(keep))}, None, {}
@@ -430,11 +423,11 @@ class Runner:
             constraints=self.config.theme_constraints,
         )
 
-        def body():
+        def body(read):
             plan = stage1.propose_study(theme, self._get_gateway(), self.config.model_id)
             payload = {"plan": plan.to_dict()}
             if self.config.reference_projects_file is not None:
-                payload["score"] = stage1.score_plan(plan, self._read("reference_projects")).to_dict()
+                payload["score"] = stage1.score_plan(plan, read("reference_projects")).to_dict()
             return {ARTIFACTS["define"]: write_atomic(self.artifact("define"), [_json(payload)])}, None, {}
 
         key = {"theme": theme.description, "constraints": theme.constraints, "model": self.config.model_id}
@@ -444,10 +437,10 @@ class Runner:
         """Run fault-related issue filtering over the sample."""
         inputs = self._files("sample", "criteria", "vocabulary")
 
-        def body():
-            criteria = stage2.FilterCriteria(**self._read("criteria"), vocabulary=self._read("vocabulary"))
+        def body(read):
+            criteria = stage2.FilterCriteria(**read("criteria"), vocabulary=read("vocabulary"))
             decisions = stage2.run_stage2(
-                self._read("sample"), criteria, self._get_gateway(), self.config.model_id,
+                read("sample"), criteria, self._get_gateway(), self.config.model_id,
                 parallelism=self._issue_parallelism(),
             )
             digest = write_jsonl(self.artifact("filter"), (d.to_dict() for d in decisions))
@@ -463,19 +456,16 @@ class Runner:
         picks = "gold" if config.stage3_input == "gold" else "filter"
         inputs = self._files("sample", "criteria", "symptom_taxonomy", "root_cause_taxonomy", picks)
 
-        def body():
-            sample = self._read("sample")
+        def body(read):
+            sample = read("sample")
             if picks == "gold":
-                keep = {
-                    k for k, g in self._read("gold").items()
-                    if g.symptom_leaf is not None or g.root_cause is not None
-                }
+                keep = {k for k, g in read("gold").items() if g.symptom_leaf is not None or g.root_cause is not None}
             else:
-                keep = {d.key for d in self._read("filter") if d.final}
+                keep = {d.key for d in read("filter") if d.final}
             issues = [r for r in sample if r.key in keep]
-            criteria = self._read("criteria")
+            criteria = read("criteria")
             labels = stage3.run_stage3(
-                issues, self._read("symptom_taxonomy"), self._read("root_cause_taxonomy"),
+                issues, read("symptom_taxonomy"), read("root_cause_taxonomy"),
                 self._get_gateway(), config.model_id, parallelism=self._issue_parallelism(),
                 comment_budget=criteria["comment_budget"], char_budget=criteria["char_budget"],
             )
@@ -488,12 +478,13 @@ class Runner:
 
     # --- evaluation and report ---------------------------------------------
 
-    def build_report(self) -> EvalReport:
+    def build_report(self, read) -> EvalReport:
         """Score the decisions and labels against gold, in the evaluate
-        stage's body. The run's wall time sums the stages before it as the
-        manifest records them; the evaluate stage adds its own."""
-        gold, decisions, labels = self._read("gold"), self._read("filter"), self._read("classify")
-        symptoms, root_causes = self._read("symptom_taxonomy"), self._read("root_cause_taxonomy")
+        stage's body, whose `read` it takes. The run's wall time sums the
+        stages before it as the manifest records them; the evaluate stage
+        adds its own."""
+        gold, decisions, labels = read("gold"), read("filter"), read("classify")
+        symptoms, root_causes = read("symptom_taxonomy"), read("root_cause_taxonomy")
         notes: list[str] = []
         meta = RunMeta()
 
@@ -524,17 +515,15 @@ class Runner:
                 for key in agg:
                     agg[key] += tally.get(key, 0)
         meta.wall_time_seconds = round(meta.wall_time_seconds, 3)
-        return EvalReport(
-            stage2=stage2_scores, stage3_symptom=stage3_symptom, stage3_rootcause=stage3_rootcause, run_meta=meta,
-            notes=notes,
-        )
+        return EvalReport(stage2=stage2_scores, stage3_symptom=stage3_symptom, stage3_rootcause=stage3_rootcause,
+                          run_meta=meta, notes=notes)
 
     def run_evaluate(self) -> Path:
         """Score stage outputs against gold labels and write the report."""
 
-        def body():
+        def body(read):
             started = time.monotonic()
-            report = self.build_report()
+            report = self.build_report(read)
             meta = report.run_meta  # its wall time counts this stage's time up to here
             meta.wall_time_seconds = round(meta.wall_time_seconds + time.monotonic() - started, 3)
             (self.out / "tables").mkdir(exist_ok=True)
@@ -558,8 +547,7 @@ class Runner:
                 for current in RUN_ORDER:
                     getattr(self, f"run_{current}")()
             except FaultloomError as exc:
-                last = _last_artifact(self.out)
-                raise StageError(f"stage {current!r} failed ({exc}); last artifact: {last}") from exc
+                raise StageError(f"stage {current!r} failed ({exc})") from exc
         return json.loads(self.artifact("evaluate").read_text(encoding="utf-8"))
 
 
@@ -610,9 +598,3 @@ def _summary(report: EvalReport) -> bytes:
     lines += [f"- note: {note}" for note in report.notes]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
-
-def _last_artifact(out: Path) -> str:
-    existing = [out / name for name in ARTIFACTS.values() if (out / name).exists()]
-    if not existing:
-        return "(none)"
-    return str(max(existing, key=lambda p: p.stat().st_mtime))

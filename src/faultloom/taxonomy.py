@@ -20,6 +20,11 @@ MAX_LEVEL = 3
 # leaves, root causes at subcategory level.
 DEFAULT_LEAF_LEVEL = {"symptom": 3, "root_cause": 2}
 
+# The keys a taxonomy document and each of its nodes may hold; a misspelled
+# key is an error, not a setting or a subtree left out.
+DOCUMENT_KEYS = ("kind", "source", "leaf_level", "nodes")
+NODE_KEYS = ("id", "name", "definition", "children")
+
 
 def normalize_label(label: str) -> str:
     """Case-fold and collapse whitespace so LLM-emitted names compare stably."""
@@ -87,6 +92,8 @@ def _build_node(raw: Any, level: int, seen_ids: set[str], seen_objs: set[int], c
     node_id = str(raw["id"])
     name = str(raw["name"])
     definition = str(raw["definition"]).strip()
+    if unknown := [key for key in raw if key not in NODE_KEYS]:
+        raise TaxonomyError(f"node {node_id!r} has unknown key {unknown[0]!r}")
 
     if node_id in seen_ids:
         raise TaxonomyError(f"duplicate taxonomy node id: {node_id!r}")
@@ -127,16 +134,22 @@ def load_taxonomy(document: str | Path | dict) -> Taxonomy:
     """Load and validate a taxonomy from a YAML file path or a parsed mapping.
 
     Raises a TaxonomyError whose message names the offending node for
-    duplicate ids, missing definitions, level violations, and cycles.
+    duplicate ids, missing definitions, level violations, and cycles, and
+    the key for a key it does not read or a `leaf_level` that is not an
+    integer in 1..MAX_LEVEL.
     """
     raw = load_yaml(document) if isinstance(document, (str, Path)) else document
     if not isinstance(raw, dict):
         raise TaxonomyError("taxonomy document must be a mapping")
+    if unknown := [key for key in raw if key not in DOCUMENT_KEYS]:
+        raise TaxonomyError(f"taxonomy document has unknown key {unknown[0]!r}")
 
     kind = raw.get("kind")
     if kind not in ("symptom", "root_cause"):
         raise TaxonomyError(f"unknown taxonomy kind: {kind!r}")
-    leaf_level = int(raw.get("leaf_level", DEFAULT_LEAF_LEVEL[kind]))
+    leaf_level = raw.get("leaf_level", DEFAULT_LEAF_LEVEL[kind])
+    if type(leaf_level) is not int or not 1 <= leaf_level <= MAX_LEVEL:
+        raise TaxonomyError(f"leaf_level must be an integer in 1..{MAX_LEVEL}, not {leaf_level!r}")
     raw_roots = raw.get("nodes")
     if not isinstance(raw_roots, list) or not raw_roots:
         raise TaxonomyError("taxonomy document has no 'nodes' list")

@@ -140,6 +140,18 @@ CASES = [
      TaxonomyError, "node 'a' does not belong to this taxonomy"),
     ("unknown node id", lambda tmp: load_taxonomy(SHARED).node_by_id("zz"),
      TaxonomyError, "node 'zz' does not belong to this taxonomy"),
+    ("unknown document key", lambda tmp: load_taxonomy({**_taxonomy(_node("a")), "leaf_levle": 1}),
+     TaxonomyError, "taxonomy document has unknown key 'leaf_levle'"),
+    ("unknown node key", lambda tmp: load_taxonomy(_taxonomy({**_node("a"), "childern": [_node("a.b")]})),
+     TaxonomyError, "node 'a' has unknown key 'childern'"),
+    ("leaf level 0", lambda tmp: load_taxonomy({**_taxonomy(_node("a")), "leaf_level": 0}),
+     TaxonomyError, "leaf_level must be an integer in 1..3, not 0"),
+    ("leaf level 7", lambda tmp: load_taxonomy({**_taxonomy(_node("a")), "leaf_level": 7}),
+     TaxonomyError, "leaf_level must be an integer in 1..3, not 7"),
+    ("leaf level true", lambda tmp: load_taxonomy({**_taxonomy(_node("a")), "leaf_level": True}),
+     TaxonomyError, "leaf_level must be an integer in 1..3, not True"),
+    ("leaf level text", lambda tmp: load_taxonomy({**_taxonomy(_node("a")), "leaf_level": "x"}),
+     TaxonomyError, "leaf_level must be an integer in 1..3, not 'x'"),
     # corpus
     ("dump line not JSON", lambda tmp: _dump(tmp, _issue_line(), "{not json"),
      CorpusError, "{tmp}/d.jsonl line 2: invalid JSON: Expecting property name enclosed in double quotes: "

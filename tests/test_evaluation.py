@@ -186,17 +186,26 @@ def _node(node_id, name, *children):
     return {"id": node_id, "name": name, "definition": f"{name}.", "children": list(children)}
 
 
-def test_score_stage3_leaves_sharing_a_name_across_branches_fail_the_tally_check():
-    """The confusion grid keys classes by name, so a miss between two leaves
-    named alike lands on its diagonal; only the tally check catches it."""
+def test_score_stage3_a_miss_between_leaves_sharing_a_name_lands_off_the_diagonal():
+    """The confusion grid places each label by node, not by name, so two
+    leaves named alike in different branches are two classes."""
     taxonomy = load_taxonomy({"kind": "symptom", "nodes": [
         _node("a", "A", _node("a.x", "X", _node("a.x.s", "Shared Name"))),
         _node("b", "B", _node("b.y", "Y", _node("b.y.s", "Shared Name"))),
     ]})
-    labels = [_label(1, symptom="b.y.s")]
-    gold = {(REPO, 1): _gold(1, symptom="a.x.s")}
-    with pytest.raises(EvaluationError, match="confusion matrix disagrees with per-item tally .*diagonal 1 vs 0"):
-        score_stage3(labels, gold, taxonomy)
+    scores = score_stage3([_label(1, symptom="b.y.s")], {(REPO, 1): _gold(1, symptom="a.x.s")}, taxonomy)
+    assert (scores.accuracy, scores.correct, scores.total) == (0.0, 0, 1)
+    assert scores.confusion.classes == ["Shared Name", "Shared Name", "invalid"]
+    assert scores.confusion.counts == [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
+
+
+def test_score_stage3_a_node_that_is_no_classification_target_names_the_issue_and_the_id(symptoms):
+    """A level-2 symptom node is no target, as gold or as prediction."""
+    with pytest.raises(EvaluationError) as exc:
+        score_stage3([_label(1, symptom=LEAF_MEM)], {(REPO, 1): _gold(1, symptom="crash.reference-error")}, symptoms)
+    assert str(exc.value) == "acme/dlpipe#1: gold symptom node 'crash.reference-error' is not a classification target"
+    with pytest.raises(EvaluationError, match="acme/dlpipe#1: predicted symptom node 'crash' is not a classification"):
+        score_stage3([_label(1, symptom="crash")], {(REPO, 1): _gold(1, symptom=LEAF_MEM)}, symptoms)
 
 
 # --- hierarchical accuracy -----------------------------------------------------
@@ -257,9 +266,9 @@ def test_root_cause_unknown_scoring(root_causes):
 
 def test_confusion_matrix_invariants():
     matrix = ConfusionMatrix.empty(["a", "b", "invalid"])
-    matrix.add("a", "a")
-    matrix.add("a", "b")
-    matrix.add("b", "invalid")
+    matrix.add(0, 0)  # by position: a, a
+    matrix.add(0, 1)  # a, b
+    matrix.add(1, 2)  # b, invalid
     assert matrix.total == 3
     assert row_sums(matrix) == {"a": 2, "b": 1, "invalid": 0}
     assert matrix.diagonal() == 1

@@ -168,6 +168,13 @@ def test_provider_without_its_key_is_a_gateway_error_naming_the_variable(monkeyp
     assert calls == []
 
 
+def test_a_gateway_that_may_call_a_provider_needs_one(tmp_path):
+    for mode in ("live", "record"):
+        with pytest.raises(ValueError, match=f"^{mode} mode requires a provider$"):
+            Gateway(mode=mode, transcript=Transcript(tmp_path / "t.jsonl"))
+    Gateway(mode="replay", transcript=Transcript(tmp_path / "t.jsonl"))
+
+
 def test_record_then_replay_round_trip(tmp_path):
     path = tmp_path / "t.jsonl"
     provider = ScriptedProvider(['{"x": 1}'])

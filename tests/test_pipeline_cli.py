@@ -123,6 +123,36 @@ def test_live_mode_requires_credentials(tmp_path, monkeypatch):
     assert "FAULTLOOM_API_KEY_OPENAI" in str(exc.value)
 
 
+def test_a_record_run_without_model_credentials_exits_1_before_the_first_model_call(tmp_path, monkeypatch):
+    """The Runner resolves the provider once, as the filter stage makes its
+    gateway: a missing key stops the run there, even where the transcript
+    could answer, and is not written into each decision as its error."""
+    monkeypatch.delenv("FAULTLOOM_API_KEY_OPENAI", raising=False)
+    golden = shutil.copytree(GOLDEN, tmp_path / "golden")
+    config = golden / "config.yaml"
+    text = config.read_text().replace("mode: replay", "mode: record")
+    config.write_text(text.replace("transcript: transcript.jsonl", "transcript: fresh.jsonl"))
+    out = tmp_path / "run"
+    result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(out)])
+    assert result.exit_code == 1
+    expected = "error: stage 'filter' failed (mode=record requires FAULTLOOM_API_KEY_OPENAI to be set)\n"
+    assert result.stderr.endswith(expected)
+    assert not (out / "decisions.jsonl").exists()
+    assert "filter" not in json.loads((out / "manifest.json").read_text())["stages"]
+
+
+def test_a_gold_symptom_that_is_no_classification_target_exits_1_naming_it(tmp_path):
+    golden = shutil.copytree(GOLDEN, tmp_path / "golden")
+    gold = golden / "gold.csv"
+    gold.write_text(gold.read_text().replace("1,true,crash.reference-error.dl-operator-exception,",
+                                             "1,true,crash.reference-error,", 1))
+    result = CliRunner().invoke(main, ["run", "--config", str(golden / "config.yaml"), "--out", str(tmp_path / "run")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert ("acme/dlpipe#1: gold symptom node 'crash.reference-error' is not a classification target"
+            in result.stderr)
+
+
 def test_define_writes_plan_with_expected_project(tmp_path):
     runner = Runner(_config(tmp_path))
     path = runner.run_define()
@@ -921,7 +951,7 @@ def test_reported_wall_time_counts_the_evaluate_stage(tmp_path, monkeypatch):
 def test_a_stage_body_cannot_read_an_input_it_did_not_declare(tmp_path):
     runner = Runner(_config(tmp_path))
     with pytest.raises(KeyError, match="gold"):
-        runner._stage("define", {}, runner._files("reference_projects"), lambda: runner._read("gold"))
+        runner._stage("define", {}, runner._files("reference_projects"), lambda read: read("gold"))
     assert not runner.artifact("define").exists()
     assert runner.manifest.stage("define") == {}
 
