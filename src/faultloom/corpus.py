@@ -13,7 +13,6 @@ import random
 import re
 import types
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -267,25 +266,6 @@ def render_issue(issue: IssueRecord, comment_budget: int, char_budget: int) -> s
     elif not issue.comments:
         lines.append("(no comments)")
     return "\n".join(lines)
-
-
-def map_issues(issues: Iterable[IssueRecord], one: Callable, parallelism: int, failed: Callable) -> list:
-    """`one(issue)` for each issue, in input order, on `parallelism` threads
-    (inline when 1). An exception from `one` becomes `failed(issue, exc)`
-    rather than aborting the batch."""
-    if parallelism < 1:
-        raise ValueError("parallelism must be >= 1")
-
-    def isolated(issue: IssueRecord):
-        try:
-            return one(issue)
-        except Exception as exc:
-            return failed(issue, exc)
-
-    if parallelism == 1:
-        return [isolated(issue) for issue in issues]
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(isolated, issues))
 
 
 @dataclass(frozen=True)

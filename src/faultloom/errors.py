@@ -2,10 +2,9 @@
 
 Each module raises its own base class, and each raise site formats its own
 message. A subclass is kept only if code catches it by type, or if its name
-can reach an artifact: the `failed` handlers in `stage2.run_stage2` and
-`stage3.run_stage3` write `"<ClassName>: <message>"` into `decisions.jsonl`
-and `labels.jsonl`, so each class that `Gateway.complete` can raise inside a
-per-issue call keeps its name.
+can reach a stage's error line: `Gateway.map` ends a stage's batch with
+`"<repo>#<n>: <ClassName>: <message>"`, so each class that `Gateway.complete`
+can raise inside a per-issue call keeps its name.
 """
 
 from __future__ import annotations
@@ -51,10 +50,6 @@ class IngestError(CorpusError):
 
 class GatewayError(FaultloomError):
     """A provider, transcript or request failure."""
-
-
-class UnknownModelError(GatewayError):
-    """A model id with no provider behind it."""
 
 
 class TransientProviderError(GatewayError):

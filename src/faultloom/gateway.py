@@ -1,5 +1,5 @@
-"""Provider-agnostic chat access with retries, a bound on calls in flight, token accounting,
-structured-output extraction, and deterministic record/replay.
+"""Provider-agnostic chat access with retries, a bound on the issues in flight, token
+accounting, structured-output extraction, and deterministic record/replay.
 
 Every LLM-dependent test in this repo runs against a recorded transcript;
 live providers are only exercised when credentials are configured.
@@ -13,11 +13,12 @@ import os
 import random
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Protocol, TypeVar
+from typing import Callable, Iterable, Protocol, TypeVar
 
-from .corpus import Record, sha256_json
+from .corpus import IssueRecord, Record, sha256_json
 from .errors import (
     GatewayError,
     ReplayMissError,
@@ -25,7 +26,6 @@ from .errors import (
     StructuredOutputError,
     TaxonomyError,
     TransientProviderError,
-    UnknownModelError,
 )
 
 logger = logging.getLogger(__name__)
@@ -187,7 +187,7 @@ class OpenAICompatProvider:
 
     def __init__(self, provider_name: str):
         if provider_name not in self.ENDPOINTS:
-            raise UnknownModelError(f"unknown model id: {provider_name!r}")
+            raise GatewayError(f"unknown model id: {provider_name!r}")
         self.provider_name = provider_name
         self.endpoint = self.ENDPOINTS[provider_name]
 
@@ -234,7 +234,7 @@ class OpenAICompatProvider:
 def split_model_id(model_id: str) -> tuple[str, str]:
     provider, _, model = model_id.partition("/")
     if not provider or not model:
-        raise UnknownModelError(f"unknown model id: {model_id!r}")
+        raise GatewayError(f"unknown model id: {model_id!r}")
     return provider, model
 
 
@@ -246,7 +246,7 @@ def provider_for_model(model_id: str) -> Provider:
 class RateLimiter:
     """Bounds the provider calls in flight to `max_concurrent`."""
 
-    def __init__(self, max_concurrent: int = 4):
+    def __init__(self, max_concurrent: int):
         self._semaphore = threading.Semaphore(max_concurrent)
 
     def __enter__(self):
@@ -273,6 +273,8 @@ class Gateway:
             transcript.
     replay: serve responses from the transcript only; a missing digest is a
             ReplayMissError and no provider call is ever made.
+
+    `map` runs a stage's per-issue calls, up to `parallelism` issues at once.
     """
 
     def __init__(
@@ -280,7 +282,7 @@ class Gateway:
         mode: str = "replay",
         transcript: Transcript | None = None,
         provider: Provider | None = None,
-        limiter: RateLimiter | None = None,
+        parallelism: int = 1,
         sleep: Callable[[float], None] = time.sleep,
     ):
         if mode not in MODES:
@@ -289,10 +291,13 @@ class Gateway:
             raise ValueError(f"{mode} mode requires a transcript")
         if mode != "replay" and provider is None:
             raise ValueError(f"{mode} mode requires a provider")
+        if parallelism < 1:
+            raise ValueError("parallelism must be >= 1")
         self.mode = mode
         self.transcript = transcript
         self._provider = provider
-        self.limiter = limiter or RateLimiter()
+        self.parallelism = parallelism
+        self.limiter = RateLimiter(parallelism)
         self.sleep = sleep
         self._usage_lock = threading.Lock()
         self.usage: dict[str, UsageTally] = {}
@@ -325,6 +330,29 @@ class Gateway:
             self.transcript.record(digest, response)
         self._account(request.model_id, response)
         return response
+
+    def map(self, one: Callable[[IssueRecord], T], issues: Iterable[IssueRecord]) -> list[T]:
+        """`one(issue)` for each issue, in input order: inline in replay,
+        which makes no provider call, or at `parallelism` 1, else on a pool of
+        `parallelism` threads. The first issue in input order whose call
+        raises ends the batch with a GatewayError naming it and the error:
+        no issue starts after a call has raised, and those in flight finish,
+        so that their answers reach the transcript."""
+        failed = threading.Event()  # issues start in input order, so each one it stops is after the failure
+
+        def named(issue: IssueRecord) -> T:
+            if failed.is_set():
+                raise GatewayError(f"{issue.repo}#{issue.number}: not asked after an earlier failure")
+            try:
+                return one(issue)
+            except Exception as exc:
+                failed.set()
+                raise GatewayError(f"{issue.repo}#{issue.number}: {type(exc).__name__}: {exc}") from exc
+
+        if self.mode == "replay" or self.parallelism == 1:
+            return [named(issue) for issue in issues]
+        with ThreadPoolExecutor(max_workers=self.parallelism) as pool:
+            return list(pool.map(named, issues))
 
 
 def extract_structured(text: str, expected_fields: set[str] | None = None) -> dict:

@@ -64,7 +64,7 @@ from .corpus import (  # export_dump: no stage calls it, but perfbench/tracing.p
 )
 from .errors import ConfigError, CorpusError, FaultloomError, StageError
 from .evaluation import LABEL_FIELD, EvalReport, RunMeta, score_stage2, score_stage3
-from .gateway import Gateway, Provider, RateLimiter, Transcript, provider_for_model
+from .gateway import Gateway, Provider, Transcript, provider_for_model
 from .ingest import IssueFetcher, PageCache
 from .taxonomy import load_taxonomy
 
@@ -258,14 +258,8 @@ class Runner:
                 config.require_api_key()
             path = config.transcript_path
             self.gateway = Gateway(config.mode, Transcript(path) if path is not None else None, provider,
-                                   RateLimiter(max_concurrent=config.parallelism))
+                                   config.parallelism)
         return self.gateway
-
-    def _issue_parallelism(self) -> int:
-        """The number of issues a stage handles at once. `parallelism` bounds
-        concurrent provider calls; replay makes none, and its transcript
-        lookups never wait, so it runs each issue inline."""
-        return 1 if self.config.mode == "replay" else self.config.parallelism
 
     def close(self) -> None:
         """Close the transcript's append handle, if one is open."""
@@ -439,10 +433,7 @@ class Runner:
 
         def body(read):
             criteria = stage2.FilterCriteria(**read("criteria"), vocabulary=read("vocabulary"))
-            decisions = stage2.run_stage2(
-                read("sample"), criteria, self._get_gateway(), self.config.model_id,
-                parallelism=self._issue_parallelism(),
-            )
+            decisions = stage2.run_stage2(read("sample"), criteria, self._get_gateway(), self.config.model_id)
             digest = write_jsonl(self.artifact("filter"), (d.to_dict() for d in decisions))
             meta = {"decisions": len(decisions), "positives": sum(1 for d in decisions if d.final)}
             return {ARTIFACTS["filter"]: digest}, decisions, meta
@@ -466,7 +457,7 @@ class Runner:
             criteria = read("criteria")
             labels = stage3.run_stage3(
                 issues, read("symptom_taxonomy"), read("root_cause_taxonomy"),
-                self._get_gateway(), config.model_id, parallelism=self._issue_parallelism(),
+                self._get_gateway(), config.model_id,
                 comment_budget=criteria["comment_budget"], char_budget=criteria["char_budget"],
             )
             digest = write_jsonl(self.artifact("classify"), (l.to_dict() for l in labels))

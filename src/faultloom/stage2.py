@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
 
-from .corpus import IssueRecord, Record, map_issues, render_issue
+from .corpus import IssueRecord, Record, render_issue
 from .gateway import ChatRequest, Gateway, ask_structured, extract_structured
 
 DEFAULT_COMMENT_BUDGET = 20
@@ -225,24 +225,13 @@ def run_stage2(
     criteria: FilterCriteria,
     gateway: Gateway,
     model_id: str,
-    parallelism: int = 1,
 ) -> list[FilterDecision]:
-    """One decision per issue, in input order; per-issue failures are
-    recorded in the decision rather than aborting the batch.
-
-    The deterministic check runs inline for every issue; only the issues
-    that pass it go to the `parallelism` threads that ask the model."""
+    """One decision per issue, in input order. The deterministic check runs
+    inline for every issue; only the issues that pass it go to `gateway.map`
+    to ask the model, so a call that did not return fails the batch with a
+    GatewayError naming its issue."""
     traces = {issue.key: apply_deterministic(issue, criteria) for issue in issues}
     passed = [issue for issue in issues if all(c.passed for c in traces[issue.key])]
-
-    def failed(issue: IssueRecord, exc: Exception) -> FilterDecision:
-        return _undecided(issue, traces[issue.key], f"{type(exc).__name__}: {exc}")
-
-    judged = map_issues(
-        passed,
-        lambda issue: judge(issue, criteria, gateway, model_id, traces[issue.key]),
-        parallelism,
-        failed,
-    )
+    judged = gateway.map(lambda issue: judge(issue, criteria, gateway, model_id, traces[issue.key]), passed)
     by_key = {decision.key: decision for decision in judged}
     return [by_key.get(issue.key) or _undecided(issue, traces[issue.key]) for issue in issues]

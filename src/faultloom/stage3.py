@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import IssueRecord, Record, map_issues, render_issue
+from .corpus import IssueRecord, Record, render_issue
 from .errors import TaxonomyError
 from .gateway import ChatRequest, Gateway, ask_structured, extract_structured
 from .taxonomy import Taxonomy, TaxonomyNode, render_prompt_section, resolve_label
@@ -75,12 +75,6 @@ def _resolve_leaf(taxonomy: Taxonomy, label: str, what: str) -> TaxonomyNode:
     return node
 
 
-def _invalid(issue: IssueRecord, attempts: int, error: str, raw_output: str | None = None) -> FaultLabel:
-    return FaultLabel(
-        repo=issue.repo, number=issue.number, attempts=attempts, valid=False, raw_output=raw_output, error=error
-    )
-
-
 def classify(
     issue: IssueRecord,
     symptoms: Taxonomy,
@@ -112,7 +106,8 @@ def classify(
         "single JSON object.",
     )
     if answer.error is not None:
-        return _invalid(issue, answer.attempts, str(answer.error), answer.text)
+        return FaultLabel(repo=issue.repo, number=issue.number, attempts=answer.attempts, valid=False,
+                          raw_output=answer.text, error=str(answer.error))
     fields, symptom_node, root_cause_node = answer.value
     return FaultLabel(
         repo=issue.repo, number=issue.number,
@@ -130,23 +125,16 @@ def run_stage3(
     root_causes: Taxonomy,
     gateway: Gateway,
     model_id: str,
-    parallelism: int = 1,
     *,
     comment_budget: int,
     char_budget: int,
 ) -> list[FaultLabel]:
-    """One label per issue, in input order, with per-issue fault isolation.
-    The budgets bound the issue text of each prompt."""
+    """One label per issue, in input order, through `gateway.map`: a call that
+    did not return fails the batch with a GatewayError naming its issue, and
+    an answer still rejected after its repairs is an invalid label. The
+    budgets bound the issue text of each prompt."""
     outlines = render_prompt_section(symptoms), render_prompt_section(root_causes)
-
-    def failed(issue: IssueRecord, exc: Exception) -> FaultLabel:
-        return _invalid(issue, 1, f"{type(exc).__name__}: {exc}")
-
-    return map_issues(
+    return gateway.map(
+        lambda issue: classify(issue, symptoms, root_causes, gateway, model_id, outlines, comment_budget, char_budget),
         issues,
-        lambda issue: classify(
-            issue, symptoms, root_causes, gateway, model_id, outlines, comment_budget, char_budget
-        ),
-        parallelism,
-        failed,
     )

@@ -24,7 +24,6 @@ from faultloom.errors import (
     StructuredOutputError,
     TaxonomyError,
     TransientProviderError,
-    UnknownModelError,
 )
 from faultloom.evaluation import score_stage2, score_stage3
 from faultloom.gateway import (
@@ -180,9 +179,9 @@ CASES = [
     ("transient", lambda tmp: raise_transient(503, "https://api.example.test"),
      TransientProviderError, "HTTP 503 from https://api.example.test"),
     ("model id without provider", lambda tmp: provider_for_model("no-slash"),
-     UnknownModelError, "unknown model id: 'no-slash'"),
+     GatewayError, "unknown model id: 'no-slash'"),
     ("unknown provider", lambda tmp: provider_for_model("mystery/model"),
-     UnknownModelError, "unknown model id: 'mystery'"),
+     GatewayError, "unknown model id: 'mystery'"),
     ("provider key not set", _missing_key,
      GatewayError, "openai/gpt-4o: FAULTLOOM_API_KEY_OPENAI is not set"),
     ("retries exhausted",

@@ -2,6 +2,7 @@ import json
 import logging
 import sys
 import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -14,7 +15,6 @@ from faultloom.errors import (
     RetriesExhaustedError,
     StructuredOutputError,
     TransientProviderError,
-    UnknownModelError,
 )
 from faultloom.gateway import (
     ChatRequest,
@@ -30,6 +30,7 @@ from faultloom.gateway import (
 from faultloom.ingest import IssueFetcher
 
 from fakes import FakeTransport, FlakyProvider, ScriptedProvider, make_response
+from gen import make_issue
 
 REQ = ChatRequest(model_id="openai/gpt-4o", system_text="sys", user_text="hello")
 
@@ -202,9 +203,9 @@ def test_token_accounting_is_additive(tmp_path):
 
 
 def test_unknown_model_id():
-    with pytest.raises(UnknownModelError, match="^unknown model id: 'no-slash'$"):
+    with pytest.raises(GatewayError, match="^unknown model id: 'no-slash'$"):
         provider_for_model("no-slash")
-    with pytest.raises(UnknownModelError, match="^unknown model id: 'mystery'$"):
+    with pytest.raises(GatewayError, match="^unknown model id: 'mystery'$"):
         provider_for_model("mystery/model")
 
 
@@ -315,6 +316,50 @@ def test_record_mode_serves_recorded_requests_without_the_provider(tmp_path):
     assert gateway.usage["openai/gpt-4o"].requests == 2
     gateway.transcript.close()
     assert len(path.read_text().splitlines()) == 2
+
+
+class _PerIssue:
+    """Answers "issue <n>" requests; raises for `failing`, and holds the
+    calls for issues 1 and 2 until both are in flight when `both` is set."""
+
+    def __init__(self, failing: int, both: bool = False):
+        self.failing, self.asked = failing, []
+        self.barrier = threading.Barrier(2, timeout=5) if both else None
+
+    def send(self, request):
+        number = int(request.user_text.split()[1])
+        self.asked.append(number)
+        if self.barrier is not None and number in (1, 2):
+            self.barrier.wait()
+            if number != self.failing:
+                time.sleep(0.1)  # still in flight when the failure ends the batch
+        if number == self.failing:
+            raise GatewayError("provider error HTTP 401: bad key")
+        return make_response(f"answer {number}")
+
+
+def _map(tmp_path, provider, parallelism):
+    path = tmp_path / "t.jsonl"
+    gateway = Gateway(mode="record", transcript=Transcript(path), provider=provider, parallelism=parallelism)
+    with pytest.raises(GatewayError) as caught:
+        gateway.map(lambda issue: gateway.complete(replace(REQ, user_text=f"issue {issue.number}")).text,
+                    [make_issue(number=n) for n in range(1, 5)])
+    gateway.transcript.close()
+    return str(caught.value), [json.loads(line)["response"]["text"] for line in path.read_text().splitlines()]
+
+
+def test_map_ends_the_batch_at_the_first_failed_call_and_keeps_the_answers_in_flight(tmp_path):
+    provider = _PerIssue(failing=3)
+    error, recorded = _map(tmp_path / "inline", provider, 1)
+    assert error == "acme/dlpipe#3: GatewayError: provider error HTTP 401: bad key"
+    assert provider.asked == [1, 2, 3]  # no later issue is asked
+    assert recorded == ["answer 1", "answer 2"]
+
+    provider = _PerIssue(failing=1, both=True)
+    error, recorded = _map(tmp_path / "pooled", provider, 2)
+    assert error == "acme/dlpipe#1: GatewayError: provider error HTTP 401: bad key"
+    assert sorted(provider.asked) == [1, 2]  # issues 3 and 4 had not started
+    assert recorded == ["answer 2"]  # issue 2 was in flight when issue 1 failed
 
 
 def test_extract_structured_from_code_fence():

@@ -20,11 +20,11 @@ from faultloom import ingest, pipeline, taxonomy
 from faultloom.cli import main
 from faultloom.config import load_config, load_criteria, load_yaml, packaged_data_path
 from faultloom.corpus import IssueRecord, export_dump, import_dump, load_gold, sample_balanced
-from faultloom.errors import ConfigError, CorpusError, StageError
+from faultloom.errors import ConfigError, CorpusError, RetriesExhaustedError, StageError
 from faultloom.evaluation import EvalReport
 from faultloom.pipeline import ARTIFACTS, REPORT_FILES, RUN_ORDER, Manifest, Runner
 
-from fakes import CountingProvider, OracleProvider, ScriptedProvider, make_response
+from fakes import ISSUE_KEY_RE, CountingProvider, OracleProvider, ScriptedProvider, make_response
 from gen import make_issue
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden"
@@ -139,6 +139,72 @@ def test_a_record_run_without_model_credentials_exits_1_before_the_first_model_c
     assert result.stderr.endswith(expected)
     assert not (out / "decisions.jsonl").exists()
     assert "filter" not in json.loads((out / "manifest.json").read_text())["stages"]
+
+
+class _FailingCalls:
+    """Raises RetriesExhaustedError on the calls numbered in `failing`, else
+    asks `inner`; keeps the issue of each call it failed."""
+
+    def __init__(self, inner, failing: range):
+        self.inner, self.failing = inner, failing
+        self.calls, self.failed = 0, set()
+        self._lock = threading.Lock()
+
+    def send(self, request):
+        with self._lock:
+            self.calls += 1
+            call = self.calls
+        if call in self.failing:
+            repo, number = ISSUE_KEY_RE.search(request.user_text).groups()
+            self.failed.add(f"{repo}#{number}")
+            raise RetriesExhaustedError("provider failed after 4 attempts: HTTP 503")
+        return self.inner.send(request)
+
+
+def test_a_record_run_whose_calls_fail_stops_and_a_rerun_pays_only_for_the_missing_calls(
+    tmp_path, symptoms, root_causes
+):
+    golden = shutil.copytree(GOLDEN, tmp_path / "golden")
+    gold = load_gold(golden / "gold.csv")
+
+    def runner(name, provider):
+        overrides = {"out": str(tmp_path / name), "mode": "record", "transcript": str(tmp_path / f"{name}.jsonl")}
+        return Runner(load_config(golden / "config.yaml", overrides=overrides), provider=provider)
+
+    whole = CountingProvider(OracleProvider(gold, symptoms, root_causes))
+    runner("whole", whole).run_pipeline()
+
+    failing = _FailingCalls(OracleProvider(gold, symptoms, root_causes), range(2, 10))
+    with pytest.raises(StageError) as caught:
+        runner("probe", failing).run_pipeline()
+    message = str(caught.value)
+    assert message.startswith("stage 'filter' failed (acme/dlpipe#")
+    assert message.split(" (")[1].split(":")[0] in failing.failed
+    assert ": RetriesExhaustedError: provider failed after 4 attempts: HTTP 503)" in message
+    out = tmp_path / "probe"
+    assert not (out / "decisions.jsonl").exists()
+    assert "filter" not in json.loads((out / "manifest.json").read_text())["stages"]
+
+    recorded = len((tmp_path / "probe.jsonl").read_text().splitlines())
+    assert recorded == 1  # the answer to call 1; no issue started after a call failed
+    again = CountingProvider(OracleProvider(gold, symptoms, root_causes))
+    runner("probe", again).run_pipeline()
+    assert again.calls == whole.calls - recorded
+    for name in ("filter", "classify"):
+        assert (out / ARTIFACTS[name]).read_bytes() == (tmp_path / "whole" / ARTIFACTS[name]).read_bytes()
+
+
+def test_a_replay_with_missing_transcript_entries_exits_1_naming_the_issue(tmp_path):
+    golden = shutil.copytree(GOLDEN, tmp_path / "golden")
+    transcript = golden / "transcript.jsonl"
+    lines = transcript.read_text().splitlines(keepends=True)
+    transcript.write_text("".join(line for n, line in enumerate(lines, start=1) if n not in (2, 5)))
+    out = tmp_path / "run"
+    result = CliRunner().invoke(main, ["run", "--config", str(golden / "config.yaml"), "--out", str(out)])
+    assert result.exit_code == 1
+    assert "error: stage 'filter' failed (acme/dlpipe#2: ReplayMissError: transcript has no entry" in result.stderr
+    assert not (out / "decisions.jsonl").exists()
+    assert not (out / "report.json").exists()
 
 
 def test_a_gold_symptom_that_is_no_classification_target_exits_1_naming_it(tmp_path):
@@ -1039,7 +1105,7 @@ def test_replay_runs_each_issue_inline(tmp_path, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("replay started a thread pool")
 
-    monkeypatch.setattr("faultloom.corpus.ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr("faultloom.gateway.ThreadPoolExecutor", no_pool)
     config = _config(tmp_path, out=str(tmp_path / "pooled"))
     assert config.parallelism == 2
     pooled = Runner(config)

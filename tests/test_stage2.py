@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faultloom.corpus import IssueRecord, parse_timestamp
+from faultloom.errors import GatewayError, ReplayMissError
 from faultloom.gateway import Gateway, Transcript, request_digest
 from faultloom.stage2 import (
     _FOLD,
@@ -331,15 +332,18 @@ def _record_transcript_for(corpus, criteria, tmp_path):
 
 
 def test_run_stage2_order_preserved_across_parallelism(tmp_path):
+    # Record mode served from the transcript takes the pool at parallelism
+    # above 1; replay would run inline whatever it says.
     corpus = synth_corpus(40, seed=3)
     path = _record_transcript_for(corpus, CRITERIA, tmp_path)
 
-    def replay(parallelism):
-        gateway = Gateway(mode="replay", transcript=Transcript(path))
-        return run_stage2(corpus, CRITERIA, gateway, MODEL, parallelism=parallelism)
+    def rerecord(parallelism):
+        gateway = Gateway(mode="record", transcript=Transcript(path), provider=ScriptedProvider([]),
+                          parallelism=parallelism)
+        return run_stage2(corpus, CRITERIA, gateway, MODEL)
 
-    serial = replay(1)
-    parallel = replay(8)
+    serial = rerecord(1)
+    parallel = rerecord(8)
     assert [d.to_dict() for d in serial] == [d.to_dict() for d in parallel]
     assert [d.key for d in serial] == [r.key for r in corpus]
 
@@ -349,16 +353,18 @@ def test_run_stage2_empty_corpus():
     assert run_stage2([], CRITERIA, gateway, MODEL) == []
 
 
-def test_run_stage2_isolates_per_issue_failure(tmp_path):
+def test_run_stage2_a_replay_miss_fails_the_batch_naming_its_issue(tmp_path):
     corpus = synth_corpus(10, seed=9)
     path = _record_transcript_for(corpus, CRITERIA, tmp_path)
-    # drop one transcript entry to provoke a replay miss for a single issue
+    # drop the first transcript entry: the first issue that reaches the model misses
     lines = path.read_text().strip().splitlines()
-    if lines:
-        path.write_text("\n".join(lines[1:]) + ("\n" if len(lines) > 1 else ""))
+    path.write_text("\n".join(lines[1:]) + "\n")
+    first = next(issue for issue in corpus if all(c.passed for c in apply_deterministic(issue, CRITERIA)))
+    digest = request_digest(build_filter_prompt(first, CRITERIA, MODEL))
     gateway = Gateway(mode="replay", transcript=Transcript(path))
-    decisions = run_stage2(corpus, CRITERIA, gateway, MODEL)
-    assert len(decisions) == 10
-    errored = [d for d in decisions if d.error and "ReplayMiss" in d.error]
-    assert len(errored) == 1
-    assert errored[0].final is False
+    with pytest.raises(GatewayError) as caught:
+        run_stage2(corpus, CRITERIA, gateway, MODEL)
+    assert str(caught.value) == (
+        f"{first.repo}#{first.number}: ReplayMissError: transcript has no entry for request digest {digest}"
+    )
+    assert isinstance(caught.value.__cause__, ReplayMissError)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from faultloom.errors import GatewayError, ReplayMissError
 from faultloom.gateway import Gateway, Transcript, request_digest
 from faultloom.stage2 import DEFAULT_CHAR_BUDGET, DEFAULT_COMMENT_BUDGET
 from faultloom.stage3 import (
@@ -142,24 +143,26 @@ def test_valid_label_granularity_round_trips(symptoms, root_causes):
     assert len(ancestors(root_causes, root_node)) <= 2
 
 
-def test_run_stage3_order_and_isolation(symptoms, root_causes, tmp_path):
+def test_run_stage3_order_and_a_failed_call_naming_its_issue(symptoms, root_causes, tmp_path):
     issues = [make_issue(number=i) for i in range(1, 6)]
     provider = ScriptedProvider([VALID_ANSWER] * 5)
     path = tmp_path / "t.jsonl"
-    recorder = Gateway(mode="record", transcript=Transcript(path), provider=provider)
-    run_stage3(issues, symptoms, root_causes, recorder, MODEL, **BUDGETS)
+    recorder = Gateway(mode="record", transcript=Transcript(path), provider=provider, parallelism=4)
+    labels = run_stage3(issues, symptoms, root_causes, recorder, MODEL, **BUDGETS)
     recorder.transcript.close()
-
-    # drop one entry: exactly one label errors, the others replay untouched
-    lines = path.read_text().strip().splitlines()
-    path.write_text("\n".join(lines[1:]) + "\n")
-    gateway = Gateway(mode="replay", transcript=Transcript(path))
-    labels = run_stage3(issues, symptoms, root_causes, gateway, MODEL, parallelism=4, **BUDGETS)
     assert [l.key for l in labels] == [i.key for i in issues]
-    missing = [l for l in labels if not l.valid]
-    assert len(missing) == 1
-    assert "ReplayMiss" in missing[0].error
-    assert sum(l.valid for l in labels) == 4
+    assert all(l.valid for l in labels)
+
+    # drop issue 3's entry: the batch fails and names it, with no label for any issue
+    digest = request_digest(_prompt(issues[2], symptoms, root_causes))
+    lines = [line for line in path.read_text().splitlines() if digest not in line]
+    assert len(lines) == 4
+    path.write_text("\n".join(lines) + "\n")
+    gateway = Gateway(mode="replay", transcript=Transcript(path))
+    with pytest.raises(GatewayError) as caught:
+        run_stage3(issues, symptoms, root_causes, gateway, MODEL, **BUDGETS)
+    assert str(caught.value) == f"acme/dlpipe#3: ReplayMissError: transcript has no entry for request digest {digest}"
+    assert isinstance(caught.value.__cause__, ReplayMissError)
 
 
 def test_run_stage3_renders_each_taxonomy_once(symptoms, root_causes, monkeypatch):
