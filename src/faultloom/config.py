@@ -61,23 +61,6 @@ class PipelineConfig:
     stage3_input: str = "filtered"  # or "gold": classify every gold-annotated issue
     cache_dir: Path | None = None
 
-    def validate(self) -> None:
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown mode: {self.mode!r}")
-        if self.mode != "live" and self.transcript_path is None:
-            raise ConfigError(f"mode={self.mode} requires a transcript path")
-        if self.stage3_input not in ("filtered", "gold"):
-            raise ConfigError(f"stage3_input must be 'filtered' or 'gold', not {self.stage3_input!r}")
-        if not self.dumps and not self.repos:
-            raise ConfigError("config needs at least one dump path or repo")
-        for path in [*self.dumps, *(getattr(self, f.name) for f in fields(self) if f.name.endswith("_file"))]:
-            if path is not None and not Path(path).exists():
-                raise ConfigError(f"referenced file does not exist: {path}")
-        if self.mode == "replay" and not Path(self.transcript_path).exists():
-            raise ConfigError(f"transcript not found: {self.transcript_path}")
-        if self.mode == "live":
-            self.require_api_key()
-
     def require_api_key(self) -> None:
         """A ConfigError naming the variable when `model_id`'s provider key is
         unset: checked at load in live mode, at provider resolution in record."""
@@ -150,6 +133,9 @@ def _each(convert):
     return lambda value, key, path: [convert(v) for v in _list(value, key, path)]
 
 
+# The config keys that each name one input file, its `<key>_file` field.
+_FILE_KEYS = ("criteria", "vocabulary", "symptom_taxonomy", "root_cause_taxonomy", "gold", "reference_projects")
+
 _SAMPLING_KEYS = {"n_pos": ("n_pos", partial(_count, least=0)), "n_neg": ("n_neg", partial(_count, least=0)),
                   "seed": ("seed", _count)}
 
@@ -162,8 +148,7 @@ _CONFIG_KEYS = {
     "model": ("model_id", _one(str)),
     "dumps": ("dumps", _each(Path)),
     "repos": ("repos", _each(str)),
-    **{name: (f"{name}_file", _one(Path)) for name in (
-        "criteria", "vocabulary", "symptom_taxonomy", "root_cause_taxonomy", "gold", "reference_projects")},
+    **{name: (f"{name}_file", _one(Path)) for name in _FILE_KEYS},
     "theme": {"description": ("theme_description", _one(str)), "constraints": ("theme_constraints", _each(str))},
     "transcript": ("transcript_path", _one(Path)),
     "sampling": ("sampling", lambda value, key, path: SamplingConfig(
@@ -206,7 +191,10 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
     replace the file's keys, each path in them made absolute against the
     working directory, but `seed`, which replaces `sampling.seed` and needs
     `sampling`. A file that does not parse (bad YAML, not UTF-8, a bad
-    value) is a ConfigError naming it."""
+    value) is a ConfigError naming it, and so is a setting no run could use:
+    each file the config names must be a regular file, the transcript once it
+    exists or in replay mode, and `out` and `cache_dir` must not name anything
+    but a directory."""
     path = Path(path)
     try:
         raw = load_yaml(path) or {}
@@ -229,5 +217,24 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
         config.sampling.seed = _count(seed, "--seed", path)
     for f in fields(config):
         setattr(config, f.name, _absolute(getattr(config, f.name), path.parent))
-    config.validate()
+    # The one check of the run's settings; record mode's key waits for the provider.
+    if config.mode not in MODES:
+        raise ConfigError(f"unknown mode: {config.mode!r}")
+    if config.mode != "live" and config.transcript_path is None:
+        raise ConfigError(f"mode={config.mode} requires a transcript path")
+    if config.stage3_input not in ("filtered", "gold"):
+        raise ConfigError(f"stage3_input must be 'filtered' or 'gold', not {config.stage3_input!r}")
+    if not config.dumps and not config.repos:
+        raise ConfigError("config needs at least one dump path or repo")
+    files = [("dumps", dump) for dump in config.dumps] + [(key, getattr(config, f"{key}_file")) for key in _FILE_KEYS]
+    if config.mode == "replay" or config.transcript_path is not None and config.transcript_path.exists():
+        files.append(("transcript", config.transcript_path))
+    for key, file in files:
+        if file is not None and not file.is_file():
+            raise ConfigError(f"{path}: {key} {'is not a regular file' if file.exists() else 'does not exist'}: {file}")
+    for key, directory in (("out", config.out_dir), ("cache_dir", config.cache_dir)):
+        if directory is not None and directory.exists() and not directory.is_dir():
+            raise ConfigError(f"{path}: {key} is not a directory: {directory}")
+    if config.mode == "live":
+        config.require_api_key()
     return config

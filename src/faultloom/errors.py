@@ -35,15 +35,11 @@ class TaxonomyError(FaultloomError):
 # --- corpus -----------------------------------------------------------------
 
 class CorpusError(FaultloomError):
-    """A malformed dump or gold file, a duplicate record or a short stratum."""
+    """A malformed dump, gold file or tracker answer, a duplicate record or a short stratum."""
 
 
 class RecordInvariantError(CorpusError):
     """A record that breaks an invariant; caught in `corpus.read_lines`."""
-
-
-class IngestError(CorpusError):
-    """A tracker answer that cannot be used."""
 
 
 # --- llm gateway ------------------------------------------------------------

@@ -220,15 +220,14 @@ class OpenAICompatProvider:
         raise_transient(resp.status_code, f"{self.endpoint}: {resp.text[:200]}")
         if resp.status_code != 200:
             raise GatewayError(f"provider error HTTP {resp.status_code}: {resp.text[:200]}")
-        payload = resp.json()
-        usage = payload.get("usage", {})
-        return ChatResponse(
-            text=payload["choices"][0]["message"]["content"] or "",
-            input_tokens=int(usage.get("prompt_tokens", 0)),
-            output_tokens=int(usage.get("completion_tokens", 0)),
-            latency_ms=latency_ms,
-            provider_meta={"provider": self.provider_name},
-        )
+        try:  # a reply that is no chat completion: not JSON, no choices, no message
+            payload = resp.json()
+            text, usage = payload["choices"][0]["message"]["content"] or "", payload.get("usage", {})
+            input_tokens, output_tokens = int(usage.get("prompt_tokens", 0)), int(usage.get("completion_tokens", 0))
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+            raise GatewayError(f"{self.endpoint}: malformed completion: {resp.text[:200]}") from exc
+        return ChatResponse(text=text, input_tokens=input_tokens, output_tokens=output_tokens,
+                            latency_ms=latency_ms, provider_meta={"provider": self.provider_name})
 
 
 def split_model_id(model_id: str) -> tuple[str, str]:

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Callable
 
 from .corpus import IssueRecord, parse_timestamp, write_atomic
-from .errors import IngestError, RecordInvariantError, TransientProviderError
+from .errors import CorpusError, RecordInvariantError, TransientProviderError
 from .gateway import raise_transient, retry
 
 TOKEN_ENV_VAR = "FAULTLOOM_VCS_TOKEN"
@@ -42,9 +42,9 @@ def _json_list(body: str, url: str) -> list:
     try:
         page = json.loads(body)
     except ValueError as exc:
-        raise IngestError(f"{url}: invalid JSON: {exc}") from exc
+        raise CorpusError(f"{url}: invalid JSON: {exc}") from exc
     if not isinstance(page, list):
-        raise IngestError(f"expected a JSON list from {url}")
+        raise CorpusError(f"expected a JSON list from {url}")
     return page
 
 
@@ -109,7 +109,7 @@ class IssueFetcher:
 
     def _get(self, url: str, params: dict) -> tuple[dict, list]:
         """The headers, with lower-case names, and the JSON list of the page.
-        A body that is not one is an IngestError and is not cached."""
+        A body that is not one is a CorpusError and is not cached."""
         cache_key = url + "?" + json.dumps(params, sort_keys=True)
         if self.cache is not None and (page := self.cache.get(cache_key)) is not None:
             return page["headers"], _json_list(page["body"], url)
@@ -118,10 +118,10 @@ class IssueFetcher:
             status, headers, body = self.transport(url, self._headers(), params)
             headers = {k.lower(): v for k, v in headers.items()}
             if status == 403 and headers.get("x-ratelimit-remaining") == "0":
-                raise IngestError(f"rate limit exhausted; resets at {headers.get('x-ratelimit-reset', 'unknown')}")
+                raise CorpusError(f"rate limit exhausted; resets at {headers.get('x-ratelimit-reset', 'unknown')}")
             raise_transient(status, url)
             if status != 200:
-                raise IngestError(f"HTTP {status} from {url}: {body[:200]}")
+                raise CorpusError(f"HTTP {status} from {url}: {body[:200]}")
             return headers, body
 
         headers, body = retry(send, cache_key, self.sleep)
@@ -147,7 +147,7 @@ class IssueFetcher:
 
         Pull requests surfaced by the issues endpoint are dropped; Stage II's
         `cutoff_date` is the date rule. An issue or a comment that does not
-        read as one is an IngestError naming the URL it came from.
+        read as one is a CorpusError naming the URL it came from.
         """
         url = f"{API_BASE}/repos/{repo}/issues"
         records: list[IssueRecord] = []
@@ -170,5 +170,5 @@ class IssueFetcher:
                     {**raw, "repo": repo, "labels": labels, "comments": comments, "url": raw.get("html_url")}
                 ))
             except (AttributeError, KeyError, TypeError, ValueError, RecordInvariantError) as exc:
-                raise IngestError(f"{where}: {exc!r}") from exc
+                raise CorpusError(f"{where}: {exc!r}") from exc
         return records

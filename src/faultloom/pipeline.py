@@ -28,7 +28,8 @@ input, and what a later stage reads of an artifact where the stage that wrote
 it holds that: the corpus stage its ordered key list, so that no stage holds
 the whole corpus's records. The filter stage builds the sample's records from
 `sample.jsonl`. A stage called outside a command is a command of its own.
-Nothing of either outlives the command.
+Nothing of either outlives the command, nor does the transcript's append
+handle, which the command's stages share.
 """
 
 from __future__ import annotations
@@ -261,17 +262,13 @@ class Runner:
                                    config.parallelism)
         return self.gateway
 
-    def close(self) -> None:
-        """Close the transcript's append handle, if one is open."""
-        if self.gateway is not None and self.gateway.transcript is not None:
-            self.gateway.transcript.close()
-
     @contextlib.contextmanager
     def locked(self):
         """Hold an exclusive `flock` on `run.lock` in the run directory while
-        the block runs, so that no two commands write the run directory at
-        once. The kernel frees it when its holder exits, killed or not; the
-        file stays, and what it holds means nothing."""
+        the block, a command, runs, so that no two commands write the run
+        directory at once, and close the transcript's append handle when it
+        ends. The kernel frees the lock when its holder exits, killed or not;
+        the file stays, and what it holds means nothing."""
         lock = self.out / "run.lock"
         with open(lock, "a", encoding="utf-8") as fh:
             try:
@@ -283,6 +280,8 @@ class Runner:
                 yield
             finally:
                 self._table, self._taken = None, {}
+                if self.gateway is not None and self.gateway.transcript is not None:
+                    self.gateway.transcript.close()
 
     def snapshot_config(self) -> None:
         """Write `config_snapshot.yaml`, the whole resolved config with each
@@ -309,8 +308,8 @@ class Runner:
         the file); and any extra manifest meta. Each file's fingerprint goes
         into the command's "files" entries and the object into its table,
         and the manifest records the hash, the output, the time from the call
-        on and the model calls of the stage. The transcript is closed when
-        the body ends. Outside a command, the stage is a command of its own."""
+        on and the model calls of the stage. Outside a command, the stage is
+        a command of its own."""
         started, path = time.monotonic(), self.artifact(name)
         with self.locked() if self._table is None else contextlib.nullcontext():
             digests = {}
@@ -331,10 +330,7 @@ class Runner:
             self.snapshot_config()
             if self.gateway is not None:
                 self.gateway.usage.clear()
-            try:
-                output, parsed, extra = body(functools.partial(self._read, inputs))
-            finally:
-                self.close()
+            output, parsed, extra = body(functools.partial(self._read, inputs))
             for rel, digest in output.items():
                 self._taken[str(self.out / rel)] = _fingerprint(os.stat(self.out / rel), digest)
             if parsed is not None:
@@ -532,7 +528,6 @@ class Runner:
 
     def run_pipeline(self) -> dict:
         """Run every stage of RUN_ORDER; return report.json as JSON data."""
-        self.config.validate()
         with self.locked():
             try:
                 for current in RUN_ORDER:

@@ -16,7 +16,6 @@ from faultloom.errors import (
     CorpusError,
     EvaluationError,
     GatewayError,
-    IngestError,
     RecordInvariantError,
     ReplayMissError,
     RetriesExhaustedError,
@@ -100,11 +99,7 @@ def _two_dumps(tmp):
 
 
 def _missing_artifact(tmp):
-    runner = Runner(load_config(GOLDEN / "config.yaml", overrides={"out": str(tmp / "run")}))
-    try:
-        runner.run_filter()
-    finally:
-        runner.close()
+    Runner(load_config(GOLDEN / "config.yaml", overrides={"out": str(tmp / "run")})).run_filter()
 
 
 SHARED = _taxonomy(_node("a", children=[_node("a.x", "Crash")]), _node("b", children=[_node("b.x", "crash")]))
@@ -170,11 +165,11 @@ CASES = [
      CorpusError, "stratum 'fault': requested 5 but only 3 available (shortfall 2)"),
     # tracker
     ("rate limit", lambda tmp: _fetch(403, {"X-RateLimit-Remaining": "0", "X-RateLimit-Reset": "1700000000"}, ""),
-     IngestError, "rate limit exhausted; resets at 1700000000"),
+     CorpusError, "rate limit exhausted; resets at 1700000000"),
     ("tracker not 200", lambda tmp: _fetch(404, {}, '{"message": "Not Found"}'),
-     IngestError, f'HTTP 404 from {ISSUES_URL}: {{"message": "Not Found"}}'),
+     CorpusError, f'HTTP 404 from {ISSUES_URL}: {{"message": "Not Found"}}'),
     ("tracker page not a list", lambda tmp: _fetch(200, {}, '{"message": "moved"}'),
-     IngestError, f"expected a JSON list from {ISSUES_URL}"),
+     CorpusError, f"expected a JSON list from {ISSUES_URL}"),
     # gateway
     ("transient", lambda tmp: raise_transient(503, "https://api.example.test"),
      TransientProviderError, "HTTP 503 from https://api.example.test"),

@@ -119,11 +119,16 @@ def test_live_retries_exhausted():
 
 
 class _Reply:
-    def __init__(self, status_code, payload=None):
-        self.status_code, self.text, self._payload = status_code, json.dumps(payload), payload
+    """A reply of `status_code` whose body is `payload` as JSON, or the text `body`."""
+
+    def __init__(self, status_code, payload=None, body=None):
+        self.status_code, self.text = status_code, json.dumps(payload) if body is None else body
 
     def json(self):
-        return self._payload
+        try:
+            return json.loads(self.text)
+        except ValueError as exc:
+            raise requests.JSONDecodeError(exc.msg, exc.doc, exc.pos) from exc
 
 
 def _posting(monkeypatch, replies):
@@ -156,6 +161,17 @@ def test_provider_reports_a_client_error_once_as_a_gateway_error(monkeypatch):
     provider, calls = _posting(monkeypatch, [_Reply(401, {"error": "bad key"})])
     with pytest.raises(GatewayError, match="HTTP 401"):
         Gateway(mode="live", provider=provider, sleep=lambda s: None).complete(REQ)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("reply", [_Reply(200, {}), _Reply(200, {"choices": []}), _Reply(200, body="<html>busy</html>")],
+                         ids=["no choices", "empty choices", "not JSON"])
+def test_provider_reports_a_malformed_completion_once_as_a_gateway_error_naming_the_endpoint(monkeypatch, reply):
+    provider, calls = _posting(monkeypatch, [reply])
+    with pytest.raises(GatewayError) as exc:
+        Gateway(mode="live", provider=provider, sleep=lambda s: None).complete(REQ)
+    assert type(exc.value) is GatewayError
+    assert str(exc.value) == f"{provider.endpoint}: malformed completion: {reply.text}"
     assert len(calls) == 1
 
 

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from faultloom.errors import IngestError, RetriesExhaustedError
+from faultloom.errors import CorpusError, RetriesExhaustedError
 from faultloom.ingest import DEFAULT_CACHE_TTL_SECONDS, IssueFetcher, PageCache, _parse_next_link
 
 from fakes import FakeTransport
@@ -62,7 +62,7 @@ def test_header_names_are_read_without_regard_to_case(link):
     assert len(IssueFetcher(transport=_two_page_transport(link)).fetch_issues("acme/demo")) == 42
     headers = {"x-ratelimit-remaining": "0", "X-RATELIMIT-RESET": "1700000000"}
     transport = FakeTransport({ISSUES_URL: [(403, headers, "limited")]})
-    with pytest.raises(IngestError, match="rate limit exhausted; resets at 1700000000"):
+    with pytest.raises(CorpusError, match="rate limit exhausted; resets at 1700000000"):
         IssueFetcher(transport=transport, sleep=lambda s: None).fetch_issues("acme/demo")
 
 
@@ -158,7 +158,7 @@ def test_rate_limit_reports_reset_time():
     headers = {"X-RateLimit-Remaining": "0", "X-RateLimit-Reset": "1700000000"}
     transport = FakeTransport({ISSUES_URL: [(403, headers, "limited")]})
     fetcher = IssueFetcher(transport=transport, sleep=lambda s: None)
-    with pytest.raises(IngestError, match="^rate limit exhausted; resets at 1700000000$"):
+    with pytest.raises(CorpusError, match="^rate limit exhausted; resets at 1700000000$"):
         fetcher.fetch_issues("acme/demo")
 
 
@@ -174,7 +174,7 @@ def test_a_page_that_is_not_a_json_list_is_an_ingest_error_and_not_cached(tmp_pa
     transport = FakeTransport({ISSUES_URL: [(200, {}, body)]})
     fetcher = IssueFetcher(transport=transport, cache=PageCache(tmp_path / "cache"))
     for _ in range(2):
-        with pytest.raises(IngestError, match=f"^{re.escape(text)}$"):
+        with pytest.raises(CorpusError, match=f"^{re.escape(text)}$"):
             fetcher.fetch_issues("acme/demo")
     assert transport.calls == 2
     assert list((tmp_path / "cache").glob("*")) == []
@@ -184,7 +184,7 @@ def test_an_issue_without_state_is_an_ingest_error_naming_the_url():
     raw = _raw_issue(1)
     del raw["state"]
     transport = FakeTransport({ISSUES_URL: [(200, {}, json.dumps([raw]))]})
-    with pytest.raises(IngestError) as exc:
+    with pytest.raises(CorpusError) as exc:
         IssueFetcher(transport=transport).fetch_issues("acme/demo")
     assert str(exc.value) == f"{ISSUES_URL}: KeyError('missing or null: state')"
 
@@ -195,7 +195,7 @@ def test_a_comment_without_created_at_is_an_ingest_error_naming_its_url():
         ISSUES_URL: [(200, {}, json.dumps([_raw_issue(5, comments=1)]))],
         comments_url: [(200, {}, json.dumps([{"author_association": "NONE", "body": "hi"}]))],
     })
-    with pytest.raises(IngestError) as exc:
+    with pytest.raises(CorpusError) as exc:
         IssueFetcher(transport=transport).fetch_issues("acme/demo")
     assert str(exc.value) == f"{comments_url}: KeyError('created_at')"
 

@@ -16,7 +16,7 @@ import yaml
 from click.testing import CliRunner
 
 from faultloom import config as config_module
-from faultloom import ingest, pipeline, taxonomy
+from faultloom import gateway, ingest, pipeline, taxonomy
 from faultloom.cli import main
 from faultloom.config import load_config, load_criteria, load_yaml, packaged_data_path
 from faultloom.corpus import IssueRecord, export_dump, import_dump, load_gold, sample_balanced
@@ -318,6 +318,37 @@ def test_cli_malformed_config_or_criteria_file_is_an_error_naming_it(tmp_path, n
     assert isinstance(result.exception, SystemExit)
     assert result.stderr.startswith("error: ")
     assert str(inputs / name) in result.stderr
+
+
+@pytest.mark.parametrize(
+    "key, value, kind",
+    [  # `value` relative to the config's directory, which is a directory
+        ("gold", ".", "a regular file"),
+        ("dumps", ".", "a regular file"),
+        ("criteria", ".", "a regular file"),
+        ("transcript", ".", "a regular file"),
+        ("out", "gold.csv", "a directory"),  # given as --out
+        ("cache_dir", "gold.csv", "a directory"),
+    ],
+)
+def test_a_config_path_of_the_wrong_kind_exits_1_naming_it(tmp_path, key, value, kind):
+    """The config is checked once, when it loads: no stage starts, so none
+    writes its artifact."""
+    inputs = shutil.copytree(GOLDEN, tmp_path / "inputs")
+    config, out = inputs / "config.yaml", tmp_path / "run"
+    lines = [line for line in config.read_text().splitlines() if not line.startswith(f"{key}:")]
+    if key == "out":
+        out = inputs / value
+    else:
+        lines.append(f"{key}: [{value}]" if key == "dumps" else f"{key}: {value}")
+    config.write_text("\n".join(lines) + "\n")
+    result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(out)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    named = inputs if value == "." else inputs / value
+    assert result.stderr == f"error: {config}: {key} is not {kind}: {named}\n"
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize(
@@ -1092,7 +1123,6 @@ def test_parallelism_above_four_reaches_the_provider(tmp_path):
     runner.run_corpus()
     runner.run_sample()
     runner.run_filter()
-    runner.close()
     decisions = [json.loads(line) for line in (tmp_path / "run" / "decisions.jsonl").read_text().splitlines()]
     assert len(decisions) == 6
     assert all(d["error"] is None and d["llm_verdict"] is True for d in decisions)
@@ -1269,6 +1299,31 @@ def test_run_pipeline_leaves_no_file_open(tmp_path):
 
 def test_direct_stage_calls_leave_no_file_open(tmp_path):
     _leaves_no_file_open(tmp_path, "runner.run_corpus(); runner.run_sample(); runner.run_filter()")
+
+
+def test_a_record_run_appends_through_one_transcript_handle_flushed_per_entry(
+        tmp_path, monkeypatch, symptoms, root_causes):
+    """Filter and classify share the command's append handle, which closes
+    when the command ends; each entry is on disk once it is recorded."""
+    transcript, handles, sizes = tmp_path / "t.jsonl", [], []
+    record = gateway.Transcript.record
+
+    def counted_open(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        if mode == "ab":
+            handles.append(fh)
+        return fh
+
+    def sized_record(self, digest, response):
+        record(self, digest, response)
+        sizes.append(transcript.stat().st_size)
+
+    monkeypatch.setattr(gateway, "open", counted_open, raising=False)
+    monkeypatch.setattr(gateway.Transcript, "record", sized_record)
+    config = _config(tmp_path, mode="record", transcript=str(transcript), parallelism=1)
+    Runner(config, provider=OracleProvider(load_gold(GOLDEN / "gold.csv"), symptoms, root_causes)).run_pipeline()
+    assert len(handles) == 1 and handles[0].closed
+    assert len(sizes) > 1 and sizes == sorted(set(sizes))
 
 
 def test_killed_record_run_resumes_without_paying_again(tmp_path, symptoms, root_causes):
