@@ -13,7 +13,8 @@ import yaml
 
 from .corpus import integer
 from .errors import ConfigError
-from .gateway import API_KEY_ENV_PREFIX, MODES, split_model_id
+from .gateway import MODES
+from .stage1 import StudyTheme
 from .stage2 import DEFAULT_CHAR_BUDGET, DEFAULT_COMMENT_BUDGET
 
 
@@ -53,21 +54,12 @@ class PipelineConfig:
     root_cause_taxonomy_file: Path = field(default_factory=lambda: packaged_data_path("root_cause_taxonomy.yaml"))
     gold_file: Path | None = None
     reference_projects_file: Path | None = None
-    theme_description: str = ""
-    theme_constraints: list[str] = field(default_factory=list)
+    theme: StudyTheme | None = None
     transcript_path: Path | None = None
     sampling: SamplingConfig | None = None
     parallelism: int = 1
     stage3_input: str = "filtered"  # or "gold": classify every gold-annotated issue
     cache_dir: Path | None = None
-
-    def require_api_key(self) -> None:
-        """A ConfigError naming the variable when `model_id`'s provider key is
-        unset: checked at load in live mode, at provider resolution in record."""
-        provider, _ = split_model_id(self.model_id)
-        env_var = API_KEY_ENV_PREFIX + provider.upper()
-        if not os.environ.get(env_var):
-            raise ConfigError(f"mode={self.mode} requires {env_var} to be set")
 
 
 def _list(value, key: str, path) -> list:
@@ -136,12 +128,20 @@ def _each(convert):
 # The config keys that each name one input file, its `<key>_file` field.
 _FILE_KEYS = ("criteria", "vocabulary", "symptom_taxonomy", "root_cause_taxonomy", "gold", "reference_projects")
 
-_SAMPLING_KEYS = {"n_pos": ("n_pos", partial(_count, least=0)), "n_neg": ("n_neg", partial(_count, least=0)),
-                  "seed": ("seed", _count)}
+
+def _section(cls, keys: dict, required=()):
+    """The reader of a mapping as a `cls`, its keys read through `keys`: a value `cls` rejects names the key."""
+    def read(value, key, path):
+        try:
+            return cls(**_read(value, keys, path, key + ".", required))
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {key}: {exc}") from exc
+    return read
+
 
 # Each key of a config file: the PipelineConfig field it sets and the reader
-# of its value (value, key, file path), or the keys of a mapping under it.
-# A key the file leaves out or empty keeps the field's default.
+# of its value (value, key, file path). A key the file leaves out or empty
+# keeps the field's default.
 _CONFIG_KEYS = {
     "out": ("out_dir", _one(Path)),
     "mode": ("mode", _one(str)),
@@ -149,10 +149,12 @@ _CONFIG_KEYS = {
     "dumps": ("dumps", _each(Path)),
     "repos": ("repos", _each(str)),
     **{name: (f"{name}_file", _one(Path)) for name in _FILE_KEYS},
-    "theme": {"description": ("theme_description", _one(str)), "constraints": ("theme_constraints", _each(str))},
+    "theme": ("theme", _section(StudyTheme, {"description": ("description", _one(str)),
+                                             "constraints": ("constraints", _each(str))}, required=("description",))),
     "transcript": ("transcript_path", _one(Path)),
-    "sampling": ("sampling", lambda value, key, path: SamplingConfig(
-        **_read(value, _SAMPLING_KEYS, path, key + ".", required=("n_pos", "n_neg")))),
+    "sampling": ("sampling", _section(SamplingConfig, {"n_pos": ("n_pos", partial(_count, least=0)),
+                                                       "n_neg": ("n_neg", partial(_count, least=0)),
+                                                       "seed": ("seed", _count)}, required=("n_pos", "n_neg"))),
     "parallelism": ("parallelism", partial(_count, least=1)),
     "stage3_input": ("stage3_input", _one(str)),
     "cache_dir": ("cache_dir", _one(Path)),
@@ -169,9 +171,7 @@ def _read(raw: dict, keys: dict, path, within: str = "", required=()) -> dict:
             raise ConfigError(f"{path}: missing key {within}{key}")
     values = {}
     for key, value in raw.items():
-        if value is not None and isinstance(keys[key], dict):
-            values.update(_read(value, keys[key], path, f"{within}{key}."))
-        elif value is not None:
+        if value is not None:
             name, read = keys[key]
             values[name] = read(value, within + key, path)
     return values
@@ -193,8 +193,9 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
     `sampling`. A file that does not parse (bad YAML, not UTF-8, a bad
     value) is a ConfigError naming it, and so is a setting no run could use:
     each file the config names must be a regular file, the transcript once it
-    exists or in replay mode, and `out` and `cache_dir` must not name anything
-    but a directory."""
+    exists or in replay mode, and `out` and `cache_dir` must name a directory
+    or a path whose nearest existing ancestor is one. The model key is the
+    provider's to check, as the first model stage resolves it."""
     path = Path(path)
     try:
         raw = load_yaml(path) or {}
@@ -209,15 +210,13 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
         config = PipelineConfig(**{**_read(raw, _CONFIG_KEYS, path), **overrides})
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc!r}") from exc
-    if "theme" in raw and not config.theme_description.strip():
-        raise ConfigError(f"{path}: theme.description must be non-empty")
     if seed is not None:
         if config.sampling is None:
             raise ConfigError(f"{path}: --seed sets sampling.seed, but the config has no sampling")
         config.sampling.seed = _count(seed, "--seed", path)
     for f in fields(config):
         setattr(config, f.name, _absolute(getattr(config, f.name), path.parent))
-    # The one check of the run's settings; record mode's key waits for the provider.
+    # The one check of the run's settings but the model key.
     if config.mode not in MODES:
         raise ConfigError(f"unknown mode: {config.mode!r}")
     if config.mode != "live" and config.transcript_path is None:
@@ -233,8 +232,6 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
         if file is not None and not file.is_file():
             raise ConfigError(f"{path}: {key} {'is not a regular file' if file.exists() else 'does not exist'}: {file}")
     for key, directory in (("out", config.out_dir), ("cache_dir", config.cache_dir)):
-        if directory is not None and directory.exists() and not directory.is_dir():
+        if directory is not None and not next(p for p in (directory, *directory.parents) if p.exists()).is_dir():
             raise ConfigError(f"{path}: {key} is not a directory: {directory}")
-    if config.mode == "live":
-        config.require_api_key()
     return config

@@ -368,20 +368,25 @@ def copy_lines(source: str | Path, path: str | Path, keep: set[int]) -> str:
 
 def load_gold(path: str | Path) -> dict[IssueKey, GoldLabel]:
     """Read the gold-label CSV (repo, number, fault_related, symptom_leaf_id,
-    root_cause_id; empty cells allowed)."""
+    root_cause_id; empty cells allowed). Each row has a cell for each column
+    of the header; a blank row is skipped."""
     gold: dict[IssueKey, GoldLabel] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise CorpusError(f"gold file {path} is not UTF-8: {exc}") from exc
-        reader = csv.DictReader(io.StringIO(text, newline=""))
+        reader = csv.reader(io.StringIO(text, newline=""))
+        header = next(reader, None)
         required = {"repo", "number", "fault_related", "symptom_leaf_id", "root_cause_id"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise CorpusError(
-                f"gold file must have columns {sorted(required)}, got {reader.fieldnames}"
-            )
-        for row_no, row in enumerate(reader, start=2):
+        if header is None or not required.issubset(header):
+            raise CorpusError(f"gold file must have columns {sorted(required)}, got {header}")
+        for row_no, cells in enumerate(reader, start=2):
+            if not cells:
+                continue
+            if len(cells) != len(header):
+                raise CorpusError(f"gold row {row_no}: {len(cells)} cells, but the header has {len(header)}")
+            row = dict(zip(header, cells))
             repo = row["repo"].strip()
             try:
                 number = int(row["number"])

@@ -30,7 +30,6 @@ from .errors import (
 
 logger = logging.getLogger(__name__)
 
-API_KEY_ENV_PREFIX = "FAULTLOOM_API_KEY_"
 MODES = ("live", "record", "replay")  # see Gateway
 MAX_ATTEMPTS = 4
 DEFAULT_MAX_OUTPUT_TOKENS = 2048
@@ -186,23 +185,26 @@ class OpenAICompatProvider:
     }
 
     def __init__(self, provider_name: str):
+        """The client of `provider_name`'s endpoint, with the key its
+        environment variable holds: the one check of a run's model key."""
         if provider_name not in self.ENDPOINTS:
             raise GatewayError(f"unknown model id: {provider_name!r}")
         self.provider_name = provider_name
         self.endpoint = self.ENDPOINTS[provider_name]
+        env_var = f"FAULTLOOM_API_KEY_{provider_name.upper()}"
+        self._api_key = os.environ.get(env_var)
+        if not self._api_key:
+            raise GatewayError(f"{env_var} is not set")
 
     def send(self, request: ChatRequest) -> ChatResponse:
         import requests
 
-        api_key = os.environ.get(API_KEY_ENV_PREFIX + self.provider_name.upper())
-        if not api_key:
-            raise GatewayError(f"{request.model_id}: {API_KEY_ENV_PREFIX}{self.provider_name.upper()} is not set")
         _, model = split_model_id(request.model_id)
         start = time.monotonic()
         try:
             resp = requests.post(
                 self.endpoint,
-                headers={"Authorization": f"Bearer {api_key}"},
+                headers={"Authorization": f"Bearer {self._api_key}"},
                 json={
                     "model": model,
                     "messages": [

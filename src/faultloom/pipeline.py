@@ -251,12 +251,11 @@ class Runner:
     def _get_gateway(self) -> Gateway:
         """The Runner's Gateway, made on first use. Outside replay its
         provider is the injected one, or else the one `config.model_id`
-        names, whose key must then be set: a ConfigError before any call."""
+        names, which needs its key: a GatewayError before any call."""
         if self.gateway is None:
             config, provider = self.config, self.provider
             if provider is None and config.mode != "replay":
                 provider = provider_for_model(config.model_id)
-                config.require_api_key()
             path = config.transcript_path
             self.gateway = Gateway(config.mode, Transcript(path) if path is not None else None, provider,
                                    config.parallelism)
@@ -406,12 +405,8 @@ class Runner:
 
     def run_define(self) -> Path:
         """Run research definition: elicit and score a study plan."""
-        if not self.config.theme_description.strip():
+        if (theme := self.config.theme) is None:
             raise ConfigError("define needs a theme.description in the config")
-        theme = stage1.StudyTheme(
-            description=self.config.theme_description,
-            constraints=self.config.theme_constraints,
-        )
 
         def body(read):
             plan = stage1.propose_study(theme, self._get_gateway(), self.config.model_id)

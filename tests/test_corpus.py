@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from datetime import datetime, timedelta, timezone
 
@@ -15,6 +16,7 @@ from faultloom.corpus import (
     import_dump,
     load_gold,
     parse_timestamp,
+    render_issue,
     sample_balanced,
 )
 from faultloom.errors import CorpusError
@@ -145,6 +147,27 @@ def test_gold_file_rejects_fully_empty_row(tmp_path):
     )
     with pytest.raises(CorpusError, match="^gold row 2: no populated label field$"):
         load_gold(gold_path)
+
+
+def test_gold_file_skips_a_blank_row_and_counts_it_in_the_row_numbers(tmp_path):
+    gold_path = tmp_path / "gold.csv"
+    gold_path.write_text(
+        "repo,number,fault_related,symptom_leaf_id,root_cause_id\n"
+        "acme/dlpipe,1,true,,\n"
+        "\n"
+        "acme/dlpipe,2\n"
+    )
+    with pytest.raises(CorpusError, match="^gold row 4: 2 cells, but the header has 5$"):
+        load_gold(gold_path)
+    gold_path.write_text(gold_path.read_text().replace("acme/dlpipe,2\n", "acme/dlpipe,2,false,,\n"))
+    assert sorted(load_gold(gold_path)) == [("acme/dlpipe", 1), ("acme/dlpipe", 2)]
+
+
+def test_render_issue_cuts_comment_text_at_the_char_budget():
+    issue = make_issue(comment_bodies=["abcdef", "ghij"])
+    issue = dataclasses.replace(issue, comments=tuple(dataclasses.replace(c, author_role="") for c in issue.comments))
+    text = render_issue(issue, comment_budget=5, char_budget=3)
+    assert text.endswith("\nComments:\n- [] abc [truncated]\n[1 more comment(s) truncated]")
 
 
 def test_sample_balanced_counts_and_determinism():

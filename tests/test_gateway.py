@@ -176,13 +176,26 @@ def test_provider_reports_a_malformed_completion_once_as_a_gateway_error_naming_
 
 
 def test_provider_without_its_key_is_a_gateway_error_naming_the_variable(monkeypatch):
-    provider, calls = _posting(monkeypatch, [])
+    """The provider reads its key once, as it is made: without it there is
+    no provider to call."""
+    _, calls = _posting(monkeypatch, [])
     monkeypatch.delenv("FAULTLOOM_API_KEY_OPENAI")
     with pytest.raises(GatewayError) as exc:
-        Gateway(mode="live", provider=provider, sleep=lambda s: None).complete(REQ)
+        OpenAICompatProvider("openai")
     assert type(exc.value) is GatewayError
-    assert str(exc.value) == "openai/gpt-4o: FAULTLOOM_API_KEY_OPENAI is not set"
+    assert str(exc.value) == "FAULTLOOM_API_KEY_OPENAI is not set"
     assert calls == []
+
+
+def test_provider_sends_the_key_it_read_when_made(monkeypatch):
+    headers = []
+    ok = _Reply(200, {"choices": [{"message": {"content": "hi"}}]})
+    monkeypatch.setattr(requests, "post", lambda url, **kwargs: headers.append(kwargs["headers"]) or ok)
+    monkeypatch.setenv("FAULTLOOM_API_KEY_OPENAI", "key")
+    provider = OpenAICompatProvider("openai")
+    monkeypatch.setenv("FAULTLOOM_API_KEY_OPENAI", "changed")
+    assert provider.send(REQ).text == "hi"
+    assert headers == [{"Authorization": "Bearer key"}]
 
 
 def test_a_gateway_that_may_call_a_provider_needs_one(tmp_path):

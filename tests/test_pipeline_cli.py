@@ -116,29 +116,50 @@ def test_unknown_stage3_input_is_named_in_the_error(tmp_path):
         _config(tmp_path, stage3_input="everything")
 
 
-def test_live_mode_requires_credentials(tmp_path, monkeypatch):
-    monkeypatch.delenv("FAULTLOOM_API_KEY_OPENAI", raising=False)
-    with pytest.raises(ConfigError) as exc:
-        _config(tmp_path, mode="live")
-    assert "FAULTLOOM_API_KEY_OPENAI" in str(exc.value)
-
-
-def test_a_record_run_without_model_credentials_exits_1_before_the_first_model_call(tmp_path, monkeypatch):
+@pytest.mark.parametrize("mode", ["live", "record"])
+def test_a_record_run_without_model_credentials_exits_1_before_the_first_model_call(tmp_path, monkeypatch, mode):
     """The Runner resolves the provider once, as the filter stage makes its
-    gateway: a missing key stops the run there, even where the transcript
-    could answer, and is not written into each decision as its error."""
+    gateway, and the provider checks its key as it is made: in live and
+    record mode alike, a missing key stops the run there, even where the
+    transcript could answer, and is not written into each decision as its
+    error."""
     monkeypatch.delenv("FAULTLOOM_API_KEY_OPENAI", raising=False)
     golden = shutil.copytree(GOLDEN, tmp_path / "golden")
     config = golden / "config.yaml"
-    text = config.read_text().replace("mode: replay", "mode: record")
+    text = config.read_text().replace("mode: replay", f"mode: {mode}")
     config.write_text(text.replace("transcript: transcript.jsonl", "transcript: fresh.jsonl"))
     out = tmp_path / "run"
     result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(out)])
     assert result.exit_code == 1
-    expected = "error: stage 'filter' failed (mode=record requires FAULTLOOM_API_KEY_OPENAI to be set)\n"
+    expected = "error: stage 'filter' failed (FAULTLOOM_API_KEY_OPENAI is not set)\n"
     assert result.stderr.endswith(expected)
     assert not (out / "decisions.jsonl").exists()
     assert "filter" not in json.loads((out / "manifest.json").read_text())["stages"]
+
+
+def test_import_in_live_mode_needs_no_model_key(tmp_path, monkeypatch):
+    monkeypatch.delenv("FAULTLOOM_API_KEY_OPENAI", raising=False)
+    out = tmp_path / "run"
+    result = CliRunner().invoke(main, ["import", "--config", str(GOLDEN / "config.yaml"), "--mode", "live",
+                                       "--out", str(out)])
+    assert result.exit_code == 0, result.stderr
+    assert (out / "corpus.jsonl").read_bytes() == (GOLDEN / "corpus.jsonl").read_bytes()
+
+
+def test_a_live_runner_with_an_injected_provider_needs_no_model_key(tmp_path, monkeypatch, symptoms, root_causes):
+    monkeypatch.delenv("FAULTLOOM_API_KEY_OPENAI", raising=False)
+    provider = CountingProvider(OracleProvider(load_gold(GOLDEN / "gold.csv"), symptoms, root_causes))
+    Runner(_config(tmp_path, mode="live"), provider=provider).run_pipeline()
+    assert provider.calls > 0
+    assert (tmp_path / "run" / ARTIFACTS["evaluate"]).exists()
+
+
+def test_an_empty_theme_keeps_no_theme_and_define_asks_for_one(tmp_path):
+    config = _minimal_config(tmp_path, "theme:\n")
+    assert load_config(config).theme is None
+    result = CliRunner().invoke(main, ["define", "--config", str(config)])
+    assert result.exit_code == 1
+    assert result.stderr == "error: define needs a theme.description in the config\n"
 
 
 class _FailingCalls:
@@ -328,7 +349,9 @@ def test_cli_malformed_config_or_criteria_file_is_an_error_naming_it(tmp_path, n
         ("criteria", ".", "a regular file"),
         ("transcript", ".", "a regular file"),
         ("out", "gold.csv", "a directory"),  # given as --out
+        ("out", "gold.csv/run", "a directory"),  # under a file
         ("cache_dir", "gold.csv", "a directory"),
+        ("cache_dir", "gold.csv/pages", "a directory"),
     ],
 )
 def test_a_config_path_of_the_wrong_kind_exits_1_naming_it(tmp_path, key, value, kind):
@@ -349,6 +372,19 @@ def test_a_config_path_of_the_wrong_kind_exits_1_naming_it(tmp_path, key, value,
     named = inputs if value == "." else inputs / value
     assert result.stderr == f"error: {config}: {key} is not {kind}: {named}\n"
     assert not (tmp_path / "run").exists()
+    assert (inputs / "gold.csv").read_bytes() == (GOLDEN / "gold.csv").read_bytes()
+
+
+@pytest.mark.parametrize("row, cells", [("acme/dlpipe,99", 2), ("acme/dlpipe,99,true,,,extra", 6)],
+                         ids=["short", "long"])
+def test_a_gold_row_whose_cells_do_not_match_the_header_exits_1_naming_it(tmp_path, row, cells):
+    inputs = shutil.copytree(GOLDEN, tmp_path / "inputs")
+    with open(inputs / "gold.csv", "a", encoding="utf-8") as fh:
+        fh.write(row + "\n")
+    result = CliRunner().invoke(main, ["run", "--config", str(inputs / "config.yaml"), "--out", str(tmp_path / "run")])
+    assert result.exit_code == 1
+    assert "Traceback" not in result.output
+    assert result.stderr == f"error: stage 'sample' failed (gold row 18: {cells} cells, but the header has 5)\n"
 
 
 @pytest.mark.parametrize(
@@ -366,6 +402,8 @@ def test_a_config_path_of_the_wrong_kind_exits_1_naming_it(tmp_path, key, value,
         ("config.yaml", "seed: 3", "unknown key seed"),  # the seed is sampling.seed
         ("config.yaml", "sampling: {n_pos: 4, n_neg: 4, sed: 7}", "unknown key sampling.sed"),
         ("config.yaml", "theme: {description: faults, constraint: []}", "unknown key theme.constraint"),
+        ("config.yaml", "theme: {constraints: [open-source]}", "missing key theme.description"),
+        ("config.yaml", 'theme: {description: " "}', "theme: theme description must be non-empty"),
         ("config.yaml", "sampling: [4, 4]", "sampling must be a mapping, not list"),
         ("config.yaml", "sampling: {n_neg: 4}", "missing key sampling.n_pos"),
         ("config.yaml", "sampling: {n_pos: null, n_neg: 4}", "missing key sampling.n_pos"),
@@ -782,7 +820,7 @@ def test_config_snapshot_holds_every_resolved_setting(tmp_path):
     snapshot = load_yaml(tmp_path / "run" / "config_snapshot.yaml")
     assert snapshot.keys() == {f.name for f in dataclasses.fields(config)}
     assert snapshot["criteria_file"] == os.path.abspath(GOLDEN / "criteria.yaml")
-    assert snapshot["theme_description"] == "JavaScript-based DL system faults"
+    assert snapshot["theme"]["description"] == "JavaScript-based DL system faults"
     assert snapshot["sampling"] == {"n_pos": 4, "n_neg": 4, "seed": 7}
     assert snapshot["out_dir"] == str(tmp_path / "run")
 
