@@ -276,10 +276,6 @@ class GoldLabel:
     symptom_leaf: str | None = None
     root_cause: str | None = None
 
-    @property
-    def key(self) -> IssueKey:
-        return (self.repo, self.number)
-
 
 def read_lines(path: str | Path, kind: type) -> Iterator[tuple[int, Record]]:
     """Each non-blank line of the line-delimited JSON file at `path` as a

@@ -140,11 +140,8 @@ class Transcript:
                     self._newline = not complete
                 offset += len(line)
 
-    def lookup(self, digest: str) -> ChatResponse:
-        try:
-            return self.entries[digest]
-        except KeyError:
-            raise ReplayMissError(f"transcript has no entry for request digest {digest}") from None
+    def lookup(self, digest: str) -> ChatResponse | None:
+        return self.entries.get(digest)
 
     def record(self, digest: str, response: ChatResponse) -> None:
         line = json.dumps({"request_digest": digest, "response": response.to_dict()}, sort_keys=True)
@@ -266,14 +263,11 @@ class UsageTally(Record):
 
 
 class Gateway:
-    """Chat-completion front door with three modes.
-
-    live:   call the provider (with retries); nothing persisted.
-    record: serve a request already in the transcript from it; call the
-            provider for any other and append (digest, response) to the
-            transcript.
-    replay: serve responses from the transcript only; a missing digest is a
-            ReplayMissError and no provider call is ever made.
+    """Chat-completion front door: a request is served from the transcript,
+    if the gateway holds one; on a miss the provider, if it holds one, is
+    asked (with retries) and a transcript appends the answer, and without a
+    provider a miss is a ReplayMissError. The mode decides only which of the
+    two it holds: live a provider, replay a transcript, record both.
 
     `map` runs a stage's per-issue calls, up to `parallelism` issues at once.
     """
@@ -288,13 +282,11 @@ class Gateway:
     ):
         if mode not in MODES:
             raise ValueError(f"unknown gateway mode: {mode!r}")
-        if mode != "live" and transcript is None:
-            raise ValueError(f"{mode} mode requires a transcript")
-        if mode != "replay" and provider is None:
-            raise ValueError(f"{mode} mode requires a provider")
+        for held, needed, what in ((provider, mode != "replay", "provider"), (transcript, mode != "live", "transcript")):
+            if (held is not None) != needed:
+                raise ValueError(f"{mode} mode {'requires a' if needed else 'takes no'} {what}")
         if parallelism < 1:
             raise ValueError("parallelism must be >= 1")
-        self.mode = mode
         self.transcript = transcript
         self._provider = provider
         self.parallelism = parallelism
@@ -312,29 +304,26 @@ class Gateway:
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         digest = request_digest(request)
-        if self.mode == "replay":
-            response = self.transcript.lookup(digest)
-            self._account(request.model_id, response)
-            return response
-        if self.mode == "record" and (response := self.transcript.entries.get(digest)) is not None:
-            self._account(request.model_id, response)
-            return response
+        response = self.transcript.lookup(digest) if self.transcript is not None else None
+        if response is None:
+            if self._provider is None:
+                raise ReplayMissError(f"transcript has no entry for request digest {digest}")
 
-        def send(attempt: int) -> ChatResponse:
-            with self.limiter:
-                response = self._provider.send(request)
-            response.provider_meta.setdefault("attempts", attempt)
-            return response
+            def send(attempt: int) -> ChatResponse:
+                with self.limiter:
+                    response = self._provider.send(request)
+                response.provider_meta.setdefault("attempts", attempt)
+                return response
 
-        response = retry(send, digest, self.sleep)
-        if self.mode == "record":
-            self.transcript.record(digest, response)
+            response = retry(send, digest, self.sleep)
+            if self.transcript is not None:
+                self.transcript.record(digest, response)
         self._account(request.model_id, response)
         return response
 
     def map(self, one: Callable[[IssueRecord], T], issues: Iterable[IssueRecord]) -> list[T]:
-        """`one(issue)` for each issue, in input order: inline in replay,
-        which makes no provider call, or at `parallelism` 1, else on a pool of
+        """`one(issue)` for each issue, in input order: inline without a
+        provider, as in replay, or at `parallelism` 1, else on a pool of
         `parallelism` threads. The first issue in input order whose call
         raises ends the batch with a GatewayError naming it and the error:
         no issue starts after a call has raised, and those in flight finish,
@@ -350,7 +339,7 @@ class Gateway:
                 failed.set()
                 raise GatewayError(f"{issue.repo}#{issue.number}: {type(exc).__name__}: {exc}") from exc
 
-        if self.mode == "replay" or self.parallelism == 1:
+        if self._provider is None or self.parallelism == 1:
             return [named(issue) for issue in issues]
         with ThreadPoolExecutor(max_workers=self.parallelism) as pool:
             return list(pool.map(named, issues))

@@ -249,16 +249,15 @@ class Runner:
         return self._table[name]
 
     def _get_gateway(self) -> Gateway:
-        """The Runner's Gateway, made on first use. Outside replay its
-        provider is the injected one, or else the one `config.model_id`
-        names, which needs its key: a GatewayError before any call."""
+        """The Runner's Gateway, made on first use. The mode decides what it
+        holds: the transcript but in live mode, and a provider but in replay,
+        the injected one or else the one `config.model_id` names, which needs
+        its key: a GatewayError before any call."""
         if self.gateway is None:
-            config, provider = self.config, self.provider
-            if provider is None and config.mode != "replay":
-                provider = provider_for_model(config.model_id)
-            path = config.transcript_path
-            self.gateway = Gateway(config.mode, Transcript(path) if path is not None else None, provider,
-                                   config.parallelism)
+            config = self.config
+            provider = None if config.mode == "replay" else self.provider or provider_for_model(config.model_id)
+            transcript = None if config.mode == "live" else Transcript(config.transcript_path)
+            self.gateway = Gateway(config.mode, transcript, provider, config.parallelism)
         return self.gateway
 
     @contextlib.contextmanager

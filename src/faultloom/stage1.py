@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import Record
-from .errors import StageError
+from .errors import StageError, StructuredOutputError
 from .gateway import ChatRequest, Gateway, ask_structured, extract_structured
 
 _SUFFIXES = ("js",)  # ".js" reduces to "js" once punctuation is stripped
@@ -75,20 +75,28 @@ def build_study_prompt(theme: StudyTheme, model_id: str) -> ChatRequest:
     )
 
 
+def _parse_plan(text: str) -> StudyPlan:
+    """The answer's object as a StudyPlan; one of the wrong shape is a StructuredOutputError."""
+    try:
+        return StudyPlan.from_dict(extract_structured(text, {"projects", "research_questions"}))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StructuredOutputError(f"not a study plan: {exc}") from exc
+
+
 def propose_study(theme: StudyTheme, gateway: Gateway, model_id: str) -> StudyPlan:
-    """Ask the model for a study plan, with up to two structured-output repair
-    retries; duplicate projects (after name normalization) are merged."""
+    """Ask the model for a study plan, repairing an answer that is not one up
+    to twice; duplicate projects (after name normalization) are merged."""
     answer = ask_structured(
         gateway,
         build_study_prompt(theme, model_id),
-        lambda text: extract_structured(text, {"projects", "research_questions"}),
+        _parse_plan,
         lambda exc: f"\n\nYour previous answer could not be parsed ({exc}). "
         "Return only the JSON object described above.",
     )
     if answer.error is not None:
         raise answer.error
 
-    plan = StudyPlan.from_dict(answer.value)
+    plan = answer.value
     merged: dict[str, ProjectCandidate] = {}
     for project in plan.projects:
         key = normalize_project_name(project.name)

@@ -13,6 +13,7 @@ from datetime import date
 from pathlib import Path
 
 from .corpus import IssueRecord, Record, render_issue
+from .errors import StructuredOutputError
 from .gateway import ChatRequest, Gateway, ask_structured, extract_structured
 
 DEFAULT_COMMENT_BUDGET = 20
@@ -190,6 +191,14 @@ def _undecided(issue: IssueRecord, trace: list[CriterionResult], error: str | No
     return FilterDecision(repo=issue.repo, number=issue.number, trace=trace, final=False, error=error)
 
 
+def _parse_verdict(text: str) -> dict:
+    """The answer's object, whose `fault_related` must be a JSON boolean."""
+    fields = extract_structured(text, {"fault_related"})
+    if not isinstance(verdict := fields["fault_related"], bool):
+        raise StructuredOutputError(f"fault_related must be true or false, not {verdict!r}")
+    return fields
+
+
 def judge(
     issue: IssueRecord,
     criteria: FilterCriteria,
@@ -205,18 +214,17 @@ def judge(
     answer = ask_structured(
         gateway,
         build_filter_prompt(issue, criteria, model_id),
-        lambda text: extract_structured(text, {"fault_related"}),
+        _parse_verdict,
         lambda exc: f"\n\nYour previous answer could not be parsed ({exc}). "
         "Return only the JSON object.",
     )
     if answer.error is not None:
         return _undecided(issue, trace, f"{PARSE_FAILURE_MARKER}: {answer.error}")
-    verdict = bool(answer.value["fault_related"])
+    verdict, rationale = answer.value["fault_related"], answer.value.get("rationale")
     return FilterDecision(
         repo=issue.repo, number=issue.number, trace=trace,
-        llm_verdict=verdict,
-        llm_rationale=str(answer.value.get("rationale", "")),
-        final=verdict,
+        llm_verdict=verdict, final=verdict,
+        llm_rationale="" if rationale is None else str(rationale),
     )
 
 

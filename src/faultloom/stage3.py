@@ -111,9 +111,8 @@ def classify(
     fields, symptom_node, root_cause_node = answer.value
     return FaultLabel(
         repo=issue.repo, number=issue.number,
-        symptom_leaf=symptom_node.id,
-        root_cause=root_cause_node.id,
-        rationale=str(fields.get("rationale", "")),
+        symptom_leaf=symptom_node.id, root_cause=root_cause_node.id,
+        rationale="" if (rationale := fields.get("rationale")) is None else str(rationale),
         attempts=answer.attempts,
         valid=True,
     )

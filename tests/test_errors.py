@@ -108,6 +108,8 @@ SHARED = _taxonomy(_node("a", children=[_node("a.x", "Crash")]), _node("b", chil
 CASES = [
     ("config without input", lambda tmp: load_config(_write(tmp / "c.yaml", "mode: replay\ntranscript: t.jsonl\n")),
      ConfigError, "config needs at least one dump path or repo"),
+    ("unknown mode", lambda tmp: load_config(_write(tmp / "c.yaml", "dumps: [d.jsonl]\nmode: bogus\n")),
+     ConfigError, "unknown mode: 'bogus'"),
     # taxonomy
     ("duplicate id", lambda tmp: load_taxonomy(_taxonomy(_node("a"), _node("a", "B"))),
      TaxonomyError, "duplicate taxonomy node id: 'a'"),

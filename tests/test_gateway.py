@@ -205,6 +205,22 @@ def test_a_gateway_that_may_call_a_provider_needs_one(tmp_path):
     Gateway(mode="replay", transcript=Transcript(tmp_path / "t.jsonl"))
 
 
+def test_a_gateway_holds_only_what_its_mode_uses(tmp_path):
+    with pytest.raises(ValueError, match="^live mode takes no transcript$"):
+        Gateway(mode="live", transcript=Transcript(tmp_path / "t.jsonl"), provider=ScriptedProvider([]))
+    with pytest.raises(ValueError, match="^replay mode takes no provider$"):
+        Gateway(mode="replay", transcript=Transcript(tmp_path / "t.jsonl"), provider=ScriptedProvider([]))
+    with pytest.raises(ValueError, match="^record mode requires a transcript$"):
+        Gateway(mode="record", provider=ScriptedProvider([]))
+
+
+def test_transcript_lookup_of_a_missing_digest_is_none(tmp_path):
+    _recorded(tmp_path / "t.jsonl", [request_digest(REQ)])
+    transcript = Transcript(tmp_path / "t.jsonl")
+    assert transcript.lookup(request_digest(REQ)).text == request_digest(REQ)
+    assert transcript.lookup(request_digest(replace(REQ, user_text="other"))) is None
+
+
 def test_record_then_replay_round_trip(tmp_path):
     path = tmp_path / "t.jsonl"
     provider = ScriptedProvider(['{"x": 1}'])

@@ -154,6 +154,18 @@ def test_a_live_runner_with_an_injected_provider_needs_no_model_key(tmp_path, mo
     assert (tmp_path / "run" / ARTIFACTS["evaluate"]).exists()
 
 
+def test_a_live_runner_neither_reads_nor_writes_the_transcript(tmp_path, symptoms, root_causes):
+    golden = shutil.copytree(GOLDEN, tmp_path / "golden")
+    (golden / "transcript.jsonl").write_text("not json\n")
+    provider = OracleProvider(load_gold(golden / "gold.csv"), symptoms, root_causes)
+    config = load_config(golden / "config.yaml", overrides={"mode": "live", "out": str(tmp_path / "run")})
+    runner = Runner(config, provider=provider)
+    runner.run_pipeline()
+    assert (tmp_path / "run" / ARTIFACTS["evaluate"]).exists()
+    assert runner.gateway.transcript is None
+    assert (golden / "transcript.jsonl").read_text() == "not json\n"
+
+
 def test_an_empty_theme_keeps_no_theme_and_define_asks_for_one(tmp_path):
     config = _minimal_config(tmp_path, "theme:\n")
     assert load_config(config).theme is None
@@ -294,6 +306,49 @@ def test_cli_define_without_a_theme_is_a_config_error(tmp_path):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert "error: define needs a theme.description in the config" in result.stderr
+
+
+def test_cli_define_given_no_plan_after_its_repairs_exits_1(tmp_path, monkeypatch):
+    answer = json.dumps({"projects": "tfjs", "research_questions": ["q"]})
+    provider = ScriptedProvider([answer] * 3)
+    monkeypatch.setattr(pipeline, "provider_for_model", lambda model_id: provider)
+    out = tmp_path / "run"
+    result = CliRunner().invoke(main, ["define", "--config", str(GOLDEN / "config.yaml"), "--mode", "live",
+                                       "--out", str(out)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "error: not a study plan: expected an array, not str" in result.stderr
+    assert provider.calls == 3
+    assert not (out / ARTIFACTS["define"]).exists()
+
+
+def test_cli_run_without_a_vocabulary_fails_at_the_filter_stage(tmp_path):
+    golden = shutil.copytree(GOLDEN, tmp_path / "golden")
+    config = golden / "config.yaml"
+    config.write_text("".join(l for l in config.read_text().splitlines(True) if not l.startswith("vocabulary:")))
+    out = tmp_path / "run"
+    result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(out)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "error: stage 'filter' failed (no vocabulary file configured)" in result.stderr
+    assert (out / ARTIFACTS["corpus"]).exists() and (out / ARTIFACTS["sample"]).exists()
+    assert not (out / ARTIFACTS["filter"]).exists()
+
+
+def test_a_report_without_gold_verdicts_notes_that_stage2_is_unscored(tmp_path):
+    golden = shutil.copytree(GOLDEN, tmp_path / "golden")
+    runner = Runner(load_config(golden / "config.yaml", overrides={"out": str(tmp_path / "run")}))
+    runner.run_pipeline()
+    gold = golden / "gold.csv"
+    lines = gold.read_text().splitlines(True)
+    # Each row keeps its labels but fault_related; a row left with none goes.
+    rows = [l.replace(",true,", ",,") for l in lines[1:] if ",false," not in l]
+    gold.write_text("".join([lines[0], *rows]))
+    runner.run_evaluate()
+    summary = (tmp_path / "run" / "summary.md").read_text()
+    assert "- note: stage2: no gold-covered decisions to score" in summary
+    assert "## Stage II: fault-related issue filtering" not in summary
+    assert json.loads((tmp_path / "run" / ARTIFACTS["evaluate"]).read_text())["stage2"] is None
 
 
 @pytest.mark.parametrize(

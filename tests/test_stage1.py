@@ -129,3 +129,22 @@ def test_reference_file_parsing(tmp_path):
     path = tmp_path / "reference.txt"
     path.write_text("# comment line\nTensorFlow.js\n\nMagenta.js  # inline\n")
     assert load_reference_projects(path) == ["TensorFlow.js", "Magenta.js"]
+
+
+@pytest.mark.parametrize("answer, error", [
+    ({"projects": "tfjs", "research_questions": ["q"]}, "expected an array, not str"),
+    ({"projects": [{"url": "https://example.test"}], "research_questions": ["q"]}, "'missing or null: name'"),
+    ({"projects": ["tfjs"], "research_questions": ["q"]}, "expected an object, not str"),
+])
+def test_propose_study_asks_again_for_a_plan_of_the_wrong_shape(answer, error):
+    provider = ScriptedProvider([json.dumps(answer), _plan_json(["TensorFlow.js"])])
+    plan = propose_study(THEME, Gateway(mode="live", provider=provider, sleep=lambda s: None), MODEL)
+    assert [p.name for p in plan.projects] == ["TensorFlow.js"]
+    assert provider.calls == 2
+    assert f"could not be parsed (not a study plan: {error})" in provider.requests[1].user_text
+
+
+def test_propose_study_never_given_a_plan_raises_structured_output_error():
+    answer = json.dumps({"projects": "tfjs", "research_questions": ["q"]})
+    with pytest.raises(StructuredOutputError, match="^not a study plan: expected an array, not str$"):
+        propose_study(THEME, _gateway([answer] * 3), MODEL)

@@ -302,6 +302,30 @@ def test_judge_negative_verdict():
     assert decision.llm_rationale == "feature request"
 
 
+@pytest.mark.parametrize("value", ['"false"', "null", "0", '"yes"'])
+def test_judge_asks_again_for_a_verdict_that_is_no_boolean(value):
+    gateway, provider = _gateway([f'{{"fault_related": {value}}}', '{"fault_related": false, "rationale": "r"}'])
+    decision = _judge(gateway)
+    assert decision.final is False and decision.llm_verdict is False
+    assert decision.error is None
+    assert provider.calls == 2
+    assert f"fault_related must be true or false, not {json.loads(value)!r}" in provider.inner.requests[1].user_text
+
+
+def test_judge_never_given_a_boolean_verdict_is_a_parse_failure():
+    gateway, provider = _gateway(['{"fault_related": "true"}'] * 3)
+    decision = _judge(gateway)
+    assert decision.final is False and decision.llm_verdict is None
+    assert decision.error == "structured-output-parse-failure: fault_related must be true or false, not 'true'"
+    assert provider.calls == 3
+
+
+def test_judge_reads_a_missing_or_null_rationale_as_empty():
+    for answer in ('{"fault_related": true, "rationale": null}', '{"fault_related": true}'):
+        gateway, _ = _gateway([answer])
+        assert _judge(gateway).llm_rationale == ""
+
+
 def test_judge_parse_failure_marker_after_retries():
     gateway, provider = _gateway(["prose", "prose", "prose"])
     decision = _judge(gateway)

@@ -104,6 +104,13 @@ def test_classify_unknown_root_cause_is_a_valid_leaf(symptoms, root_causes):
     assert label.root_cause == "unknown"
 
 
+def test_classify_reads_a_null_rationale_as_empty(symptoms, root_causes):
+    answer = json.dumps({"symptom": "Memory Leak", "root_cause": "Unknown", "rationale": None})
+    gateway, _ = _gateway([answer])
+    label = _classify(symptoms, root_causes, gateway)
+    assert label.valid is True and label.rationale == ""
+
+
 def test_classify_unresolvable_label_exhausts_budget(symptoms, root_causes):
     bogus = json.dumps({"symptom": "Quantum Error", "root_cause": "Cosmic Rays", "rationale": "r"})
     gateway, provider = _gateway([bogus, bogus, bogus])
