@@ -192,10 +192,11 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
     working directory, but `seed`, which replaces `sampling.seed` and needs
     `sampling`. A file that does not parse (bad YAML, not UTF-8, a bad
     value) is a ConfigError naming it, and so is a setting no run could use:
-    each file the config names must be a regular file, the transcript once it
-    exists or in replay mode, and `out` and `cache_dir` must name a directory
-    or a path whose nearest existing ancestor is one. The model key is the
-    provider's to check, as the first model stage resolves it."""
+    each file the config names must be a regular file, the transcript in
+    replay mode or in record mode once it exists (live mode opens none), and
+    `out` and `cache_dir` must name a directory or a path whose nearest
+    existing ancestor is one. The model key is the provider's to check, as
+    the first model stage resolves it."""
     path = Path(path)
     try:
         raw = load_yaml(path) or {}
@@ -226,7 +227,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
     if not config.dumps and not config.repos:
         raise ConfigError("config needs at least one dump path or repo")
     files = [("dumps", dump) for dump in config.dumps] + [(key, getattr(config, f"{key}_file")) for key in _FILE_KEYS]
-    if config.mode == "replay" or config.transcript_path is not None and config.transcript_path.exists():
+    if config.mode == "replay" or config.mode == "record" and config.transcript_path.exists():
         files.append(("transcript", config.transcript_path))
     for key, file in files:
         if file is not None and not file.is_file():

@@ -10,7 +10,6 @@ import io
 import json
 import os
 import random
-import re
 import types
 import typing
 from dataclasses import dataclass
@@ -46,19 +45,22 @@ def format_timestamp(ts: datetime) -> str:
     return "%04d-%02d-%02dT%02d:%02d:%02dZ" % (ts.year, ts.month, ts.day, ts.hour, ts.minute, ts.second)
 
 
-# ASCII digits only (`\d` would take any script's), and hours stop at 23: an
-# interpreter that reads `T24:00:00` as the next midnight must normalise it.
-_canonical = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T(?:[01][0-9]|2[0-3]):[0-9]{2}:[0-9]{2}Z").fullmatch
-
-
 def canonical_timestamp(value) -> Timestamp:
     """`value` as a Timestamp: `format_timestamp(parse_timestamp(value))`,
     without the round trip for text already in that form. Such text is
-    still checked to name a time that exists; `fromisoformat` is given it
-    without the `Z`, which Python 3.10 does not read."""
-    if value.__class__ is str and _canonical(value):
-        datetime.fromisoformat(value[:19])
-        return value
+    still checked to name a time that exists: `fromisoformat`, given it
+    without the `Z` (which Python 3.10 does not read), takes ASCII digits
+    only in the places the shape test leaves to them. Hours stop at 23: an
+    interpreter that reads `T24:00:00` as the next midnight must normalise it."""
+    # `value[4::3]` is the characters at 4, 7, 10, 13, 16 and 19: the shape's
+    # separators, tested in one comparison.
+    if (value.__class__ is str and len(value) == 20 and value[4::3] == "--T::Z"
+            and value[11:13] < "24" and value.isascii()):
+        try:
+            datetime.fromisoformat(value[:19])
+            return value
+        except ValueError:
+            pass  # parse_timestamp decides, as for any other text
     return format_timestamp(parse_timestamp(value))
 
 
@@ -277,41 +279,50 @@ class GoldLabel:
     root_cause: str | None = None
 
 
-def read_lines(path: str | Path, kind: type) -> Iterator[tuple[int, Record]]:
+def read_lines(path: str | Path, kind: type, lines: bool = False) -> Iterator[tuple[int, Record, bytes | None]]:
     """Each non-blank line of the line-delimited JSON file at `path` as a
-    `kind` record, with its 1-based line number. Lines end at `\n` only, the
-    JSON Lines separator, and a line of ASCII whitespace alone is blank. A
-    line that does not read as one (not UTF-8 included) raises a
-    CorpusError naming the file and the line."""
+    `kind` record, with its 1-based line number and, if `lines`, the bytes
+    that write the record as a line: the line's own, given a `\n` if it has
+    none, when the record encodes to the object the line holds, else
+    `jsonl_line` of its encoding. Lines end at `\n` only, the JSON Lines
+    separator, and a line of ASCII whitespace alone is blank. A line that
+    does not read as one (not UTF-8 included) raises a CorpusError naming
+    the file and the line."""
     with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             if line.isspace():
                 continue
             try:
                 # json.loads of the bytes would decode them too, but about 70 % slower.
-                record = kind.from_dict(json.loads(line.decode("utf-8")))
+                raw = json.loads(line.decode("utf-8"))
+                record = kind.from_dict(raw)
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"{path} line {line_no}: invalid JSON: {exc}") from exc
             except (KeyError, TypeError, ValueError, OverflowError, RecordInvariantError) as exc:
                 raise CorpusError(f"{path} line {line_no}: {exc}") from exc
-            yield line_no, record
+            if not lines:
+                yield line_no, record, None
+            elif (row := record.to_dict()) != raw:
+                yield line_no, record, jsonl_line(row)
+            else:  # the line decodes to `row` again, so it is as good as `row`'s encoding, and cheaper
+                yield line_no, record, line if line.endswith(b"\n") else line + b"\n"
 
 
-def read_dump(path: str | Path) -> Iterator[IssueRecord]:
+def read_dump(path: str | Path, lines: bool = False) -> Iterator[tuple[IssueRecord, bytes | None]]:
     """The records of a line-delimited JSON dump, in file order, one at a
-    time. Every rejection, a key seen twice included, reports the 1-based
-    line number it came from."""
+    time, each with its line as `read_lines` gives it. Every rejection, a
+    key seen twice included, reports the 1-based line number it came from."""
     seen: set[IssueKey] = set()
-    for line_no, record in read_lines(path, IssueRecord):
+    for line_no, record, line in read_lines(path, IssueRecord, lines):
         if record.key in seen:
             raise CorpusError(f"{path} line {line_no}: duplicate record key {record.repo}#{record.number}")
         seen.add(record.key)
-        yield record
+        yield record, line
 
 
 def import_dump(path: str | Path) -> list[IssueRecord]:
     """The records of a line-delimited JSON dump, in file order (see `read_dump`)."""
-    return list(read_dump(path))
+    return [record for record, _ in read_dump(path)]
 
 
 # `json.dumps(row, sort_keys=True)` without building an encoder per call. The
@@ -342,10 +353,15 @@ def write_atomic(path: str | Path, chunks: Iterable[bytes]) -> str:
     return digest.hexdigest()
 
 
+def jsonl_line(row: dict) -> bytes:
+    """`row` as one line of sorted-key JSON."""
+    return (_encode_row(row) + "\n").encode("utf-8")
+
+
 def write_jsonl(path: str | Path, rows: Iterable[dict]) -> str:
     """Write one sorted-key JSON object per line through `write_atomic`;
     return the sha256 of the bytes written."""
-    return write_atomic(path, ((_encode_row(row) + "\n").encode("utf-8") for row in rows))
+    return write_atomic(path, map(jsonl_line, rows))
 
 
 def export_dump(records: Iterable[IssueRecord], path: str | Path) -> str:

@@ -55,6 +55,7 @@ from .corpus import (  # export_dump: no stage calls it, but perfbench/tracing.p
     copy_lines,
     export_dump,
     import_dump,
+    jsonl_line,
     load_gold,
     read_dump,
     read_lines,
@@ -170,10 +171,10 @@ REPORT_FILES = ("report.json", "summary.md",
 # looks its loader up as a global at call time, so that a loader patched on
 # this module is the one called. The corpus reads as its keys, in file order.
 _PARSERS = {
-    "corpus": lambda path: [record.key for record in read_dump(path)],
+    "corpus": lambda path: [record.key for record, _ in read_dump(path)],
     "sample": lambda path: import_dump(path),
-    "filter": lambda path: [d for _, d in read_lines(path, stage2.FilterDecision)],
-    "classify": lambda path: [l for _, l in read_lines(path, stage3.FaultLabel)],
+    "filter": lambda path: [d for _, d, _ in read_lines(path, stage2.FilterDecision)],
+    "classify": lambda path: [l for _, l, _ in read_lines(path, stage3.FaultLabel)],
     "gold": lambda path: load_gold(path),
     "symptom_taxonomy": lambda path: load_taxonomy(path),
     "root_cause_taxonomy": lambda path: load_taxonomy(path),
@@ -359,28 +360,33 @@ class Runner:
 
         def body(_):
             # Each record is written as it is read, and only its key is kept.
+            # A dump line that reads back as the record it decodes to is
+            # written as its own bytes (`read_lines`), any other line and
+            # each fetched record in sorted-key form: corpus.jsonl is
+            # canonical in content, and in bytes where the dumps are.
             keys = []
 
             def records():
                 for path in dumps.values():
-                    yield from read_dump(path)
+                    yield from read_dump(path, lines=True)
                 if config.repos:
                     cache = PageCache(config.cache_dir) if config.cache_dir else None
                     fetcher = IssueFetcher(cache=cache)
                     for repo in config.repos:
-                        yield from fetcher.fetch_issues(repo)
+                        for record in fetcher.fetch_issues(repo):
+                            yield record, jsonl_line(record.to_dict())
 
-            def rows():
-                for record in records():
+            def lines():
+                for record, line in records():
                     keys.append(record.key)
-                    yield record.to_dict()
+                    yield line
                 seen = set()
                 for key in keys:  # across the parts; read_dump checked each dump
                     if key in seen:
                         raise CorpusError(f"duplicate record key {key[0]}#{key[1]}")
                     seen.add(key)
 
-            return {ARTIFACTS["corpus"]: write_jsonl(self.artifact("corpus"), rows())}, keys, {"records": len(keys)}
+            return {ARTIFACTS["corpus"]: write_atomic(self.artifact("corpus"), lines())}, keys, {"records": len(keys)}
 
         # No dump paths: the dump digests, by position, cover the dumps, and a
         # path as spelled would make one config named two ways two runs.

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -16,6 +17,7 @@ from faultloom.corpus import (
     import_dump,
     load_gold,
     parse_timestamp,
+    read_dump,
     render_issue,
     sample_balanced,
 )
@@ -290,6 +292,57 @@ def test_canonical_timestamp_is_the_parse_and_format_round_trip(value):
     assert _outcome(lambda v: Comment.from_dict({"created_at": v}).created_at, value) == expected
 
 
+# The rule `canonical_timestamp` used before its shape test, kept as the
+# oracle the shape test must agree with.
+_REGEX_CANONICAL = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T(?:[01][0-9]|2[0-3]):[0-9]{2}:[0-9]{2}Z").fullmatch
+
+
+def _regex_canonical_timestamp(value):
+    if value.__class__ is str and _REGEX_CANONICAL(value):
+        datetime.fromisoformat(value[:19])
+        return value
+    return format_timestamp(parse_timestamp(value))
+
+
+def _value_or_error_class(decode, value):
+    try:
+        return decode(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+_STAMP_CHARS = "0123456789\u0663\uff10-:TtZz +.,/_\x00\u00e9"
+
+
+@st.composite
+def _perturbed_stamp(draw) -> str:
+    """A canonical stamp with up to three characters replaced, removed or inserted."""
+    text = list(format_timestamp(draw(st.datetimes(timezones=st.just(timezone.utc)))))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["replace", "remove", "insert"]))
+        if edit == "insert" or at == len(text):
+            text.insert(at, draw(st.sampled_from(_STAMP_CHARS)))
+        elif edit == "remove":
+            del text[at]
+        else:
+            text[at] = draw(st.sampled_from(_STAMP_CHARS))
+    return "".join(text)
+
+
+@settings(max_examples=2000)
+@given(value=_perturbed_stamp())
+@example(value="2021-02-29T00:00:00Z")
+@example(value="2021-01-01T24:00:00Z")
+@example(value="2021-01-01T19:00:00Z")
+@example(value="2021-01-01T2\u0663:00:00Z")
+@example(value="\u0663021-01-01T00:00:00Z")
+@example(value="2021-01-01T00:00:0ZZ")
+@example(value="0000-01-01T00:00:00Z")
+def test_the_shape_test_gives_what_the_regex_rule_gave(value):
+    assert _value_or_error_class(canonical_timestamp, value) == _value_or_error_class(_regex_canonical_timestamp, value)
+
+
 # Later times are up to ~3.2 years on, so the range ends well before 9999.
 _INSTANTS = st.datetimes(
     min_value=datetime(1000, 1, 2), max_value=datetime(9990, 1, 1), timezones=st.just(timezone.utc)
@@ -360,6 +413,29 @@ def test_a_dump_is_written_back_as_a_reference_encoder_writes_it(tmp_path_factor
     assert written.read_bytes() == "".join(
         json.dumps(expected, sort_keys=True) + "\n" for _, expected in pairs
     ).encode("utf-8")
+
+
+@settings(deadline=None, max_examples=50)
+@given(data=st.data(), count=st.integers(0, 4))
+def test_a_dump_line_is_kept_as_its_own_bytes_when_it_holds_its_record(tmp_path_factory, data, count):
+    """`read_dump(..., lines=True)` gives each line as it is when it holds
+    exactly what its record encodes to, in any key order or escaping, and
+    else the record's sorted-key line."""
+    # Half the lines hold their record's encoding as it is.
+    pairs = [(raw if data.draw(st.booleans()) else expected, expected)
+             for raw, expected in (data.draw(_dump_line(number)) for number in range(1, count + 1))]
+    source = tmp_path_factory.mktemp("dump") / "source.jsonl"
+    lines = []
+    for raw, _ in pairs:
+        keys = data.draw(st.permutations(list(raw)))
+        lines.append(json.dumps({k: raw[k] for k in keys}, ensure_ascii=data.draw(st.booleans())).encode("utf-8"))
+    source.write_bytes(b"\n".join(lines))  # the last line without its newline
+    written = [line for _, line in read_dump(source, lines=True)]
+    assert written == [
+        line + b"\n" if raw == expected else (json.dumps(expected, sort_keys=True) + "\n").encode("utf-8")
+        for line, (raw, expected) in zip(lines, pairs)
+    ]
+    assert [json.loads(line) for line in written] == [expected for _, expected in pairs]
 
 
 def test_a_line_of_ascii_whitespace_is_blank_but_one_of_no_break_spaces_is_not(tmp_path):

@@ -166,6 +166,20 @@ def test_a_live_runner_neither_reads_nor_writes_the_transcript(tmp_path, symptom
     assert (golden / "transcript.jsonl").read_text() == "not json\n"
 
 
+def test_a_live_import_does_not_check_the_kind_of_the_transcript_it_never_opens(tmp_path, monkeypatch):
+    monkeypatch.delenv("FAULTLOOM_API_KEY_OPENAI", raising=False)
+    inputs = shutil.copytree(GOLDEN, tmp_path / "inputs")
+    config = inputs / "config.yaml"
+    config.write_text(config.read_text().replace("transcript: transcript.jsonl", "transcript: ."))
+    out = tmp_path / "run"
+    result = CliRunner().invoke(main, ["import", "--config", str(config), "--mode", "live", "--out", str(out)])
+    assert result.exit_code == 0, result.stderr
+    assert (out / "corpus.jsonl").read_bytes() == (GOLDEN / "corpus.jsonl").read_bytes()
+    result = CliRunner().invoke(main, ["import", "--config", str(config), "--mode", "record", "--out", str(out)])
+    assert result.exit_code == 1
+    assert result.stderr == f"error: {config}: transcript is not a regular file: {inputs}\n"
+
+
 def test_an_empty_theme_keeps_no_theme_and_define_asks_for_one(tmp_path):
     config = _minimal_config(tmp_path, "theme:\n")
     assert load_config(config).theme is None
@@ -1296,6 +1310,76 @@ def test_the_corpus_stage_holds_no_more_than_two_records_at_once(tmp_path, monke
     runner.run_corpus()
     assert peak[0] == 2
     assert len(runner.artifact("corpus").read_text().splitlines()) > 5 * peak[0]
+
+
+def _golden_rows() -> list[dict]:
+    return [json.loads(line) for line in (GOLDEN / "corpus.jsonl").read_text(encoding="utf-8").splitlines()]
+
+
+def _with_dump(tmp_path, name: str, data: bytes) -> Path:
+    """A copy of the golden inputs whose dump holds `data`; its config's path."""
+    inputs = shutil.copytree(GOLDEN, tmp_path / name)
+    (inputs / "corpus.jsonl").write_bytes(data)
+    return inputs / "config.yaml"
+
+
+def test_a_dump_in_any_key_order_and_escaping_is_copied_and_runs_as_its_canonical_form(tmp_path, symptoms, root_causes):
+    """A dump line that holds what its record encodes to is written to
+    corpus.jsonl as its own bytes, keys reversed and UTF-8 unescaped alike,
+    and every later artifact is what the canonical form of that dump gives."""
+    rows = [{**row, "title": row["title"] + " \u2014 na\u00efve \u2713"} for row in _golden_rows()]
+    dumps = {
+        "canonical": "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows).encode("ascii"),
+        "reversed": "".join(json.dumps(dict(reversed(row.items())), ensure_ascii=False) + "\n" for row in rows).encode(),
+    }
+    gold = load_gold(GOLDEN / "gold.csv")
+    outs = {}
+    for name, data in dumps.items():
+        config = load_config(_with_dump(tmp_path, name, data), {"mode": "live", "out": str(tmp_path / name / "run")})
+        runner = Runner(config, provider=OracleProvider(gold, symptoms, root_causes))
+        runner.run_pipeline()
+        assert runner.artifact("corpus").read_bytes() == data
+        outs[name] = runner.out
+    for name in ("sample.jsonl", "decisions.jsonl", "labels.jsonl"):
+        assert [json.loads(line) for line in (outs["reversed"] / name).read_text().splitlines()] == [
+            json.loads(line) for line in (outs["canonical"] / name).read_text().splitlines()], name
+    for name in ("decisions.jsonl", "labels.jsonl"):
+        assert (outs["reversed"] / name).read_bytes() == (outs["canonical"] / name).read_bytes(), name
+    assert _without_wall_time(outs["reversed"]) == _without_wall_time(outs["canonical"])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("created_at", "2021-03-01T02:00:00+02:00"),
+    ("number", "1"),
+    ("extra", "an unknown key"),
+    ("labels", None),  # takes the default, []
+])
+def test_a_dump_line_that_does_not_hold_its_record_as_it_encodes_is_written_in_sorted_key_form(tmp_path, field, value):
+    rows = _golden_rows()
+    assert rows[0]["created_at"] == "2021-03-01T00:00:00Z" and rows[0]["number"] == 1 and rows[0]["labels"] == []
+    rows[0][field] = value
+    data = "".join(json.dumps(row) + "\n" for row in rows).encode("ascii")
+    runner = Runner(load_config(_with_dump(tmp_path, "inputs", data), {"out": str(tmp_path / "run")}))
+    runner.run_pipeline()
+    assert runner.artifact("corpus").read_bytes() == (GOLDEN / "corpus.jsonl").read_bytes()
+
+
+def test_a_last_dump_line_without_its_newline_is_given_one(tmp_path):
+    golden = (GOLDEN / "corpus.jsonl").read_bytes()
+    runner = Runner(load_config(_with_dump(tmp_path, "inputs", golden[:-1]), {"out": str(tmp_path / "run")}))
+    runner.run_corpus()
+    assert runner.artifact("corpus").read_bytes() == golden
+
+
+def test_an_integral_float_issue_number_is_copied_and_reads_back_as_an_integer(tmp_path):
+    rows = _golden_rows()
+    rows[0]["number"] = 1.0
+    data = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows).encode("ascii")
+    runner = Runner(load_config(_with_dump(tmp_path, "inputs", data), {"out": str(tmp_path / "run")}))
+    runner.run_pipeline()
+    assert runner.artifact("corpus").read_bytes() == data
+    (first, *_) = import_dump(runner.artifact("corpus"))
+    assert first.number.__class__ is int and first.number == 1
 
 
 # An issue that is not in gold, so that no sample picks it.
