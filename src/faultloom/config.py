@@ -115,14 +115,21 @@ def load_criteria(path: Path | None) -> dict:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _one(convert):
-    """The reader of a value, as `convert` makes it."""
-    return lambda value, key, path: convert(value)
+def _text(value, key: str, path) -> str:
+    """The value of a text key, as `str` makes it."""
+    return str(value)
 
 
-def _each(convert):
-    """The reader of a list, each of its items as `convert` makes it."""
-    return lambda value, key, path: [convert(v) for v in _list(value, key, path)]
+def _each(read):
+    """The reader of a list, each of its items read by `read`."""
+    return lambda value, key, path: [read(v, key, path) for v in _list(value, key, path)]
+
+
+def _path(value, key: str, path) -> Path:
+    """`value`, the `key` of the file at `path`, as a path: a value that is no text is a ConfigError naming both."""
+    if not isinstance(value, (str, os.PathLike)):
+        raise ConfigError(f"{path}: {key} must be a path, not {type(value).__name__}")
+    return Path(value)
 
 
 # The config keys that each name one input file, its `<key>_file` field.
@@ -143,21 +150,21 @@ def _section(cls, keys: dict, required=()):
 # of its value (value, key, file path). A key the file leaves out or empty
 # keeps the field's default.
 _CONFIG_KEYS = {
-    "out": ("out_dir", _one(Path)),
-    "mode": ("mode", _one(str)),
-    "model": ("model_id", _one(str)),
-    "dumps": ("dumps", _each(Path)),
-    "repos": ("repos", _each(str)),
-    **{name: (f"{name}_file", _one(Path)) for name in _FILE_KEYS},
-    "theme": ("theme", _section(StudyTheme, {"description": ("description", _one(str)),
-                                             "constraints": ("constraints", _each(str))}, required=("description",))),
-    "transcript": ("transcript_path", _one(Path)),
+    "out": ("out_dir", _path),
+    "mode": ("mode", _text),
+    "model": ("model_id", _text),
+    "dumps": ("dumps", _each(_path)),
+    "repos": ("repos", _each(_text)),
+    **{name: (f"{name}_file", _path) for name in _FILE_KEYS},
+    "theme": ("theme", _section(StudyTheme, {"description": ("description", _text),
+                                             "constraints": ("constraints", _each(_text))}, required=("description",))),
+    "transcript": ("transcript_path", _path),
     "sampling": ("sampling", _section(SamplingConfig, {"n_pos": ("n_pos", partial(_count, least=0)),
                                                        "n_neg": ("n_neg", partial(_count, least=0)),
                                                        "seed": ("seed", _count)}, required=("n_pos", "n_neg"))),
     "parallelism": ("parallelism", partial(_count, least=1)),
-    "stage3_input": ("stage3_input", _one(str)),
-    "cache_dir": ("cache_dir", _one(Path)),
+    "stage3_input": ("stage3_input", _text),
+    "cache_dir": ("cache_dir", _path),
 }
 
 

@@ -378,12 +378,16 @@ def copy_lines(source: str | Path, path: str | Path, keep: set[int]) -> str:
         return write_atomic(path, (line for index, line in enumerate(lines) if index in keep))
 
 
+_GOLD_FAULT = {"": None, **dict.fromkeys(("true", "1", "yes"), True), **dict.fromkeys(("false", "0", "no"), False)}
+
+
 def load_gold(path: str | Path) -> dict[IssueKey, GoldLabel]:
     """Read the gold-label CSV (repo, number, fault_related, symptom_leaf_id,
     root_cause_id; empty cells allowed). Each row has a cell for each column
-    of the header; a blank row is skipped."""
+    of the header; a blank row is skipped, a leading byte-order mark dropped.
+    fault_related is true/1/yes, false/0/no (any case) or empty, unlabelled."""
     gold: dict[IssueKey, GoldLabel] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
@@ -404,8 +408,10 @@ def load_gold(path: str | Path) -> dict[IssueKey, GoldLabel]:
                 number = int(row["number"])
             except ValueError as exc:
                 raise CorpusError(f"gold row {row_no}: bad issue number") from exc
-            fault_raw = row["fault_related"].strip().lower()
-            fault_related = None if fault_raw == "" else fault_raw in ("true", "1", "yes")
+            cell = row["fault_related"]
+            if (fault_raw := cell.strip().lower()) not in _GOLD_FAULT:
+                raise CorpusError(f"gold row {row_no}: fault_related must be true or false, not {cell!r}")
+            fault_related = _GOLD_FAULT[fault_raw]
             symptom = row["symptom_leaf_id"].strip() or None
             root_cause = row["root_cause_id"].strip() or None
             if fault_related is None and symptom is None and root_cause is None:

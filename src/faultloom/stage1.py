@@ -117,9 +117,9 @@ class PlanScore(Record):
 
 
 def load_reference_projects(path: str | Path) -> list[str]:
-    """One project name per line; '#' starts a comment."""
+    """One project name per line; '#' starts a comment. A leading byte-order mark is dropped."""
     names = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in Path(path).read_text(encoding="utf-8-sig").splitlines():
         line = line.split("#", 1)[0].strip()
         if line:
             names.append(line)

@@ -56,8 +56,9 @@ class FilterCriteria:
 
 
 def load_vocabulary(path: str | Path) -> list[str]:
+    """One term per line; '#' starts a comment line. A leading byte-order mark is dropped."""
     terms = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in Path(path).read_text(encoding="utf-8-sig").splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             terms.append(line)
@@ -199,35 +200,6 @@ def _parse_verdict(text: str) -> dict:
     return fields
 
 
-def judge(
-    issue: IssueRecord,
-    criteria: FilterCriteria,
-    gateway: Gateway,
-    model_id: str,
-    trace: list[CriterionResult],
-) -> FilterDecision:
-    """Full per-issue verdict: deterministic short-circuit, then LLM.
-    `trace` is the issue's `apply_deterministic` result."""
-    if not all(c.passed for c in trace):
-        return _undecided(issue, trace)
-
-    answer = ask_structured(
-        gateway,
-        build_filter_prompt(issue, criteria, model_id),
-        _parse_verdict,
-        lambda exc: f"\n\nYour previous answer could not be parsed ({exc}). "
-        "Return only the JSON object.",
-    )
-    if answer.error is not None:
-        return _undecided(issue, trace, f"{PARSE_FAILURE_MARKER}: {answer.error}")
-    verdict, rationale = answer.value["fault_related"], answer.value.get("rationale")
-    return FilterDecision(
-        repo=issue.repo, number=issue.number, trace=trace,
-        llm_verdict=verdict, final=verdict,
-        llm_rationale="" if rationale is None else str(rationale),
-    )
-
-
 def run_stage2(
     issues: list[IssueRecord],
     criteria: FilterCriteria,
@@ -239,7 +211,25 @@ def run_stage2(
     to ask the model, so a call that did not return fails the batch with a
     GatewayError naming its issue."""
     traces = {issue.key: apply_deterministic(issue, criteria) for issue in issues}
+
+    def judge(issue: IssueRecord) -> FilterDecision:
+        trace = traces[issue.key]
+        answer = ask_structured(
+            gateway,
+            build_filter_prompt(issue, criteria, model_id),
+            _parse_verdict,
+            lambda exc: f"\n\nYour previous answer could not be parsed ({exc}). "
+            "Return only the JSON object.",
+        )
+        if answer.error is not None:
+            return _undecided(issue, trace, f"{PARSE_FAILURE_MARKER}: {answer.error}")
+        verdict, rationale = answer.value["fault_related"], answer.value.get("rationale")
+        return FilterDecision(
+            repo=issue.repo, number=issue.number, trace=trace,
+            llm_verdict=verdict, final=verdict,
+            llm_rationale="" if rationale is None else str(rationale),
+        )
+
     passed = [issue for issue in issues if all(c.passed for c in traces[issue.key])]
-    judged = gateway.map(lambda issue: judge(issue, criteria, gateway, model_id, traces[issue.key]), passed)
-    by_key = {decision.key: decision for decision in judged}
+    by_key = {decision.key: decision for decision in gateway.map(judge, passed)}
     return [by_key.get(issue.key) or _undecided(issue, traces[issue.key]) for issue in issues]

@@ -75,49 +75,6 @@ def _resolve_leaf(taxonomy: Taxonomy, label: str, what: str) -> TaxonomyNode:
     return node
 
 
-def classify(
-    issue: IssueRecord,
-    symptoms: Taxonomy,
-    root_causes: Taxonomy,
-    gateway: Gateway,
-    model_id: str,
-    outlines: tuple[str, str],
-    comment_budget: int,
-    char_budget: int,
-) -> FaultLabel:
-    """Single-issue classification: 1 provider call plus up to 2 repair
-    retries; on exhaustion the label is marked invalid, never coerced.
-    `outlines` are the two taxonomies rendered for the prompt."""
-
-    def parse(text: str) -> tuple[dict, TaxonomyNode, TaxonomyNode]:
-        fields = extract_structured(text, {"symptom", "root_cause"})
-        return (
-            fields,
-            _resolve_leaf(symptoms, str(fields["symptom"]), "symptom"),
-            _resolve_leaf(root_causes, str(fields["root_cause"]), "root cause"),
-        )
-
-    # Positional only, so a wrapper of the builder taking *args sees them all.
-    request = build_classification_prompt(issue, model_id, outlines, comment_budget, char_budget)
-    answer = ask_structured(
-        gateway, request, parse,
-        lambda exc: f"\n\nYour previous answer was rejected: {exc}. "
-        "Answer again with exact names from the taxonomies, as a "
-        "single JSON object.",
-    )
-    if answer.error is not None:
-        return FaultLabel(repo=issue.repo, number=issue.number, attempts=answer.attempts, valid=False,
-                          raw_output=answer.text, error=str(answer.error))
-    fields, symptom_node, root_cause_node = answer.value
-    return FaultLabel(
-        repo=issue.repo, number=issue.number,
-        symptom_leaf=symptom_node.id, root_cause=root_cause_node.id,
-        rationale="" if (rationale := fields.get("rationale")) is None else str(rationale),
-        attempts=answer.attempts,
-        valid=True,
-    )
-
-
 def run_stage3(
     issues: list[IssueRecord],
     symptoms: Taxonomy,
@@ -129,11 +86,39 @@ def run_stage3(
     char_budget: int,
 ) -> list[FaultLabel]:
     """One label per issue, in input order, through `gateway.map`: a call that
-    did not return fails the batch with a GatewayError naming its issue, and
-    an answer still rejected after its repairs is an invalid label. The
-    budgets bound the issue text of each prompt."""
+    did not return fails the batch with a GatewayError naming its issue. Each
+    issue gets one provider call plus up to 2 repairs; an answer still
+    rejected after them is an invalid label, never coerced. The budgets bound
+    the issue text of each prompt."""
     outlines = render_prompt_section(symptoms), render_prompt_section(root_causes)
-    return gateway.map(
-        lambda issue: classify(issue, symptoms, root_causes, gateway, model_id, outlines, comment_budget, char_budget),
-        issues,
-    )
+
+    def parse(text: str) -> tuple[dict, TaxonomyNode, TaxonomyNode]:
+        fields = extract_structured(text, {"symptom", "root_cause"})
+        return (
+            fields,
+            _resolve_leaf(symptoms, str(fields["symptom"]), "symptom"),
+            _resolve_leaf(root_causes, str(fields["root_cause"]), "root cause"),
+        )
+
+    def classify(issue: IssueRecord) -> FaultLabel:
+        # Positional only, so a wrapper of the builder taking *args sees them all.
+        request = build_classification_prompt(issue, model_id, outlines, comment_budget, char_budget)
+        answer = ask_structured(
+            gateway, request, parse,
+            lambda exc: f"\n\nYour previous answer was rejected: {exc}. "
+            "Answer again with exact names from the taxonomies, as a "
+            "single JSON object.",
+        )
+        if answer.error is not None:
+            return FaultLabel(repo=issue.repo, number=issue.number, attempts=answer.attempts, valid=False,
+                              raw_output=answer.text, error=str(answer.error))
+        fields, symptom_node, root_cause_node = answer.value
+        return FaultLabel(
+            repo=issue.repo, number=issue.number,
+            symptom_leaf=symptom_node.id, root_cause=root_cause_node.id,
+            rationale="" if (rationale := fields.get("rationale")) is None else str(rationale),
+            attempts=answer.attempts,
+            valid=True,
+        )
+
+    return gateway.map(classify, issues)

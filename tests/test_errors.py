@@ -24,7 +24,7 @@ from faultloom.errors import (
     TaxonomyError,
     TransientProviderError,
 )
-from faultloom.evaluation import score_stage2, score_stage3
+from faultloom.evaluation import hierarchical_accuracy, score_stage2, score_stage3
 from faultloom.gateway import (
     ChatRequest,
     Gateway,
@@ -98,6 +98,18 @@ def _two_dumps(tmp):
     return _write(tmp / "config.yaml", "dumps: [a.jsonl, b.jsonl]\nmode: record\ntranscript: t.jsonl\nout: run\n")
 
 
+def _deleted_dump(tmp):
+    """A config whose dump is deleted after the config was loaded."""
+    export_dump([make_issue(number=1)], tmp / "a.jsonl")
+    config = load_config(_write(tmp / "config.yaml", "dumps: [a.jsonl]\nmode: record\ntranscript: t.jsonl\nout: run\n"))
+    (tmp / "a.jsonl").unlink()
+    Runner(config).run_corpus()
+
+
+def _gold(tmp, *rows, header="repo,number,fault_related,symptom_leaf_id,root_cause_id"):
+    return load_gold(_write(tmp / "gold.csv", "".join(line + "\n" for line in (header, *rows))))
+
+
 def _missing_artifact(tmp):
     Runner(load_config(GOLDEN / "config.yaml", overrides={"out": str(tmp / "run")})).run_filter()
 
@@ -140,6 +152,16 @@ CASES = [
      TaxonomyError, "taxonomy document has unknown key 'leaf_levle'"),
     ("unknown node key", lambda tmp: load_taxonomy(_taxonomy({**_node("a"), "childern": [_node("a.b")]})),
      TaxonomyError, "node 'a' has unknown key 'childern'"),
+    ("taxonomy not a mapping", lambda tmp: load_taxonomy([_node("a")]),
+     TaxonomyError, "taxonomy document must be a mapping"),
+    ("unknown kind", lambda tmp: load_taxonomy({**_taxonomy(_node("a")), "kind": "cause"}),
+     TaxonomyError, "unknown taxonomy kind: 'cause'"),
+    ("no nodes list", lambda tmp: load_taxonomy({"kind": "symptom", "nodes": {"a": _node("a")}}),
+     TaxonomyError, "taxonomy document has no 'nodes' list"),
+    ("node not a mapping", lambda tmp: load_taxonomy(_taxonomy(_node("a", children=["a.b"]))),
+     TaxonomyError, "node entry is not a mapping (child of a)"),
+    ("children not a list", lambda tmp: load_taxonomy(_taxonomy({**_node("a"), "children": "a.b"})),
+     TaxonomyError, "children of node 'a' is not a list"),
     ("leaf level 0", lambda tmp: load_taxonomy({**_taxonomy(_node("a")), "leaf_level": 0}),
      TaxonomyError, "leaf_level must be an integer in 1..3, not 0"),
     ("leaf level 7", lambda tmp: load_taxonomy({**_taxonomy(_node("a")), "leaf_level": 7}),
@@ -160,9 +182,17 @@ CASES = [
      RecordInvariantError, "acme/dlpipe: non-positive issue number 0"),
     ("corpus key twice", lambda tmp: Runner(load_config(_two_dumps(tmp))).run_corpus(),
      CorpusError, "duplicate record key acme/dlpipe#1"),
-    ("gold row without label", lambda tmp: load_gold(_write(
-        tmp / "gold.csv", "repo,number,fault_related,symptom_leaf_id,root_cause_id\nacme/x,1,,,\n")),
+    ("gold row without label", lambda tmp: _gold(tmp, "acme/x,1,,,"),
      CorpusError, "gold row 2: no populated label field"),
+    ("gold without a column", lambda tmp: _gold(tmp, "acme/x,1,true", header="repo,number,fault_related"),
+     CorpusError, "gold file must have columns ['fault_related', 'number', 'repo', 'root_cause_id', "
+                  "'symptom_leaf_id'], got ['repo', 'number', 'fault_related']"),
+    ("gold bad issue number", lambda tmp: _gold(tmp, "acme/x,one,true,,"),
+     CorpusError, "gold row 2: bad issue number"),
+    ("gold key twice", lambda tmp: _gold(tmp, "acme/x,1,true,,", "acme/x,1,false,,"),
+     CorpusError, "gold row 3: duplicate key acme/x#1"),
+    ("gold fault_related not a boolean", lambda tmp: _gold(tmp, "acme/x,1,true,,", "acme/x,2, maybe,,"),
+     CorpusError, "gold row 3: fault_related must be true or false, not ' maybe'"),
     ("short stratum", _sample,
      CorpusError, "stratum 'fault': requested 5 but only 3 available (shortfall 2)"),
     # tracker
@@ -198,6 +228,13 @@ CASES = [
     ("no gold label", lambda tmp: score_stage3([FaultLabel(repo="o/r", number=7, valid=False)], {},
                                                load_taxonomy(SHARED)),
      EvaluationError, "no gold symptom label for o/r#7"),
+    ("no labels", lambda tmp: score_stage3([], {}, load_taxonomy(SHARED)),
+     EvaluationError, "no labels to score"),
+    ("no labels at a level", lambda tmp: hierarchical_accuracy([], {}, load_taxonomy(SHARED), 1),
+     EvaluationError, "no labels to score"),
+    ("level outside the taxonomy", lambda tmp: hierarchical_accuracy([FaultLabel(repo="o/r", number=7, valid=False)],
+                                                                      {}, load_taxonomy(SHARED), 0),
+     EvaluationError, "level must be in 1..3"),
     # stages
     ("empty plan", _empty_plan,
      StageError, "study plan needs at least one project and one research question"),
@@ -205,6 +242,8 @@ CASES = [
      StageError, "reference project list is empty"),
     ("unreadable manifest", lambda tmp: Manifest(_write(tmp / "manifest.json", "[]")),
      StageError, "unreadable manifest {tmp}/manifest.json: no stages object"),
+    ("input deleted after load", _deleted_dump,
+     ConfigError, "referenced file does not exist: {tmp}/a.jsonl"),
     ("missing artifact", _missing_artifact,
      StageError, "missing upstream artifact {tmp}/run/sample.jsonl (needed by filter); run the producing stage first"),
 ]

@@ -444,6 +444,16 @@ def test_a_config_path_of_the_wrong_kind_exits_1_naming_it(tmp_path, key, value,
     assert (inputs / "gold.csv").read_bytes() == (GOLDEN / "gold.csv").read_bytes()
 
 
+def test_a_byte_order_mark_on_the_vocabulary_and_gold_files_changes_no_decision_or_label(tmp_path):
+    inputs = shutil.copytree(GOLDEN, tmp_path / "inputs")
+    for name in ("vocab.txt", "gold.csv"):
+        (inputs / name).write_bytes(b"\xef\xbb\xbf" + (inputs / name).read_bytes())
+    Runner(_config(tmp_path)).run_pipeline()
+    Runner(load_config(inputs / "config.yaml", overrides={"out": str(tmp_path / "marked")})).run_pipeline()
+    for name in ("decisions.jsonl", "labels.jsonl"):
+        assert (tmp_path / "marked" / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
+
+
 @pytest.mark.parametrize("row, cells", [("acme/dlpipe,99", 2), ("acme/dlpipe,99,true,,,extra", 6)],
                          ids=["short", "long"])
 def test_a_gold_row_whose_cells_do_not_match_the_header_exits_1_naming_it(tmp_path, row, cells):
@@ -477,6 +487,10 @@ def test_a_gold_row_whose_cells_do_not_match_the_header_exits_1_naming_it(tmp_pa
         ("config.yaml", "sampling: {n_neg: 4}", "missing key sampling.n_pos"),
         ("config.yaml", "sampling: {n_pos: null, n_neg: 4}", "missing key sampling.n_pos"),
         ("config.yaml", "sampling: {n_pos: 4, seed: 7}", "missing key sampling.n_neg"),
+        ("config.yaml", "out: 5", "out must be a path, not int"),
+        ("config.yaml", "transcript: [t.jsonl]", "transcript must be a path, not list"),
+        ("config.yaml", "gold: true", "gold must be a path, not bool"),
+        ("config.yaml", "dumps: [corpus.jsonl, 7]", "dumps must be a path, not int"),
     ],
 )
 def test_a_boolean_fraction_or_negative_setting_is_an_error_naming_the_file_and_key(tmp_path, name, line, message):

@@ -28,11 +28,10 @@ from faultloom.stage2 import (
     CriterionResult,
     FilterCriteria,
     FilterDecision,
-    apply_deterministic,
-    judge,
+    run_stage2,
 )
-from faultloom.stage3 import FaultLabel, classify
-from faultloom.taxonomy import load_taxonomy, render_prompt_section
+from faultloom.stage3 import FaultLabel, run_stage3
+from faultloom.taxonomy import load_taxonomy
 
 from fakes import ScriptedProvider, make_response
 from gen import EXCLUSION_LABELS, VOCAB, make_issue
@@ -94,15 +93,16 @@ def _judged_decision():
     criteria = FilterCriteria(vocabulary=list(VOCAB), exclusion_labels=list(EXCLUSION_LABELS))
     issue = make_issue()
     gateway = _answering('{"fault_related": true, "rationale": "r"}')
-    return judge(issue, criteria, gateway, MODEL, apply_deterministic(issue, criteria))
+    (decision,) = run_stage2([issue], criteria, gateway, MODEL)
+    return decision
 
 
 def _classified_label():
     answer = json.dumps({"symptom": "Memory Leak", "root_cause": "Unimplemented Operator", "rationale": "r"})
     symptoms, root_causes = _taxonomies()
-    outlines = render_prompt_section(symptoms), render_prompt_section(root_causes)
-    return classify(make_issue(), symptoms, root_causes, _answering(answer), MODEL, outlines,
-                    DEFAULT_COMMENT_BUDGET, DEFAULT_CHAR_BUDGET)
+    (label,) = run_stage3([make_issue()], symptoms, root_causes, _answering(answer), MODEL,
+                          comment_budget=DEFAULT_COMMENT_BUDGET, char_budget=DEFAULT_CHAR_BUDGET)
+    return label
 
 
 def _scored_report():

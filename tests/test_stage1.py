@@ -125,9 +125,10 @@ def test_recall_monotone_under_additions():
     assert bigger.recall >= small.recall
 
 
-def test_reference_file_parsing(tmp_path):
+@pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "byte-order-mark"])
+def test_reference_file_parsing(tmp_path, mark):
     path = tmp_path / "reference.txt"
-    path.write_text("# comment line\nTensorFlow.js\n\nMagenta.js  # inline\n")
+    path.write_bytes(mark + b"# comment line\nTensorFlow.js\n\nMagenta.js  # inline\n")
     assert load_reference_projects(path) == ["TensorFlow.js", "Magenta.js"]
 
 

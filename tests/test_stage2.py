@@ -19,7 +19,7 @@ from faultloom.stage2 import (
     FilterCriteria,
     apply_deterministic,
     build_filter_prompt,
-    judge,
+    load_vocabulary,
     run_stage2,
 )
 
@@ -234,6 +234,15 @@ def test_vocabulary_term_with_newline_is_rejected():
         FilterCriteria(vocabulary=["out of\nmemory"])
 
 
+def test_a_byte_order_mark_does_not_hide_the_first_vocabulary_term(tmp_path):
+    path = tmp_path / "vocab.txt"
+    path.write_bytes(b"\xef\xbb\xbfWebGL\n# comment\ntensor\n")
+    criteria = FilterCriteria(vocabulary=load_vocabulary(path))
+    assert criteria.vocabulary == ["WebGL", "tensor"]
+    trace = _trace_map(apply_deterministic(make_issue(title="WebGL context lost", body=""), criteria))
+    assert trace[CRITERION_VOCABULARY].passed and trace[CRITERION_VOCABULARY].evidence == "WebGL"
+
+
 # --- prompt construction -----------------------------------------------------
 
 def test_prompt_deterministic():
@@ -275,14 +284,14 @@ def _gateway(texts):
 
 
 def _judge(gateway):
-    issue = make_issue()
-    return judge(issue, CRITERIA, gateway, MODEL, apply_deterministic(issue, CRITERIA))
+    (decision,) = run_stage2([make_issue()], CRITERIA, gateway, MODEL)
+    return decision
 
 
 def test_judge_short_circuits_without_provider_call():
     issue = make_issue(created_at=datetime(2019, 1, 1, tzinfo=timezone.utc))
     gateway, provider = _gateway([])
-    decision = judge(issue, CRITERIA, gateway, MODEL, apply_deterministic(issue, CRITERIA))
+    (decision,) = run_stage2([issue], CRITERIA, gateway, MODEL)
     assert decision.final is False
     assert decision.llm_verdict is None
     assert provider.calls == 0

@@ -7,7 +7,6 @@ from faultloom.gateway import Gateway, Transcript, request_digest
 from faultloom.stage2 import DEFAULT_CHAR_BUDGET, DEFAULT_COMMENT_BUDGET
 from faultloom.stage3 import (
     build_classification_prompt,
-    classify,
     run_stage3,
 )
 from faultloom.taxonomy import ancestors, render_prompt_section
@@ -40,8 +39,8 @@ def _prompt(issue, symptoms, root_causes, comment_budget=DEFAULT_COMMENT_BUDGET,
 
 
 def _classify(symptoms, root_causes, gateway):
-    outlines = _outlines(symptoms, root_causes)
-    return classify(make_issue(), symptoms, root_causes, gateway, MODEL, outlines, **BUDGETS)
+    (label,) = run_stage3([make_issue()], symptoms, root_causes, gateway, MODEL, **BUDGETS)
+    return label
 
 
 def test_prompt_deterministic(symptoms, root_causes):
