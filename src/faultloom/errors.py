@@ -49,7 +49,10 @@ class GatewayError(FaultloomError):
 
 
 class TransientProviderError(GatewayError):
-    """Transport, rate-limit, or 5xx-class failure; eligible for retry."""
+    """Transport, rate-limit, or 5xx-class failure; eligible for retry, not
+    sooner than `retry_after` seconds."""
+
+    retry_after: float = 0.0
 
 
 class RetriesExhaustedError(GatewayError):

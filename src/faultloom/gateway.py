@@ -32,6 +32,7 @@ logger = logging.getLogger(__name__)
 
 MODES = ("live", "record", "replay")  # see Gateway
 MAX_ATTEMPTS = 4
+MAX_RETRY_AFTER = 60.0  # the longest wait, in seconds, that a Retry-After header sets
 DEFAULT_MAX_OUTPUT_TOKENS = 2048
 REPAIR_RETRIES = 2
 
@@ -75,20 +76,24 @@ def request_digest(request: ChatRequest) -> str:
 T = TypeVar("T")
 
 
-def raise_transient(status: int, where: str) -> None:
-    """Raise a TransientProviderError for HTTP 429 or HTTP >= 500. With a
-    `requests` failure, which each client turns into one too, these are the
+def raise_transient(status: int, where: str, retry_after: str | None = None) -> None:
+    """Raise a TransientProviderError for HTTP 429 or HTTP >= 500, with the
+    delay-seconds of a `retry_after` header (RFC 9110 10.2.3), not a date. With
+    a `requests` failure, which each client turns into one too, these are the
     failures `retry` retries."""
     if status == 429 or status >= 500:
-        raise TransientProviderError(f"HTTP {status} from {where}")
+        exc = TransientProviderError(f"HTTP {status} from {where}")
+        if retry_after is not None and (value := retry_after.strip()).isascii() and value.isdigit():
+            exc.retry_after = float(value)
+        raise exc
 
 
 def retry(send: Callable[[int], T], key: str, sleep: Callable[[float], None]) -> T:
     """`send(attempt)` until it returns, at most MAX_ATTEMPTS times. Only a
     TransientProviderError is retried, after an exponential backoff from
     0.5 s with up to half a delay of jitter, seeded by `key` and the attempt
-    so that the same request waits the same; the last one raises
-    RetriesExhaustedError."""
+    so that the same request waits the same, or the error's `retry_after`
+    (at most MAX_RETRY_AFTER) if longer; the last one raises RetriesExhaustedError."""
     delay = 0.5
     for attempt in range(1, MAX_ATTEMPTS + 1):
         try:
@@ -97,7 +102,8 @@ def retry(send: Callable[[int], T], key: str, sleep: Callable[[float], None]) ->
             last_error = exc
             logger.warning("transient failure (attempt %d): %s", attempt, exc)
             if attempt < MAX_ATTEMPTS:
-                sleep(delay + random.Random(f"{key}/{attempt}").uniform(0, delay / 2))
+                backoff = delay + random.Random(f"{key}/{attempt}").uniform(0, delay / 2)
+                sleep(max(backoff, min(exc.retry_after, MAX_RETRY_AFTER)))
                 delay *= 2
     raise RetriesExhaustedError(f"provider failed after {MAX_ATTEMPTS} attempts: {last_error}") from last_error
 
@@ -216,7 +222,7 @@ class OpenAICompatProvider:
         except requests.RequestException as exc:
             raise TransientProviderError(f"{self.endpoint}: {exc}") from exc
         latency_ms = (time.monotonic() - start) * 1000
-        raise_transient(resp.status_code, f"{self.endpoint}: {resp.text[:200]}")
+        raise_transient(resp.status_code, f"{self.endpoint}: {resp.text[:200]}", resp.headers.get("Retry-After"))
         if resp.status_code != 200:
             raise GatewayError(f"provider error HTTP {resp.status_code}: {resp.text[:200]}")
         try:  # a reply that is no chat completion: not JSON, no choices, no message

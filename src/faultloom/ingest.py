@@ -119,7 +119,7 @@ class IssueFetcher:
             headers = {k.lower(): v for k, v in headers.items()}
             if status == 403 and headers.get("x-ratelimit-remaining") == "0":
                 raise CorpusError(f"rate limit exhausted; resets at {headers.get('x-ratelimit-reset', 'unknown')}")
-            raise_transient(status, url)
+            raise_transient(status, url, headers.get("retry-after"))
             if status != 200:
                 raise CorpusError(f"HTTP {status} from {url}: {body[:200]}")
             return headers, body

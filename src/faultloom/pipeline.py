@@ -25,11 +25,14 @@ read at most once. Its "files" entries hold the sha256 of each file it hashed,
 and each file a stage wrote with the sha256 it was written with, so no
 artifact is read back to hash it. Its table holds what it parsed of each
 input, and what a later stage reads of an artifact where the stage that wrote
-it holds that: the corpus stage its ordered key list, so that no stage holds
-the whole corpus's records. The filter stage builds the sample's records from
-`sample.jsonl`. A stage called outside a command is a command of its own.
-Nothing of either outlives the command, nor does the transcript's append
-handle, which the command's stages share.
+it holds that: the corpus stage its ordered key list, the sample stage the
+records it drew. Inside a larger command the corpus stage decodes these and
+keeps the records the sample can draw (all without sampling, else those gold
+labels fault_related), so no stage holds the whole corpus's records while
+sampling is on; the filter stage builds the sample's records from
+`sample.jsonl` only when the corpus stage did not run in the command. A stage
+called outside a command is a command of its own. Nothing of either outlives
+the command, nor does the transcript's append handle, which its stages share.
 """
 
 from __future__ import annotations
@@ -200,6 +203,7 @@ class Runner:
         self._table: dict[str, object] | None = None
         # The "files" entries of the running command: path -> entry.
         self._taken: dict[str, dict] = {}
+        self._drawable: dict | None = None  # key -> record the corpus stage kept for the sample stage
         self._snapshotted = False
 
     # --- shared plumbing ---------------------------------------------------
@@ -278,7 +282,7 @@ class Runner:
             try:
                 yield
             finally:
-                self._table, self._taken = None, {}
+                self._table, self._taken, self._drawable = None, {}, None
                 if self.gateway is not None and self.gateway.transcript is not None:
                     self.gateway.transcript.close()
 
@@ -357,14 +361,23 @@ class Runner:
         """Import the dumps and fetch the repos into the corpus artifact."""
         config = self.config
         dumps = {f"dump{i}": path for i, path in enumerate(config.dumps)}
+        keep = self._table is not None  # inside a larger command; not as `faultloom import`
 
         def body(_):
-            # Each record is written as it is read, and only its key is kept.
-            # A dump line that reads back as the record it decodes to is
-            # written as its own bytes (`read_lines`), any other line and
-            # each fetched record in sorted-key form: corpus.jsonl is
-            # canonical in content, and in bytes where the dumps are.
-            keys = []
+            # Each record is written as it is read, and its key kept, and the
+            # record if `keep` and the sample can draw it (gold that does not
+            # read keeps none; the sample stage reports it). A dump line that
+            # reads back as the record it decodes to is written as its own
+            # bytes (`read_lines`), any other line and each fetched record in
+            # sorted-key form: corpus.jsonl is canonical in content, and in
+            # bytes where the dumps are.
+            keys, kept, labelled = [], {} if keep else None, None
+            if keep and config.sampling is not None:
+                try:
+                    gold = self._read(self._files("gold"), "gold")
+                except (FaultloomError, OSError):
+                    gold, kept = {}, None
+                labelled = {key for key, label in gold.items() if label.fault_related is not None}
 
             def records():
                 for path in dumps.values():
@@ -379,6 +392,8 @@ class Runner:
             def lines():
                 for record, line in records():
                     keys.append(record.key)
+                    if kept is not None and (labelled is None or record.key in labelled):
+                        kept[record.key] = record
                     yield line
                 seen = set()
                 for key in keys:  # across the parts; read_dump checked each dump
@@ -386,7 +401,9 @@ class Runner:
                         raise CorpusError(f"duplicate record key {key[0]}#{key[1]}")
                     seen.add(key)
 
-            return {ARTIFACTS["corpus"]: write_atomic(self.artifact("corpus"), lines())}, keys, {"records": len(keys)}
+            digest = write_atomic(self.artifact("corpus"), lines())
+            self._drawable = kept
+            return {ARTIFACTS["corpus"]: digest}, keys, {"records": len(keys)}
 
         # No dump paths: the dump digests, by position, cover the dumps, and a
         # path as spelled would make one config named two ways two runs.
@@ -396,6 +413,7 @@ class Runner:
         """Draw the balanced evaluation sample from the corpus."""
         sampling = self.config.sampling
         inputs = self._files("corpus", *(["gold"] if sampling else []))
+        drawable, self._drawable = self._drawable, None  # held no longer than this stage
 
         def body(read):
             keys = read("corpus")
@@ -403,8 +421,9 @@ class Runner:
             if sampling is not None:
                 chosen = sample_balanced(keys, read("gold"), sampling.n_pos, sampling.n_neg, sampling.seed)
                 keep = [i for i, key in enumerate(keys) if key in chosen]
-            # The filter stage builds the sample's records from the file.
-            return {ARTIFACTS["sample"]: copy_lines(inputs["corpus"], self.artifact("sample"), set(keep))}, None, {}
+            # Without the corpus stage's records the filter stage reads the file.
+            drawn = None if drawable is None else [drawable[keys[i]] for i in keep]
+            return {ARTIFACTS["sample"]: copy_lines(inputs["corpus"], self.artifact("sample"), set(keep))}, drawn, {}
 
         return self._stage("sample", asdict(sampling) if sampling else None, inputs, body)
 

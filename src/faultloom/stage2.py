@@ -109,16 +109,18 @@ def apply_deterministic(issue: IssueRecord, criteria: FilterCriteria) -> list[Cr
 
     # No term spans a newline and the lookarounds treat one like the edge of
     # a part, so one search of the joined text equals a search of each part.
-    # A term whose needle is absent from the folded text cannot match there,
-    # and none matches before the needle's first index: folding keeps every
-    # index (only U+0130 grows under lower(), and _FOLD maps it first), and
-    # the lookbehind still sees the characters before the search start.
+    # A term with a needle matches only where the needle occurs in the folded
+    # text, since folding keeps every index (only U+0130 grows under lower(),
+    # and _FOLD maps it first): its pattern is tried at each such index, where
+    # the lookbehind still sees the text before it, and scans nothing between.
     matched = ""
     text = "\n".join([issue.title, issue.body] + [c.body for c in issue.comments])
-    folded = text.translate(_FOLD).lower()
+    folded = (text if text.isascii() else text.translate(_FOLD)).lower()
     for term, needle, pattern in criteria.term_patterns:
-        start = 0 if needle is None else folded.find(needle)
-        if start >= 0 and pattern.search(text, start):
+        at = -1 if needle is None else folded.find(needle)
+        while at >= 0 and not pattern.match(text, at):
+            at = folded.find(needle, at + 1)
+        if at >= 0 or needle is None and pattern.search(text):
             matched = term
             break
     trace.append(

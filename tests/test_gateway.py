@@ -17,6 +17,7 @@ from faultloom.errors import (
     TransientProviderError,
 )
 from faultloom.gateway import (
+    MAX_RETRY_AFTER,
     ChatRequest,
     Gateway,
     OpenAICompatProvider,
@@ -119,10 +120,12 @@ def test_live_retries_exhausted():
 
 
 class _Reply:
-    """A reply of `status_code` whose body is `payload` as JSON, or the text `body`."""
+    """A reply of `status_code` whose body is `payload` as JSON, or the text
+    `body`, with the response `headers`."""
 
-    def __init__(self, status_code, payload=None, body=None):
+    def __init__(self, status_code, payload=None, body=None, headers=None):
         self.status_code, self.text = status_code, json.dumps(payload) if body is None else body
+        self.headers = requests.structures.CaseInsensitiveDict(headers or {})
 
     def json(self):
         try:
@@ -155,6 +158,31 @@ def test_provider_retries_a_dropped_connection(monkeypatch):
     response = Gateway(mode="live", provider=provider, sleep=sleeps.append).complete(REQ)
     assert (response.text, response.input_tokens, response.provider_meta) == ("hi", 3, {"provider": "openai", "attempts": 3})
     assert len(calls) == 3 and len(sleeps) == 2
+
+
+# A Retry-After header's delay-seconds, and the first wait it gives (None: the backoff's).
+RETRY_AFTER = {
+    "seconds": ("7", 7.0),
+    "padded": (" 7 ", 7.0),
+    "huge": ("86400", MAX_RETRY_AFTER),
+    "too long for an int": ("9" * 5000, MAX_RETRY_AFTER),
+    "shorter than the backoff": ("0", None),
+    "word": ("soon", None),
+    "fraction": ("1.5", None),
+    "negative": ("-3", None),
+    "http-date": ("Wed, 21 Oct 2026 07:28:00 GMT", None),
+}
+
+
+@pytest.mark.parametrize("status", [429, 503])
+@pytest.mark.parametrize("header, first", RETRY_AFTER.values(), ids=RETRY_AFTER)
+def test_provider_waits_the_delay_seconds_of_retry_after(monkeypatch, status, header, first):
+    ok = _Reply(200, {"choices": [{"message": {"content": "hi"}}]})
+    provider, calls = _posting(monkeypatch, [_Reply(status, body="busy", headers={"retry-after": header}), ok])
+    sleeps = []
+    assert Gateway(mode="live", provider=provider, sleep=sleeps.append).complete(REQ).text == "hi"
+    assert len(calls) == 2
+    assert sleeps == [_provider_sleeps()[0] if first is None else first]
 
 
 def test_provider_reports_a_client_error_once_as_a_gateway_error(monkeypatch):

@@ -4,6 +4,7 @@ import re
 import pytest
 
 from faultloom.errors import CorpusError, RetriesExhaustedError
+from faultloom.gateway import MAX_RETRY_AFTER
 from faultloom.ingest import DEFAULT_CACHE_TTL_SECONDS, IssueFetcher, PageCache, _parse_next_link
 
 from fakes import FakeTransport
@@ -131,6 +132,19 @@ def test_retry_then_success():
     assert len(corpus) == 1
     assert len(sleeps) == 2
     assert sleeps[1] > sleeps[0]
+
+
+@pytest.mark.parametrize("status", [429, 503])
+@pytest.mark.parametrize("header, first", [("7", 7.0), ("86400", MAX_RETRY_AFTER), ("soon", None)], ids=["seconds", "huge", "word"])
+def test_a_tracker_page_waits_the_delay_seconds_of_retry_after(status, header, first):
+    ok = (200, {}, json.dumps([_raw_issue(1)]))
+    sleeps = []
+    for headers in ({"Retry-After": header}, {}):
+        transport = FakeTransport({ISSUES_URL: [(status, headers, "busy"), ok]})
+        assert len(IssueFetcher(transport=transport, sleep=sleeps.append).fetch_issues("acme/demo")) == 1
+    backoff = sleeps.pop()
+    assert 0.5 <= backoff <= 0.75
+    assert sleeps == [backoff if first is None else first]
 
 
 def test_retries_exhausted():

@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -694,7 +695,7 @@ def test_cold_run_parses_each_input_once_and_noop_rerun_only_reads_report(tmp_pa
     config = _config(tmp_path)
     Runner(config).run_pipeline()
     assert counts["read_dump"] == len(config.dumps)  # the corpus stage's; the sample stage takes its keys
-    assert counts["import_dump"] == 1  # sample.jsonl, by the filter stage
+    assert counts["import_dump"] == 0  # the filter stage takes the sample's records from the corpus stage
     assert counts["load_gold"] == 1
     assert counts["load_taxonomy"] == 2
     assert counts["load_yaml"] == 4  # the config, the criteria and both taxonomies
@@ -1303,27 +1304,131 @@ def test_cold_run_serializes_each_corpus_record_once(tmp_path, monkeypatch):
     assert set(calls.values()) == {1}
 
 
-def test_the_corpus_stage_holds_no_more_than_two_records_at_once(tmp_path, monkeypatch):
-    """The corpus stage writes each record as it reads it and keeps only its
-    key: however long the dump, the record being written and the one being
-    read are all it holds."""
-    live, peak = [0], [0]
+def _live_records(monkeypatch) -> tuple[Counter, list[int]]:
+    """The keys of the IssueRecords alive from now on, with how many of
+    each, and the most alive at once so far."""
+    live, peak = Counter(), [0]
     init = IssueRecord.__init__
 
     def counted(self, **fields):
         init(self, **fields)
-        live[0] += 1
-        peak[0] = max(peak[0], live[0])
+        live[self.key] += 1
+        peak[0] = max(peak[0], live.total())
 
     def dropped(self):
-        live[0] -= 1
+        live[self.key] -= 1
 
     monkeypatch.setattr(IssueRecord, "__init__", counted)
     monkeypatch.setattr(IssueRecord, "__del__", dropped, raising=False)
+    return live, peak
+
+
+def test_the_corpus_stage_holds_no_more_than_two_records_at_once(tmp_path, monkeypatch):
+    """The corpus stage writes each record as it reads it and keeps only its
+    key: however long the dump, the record being written and the one being
+    read are all it holds."""
+    live, peak = _live_records(monkeypatch)
     runner = Runner(_config(tmp_path))
     runner.run_corpus()
     assert peak[0] == 2
     assert len(runner.artifact("corpus").read_text().splitlines()) > 5 * peak[0]
+
+
+def test_inside_a_run_the_corpus_stage_keeps_the_records_the_sample_can_draw(tmp_path, monkeypatch):
+    """With gold for part of the corpus, the corpus stage keeps the records
+    gold gives a fault_related verdict, and the sample stage those it drew."""
+    inputs = shutil.copytree(GOLDEN, tmp_path / "inputs")
+    rows = (inputs / "gold.csv").read_text().splitlines(keepends=True)  # the header, then issues 1 to 16
+    rows[3] = rows[3].replace(",true,", ",,")  # issue 3: a symptom, no verdict
+    (inputs / "gold.csv").write_text("".join([rows[0], *rows[3:9], *rows[11:]]))  # no issue 1, 2, 9 or 10
+    drawable = {("acme/dlpipe", n) for n in [*range(4, 9), *range(11, 17)]}
+    live, _ = _live_records(monkeypatch)
+    runner = Runner(load_config(inputs / "config.yaml", {"out": str(tmp_path / "run")}))
+    with runner.locked():
+        runner.run_corpus()
+        assert +live == Counter(dict.fromkeys(drawable, 1))
+        runner.run_sample()
+        sample = [json.loads(line) for line in runner.artifact("sample").read_text().splitlines()]
+        drawn = Counter((row["repo"], row["number"]) for row in sample)
+        assert len(drawn) == 8 and set(drawn) <= drawable
+        assert +live == drawn
+    assert not +live
+
+
+def test_a_new_seed_after_a_run_draws_from_the_file_and_decides_as_a_fresh_run(
+        tmp_path, monkeypatch, symptoms, root_causes):
+    """The corpus stage is skipped, so the filter stage decodes sample.jsonl."""
+    oracle = OracleProvider(load_gold(GOLDEN / "gold.csv"), symptoms, root_causes)
+
+    def run(name, seed):
+        runner = Runner(_config(tmp_path, out=str(tmp_path / name), mode="live", seed=seed), provider=oracle)
+        runner.run_pipeline()
+        return runner.out
+
+    before = (run("again", 7) / "sample.jsonl").read_bytes()
+    counts = _count_calls(monkeypatch)
+    again = run("again", 8)
+    assert counts["import_dump"] == 1
+    assert (again / "sample.jsonl").read_bytes() != before
+    fresh = run("fresh", 8)
+    for name in ("sample.jsonl", "decisions.jsonl", "labels.jsonl"):
+        assert (again / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+def _split_run(config, provider=None) -> Path:
+    """Run each stage of RUN_ORDER as a command of its own, so that each
+    stage parses what it reads from the files; the run directory."""
+    runner = Runner(config, provider=provider)
+    for stage in RUN_ORDER:
+        getattr(runner, f"run_{stage}")()
+    return runner.out
+
+
+def test_a_run_without_sampling_decodes_the_dump_once(tmp_path, monkeypatch, symptoms, root_causes):
+    inputs = shutil.copytree(GOLDEN, tmp_path / "inputs")
+    config = inputs / "config.yaml"
+    config.write_text("".join(l for l in config.read_text().splitlines(keepends=True) if not l.startswith("sampling:")))
+    oracle = OracleProvider(load_gold(GOLDEN / "gold.csv"), symptoms, root_causes)
+    counts = _count_calls(monkeypatch)
+    whole = Runner(load_config(config, {"mode": "live", "out": str(tmp_path / "whole")}), provider=oracle)
+    whole.run_pipeline()
+    assert (counts["read_dump"], counts["import_dump"], counts["load_gold"]) == (1, 0, 1)
+    split = _split_run(load_config(config, {"mode": "live", "out": str(tmp_path / "split")}), oracle)
+    for name in ("corpus.jsonl", "sample.jsonl", "decisions.jsonl", "labels.jsonl"):
+        assert (whole.out / name).read_bytes() == (split / name).read_bytes(), name
+    assert len((whole.out / "sample.jsonl").read_text().splitlines()) == 16
+    assert _without_wall_time(whole.out) == _without_wall_time(split)
+
+
+def test_a_dump_of_offset_times_and_reversed_keys_decides_as_the_canonical_dump(tmp_path):
+    def shifted(value):
+        return datetime.fromisoformat(value.replace("Z", "+00:00")).astimezone(timezone(timedelta(hours=2))).isoformat()
+
+    lines = []
+    for row in _golden_rows():
+        row = {**row, **{k: shifted(row[k]) for k in ("created_at", "updated_at", "closed_at") if row.get(k)}}
+        row["comments"] = [{**c, "created_at": shifted(c["created_at"])} for c in row["comments"]]
+        lines.append(json.dumps(dict(reversed(row.items()))) + "\n")
+    assert "+02:00" in lines[0]
+    config = _with_dump(tmp_path, "inputs", "".join(lines).encode())
+    golden = Runner(_config(tmp_path, out=str(tmp_path / "golden")))
+    golden.run_pipeline()
+    whole = Runner(load_config(config, {"out": str(tmp_path / "whole")}))
+    whole.run_pipeline()
+    split = _split_run(load_config(config, {"out": str(tmp_path / "split")}))
+    for name in ("corpus.jsonl", "sample.jsonl", "decisions.jsonl", "labels.jsonl"):
+        assert (whole.out / name).read_bytes() == (split / name).read_bytes() == (golden.out / name).read_bytes(), name
+
+
+def test_import_reads_no_gold(tmp_path, monkeypatch):
+    inputs = shutil.copytree(GOLDEN, tmp_path / "inputs")
+    with open(inputs / "gold.csv", "a", encoding="utf-8") as fh:
+        fh.write("acme/dlpipe,99\n")
+    counts = _count_calls(monkeypatch)
+    result = CliRunner().invoke(main, ["import", "--config", str(inputs / "config.yaml"), "--out", str(tmp_path / "run")])
+    assert result.exit_code == 0, result.output
+    assert counts["load_gold"] == 0
+    assert (tmp_path / "run" / "corpus.jsonl").read_bytes() == (GOLDEN / "corpus.jsonl").read_bytes()
 
 
 def _golden_rows() -> list[dict]:

@@ -102,10 +102,16 @@ def test_vocabulary_punctuated_term_matches_bounded():
     ("A memoryleak first", "then a memory leak", True),  # first hit inside a word
     ("xmemory leak", "", False),  # the lookbehind sees the text before the hit
     ("Memory\u0130 memory leak", "", True),  # İ before the hit, one character after folding
+    ("subtensors tensorish tensor", "", True),  # only the third hit is a word
+    ("xtensor tensorx", "", False),  # no hit is a word
+    ("tensor first", "", True),  # a hit at index 0
+    ("", "ends with a tensor", True),  # a hit that ends the text
+    ("a subtensor", "tensors", False),  # near misses either side of the newline
+    ("a tensorx", "tensor", True),  # a near miss before the newline, a word after it
 ])
 def test_vocabulary_match_after_a_first_hit_inside_a_word(title, body, passed):
-    criteria = FilterCriteria(vocabulary=["memory leak"], cutoff_date=date(2020, 1, 1))
-    issue = make_issue(title=title, body=body)
+    criteria = FilterCriteria(vocabulary=["memory leak", "tensor"], cutoff_date=date(2020, 1, 1))
+    issue = make_issue(title=title, body=body, n_comments=0)
     assert _trace_map(apply_deterministic(issue, criteria))[CRITERION_VOCABULARY].passed is passed
     assert apply_deterministic(issue, criteria)[0].to_dict() == _per_part_vocabulary(issue, criteria)
 
