@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field, fields
 from datetime import date
 from functools import partial
@@ -69,6 +70,17 @@ def _list(value, key: str, path) -> list:
     return value
 
 
+def _date(value, key: str, path) -> date:
+    """`value`, the `key` of the file at `path`, as a date: a YAML date or
+    `YYYY-MM-DD` text, the one form every supported Python reads alike."""
+    try:
+        if re.fullmatch("[0-9]{4}-[0-9]{2}-[0-9]{2}", text := str(value)):
+            return date.fromisoformat(text)
+    except ValueError:
+        pass
+    raise ConfigError(f"{path}: {key} must be a date YYYY-MM-DD, not {value!r}")
+
+
 def _count(value, key: str, path, least: int | None = None) -> int:
     """`value`, the `key` of the file at `path`, as an integer no less than
     `least`. As in a record, a boolean or a fraction is no integer; any of
@@ -103,16 +115,13 @@ def load_criteria(path: Path | None) -> dict:
     _known(criteria, ("exclusion_labels", "cutoff_date", "require_answered", "comment_budget", "char_budget"), path)
     if not isinstance(answered := criteria.get("require_answered", True), bool):
         raise ConfigError(f"{path}: require_answered must be true or false, not {answered!r}")
-    try:
-        return {
-            "exclusion_labels": [str(x) for x in _list(criteria.get("exclusion_labels", []), "exclusion_labels", path)],
-            "cutoff_date": date.fromisoformat(str(criteria.get("cutoff_date", "2020-01-01"))),
-            "require_answered": answered,
-            "comment_budget": _count(criteria.get("comment_budget", DEFAULT_COMMENT_BUDGET), "comment_budget", path, 0),
-            "char_budget": _count(criteria.get("char_budget", DEFAULT_CHAR_BUDGET), "char_budget", path, 0),
-        }
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    return {
+        "exclusion_labels": [str(x) for x in _list(criteria.get("exclusion_labels", []), "exclusion_labels", path)],
+        "cutoff_date": _date(criteria.get("cutoff_date", "2020-01-01"), "cutoff_date", path),
+        "require_answered": answered,
+        "comment_budget": _count(criteria.get("comment_budget", DEFAULT_COMMENT_BUDGET), "comment_budget", path, 0),
+        "char_budget": _count(criteria.get("char_budget", DEFAULT_CHAR_BUDGET), "char_budget", path, 0),
+    }
 
 
 def _text(value, key: str, path) -> str:

@@ -10,6 +10,7 @@ import io
 import json
 import os
 import random
+import re
 import types
 import typing
 from dataclasses import dataclass
@@ -28,11 +29,24 @@ the text at run time: `from_dict` makes it canonical, and a record built
 directly must be given `canonical_timestamp` or `format_timestamp` text."""
 
 
+# The timestamps Python 3.10's and 3.11's `fromisoformat` read alike, and a
+# fraction of any length, which 3.10 reads only as 3 or 6 digits: date, any
+# one separator, HH[:MM[:SS[.fraction]]], then Z or ±HH:MM[:SS[.ffffff]].
+_STAMP_SHAPE = re.compile(
+    r"([0-9]{4}-[0-9]{2}-[0-9]{2}.[0-9]{2}(?::[0-9]{2}(?::[0-9]{2}(?:\.([0-9]*))?)?)?)"
+    r"(Z|[+-][0-9]{2}:[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{6})?)?)?", re.DOTALL).fullmatch
+
+
 def parse_timestamp(value: str) -> datetime:
     """Parse an RFC 3339 timestamp into an aware UTC datetime."""
     if not isinstance(value, str):
         raise TypeError(f"timestamp must be a string, not {type(value).__name__}")
-    ts = datetime.fromisoformat(value.replace("Z", "+00:00"))
+    if (shape := _STAMP_SHAPE(value)) is None:
+        raise ValueError(f"timestamp {value!r} is not RFC 3339")
+    moment, fraction, zone = shape.groups()
+    if fraction:
+        moment = moment[:-len(fraction)] + fraction[:6].ljust(6, "0")
+    ts = datetime.fromisoformat(moment + {"Z": "+00:00", None: ""}.get(zone, zone))
     if ts.tzinfo is None:
         raise ValueError(f"timestamp {value!r} has no timezone")
     return ts.astimezone(timezone.utc)

@@ -89,6 +89,11 @@ def test_import_dump_rejects_timestamp_violation(tmp_path):
         {"repo": None},
         {"is_pull_request": "false"},
         {"labels": [{"name": "bug"}]},
+        # ISO 8601, but not RFC 3339: Python 3.11's `fromisoformat` reads these, 3.10's does not
+        {"created_at": "20210601T000000Z"},
+        {"created_at": "2021-06-01T00:00:00+0000"},
+        {"created_at": "2021-06-01T00:00:00,5Z"},
+        {"created_at": "2021-W22-2T00:00:00Z"},
     ],
     ids=str,
 )

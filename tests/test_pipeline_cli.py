@@ -424,9 +424,9 @@ def test_cli_malformed_config_or_criteria_file_is_an_error_naming_it(tmp_path, n
         ("cache_dir", "gold.csv/pages", "a directory"),
     ],
 )
-def test_a_config_path_of_the_wrong_kind_exits_1_naming_it(tmp_path, key, value, kind):
+def test_a_config_path_of_the_wrong_kind_exits_1_naming_it(tmp_path, monkeypatch, key, value, kind):
     """The config is checked once, when it loads: no stage starts, so none
-    writes its artifact."""
+    writes its artifact. The error names the config as it was typed."""
     inputs = shutil.copytree(GOLDEN, tmp_path / "inputs")
     config, out = inputs / "config.yaml", tmp_path / "run"
     lines = [line for line in config.read_text().splitlines() if not line.startswith(f"{key}:")]
@@ -435,14 +435,35 @@ def test_a_config_path_of_the_wrong_kind_exits_1_naming_it(tmp_path, key, value,
     else:
         lines.append(f"{key}: [{value}]" if key == "dumps" else f"{key}: {value}")
     config.write_text("\n".join(lines) + "\n")
-    result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(out)])
+    monkeypatch.chdir(tmp_path)
+    result = CliRunner().invoke(main, ["run", "--config", "inputs/config.yaml", "--out", str(out)])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
     named = inputs if value == "." else inputs / value
-    assert result.stderr == f"error: {config}: {key} is not {kind}: {named}\n"
+    assert result.stderr == f"error: inputs/config.yaml: {key} is not {kind}: {named}\n"
     assert not (tmp_path / "run").exists()
     assert (inputs / "gold.csv").read_bytes() == (GOLDEN / "gold.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name, edit, stderr, absent",
+    [  # `stderr` with `{inputs}` for the edited copy's directory; `absent` under it
+        ("corpus.jsonl", lambda data: data[:-20], "error: {inputs}/corpus.jsonl line 16: invalid JSON: "
+         "Unterminated string starting at: line 1 column 425 (char 424)\n", ["run/corpus.jsonl"]),
+        ("config.yaml", lambda data: data.replace(b"mode: replay\n", b"mode: bogus\n"),
+         "error: unknown mode: 'bogus'\n", ["run"]),
+    ],
+    ids=["torn-last-dump-line", "bogus-mode"],
+)
+def test_an_import_of_a_broken_golden_copy_exits_1_naming_the_fault(tmp_path, name, edit, stderr, absent):
+    inputs = shutil.copytree(GOLDEN, tmp_path / "inputs")
+    (inputs / name).write_bytes(edit((inputs / name).read_bytes()))
+    result = CliRunner().invoke(main, ["import", "--config", str(inputs / "config.yaml")])
+    assert result.exit_code == 1
+    assert "Traceback" not in result.output
+    assert result.stderr == stderr.format(inputs=inputs)
+    assert [path for path in absent if (inputs / path).exists()] == []
 
 
 def test_a_byte_order_mark_on_the_vocabulary_and_gold_files_changes_no_decision_or_label(tmp_path):
@@ -492,6 +513,8 @@ def test_a_gold_row_whose_cells_do_not_match_the_header_exits_1_naming_it(tmp_pa
         ("config.yaml", "transcript: [t.jsonl]", "transcript must be a path, not list"),
         ("config.yaml", "gold: true", "gold must be a path, not bool"),
         ("config.yaml", "dumps: [corpus.jsonl, 7]", "dumps must be a path, not int"),
+        ("criteria.yaml", "cutoff_date: 20200101", "cutoff_date must be a date YYYY-MM-DD, not 20200101"),
+        ("criteria.yaml", "cutoff_date: 2021-W01-1", "cutoff_date must be a date YYYY-MM-DD, not '2021-W01-1'"),
     ],
 )
 def test_a_boolean_fraction_or_negative_setting_is_an_error_naming_the_file_and_key(tmp_path, name, line, message):
@@ -975,23 +998,27 @@ def _without_wall_time(out: Path) -> dict[str, bytes]:
 
 
 @pytest.mark.parametrize("command", ["run", "evaluate"])
-@pytest.mark.parametrize("damage", ["table deleted", "table edited", "summary truncated", "all three"])
+@pytest.mark.parametrize("damage", ["table deleted", "table edited", "summary truncated", "all three", "two deleted"])
 def test_a_missing_or_edited_report_file_is_written_again(tmp_path, monkeypatch, command, damage):
     """`all three`: a table deleted, summary.md truncated and report.json
-    edited. With each manifest a second newer than the files it
+    edited; `two deleted`: a table and summary.md deleted. No write leaves
+    a temp file behind. With each manifest a second newer than the files it
     fingerprints, a later command with nothing to do hashes and writes
     nothing."""
     out = tmp_path / "run"
     args = ["--config", str(GOLDEN / "config.yaml"), "--out", str(out)]
     assert CliRunner().invoke(main, ["run", *args]).exit_code == 0
+    assert list(out.rglob("*.tmp")) == []
     manifest = out / "manifest.json"
     _set_mtime(manifest, manifest.stat().st_mtime_ns + 10**9)
     first = _without_wall_time(out)
     table = out / "tables" / "stage2_confusion.csv"
     if damage == "table edited":
         table.write_bytes(table.read_bytes().replace(b",0", b",1", 1))
-    if damage in ("table deleted", "all three"):
+    if damage in ("table deleted", "all three", "two deleted"):
         table.unlink()
+    if damage == "two deleted":
+        (out / "summary.md").unlink()
     if damage in ("summary truncated", "all three"):
         (out / "summary.md").write_bytes((out / "summary.md").read_bytes()[:20])
     if damage == "all three":
@@ -1002,6 +1029,7 @@ def test_a_missing_or_edited_report_file_is_written_again(tmp_path, monkeypatch,
     result = CliRunner().invoke(main, [command, *args])
     assert result.exit_code == 0, result.output
     assert _without_wall_time(out) == first
+    assert list(out.rglob("*.tmp")) == []
 
     _set_mtime(manifest, manifest.stat().st_mtime_ns + 10**9)
     existing = _files(out)
